@@ -1,7 +1,8 @@
 """Command-line front end: solver pipelines, sweeps and plot-data emission.
 
-Exit codes: 0 on success, 2 when a verification fails, 1 on usage or
-configuration errors.  Every flag has a key of the same name (dashes
+Exit codes: 0 on success, 1 on usage or configuration errors (bad
+arguments, parameters or input files), 2 when a construction or a
+verification fails.  Every flag has a key of the same name (dashes
 become underscores) in an INI config file, one section per subcommand;
 command-line flags override the file.  Outputs carry no timestamps, so
 identical configuration yields byte-identical artifacts.
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .core import PhaseCurve, RadialProfile, read_columns
-from .errors import AffmaxError
+from .errors import AffmaxError, ParameterError, UnknownKind
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
 from .phase_plane import bernstein_radial_check
@@ -29,7 +30,7 @@ from .reconstruct import rebuild_profile
 from .verify import (assemble, bernstein_1d_check, completeness_check,
                      full_residual)
 
-USAGE_ERROR, VERIFY_ERROR = 1, 2
+USAGE_ERROR, FAILURE = 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +145,7 @@ def _cmd_solve_negative(o) -> int:
                or report["bounds_detail"]["upper_holds"]))
     print(f"wrote {o['out']} and {o['report']}; lambda_cal = "
           f"{report['lambda_cal']:.6g}, T_inf = {report['T_inf']:.6g}")
-    return 0 if ok else VERIFY_ERROR
+    return 0 if ok else FAILURE
 
 
 def _cmd_reconstruct(o) -> int:
@@ -203,7 +204,7 @@ def _cmd_assemble(o) -> int:
 
 def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile,
                          name: str, tol: float = 1e-6):
-    v_ref = np.array([rebuilt.v_at(r) for r in stored.r])
+    v_ref = rebuilt.v_at(stored.r)
     scale = np.max(np.abs(v_ref))
     if np.max(np.abs(v_ref - stored.v)) > tol * scale:
         raise ValueError(
@@ -277,7 +278,7 @@ def _cmd_verify(o) -> int:
     print(f"residual max {rep.residual_max:.3e} (tol {o['tol']:.1e}), "
           f"convexity margin {rep.convexity_margin:.3e}, "
           f"completeness {'pass' if comp['pass'] else 'FAIL'}")
-    return 0 if passed else VERIFY_ERROR
+    return 0 if passed else FAILURE
 
 
 def _cmd_bernstein_radial(o) -> int:
@@ -287,7 +288,7 @@ def _cmd_bernstein_radial(o) -> int:
         _dump_json(rep, o["out"])
     print(f"n={o['n']} theta={o['theta']} window=({o['lo']}, {o['hi']}): "
           f"{'pass' if rep['pass'] else 'FAIL'}")
-    return 0 if rep["pass"] else VERIFY_ERROR
+    return 0 if rep["pass"] else FAILURE
 
 
 def _cmd_bernstein_1d(o) -> int:
@@ -295,7 +296,7 @@ def _cmd_bernstein_1d(o) -> int:
     if o["out"]:
         _dump_json(rep, o["out"])
     print(f"theta={o['theta']}: {'pass' if rep['pass'] else 'FAIL'}")
-    return 0 if rep["pass"] else VERIFY_ERROR
+    return 0 if rep["pass"] else FAILURE
 
 
 def _sweep_worker(task):
@@ -331,11 +332,10 @@ def _cmd_sweep(o) -> int:
     _dump_json({"n": int(o["n"]), "rows": rows}, out)
     n_ok = sum(r["status"] == "ok" for r in rows)
     print(f"wrote {out}: {n_ok}/{len(rows)} solves succeeded")
-    return 0 if n_ok == len(rows) else VERIFY_ERROR
+    return 0 if n_ok == len(rows) else FAILURE
 
 
 def _cmd_emit_plot_data(o) -> int:
-    from .errors import UnknownKind
     kind = o["kind"]
     if kind == "phase":
         names, cols = read_columns(o["artifact"])
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except AffmaxError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return USAGE_ERROR
+        return USAGE_ERROR if isinstance(exc, (ParameterError, UnknownKind)) else FAILURE
 
 
 if __name__ == "__main__":

@@ -194,12 +194,24 @@ class PhaseCurve:
 # radial profiles
 
 
-class ProfileEvaluator:
-    """Point evaluation of v = u' and its derivatives for a profile.
+def shaped_like(r, val):
+    """val as floats in the shape of r: a float for a scalar r, else an array."""
+    val = np.asarray(val, dtype=float)
+    if val.shape != np.shape(r):
+        val = np.broadcast_to(val, np.shape(r)).copy()
+    return val if val.ndim else float(val)
 
-    Subclasses implement v(r); deriv(r, k) returns d^k v / dr^k or None
-    when no accurate rule is available (the caller then falls back to
-    finite differences on v).
+
+class ProfileEvaluator:
+    """Evaluation of v = u' and its derivatives for a profile, on arrays.
+
+    Every method takes radii r as a float or an ndarray of any shape and
+    returns values of the same shape (a float for a float), computed
+    elementwise.  deriv(r, k) returns d^k v / dr^k for 1 <= k <=
+    max_order() and None above it (the caller then falls back to finite
+    differences on v); u(r) returns None when the evaluator has no rule
+    for u.  Evaluators backed by a table clamp radii outside it exactly
+    as they would a single radius.
     """
 
     def v(self, r):
@@ -216,7 +228,11 @@ class ProfileEvaluator:
 
 
 class AnalyticEvaluator(ProfileEvaluator):
-    """Closed-form profile: v_fn plus optional derivative callables."""
+    """Closed-form profile: v_fn plus optional derivative callables.
+
+    The callables receive the radii array; a callable returning a
+    constant (lambda r: 2.0) is broadcast to the shape of r.
+    """
 
     def __init__(self, v_fn, derivs=(), u_fn=None):
         self._v = v_fn
@@ -224,18 +240,40 @@ class AnalyticEvaluator(ProfileEvaluator):
         self._u = u_fn
 
     def v(self, r):
-        return self._v(r)
+        return shaped_like(r, self._v(r))
 
     def u(self, r):
-        return self._u(r) if self._u is not None else None
+        return shaped_like(r, self._u(r)) if self._u is not None else None
 
     def deriv(self, r, k):
         if 1 <= k <= len(self._derivs):
-            return self._derivs[k - 1](r)
+            return shaped_like(r, self._derivs[k - 1](r))
         return None
 
     def max_order(self):
         return len(self._derivs)
+
+
+class ScaledEvaluator(ProfileEvaluator):
+    """The evaluator of kappa * u, given the evaluator of u."""
+
+    def __init__(self, base: ProfileEvaluator, kappa: float):
+        self.base = base
+        self.kappa = kappa
+
+    def v(self, r):
+        return self.kappa * self.base.v(r)
+
+    def u(self, r):
+        u = self.base.u(r)
+        return None if u is None else self.kappa * u
+
+    def deriv(self, r, k):
+        d = self.base.deriv(r, k)
+        return None if d is None else self.kappa * d
+
+    def max_order(self):
+        return self.base.max_order()
 
 
 @dataclass
@@ -270,41 +308,18 @@ class RadialProfile:
         return np.interp(r, self.r, self.v)
 
     def v_deriv_at(self, r, k: int, h_rel: float | None = None):
-        """d^k v/dr^k at scalar r; analytic chain if available, else FD."""
+        """d^k v/dr^k at the radii r; analytic chain if available, else FD."""
         if self.evaluator is not None and self.evaluator.max_order() >= k:
             return self.evaluator.deriv(r, k)
         if self.evaluator is not None:
-            h = (h_rel or fd.DEFAULT_H_REL[k]) * max(abs(r), 1e-2)
+            h = (h_rel or fd.DEFAULT_H_REL[k]) * np.maximum(np.abs(r), 1e-2)
             return fd.derivative_from_callable(self.evaluator.v, r, k, h=h)
-        i = int(np.searchsorted(self.r, r))
-        i = min(max(i, 0), len(self.r) - 1)
+        i = np.clip(np.searchsorted(self.r, r), 0, len(self.r) - 1)
         return fd.grid_derivative(self.r, self.v, k)[i]
-
-    def derivative_samples(self, orders=(1, 2, 3, 4)) -> dict:
-        """Estimates of v', v'', v''', v'''' at every node (and one-sided at 0)."""
-        out = {}
-        for k in orders:
-            if self.evaluator is not None:
-                out[k] = np.array([self.v_deriv_at(ri, k) for ri in self.r])
-            else:
-                out[k] = fd.grid_derivative(self.r, self.v, k)
-        return out
-
-    def origin_derivative(self, k: int, h: float = 1e-3) -> float:
-        """One-sided estimate of d^k v/dr^k at r = 0 (never uses r < 0)."""
-        return fd.one_sided_derivative(self.v_at, 0.0, k, h, points=k + 5)
 
     def scaled(self, kappa: float) -> "RadialProfile":
         """The profile of kappa * u (v and u scale linearly)."""
-        ev = None
-        if self.evaluator is not None:
-            base = self.evaluator
-            mo = base.max_order()
-            ev = AnalyticEvaluator(
-                lambda r, b=base, k=kappa: k * b.v(r),
-                [(lambda r, b=base, k=kappa, j=j: k * b.deriv(r, j)) for j in range(1, mo + 1)],
-                u_fn=(lambda r, b=base, k=kappa: None if b.u(r) is None else k * b.u(r)),
-            )
+        ev = None if self.evaluator is None else ScaledEvaluator(self.evaluator, kappa)
         return RadialProfile(r=self.r.copy(), v=kappa * self.v, u=kappa * self.u,
                              n=self.n, evaluator=ev, meta=dict(self.meta))
 
@@ -393,18 +408,8 @@ def radial_lhs(r, u1, u2, u3, u4, theta: float, n: int):
 def _profile_derivatives(profile: RadialProfile, nodes, need=(0, 1, 2, 3)):
     """(u', u'', u''', u'''') = (v, v', v'', v''') at the given radii."""
     nodes = np.asarray(nodes, dtype=float)
-    ev = profile.evaluator
-    if ev is not None and ev.max_order() >= 3:
-        vals = [np.array([ev.v(x) for x in nodes])]
-        for k in (1, 2, 3):
-            vals.append(np.array([ev.deriv(x, k) for x in nodes]))
-        return vals
-    if ev is not None:
-        vals = [np.array([ev.v(x) for x in nodes])]
-        for k in (1, 2, 3):
-            vals.append(np.array([fd.derivative_from_callable(
-                ev.v, x, k, h=fd.DEFAULT_H_REL[k] * max(abs(x), 1e-2)) for x in nodes]))
-        return vals
+    if profile.evaluator is not None:
+        return [profile.v_at(nodes)] + [profile.v_deriv_at(nodes, k) for k in (1, 2, 3)]
     # stored-grid fallback
     interior = np.sum(profile.r > 0)
     if interior < 5 or len(profile.r) < 6:
@@ -478,7 +483,7 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if len(nodes) == 0:
         raise GridTooCoarse("no nodes above the r floor")
-    v = np.array([profile.v_at(x) for x in nodes], dtype=float)
+    v = profile.v_at(nodes)
     if np.any(v == 0):
         raise DegenerateProfile("v vanishes at an interior node")
     ev = profile.evaluator
@@ -493,10 +498,10 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
         ell[:2] = np.inf
 
         def hcap(x, base):
-            h = base * max(abs(x), 1e-2)
-            h = min(h, 0.04 * float(np.interp(x, profile.r, ell)))
+            h = base * np.maximum(np.abs(x), 1e-2)
+            h = np.minimum(h, 0.04 * np.interp(x, profile.r, ell))
             gap = r_hi - x
-            return min(h, 0.1 * gap) if gap > 0 else h
+            return np.where(gap > 0, np.minimum(h, 0.1 * gap), h)
 
         use_chain = ev.max_order() >= 1
 
@@ -510,10 +515,9 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
         def eta_fn(x):
             return x * vprime(x) / ev.v(x)
 
-        eta = np.array([eta_fn(x) for x in nodes])
-        zeta = np.array([x * fd.derivative_from_callable(eta_fn, x, 1,
-                                                         h=hcap(x, 5e-4))
-                         for x in nodes])
+        eta = eta_fn(nodes)
+        zeta = nodes * fd.derivative_from_callable(eta_fn, nodes, 1,
+                                                   h=hcap(nodes, 5e-4))
     else:
         sel = profile.r >= r_floor
         rr, vv = profile.r[sel], profile.v[sel]
@@ -546,12 +550,30 @@ def write_columns(path, names, cols):
 
 
 def read_columns(path):
+    """Header names and float columns of a CSV as written by write_columns.
+
+    Empty, header-only, ragged or non-numeric input raises ParameterError.
+    """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path) as fh:
             text = fh.read()
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ParameterError("CSV input is empty")
     names = [s.strip() for s in lines[0].split(",")]
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    if len(lines) == 1:
+        raise ParameterError(f"CSV input has a header ({','.join(names)}) but no data rows")
+    rows = []
+    for k, ln in enumerate(lines[1:], start=1):
+        fields = ln.split(",")
+        if len(fields) != len(names):
+            raise ParameterError(
+                f"CSV data row {k} has {len(fields)} fields, the header has {len(names)}")
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}") from None
+    data = np.array(rows)
     return names, [data[:, j] for j in range(data.shape[1])]

@@ -49,25 +49,36 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def derivative_from_callable(f, x0: float, order: int, h: float | None = None,
-                             points: int = 9) -> float:
-    """Centered stencil estimate of f^(order)(x0) using `points` nodes."""
+def derivative_from_callable(f, x0, order: int, h=None, points: int = 9):
+    """Centered stencil estimate of f^(order) at x0 using `points` nodes.
+
+    x0 and h are floats or arrays that broadcast together; f is called
+    once, on the array of every stencil node (shape x0.shape + (points,)),
+    and must return values of that shape.  The result has the shape of
+    x0 (a float for a float).
+    """
+    x0 = np.asarray(x0, dtype=float)
     if h is None:
-        h = DEFAULT_H_REL[order] * max(abs(x0), 1.0)
+        h = DEFAULT_H_REL[order] * np.maximum(np.abs(x0), 1.0)
+    h = np.asarray(h, dtype=float)
     half = points // 2
-    nodes = x0 + h * np.arange(-half, half + 1)
-    w = fornberg_weights(x0, nodes, order)[order]
-    vals = np.array([f(t) for t in nodes], dtype=float)
-    return float(w @ vals)
+    offsets = np.arange(-half, half + 1, dtype=float)
+    w = fornberg_weights(0.0, offsets, order)[order]
+    vals = np.asarray(f(x0[..., None] + h[..., None] * offsets), dtype=float)
+    out = (vals @ w) / h ** order
+    return out if out.ndim else float(out)
 
 
 def one_sided_derivative(f, x0: float, order: int, h: float, points: int | None = None) -> float:
-    """One-sided estimate of f^(order)(x0) from nodes x0, x0+h, ... (right side)."""
+    """One-sided estimate of f^(order)(x0) from nodes x0, x0+h, ... (right side).
+
+    f is called once, on the array of nodes.
+    """
     if points is None:
         points = order + 4
     nodes = x0 + h * np.arange(points)
     w = fornberg_weights(x0, nodes, order)[order]
-    vals = np.array([f(t) for t in nodes], dtype=float)
+    vals = np.asarray(f(nodes), dtype=float)
     return float(w @ vals)
 
 

@@ -330,8 +330,8 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         s = np.log1p(rr)
         v_sp = make_interp_spline(s, up, k=3)
         u_sp = make_interp_spline(s, uu, k=3)
-        ev = AnalyticEvaluator(lambda x: float(v_sp(np.log1p(abs(x)))),
-                               u_fn=lambda x: float(u_sp(np.log1p(abs(x)))))
+        ev = AnalyticEvaluator(lambda x: v_sp(np.log1p(np.abs(x))),
+                               u_fn=lambda x: u_sp(np.log1p(np.abs(x))))
         out["profile"] = RadialProfile(
             r=rr[:: max(1, len(rr) // 2000)], v=up[:: max(1, len(rr) // 2000)],
             u=uu[:: max(1, len(rr) // 2000)], n=1, evaluator=ev,

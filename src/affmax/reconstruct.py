@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from .core import PhaseCurve, ProfileEvaluator, RadialProfile
+from .core import PhaseCurve, ProfileEvaluator, RadialProfile, shaped_like
 from .errors import ParameterError, PositivityLoss
 from .negative_pair import _ratio_x_over_phi
 
@@ -89,7 +89,12 @@ def t_of_eta(curve: PhaseCurve, eta0: float | None = None):
 
 
 class PhaseProfileEvaluator(ProfileEvaluator):
-    """Point evaluation of the rebuilt profile through quintic splines in t."""
+    """Evaluation of the rebuilt profile through quintic splines in t = log r.
+
+    Below the table (r < r_min) the profile continues with its origin
+    asymptotics v ~ vp0 r and etabar - 1 ~ r^d1; above it t is clamped
+    to the last node.
+    """
 
     def __init__(self, tab):
         t = tab["t"]
@@ -105,45 +110,47 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
         self._x_min = float(tab["x"][0])
 
-    # -- scalar helpers ----------------------------------------------------
+    def _t(self, r):
+        """log r clamped to the table (radii below it map to t_min)."""
+        return np.clip(np.log(np.maximum(r, self.r_min)), self.t_min, self.t_max)
+
     def _state(self, r):
-        t = min(max(math.log(r), self.t_min), self.t_max)
-        x = math.exp(float(self._LX(t)))
-        return t, 1.0 + x, math.exp(float(self._LZ(t)))
+        t = self._t(r)
+        return t, 1.0 + np.exp(self._LX(t)), np.exp(self._LZ(t))
 
     def etabar(self, r):
-        if r < self.r_min:
-            # etabar - 1 ~ r^d1 below the table
-            return 1.0 + self._x_min * (r / self.r_min) ** self.d1
-        return self._state(r)[1]
+        # etabar - 1 ~ r^d1 below the table
+        below = 1.0 + self._x_min * (np.minimum(r, self.r_min) / self.r_min) ** self.d1
+        return shaped_like(r, np.where(r < self.r_min, below, self._state(r)[1]))
 
     def v(self, r):
-        r = abs(r)
-        if r < self.r_min:
-            return self.vp0 * r
-        return math.exp(float(self._LV(min(math.log(r), self.t_max))))
+        r = np.abs(r)
+        return shaped_like(r, np.where(r < self.r_min, self.vp0 * r,
+                                       np.exp(self._LV(self._t(r)))))
 
     def u(self, r):
-        r = abs(r)
-        if r < self.r_min:
-            return 0.5 * self.vp0 * r * r
-        return float(self._U(min(math.log(r), self.t_max)))
+        r = np.abs(r)
+        return shaped_like(r, np.where(r < self.r_min, 0.5 * self.vp0 * r * r,
+                                       self._U(self._t(r))))
 
     def deriv(self, r, k):
-        r = abs(r)
-        if r < self.r_min:
-            return self.vp0 if k == 1 else 0.0
-        t, etab, zeta = self._state(r)
-        vv = math.exp(float(self._LV(t)))
+        if not 1 <= k <= 3:
+            return None
+        r = np.abs(r)
+        rs = np.maximum(r, self.r_min)
+        t, etab, zeta = self._state(rs)
+        vv = np.exp(self._LV(t))
         if k == 1:
-            return vv * etab / r
-        G = etab * etab + zeta - etab
-        if k == 2:
-            return vv * G / (r * r)
-        if k == 3:
-            zp = float(self._dLZ(t))
-            return vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / r**3
-        return None
+            out, below = vv * etab / rs, self.vp0
+        else:
+            G = etab * etab + zeta - etab
+            if k == 2:
+                out = vv * G / (rs * rs)
+            else:
+                zp = self._dLZ(t)
+                out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
+            below = 0.0
+        return shaped_like(r, np.where(r < self.r_min, below, out))
 
     def max_order(self):
         return 3
@@ -163,7 +170,7 @@ def etabar_of_r(curve: PhaseCurve, r_grid):
     if np.any(r_grid < ev.r_min) or np.any(r_grid > ev.r_max):
         raise ParameterError(
             f"r grid must lie in [{ev.r_min:.3g}, {ev.r_max:.3g}] covered by the curve")
-    etab = np.array([ev.etabar(r) for r in r_grid])
+    etab = ev.etabar(r_grid)
     if np.any(etab <= 1.0):
         raise PositivityLoss("etabar dropped to 1 at positive radius")
     small = r_grid <= 0.1
@@ -205,8 +212,8 @@ def rebuild_profile(curve: PhaseCurve, v0: float, r0: float = 1.0,
         u_vals = tab["u"][idx]
     else:
         grid = np.asarray(grid, dtype=float)
-        v_vals = np.array([ev.v(r) for r in grid])
-        u_vals = np.array([ev.u(r) for r in grid])
+        v_vals = ev.v(grid)
+        u_vals = ev.u(grid)
     prof = RadialProfile(r=grid, v=v_vals, u=u_vals, n=curve.params.n,
                          evaluator=ev,
                          meta={"kind": "phase-reconstruction", "v0": v0,
@@ -282,7 +289,7 @@ def large_condition_check(profile: RadialProfile, R_inf: float,
     t_hi = math.log(r_max)
     # full scan of the classical curvature lower bound on r > r0
     t_all = np.linspace(1e-3, t_hi, 400)
-    v_all = np.array([ev.v(math.exp(t)) for t in t_all])
+    v_all = ev.v(np.exp(t_all))
     bound = v0 * T / (T - t_all)
     ok = v_all >= bound * (1 - 1e-12)
     holds_all = bool(np.all(ok))
@@ -302,8 +309,9 @@ def large_condition_check(profile: RadialProfile, R_inf: float,
     if gap_hi <= gap_lo:
         gap_hi = 3.0 * gap_lo
     t_tail = T - np.geomspace(gap_hi, gap_lo, 200)
-    v_tail = np.array([ev.v(math.exp(t)) for t in t_tail])
-    u_tail = np.array([ev.u(math.exp(t)) for t in t_tail])
+    r_tail = np.exp(t_tail)
+    v_tail = ev.v(r_tail)
+    u_tail = ev.u(r_tail)
     law = v_tail * (T - t_tail)
     law_c = float(np.mean(law))
     law_spread = float((np.max(law) - np.min(law)) / law_c)

@@ -18,7 +18,7 @@ from scipy.interpolate import make_interp_spline
 
 from .core import (ProfileEvaluator, RadialProfile, SeparableSolution,
                    VerificationReport, effective_lambda_fit,
-                   eigenvalue_from_lambda_prime)
+                   eigenvalue_from_lambda_prime, shaped_like)
 from .errors import NearSingular, ParameterError, SignError
 from .reconstruct import large_condition_check
 
@@ -34,6 +34,7 @@ class DataEvaluator(ProfileEvaluator):
 
     Used when a profile arrives from CSV/JSON without its construction;
     derivative accuracy is then limited by the stored grid density.
+    The factor is even in r, and |r| is clamped to the stored range.
     """
 
     def __init__(self, profile: RadialProfile):
@@ -43,19 +44,21 @@ class DataEvaluator(ProfileEvaluator):
         self._lo, self._hi = float(profile.r[0]), float(profile.r[-1])
 
     def _clip(self, r):
-        return min(max(abs(r), self._lo), self._hi)
+        return np.clip(np.abs(r), self._lo, self._hi)
 
     def v(self, r):
-        return float(self._S(self._clip(r))) * (1.0 if r >= 0 else -1.0)
+        return shaped_like(r, self._S(self._clip(r)) * np.where(r >= 0, 1.0, -1.0))
 
     def u(self, r):
-        return float(self._U(self._clip(r)))
+        return shaped_like(r, self._U(self._clip(r)))
 
     def deriv(self, r, k):
-        if 1 <= k <= 3:
-            val = float(self._d[k - 1](self._clip(r)))
-            return val if (k % 2 == 1 or r >= 0) else -val
-        return None
+        if not 1 <= k <= 3:
+            return None
+        val = self._d[k - 1](self._clip(r))
+        if k % 2 == 0:
+            val = val * np.where(r >= 0, 1.0, -1.0)
+        return shaped_like(r, val)
 
     def max_order(self):
         return 3
@@ -109,90 +112,127 @@ def assemble(phi: RadialProfile, psi: RadialProfile, m_cylinder: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# pointwise machinery
+# batched pointwise machinery: every function below takes arrays of points
 
 
-def _det_parts(sol: SeparableSolution, xq: float, rho: float):
-    phi2 = sol.phi.v_deriv_at(xq, 1)       # phi''
-    psi1 = sol.psi.v_at(rho)               # psi'
-    psi2 = sol.psi.v_deriv_at(rho, 1)      # psi''
-    return phi2, psi1, psi2
+def _det_parts(sol: SeparableSolution, x, rho):
+    """(phi'', psi', psi'') at the radii |x| and rho (arrays of one shape)."""
+    return sol.phi.v_deriv_at(x, 1), sol.psi.v_at(rho), sol.psi.v_deriv_at(rho, 1)
 
 
-def _w_value(sol: SeparableSolution, xq: float, rho: float) -> float:
-    phi2, psi1, psi2 = _det_parts(sol, xq, rho)
-    det = phi2 * psi2 * (psi1 / rho) ** (sol.psi.n - 1)
-    if det < 1e-12:
-        raise NearSingular(f"det D^2 u = {det:.3e} at (x={xq:.3g}, rho={rho:.3g})")
+def _w(sol: SeparableSolution, x, rho) -> np.ndarray:
+    """w = (det D^2 u)^(-theta) at the points with coordinates x and |y| = rho."""
+    phi2, psi1, psi2 = _det_parts(sol, x, rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = phi2 * psi2 * (psi1 / rho) ** (sol.psi.n - 1)
+    bad = np.flatnonzero(~(det >= 1e-12))     # NaN (a stencil on rho = 0) included
+    if len(bad):
+        i = bad[0]
+        raise NearSingular(f"det D^2 u = {det.flat[i]:.3e} at "
+                           f"(x={x.flat[i]:.3g}, rho={rho.flat[i]:.3g})")
     return det ** (-sol.theta)
 
 
-def _hessian_fd(f, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    N = len(p)
-    H = np.empty((N, N))
-    f0 = f(p)
+def _stencil(N: int) -> np.ndarray:
+    """Unit offsets of the Hessian stencil, shape (S, N), S = 1 + 2N + 2N(N-1).
+
+    Rows: the centre; +e_i, -e_i for each i; then e_i+e_j, e_i-e_j,
+    -e_i+e_j, -e_i-e_j for each j < i.
+    """
+    e = np.eye(N)
+    rows = [np.zeros(N)]
     for i in range(N):
-        ei = np.zeros(N); ei[i] = h[i]
-        H[i, i] = (f(p + ei) - 2.0 * f0 + f(p - ei)) / h[i] ** 2
+        rows += [e[i], -e[i]]
+    for i in range(N):
         for j in range(i):
-            ej = np.zeros(N); ej[j] = h[j]
-            H[i, j] = H[j, i] = (f(p + ei + ej) - f(p + ei - ej)
-                                 - f(p - ei + ej) + f(p - ei - ej)) / (4 * h[i] * h[j])
+            rows += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
+    return np.array(rows)
+
+
+def _hessian_from_stencil(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(P, N, N) central-difference Hessians from values f (P, S) on _stencil(N)."""
+    P, N = h.shape
+    H = np.empty((P, N, N))
+    f0 = f[:, 0]
+    for i in range(N):
+        H[:, i, i] = (f[:, 1 + 2 * i] - 2.0 * f0 + f[:, 2 + 2 * i]) / h[:, i] ** 2
+    k = 1 + 2 * N
+    for i in range(N):
+        for j in range(i):
+            H[:, i, j] = H[:, j, i] = (f[:, k] - f[:, k + 1] - f[:, k + 2]
+                                       + f[:, k + 3]) / (4 * h[:, i] * h[:, j])
+            k += 4
     return H
 
 
-def _inverse_hessian(sol: SeparableSolution, xq: float, y: np.ndarray) -> np.ndarray:
-    """Block-diagonal u^{ij}: 1/phi'' + radial inverse + identity."""
+def _inverse_hessian(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
+    """(P, N, N) block-diagonal u^{ij}: 1/phi'' + radial inverse + identity."""
     n, m = sol.psi.n, sol.m_cylinder
-    rho = float(np.linalg.norm(y))
-    phi2, psi1, psi2 = _det_parts(sol, xq, rho)
-    N = 1 + n + m
-    inv = np.zeros((N, N))
-    inv[0, 0] = 1.0 / phi2
-    yy = np.outer(y, y)
-    inv[1:1 + n, 1:1 + n] = (rho / psi1) * (np.eye(n)
-                                            - (rho * psi2 - psi1) / (rho**3 * psi2) * yy)
+    y = pts[:, 1:1 + n]
+    rho = np.linalg.norm(y, axis=1)
+    phi2, psi1, psi2 = _det_parts(sol, pts[:, 0], rho)
+    inv = np.zeros((len(pts), 1 + n + m, 1 + n + m))
+    inv[:, 0, 0] = 1.0 / phi2
+    c = ((rho * psi2 - psi1) / (rho**3 * psi2))[:, None, None]
+    yy = y[:, :, None] * y[:, None, :]
+    inv[:, 1:1 + n, 1:1 + n] = (rho / psi1)[:, None, None] * (np.eye(n) - c * yy)
     for k in range(m):
-        inv[1 + n + k, 1 + n + k] = 1.0
+        inv[:, 1 + n + k, 1 + n + k] = 1.0
     return inv
+
+
+def _points(sol: SeparableSolution, points) -> np.ndarray:
+    """points as a (P, N) float array; ParameterError for any other shape."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != sol.N:
+        raise ParameterError(f"point must have {sol.N} coordinates")
+    return pts
+
+
+def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = 1e-3,
+               richardson: bool = True) -> np.ndarray:
+    """u^{ij} D_ij w at each of the (P, N) points, from one batched stencil pass.
+
+    w is differentiated by central differences with steps h = h_rel *
+    max(|p_i|, 1) and, with richardson, also h/2, combined as
+    (4 H(h/2) - H(h)) / 3.  w is evaluated once over every stencil point.
+    """
+    n = sol.psi.n
+    h = h_rel * np.maximum(np.abs(pts), 1.0)
+    steps = [h, h / 2.0] if richardson else [h]
+    off = _stencil(pts.shape[1])
+    q = np.stack([pts[:, None, :] + off * hk[:, None, :] for hk in steps])
+    x, rho = q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)
+    wv = _w(sol, x, rho)
+    H = _hessian_from_stencil(wv[0], steps[0])
+    if richardson:
+        H = (4.0 * _hessian_from_stencil(wv[1], steps[1]) - H) / 3.0
+    return np.einsum("pij,pij->p", _inverse_hessian(sol, pts), H)
+
+
+def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
+    """(P, N) sorted eigenvalues of D^2 u, in closed form.
+
+    D^2 u is block diagonal: phi'' on x; on y the radial block with
+    eigenvalues psi'/rho (multiplicity n-1, tangential) and psi''
+    (radial); 1 on each cylinder coordinate.
+    """
+    n, m = sol.psi.n, sol.m_cylinder
+    rho = np.linalg.norm(pts[:, 1:1 + n], axis=1)
+    phi2, psi1, psi2 = _det_parts(sol, pts[:, 0], rho)
+    cols = [phi2] + [psi1 / rho] * (n - 1) + [psi2] + [np.ones(len(pts))] * m
+    return np.sort(np.stack(cols, axis=1), axis=1)
 
 
 def residual_at(sol: SeparableSolution, point: np.ndarray,
                 h_rel: float = 1e-3, richardson: bool = True) -> float:
     """u^{ij} D_ij w at one point, with w differentiated by nested FD."""
-    p = np.asarray(point, dtype=float)
-    N = 1 + sol.psi.n + sol.m_cylinder
-    if len(p) != N:
-        raise ParameterError(f"point must have {N} coordinates")
-
-    def w_of(q):
-        rho = float(np.linalg.norm(q[1:1 + sol.psi.n]))
-        return _w_value(sol, float(q[0]), rho)
-
-    h = h_rel * np.maximum(np.abs(p), 1.0)
-    H = _hessian_fd(w_of, p, h)
-    if richardson:
-        H2 = _hessian_fd(w_of, p, h / 2.0)
-        H = (4.0 * H2 - H) / 3.0
-    inv = _inverse_hessian(sol, float(p[0]), p[1:1 + sol.psi.n])
-    return float(np.sum(inv * H))
+    return float(_residuals(sol, _points(sol, [point]), h_rel, richardson)[0])
 
 
 def hessian_eigenvalues_at(sol: SeparableSolution, point: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the assembled D^2 u at one point."""
-    p = np.asarray(point, dtype=float)
-    n, m = sol.psi.n, sol.m_cylinder
-    y = p[1:1 + n]
-    rho = float(np.linalg.norm(y))
-    phi2, psi1, psi2 = _det_parts(sol, float(p[0]), rho)
-    N = 1 + n + m
-    hess = np.zeros((N, N))
-    hess[0, 0] = phi2
-    hess[1:1 + n, 1:1 + n] = (psi1 / rho) * np.eye(n) \
-        + (psi2 - psi1 / rho) * np.outer(y, y) / rho**2
-    for k in range(m):
-        hess[1 + n + k, 1 + n + k] = 1.0
-    return np.linalg.eigvalsh(hess)
+    """Eigenvalues of the assembled D^2 u at one point, ascending."""
+    return _eigenvalues(sol, _points(sol, [point]))[0]
 
 
 def _sample_points(sol: SeparableSolution, n_points: int, seed: int,
@@ -218,8 +258,8 @@ def full_residual(sol: SeparableSolution, n_points: int = 1000, seed: int = 0,
                   h_rel: float = 1e-3) -> VerificationReport:
     """Residual statistics of the source equation at random interior points."""
     pts = _sample_points(sol, n_points, seed, h_rel)
-    res = np.array([residual_at(sol, p, h_rel=h_rel) for p in pts])
-    eigs = np.array([hessian_eigenvalues_at(sol, p).min() for p in pts])
+    res = _residuals(sol, pts, h_rel=h_rel)
+    eigs = _eigenvalues(sol, pts)[:, 0]
     blow = {"T_inf": math.log(sol.R_inf) if np.isfinite(sol.R_inf) else None,
             "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None}
     report = VerificationReport(
@@ -240,7 +280,7 @@ def convexity_check(sol: SeparableSolution, points=None, n_points: int = 200,
     """Minimum eigenvalue of D^2 u over the sampled points."""
     if points is None:
         points = _sample_points(sol, n_points, seed)
-    return float(min(hessian_eigenvalues_at(sol, p).min() for p in points))
+    return float(_eigenvalues(sol, _points(sol, points))[:, 0].min())
 
 
 def factor_residual_phi(sol: SeparableSolution, xq: float, h: float = 1e-4) -> float:
@@ -276,9 +316,9 @@ def completeness_check(sol: SeparableSolution, ceiling: float = 1e6) -> dict:
     """
     phi = sol.phi
     xs = phi.r[-1] * np.array([0.25, 0.5, 1.0])
-    u_vals = np.array([phi.evaluator.u(x) if phi.evaluator is not None
-                       and phi.evaluator.u(x) is not None
-                       else np.interp(x, phi.r, phi.u) for x in xs])
+    u_vals = phi.evaluator.u(xs) if phi.evaluator is not None else None
+    if u_vals is None:
+        u_vals = np.interp(xs, phi.r, phi.u)
     increasing = bool(u_vals[0] < u_vals[1] < u_vals[2])
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
     x_ceiling = xs[2] + max(ceiling - u_vals[2], 0.0) / slope if slope > 0 else math.inf

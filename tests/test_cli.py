@@ -128,6 +128,26 @@ class TestConfigAndErrors:
     def test_invalid_dimension_is_usage_error(self):
         assert run(["bernstein-radial", "--n", "2", "--theta", "1.0"]) == 1
 
+    def test_failed_construction_exits_2(self, tmp_path):
+        # n = 3 is accepted, but the converged curve loses positivity
+        assert run(["solve-negative", "--n", "3",
+                    "--out", str(tmp_path / "c.csv"),
+                    "--report", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "eta,zeta,I\n", "eta,zeta,I\n1.1,0.2,0.3\n1.2,0.3\n",
+        "eta,zeta,I\n1.1,0.2,0.3,0.4\n", "eta,zeta,I\n1.1,abc,0.3\n"],
+        ids=["empty", "blank", "header-only", "short-row", "long-row",
+             "non-numeric"])
+    def test_malformed_csv_is_one_line_usage_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "curve.csv"
+        bad.write_text(text)
+        assert run(["reconstruct", "--curve", str(bad),
+                    "--out", str(tmp_path / "psi.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
     def test_bernstein_1d(self, tmp_path):
         out = tmp_path / "b1.json"
         assert run(["bernstein-1d", "--theta", "0.6", "--out", str(out)]) == 0

@@ -213,10 +213,11 @@ class TestLargeCondition:
     def test_synthetic_divergence_law(self):
         # v = 1/(T - log r): u diverges like -log(T - log r)
         T = 1.0
-        v_fn = lambda r: 1.0 / (T - math.log(r))
+        v_fn = lambda r: 1.0 / (T - np.log(r))
 
         from affmax.core import AnalyticEvaluator
 
+        @np.vectorize
         def u_fn(r):
             from scipy.integrate import quad
             return quad(v_fn, 1e-6, r)[0]

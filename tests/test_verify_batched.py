@@ -1,0 +1,203 @@
+"""The batched verify kernel against the scalar per-point loop it replaced.
+
+The reference below evaluates w at one stencil point per call and builds
+each Hessian with Python loops, exactly as verify did before its
+residuals came from one batched stencil pass.  numpy's array exp/log/
+power differ from their scalar counterparts by about 1 ulp on a few
+percent of inputs, so w is compared in ulps and each residual against
+the rounding error the h^-2 stencil can amplify that into.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
+from affmax.errors import NearSingular
+from affmax.verify import (_eigenvalues, _residuals, _w, assemble,
+                           convexity_check, hessian_eigenvalues_at,
+                           residual_at)
+
+from conftest import THETA
+
+EPS = np.finfo(float).eps
+H_REL = 1e-3
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: one point, one stencil value per call
+
+
+def ref_det_parts(sol, xq, rho):
+    return (sol.phi.v_deriv_at(xq, 1), sol.psi.v_at(rho),
+            sol.psi.v_deriv_at(rho, 1))
+
+
+def ref_w_value(sol, xq, rho):
+    phi2, psi1, psi2 = ref_det_parts(sol, xq, rho)
+    det = phi2 * psi2 * (psi1 / rho) ** (sol.psi.n - 1)
+    if det < 1e-12:
+        raise NearSingular(f"det D^2 u = {det:.3e} at (x={xq:.3g}, rho={rho:.3g})")
+    return det ** (-sol.theta)
+
+
+def ref_hessian_fd(f, p, h):
+    N = len(p)
+    H = np.empty((N, N))
+    f0 = f(p)
+    for i in range(N):
+        ei = np.zeros(N); ei[i] = h[i]
+        H[i, i] = (f(p + ei) - 2.0 * f0 + f(p - ei)) / h[i] ** 2
+        for j in range(i):
+            ej = np.zeros(N); ej[j] = h[j]
+            H[i, j] = H[j, i] = (f(p + ei + ej) - f(p + ei - ej)
+                                 - f(p - ei + ej) + f(p - ei - ej)) / (4 * h[i] * h[j])
+    return H
+
+
+def ref_inverse_hessian(sol, xq, y):
+    n, m = sol.psi.n, sol.m_cylinder
+    rho = float(np.linalg.norm(y))
+    phi2, psi1, psi2 = ref_det_parts(sol, xq, rho)
+    inv = np.zeros((1 + n + m, 1 + n + m))
+    inv[0, 0] = 1.0 / phi2
+    inv[1:1 + n, 1:1 + n] = (rho / psi1) * (
+        np.eye(n) - (rho * psi2 - psi1) / (rho**3 * psi2) * np.outer(y, y))
+    for k in range(m):
+        inv[1 + n + k, 1 + n + k] = 1.0
+    return inv
+
+
+def ref_residual(sol, p, h_rel=H_REL):
+    n = sol.psi.n
+
+    def w_of(q):
+        return ref_w_value(sol, float(q[0]), float(np.linalg.norm(q[1:1 + n])))
+
+    h = h_rel * np.maximum(np.abs(p), 1.0)
+    H = ref_hessian_fd(w_of, p, h)
+    H = (4.0 * ref_hessian_fd(w_of, p, h / 2.0) - H) / 3.0
+    inv = ref_inverse_hessian(sol, float(p[0]), p[1:1 + n])
+    return float(np.sum(inv * H)), inv, h
+
+
+def ref_eigenvalues(sol, p):
+    n, m = sol.psi.n, sol.m_cylinder
+    y = p[1:1 + n]
+    rho = float(np.linalg.norm(y))
+    phi2, psi1, psi2 = ref_det_parts(sol, float(p[0]), rho)
+    hess = np.zeros((1 + n + m, 1 + n + m))
+    hess[0, 0] = phi2
+    hess[1:1 + n, 1:1 + n] = (psi1 / rho) * np.eye(n) \
+        + (psi2 - psi1 / rho) * np.outer(y, y) / rho**2
+    for k in range(m):
+        hess[1 + n + k, 1 + n + k] = 1.0
+    return np.linalg.eigvalsh(hess)
+
+
+# ---------------------------------------------------------------------------
+# interior points of the flagship solution and its cylinder extensions
+
+
+@pytest.fixture(scope="module")
+def solutions(solution, phi_profile, psi_profile):
+    return {0: solution,
+            1: assemble(phi_profile, psi_profile, m_cylinder=1, theta=THETA),
+            2: assemble(phi_profile, psi_profile, m_cylinder=2, theta=THETA)}
+
+
+unit = st.floats(0.0, 1.0)
+raw_points = st.lists(st.tuples(unit, unit, unit, unit, unit), min_size=1,
+                      max_size=5)
+
+
+def interior_points(sol, raw):
+    """Map unit tuples onto the region verify samples (as in _sample_points)."""
+    n, m = sol.psi.n, sol.m_cylinder
+    x_max = 0.8 * float(sol.phi.r[-1])
+    r_lo = max(10.0 * H_REL, 20.0 * sol.psi.meta.get("r_min", sol.psi.r[0] + 1e-9))
+    r_hi = 0.95 * float(sol.psi.meta.get("r_max", sol.psi.r[-1]))
+    pts = []
+    for a, b, c, d, e in raw:
+        rho = math.exp(math.log(r_lo) + b * (math.log(r_hi) - math.log(r_lo)))
+        ang = 2.0 * math.pi * c
+        z = [2.0 * d - 1.0, 2.0 * e - 1.0][:m]
+        pts.append([x_max * (2.0 * a - 1.0), rho * math.cos(ang),
+                    rho * math.sin(ang), *z])
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(raw=raw_points)
+def test_batched_w_matches_scalar(solutions, m, raw):
+    sol = solutions[m]
+    pts = interior_points(sol, raw)
+    # the points and their +-h neighbours along every axis
+    h = H_REL * np.maximum(np.abs(pts), 1.0)
+    q = np.concatenate([pts] + [pts + s * h * e for e in np.eye(pts.shape[1])
+                                for s in (1.0, -1.0)])
+    x, rho = q[:, 0], np.linalg.norm(q[:, 1:1 + sol.psi.n], axis=1)
+    got = _w(sol, x, rho)
+    want = np.array([ref_w_value(sol, float(a), float(b)) for a, b in zip(x, rho)])
+    assert np.all(np.abs(got - want) <= 64 * EPS * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(raw=raw_points)
+def test_batched_residual_matches_scalar_loop(solutions, m, raw):
+    sol = solutions[m]
+    pts = interior_points(sol, raw)
+    got = _residuals(sol, pts)
+    for p, r in zip(pts, got):
+        want, inv, h = ref_residual(sol, p)
+        n = sol.psi.n
+        w_p = ref_w_value(sol, float(p[0]), float(np.linalg.norm(p[1:1 + n])))
+        E_p = EPS * abs(w_p) * np.sum(np.abs(inv)) / (h.min() / 2.0) ** 2
+        assert abs(r - want) <= 64 * E_p
+        assert residual_at(sol, p) == r       # one point is a batch of one
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(raw=raw_points)
+def test_closed_form_eigenvalues_match_eigvalsh(solutions, m, raw):
+    sol = solutions[m]
+    pts = interior_points(sol, raw)
+    got = _eigenvalues(sol, pts)
+    for p, g in zip(pts, got):
+        want = ref_eigenvalues(sol, p)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(hessian_eigenvalues_at(sol, p), g)
+    assert convexity_check(sol, points=pts) == got[:, 0].min()
+
+
+def test_batched_path_raises_near_singular():
+    # the power-law factor is flat at the origin; one degenerate point
+    # in a batch of regular ones makes the whole batch raise
+    p = 8
+
+    def mono(j):
+        c = 1.0
+        for i in range(j):
+            c *= (p - 1 - i)
+        return lambda r, c=c, q=p - 1 - j: p * c * r**q
+
+    flat = AnalyticEvaluator(lambda r: r, [lambda r: 1.0, lambda r: 0.0,
+                                           lambda r: 0.0])
+    r = np.linspace(0.0, 2.0, 21)
+    phi = RadialProfile(r=r, v=r, u=r * r / 2, n=1, evaluator=flat)
+    ev = AnalyticEvaluator(mono(0), [mono(1), mono(2), mono(3)])
+    power = RadialProfile(r=r, v=mono(0)(r), u=r**p, n=2, evaluator=ev)
+    sol = SeparableSolution(phi=phi, psi=power, kappa=1.0,
+                            theta=5.0 / 6.0, R_inf=math.inf)
+    pts = np.array([[0.5, 1.0, 0.5], [0.5, 1e-3, 1e-3], [1.0, 0.7, -0.3]])
+    with pytest.raises(NearSingular):
+        ref_residual(sol, pts[1])
+    assert np.isfinite(_residuals(sol, pts[[0, 2]])).all()
+    with pytest.raises(NearSingular):
+        _residuals(sol, pts)
