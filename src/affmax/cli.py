@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .core import PhaseCurve, RadialProfile, read_columns
+from .core import (PhaseCurve, RadialProfile, decode_column, encode_column,
+                   read_columns, write_columns)
 from .errors import AffmaxError, ParameterError, UnknownKind
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
@@ -176,8 +177,9 @@ def _cmd_assemble(o) -> int:
                     "lambda": o["phi_lambda"], "rmax": float(phi.r[-1]),
                     "nodes": len(phi.r)}
         psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
-                    "eta": curve.eta.tolist(), "zeta": curve.zeta.tolist(),
-                    "I": curve.I.tolist()}
+                    "eta": encode_column(curve.eta),
+                    "zeta": encode_column(curve.zeta),
+                    "I": encode_column(curve.I)}
     else:
         phi.evaluator = DataEvaluator(phi)
         psi.evaluator = DataEvaluator(psi)
@@ -192,10 +194,8 @@ def _cmd_assemble(o) -> int:
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
         "R_inf": sol.R_inf if sol.R_inf is not None and np.isfinite(sol.R_inf) else None,
         "lambda_phi": sol.lambda_phi, "lambda_psi": sol.lambda_psi,
-        "phi": {"r": sol.phi.r.tolist(), "v": sol.phi.v.tolist(),
-                "u": sol.phi.u.tolist(), "constructor": phi_ctor},
-        "psi": {"r": sol.psi.r.tolist(), "v": sol.psi.v.tolist(),
-                "u": sol.psi.u.tolist(), "constructor": psi_ctor},
+        "phi": dict(_encode_factor(sol.phi), constructor=phi_ctor),
+        "psi": dict(_encode_factor(sol.psi), constructor=psi_ctor),
     }
     _dump_json(payload, o["out"])
     print(f"wrote {o['out']} (kappa = {sol.kappa:.6g}, N = {sol.N})")
@@ -212,37 +212,79 @@ def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile,
             "wrong curve/v0/lambda for this CSV?")
 
 
+def _encode_factor(prof: RadialProfile) -> dict:
+    return {k: encode_column(getattr(prof, k)) for k in ("r", "v", "u")}
+
+
+def _require(obj, keys, where):
+    """obj, after checking that it is a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{where} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ParameterError(f"{where} lacks the key {missing[0]!r}")
+    return obj
+
+
+_CONSTRUCTOR_KEYS = {"positive-pair": ("v0", "lambda"),
+                     "phase-reconstruction": ("v0", "eta", "zeta", "I")}
+
+
 def _solution_from_json(path):
+    """The SeparableSolution a schema-2 solution.json describes.
+
+    Invalid JSON, another schema, a missing key, a column that is not
+    base64 float64 data, or r, v, u columns of unequal length raise a
+    one-line ParameterError.
+    """
     from .core import ModelParams, SeparableSolution, measure_taylor
     from .verify import DataEvaluator
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"{path} is not valid JSON ({exc})") from None
+    _require(data, ("schema",), path)
+    if data["schema"] != SCHEMA_VERSION:
+        raise ParameterError(
+            f"{path} has solution schema {data['schema']!r}, this version reads "
+            f"schema {SCHEMA_VERSION}; rerun assemble to regenerate it")
+    _require(data, ("theta", "kappa", "m_cylinder", "n_psi", "R_inf",
+                    "lambda_phi", "lambda_psi", "phi", "psi"), path)
 
-    def factor(block, n):
-        prof = RadialProfile(r=np.array(block["r"]), v=np.array(block["v"]),
-                             u=np.array(block["u"]), n=n)
-        ctor = block.get("constructor")
-        if ctor and ctor["kind"] == "positive-pair":
+    def factor(name, n):
+        where = f"{path}: {name}"
+        block = _require(data[name], ("r", "v", "u", "constructor"), where)
+        r, v, u = (decode_column(block[k], f"{where}.{k}") for k in ("r", "v", "u"))
+        if not 0 < len(r) == len(v) == len(u):
+            raise ParameterError(
+                f"{where} columns r, v, u hold {len(r)}, {len(v)}, {len(u)} values")
+        prof = RadialProfile(r=r, v=v, u=u, n=n)
+        ctor = block["constructor"]
+        if ctor is None:
+            prof.evaluator = DataEvaluator(prof)
+            prof.meta["r_min"] = float(r[0]) if r[0] > 0 else float(r[1])
+            prof.meta["r_max"] = float(r[-1])
+            return prof
+        kind = _require(ctor, ("kind",), f"{where}.constructor")["kind"]
+        if kind not in _CONSTRUCTOR_KEYS:
+            raise ParameterError(f"{where}.constructor has unknown kind {kind!r}")
+        _require(ctor, _CONSTRUCTOR_KEYS[kind], f"{where}.constructor")
+        if kind == "positive-pair":
             cfg = PositivePairConfig(v0=ctor["v0"], lam=ctor["lambda"],
                                      theta=data["theta"])
             # the stored columns are the kappa-scaled factor
             return build_phi(cfg, prof.r).scaled(data["kappa"])
-        if ctor and ctor["kind"] == "phase-reconstruction":
-            eta = np.array(ctor["eta"])
-            zeta = np.array(ctor["zeta"])
-            I = np.array(ctor["I"])
-            eta0 = float(np.interp(0.0, I, eta))
-            curve = PhaseCurve(
-                params=ModelParams(n=n, theta=data["theta"], eta0=eta0),
-                taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
-            return rebuild_profile(curve, v0=ctor["v0"])
-        prof.evaluator = DataEvaluator(prof)
-        prof.meta["r_min"] = float(prof.r[0]) if prof.r[0] > 0 else float(prof.r[1])
-        prof.meta["r_max"] = float(prof.r[-1])
-        return prof
+        eta, zeta, I = (decode_column(ctor[k], f"{where}.constructor.{k}")
+                        for k in ("eta", "zeta", "I"))
+        eta0 = float(np.interp(0.0, I, eta))
+        curve = PhaseCurve(
+            params=ModelParams(n=n, theta=data["theta"], eta0=eta0),
+            taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
+        return rebuild_profile(curve, v0=ctor["v0"])
 
-    phi = factor(data["phi"], 1)
-    psi = factor(data["psi"], int(data["n_psi"]))
+    phi = factor("phi", 1)
+    psi = factor("psi", int(data["n_psi"]))
     R_inf = data["R_inf"] if data["R_inf"] is not None else math.inf
     return SeparableSolution(phi=phi, psi=psi, kappa=data["kappa"],
                              theta=data["theta"], R_inf=R_inf,
@@ -338,33 +380,27 @@ def _cmd_sweep(o) -> int:
 def _cmd_emit_plot_data(o) -> int:
     kind = o["kind"]
     if kind == "phase":
-        names, cols = read_columns(o["artifact"])
-        body = np.column_stack([cols[0], cols[1]])
-        header = "# eta zeta"
+        _, cols = read_columns(o["artifact"])
+        names, cols = ["eta", "zeta"], cols[:2]
     elif kind == "profile":
-        names, cols = read_columns(o["artifact"])
-        body = np.column_stack(cols[:3])
-        header = "# r v u"
+        _, cols = read_columns(o["artifact"])
+        names, cols = ["r", "v", "u"], cols[:3]
     elif kind == "bounds":
         curve = PhaseCurve.from_csv(o["artifact"])
         rep = growth_bounds_check(curve)
-        body = np.column_stack([curve.eta, curve.zeta,
-                                rep["rho"] * (curve.eta - 1.0),
-                                rep["eps0"] * curve.eta**2])
-        header = "# eta zeta rho*(eta-1) eps0*eta^2"
+        names = ["eta", "zeta", "rho*(eta-1)", "eps0*eta^2"]
+        cols = [curve.eta, curve.zeta, rep["rho"] * (curve.eta - 1.0),
+                rep["eps0"] * curve.eta**2]
     elif kind == "residual-hist":
         with open(o["artifact"]) as fh:
             data = json.load(fh)
         res = np.abs(np.array(data["residuals"]))
         hist, edges = np.histogram(np.log10(np.maximum(res, 1e-300)), bins=40)
-        body = np.column_stack([0.5 * (edges[:-1] + edges[1:]), hist])
-        header = "# log10_abs_residual count"
+        names = ["log10_abs_residual", "count"]
+        cols = [0.5 * (edges[:-1] + edges[1:]), hist]
     else:
         raise UnknownKind(f"unknown plot kind {kind!r}")
-    with open(o["out"], "w") as fh:
-        fh.write(header + "\n")
-        for row in body:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    write_columns(o["out"], names, cols, sep=" ", comment="# ")
     print(f"wrote {o['out']}")
     return 0
 

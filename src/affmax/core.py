@@ -17,7 +17,7 @@ L[u] = (u'')^2 * (u^{ij} D_ij w)/(theta w)).
 
 from __future__ import annotations
 
-import io
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -533,20 +533,24 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
 
 
 # ---------------------------------------------------------------------------
-# deterministic column IO (CSV with full double precision)
+# deterministic column IO (CSV with full double precision; base64 float64)
 
 
-def write_columns(path, names, cols):
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    buf = io.StringIO()
-    buf.write(",".join(names) + "\n")
-    for row in zip(*cols):
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
+def write_columns(path, names, cols, sep=",", comment=""):
+    """Write float columns as text rows under a header of names.
+
+    Each value is its shortest round-tripping repr; fields are joined by
+    sep and the header line starts with comment.
+    """
+    texts = [map(float.__repr__, np.asarray(c, dtype=float).tolist()) for c in cols]
+    lines = [comment + sep.join(names)]
+    lines.extend(map(sep.join, zip(*texts)))
+    text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
-        path.write(buf.getvalue())
+        path.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
 
 
 def read_columns(path):
@@ -565,15 +569,53 @@ def read_columns(path):
     names = [s.strip() for s in lines[0].split(",")]
     if len(lines) == 1:
         raise ParameterError(f"CSV input has a header ({','.join(names)}) but no data rows")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=1):
-        fields = ln.split(",")
-        if len(fields) != len(names):
-            raise ParameterError(
-                f"CSV data row {k} has {len(fields)} fields, the header has {len(names)}")
+    body, width = lines[1:], len(names)
+    values = None
+    if all(ln.count(",") == width - 1 for ln in body):
+        # every line holds width fields, so the joined text splits back
+        # into exactly the same field strings, row by row
         try:
-            rows.append([float(x) for x in fields])
+            values = list(map(float, ",".join(body).split(",")))
         except ValueError:
-            raise ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}") from None
-    data = np.array(rows)
-    return names, [data[:, j] for j in range(data.shape[1])]
+            pass
+    if values is None:
+        raise _first_bad_row(body, width)
+    data = np.array(values).reshape(len(body), width)
+    return names, [data[:, j] for j in range(width)]
+
+
+def _first_bad_row(body, width) -> ParameterError:
+    """The error naming the first ragged or non-numeric line of body."""
+    for k, ln in enumerate(body, start=1):
+        fields = ln.split(",")
+        if len(fields) != width:
+            return ParameterError(
+                f"CSV data row {k} has {len(fields)} fields, the header has {width}")
+        try:
+            for x in fields:
+                float(x)
+        except ValueError:
+            return ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}")
+    raise AssertionError("no malformed row in a body that failed to parse")
+
+
+def encode_column(col) -> str:
+    """ASCII base64 of the little-endian float64 bytes of col."""
+    raw = np.ascontiguousarray(col, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_column(text, name: str = "column") -> np.ndarray:
+    """The float64 array encode_column turned into text.
+
+    Text outside the base64 alphabet, or a byte count that is not a
+    multiple of 8, raises ParameterError naming the column.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} is not valid base64 text") from None
+    if len(raw) % 8:
+        raise ParameterError(
+            f"{name} decodes to {len(raw)} bytes, not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(float)

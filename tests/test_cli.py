@@ -1,8 +1,11 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
-from affmax.cli import main
+from affmax.cli import _solution_from_json, main
+from affmax.core import encode_column, read_columns
 
 
 def run(argv):
@@ -86,15 +89,67 @@ class TestPipeline:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, workdir):
         for tag in ("a", "b"):
             assert run(["solve-negative", "--n", "2", "--theta", "0.55",
                         "--eta0", "1.05", "--eta-max", "200",
                         "--eta-max-bounds", "200",
                         "--out", str(tmp_path / f"c_{tag}.csv"),
                         "--report", str(tmp_path / f"r_{tag}.json")]) in (0, 2)
-        assert (tmp_path / "c_a.csv").read_bytes() == (tmp_path / "c_b.csv").read_bytes()
-        assert (tmp_path / "r_a.json").read_bytes() == (tmp_path / "r_b.json").read_bytes()
+            assert run(["assemble", "--phi", str(workdir / "phi.csv"),
+                        "--psi", str(workdir / "psi.csv"),
+                        "--curve", str(workdir / "curve.csv"),
+                        "--report", str(workdir / "report.json"),
+                        "--out", str(tmp_path / f"s_{tag}.json")]) == 0
+            assert run(["verify", "--solution", str(tmp_path / f"s_{tag}.json"),
+                        "--points", "40", "--seed", "4",
+                        "--report", str(tmp_path / f"v_{tag}.json")]) == 0
+        for name in ("c_{}.csv", "r_{}.json", "s_{}.json", "v_{}.json"):
+            assert (tmp_path / name.format("a")).read_bytes() == \
+                (tmp_path / name.format("b")).read_bytes()
+
+    def test_stored_columns_decode_bitwise(self, tmp_path, workdir):
+        out = tmp_path / "sol_m2.json"
+        assert run(["assemble", "--phi", str(workdir / "phi.csv"),
+                    "--psi", str(workdir / "psi.csv"), "--m", "2",
+                    "--report", str(workdir / "report.json"),
+                    "--out", str(out)]) == 0
+        sol = _solution_from_json(out)
+        _, (r, v, u) = read_columns(workdir / "phi.csv")
+        # the stored 1-D factor is the kappa-scaled one
+        assert sol.phi.r.tobytes() == r.tobytes()
+        assert sol.phi.v.tobytes() == (sol.kappa * v).tobytes()
+        assert sol.phi.u.tobytes() == (sol.kappa * u).tobytes()
+        _, (r, v, u) = read_columns(workdir / "psi.csv")
+        for got, want in ((sol.psi.r, r), (sol.psi.v, v), (sol.psi.u, u)):
+            assert got.tobytes() == want.tobytes()
+
+
+_DELETE = object()
+_MALFORMED_SOLUTIONS = {
+    # a file as schema 1 wrote it: float columns as JSON lists
+    "schema-1": {"schema": 1, "phi.r": [0.0, 0.5, 1.0]},
+    "no-schema": {"schema": _DELETE},
+    "missing-key": {"kappa": _DELETE},
+    "missing-column": {"phi.u": _DELETE},
+    "missing-curve-column": {"psi.constructor.zeta": _DELETE},
+    "block-not-object": {"phi": [1.0]},
+    "non-alphabet": {"phi.r": "AAAA*AAAAAA="},
+    "odd-bytes": {"psi.v": base64.b64encode(bytes(12)).decode("ascii")},
+    "unequal-columns": {"phi.u": encode_column(np.zeros(3))},
+}
+
+
+def _edit(data, edits):
+    for dotted, value in edits.items():
+        *path, key = dotted.split(".")
+        block = data
+        for k in path:
+            block = block[k]
+        if value is _DELETE:
+            del block[key]
+        else:
+            block[key] = value
 
 
 class TestConfigAndErrors:
@@ -147,6 +202,35 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["{\"schema\": 2,", "[1, 2]", "null"],
+                             ids=["invalid-json", "array", "null"])
+    def test_non_object_solution_is_one_line_usage_error(self, tmp_path, capsys,
+                                                         text):
+        bad = tmp_path / "solution.json"
+        bad.write_text(text)
+        self._assert_one_line_usage_error(bad, capsys)
+
+    @pytest.mark.parametrize("edits", _MALFORMED_SOLUTIONS.values(),
+                             ids=_MALFORMED_SOLUTIONS.keys())
+    def test_malformed_solution_is_one_line_usage_error(self, workdir, tmp_path,
+                                                        capsys, edits):
+        data = json.loads((workdir / "solution.json").read_text())
+        _edit(data, edits)
+        bad = tmp_path / "solution.json"
+        bad.write_text(json.dumps(data))
+        err = self._assert_one_line_usage_error(bad, capsys)
+        if data.get("schema") == 1:
+            assert "rerun assemble" in err
+
+    @staticmethod
+    def _assert_one_line_usage_error(path, capsys):
+        assert run(["verify", "--solution", str(path), "--points", "10",
+                    "--report", str(path.parent / "verify.json")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        return err
 
     def test_bernstein_1d(self, tmp_path):
         out = tmp_path / "b1.json"
