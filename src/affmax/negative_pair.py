@@ -369,8 +369,8 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
 
     def rhs(e, y):
         z, I = y
-        return [(theta + 1) * z / e + float(coef_linear(e, n, theta))
-                + float(coef_zero(e, n, theta)) / z
+        return [(theta + 1) * z / e + coef_linear(e, n, theta)
+                + coef_zero(e, n, theta) / z
                 - lam3 * e * e * math.exp(I) / z,
                 (e + 1) / z]
 

@@ -29,12 +29,11 @@ __all__ = [
 
 def coef_linear(eta, n: int, theta: float):
     """Coefficient of zeta in the phase equation."""
-    return (2 * n * theta - (2 * n - 1)) * np.asarray(eta) - (2 * n * theta - 1)
+    return (2 * n * theta - (2 * n - 1)) * eta - (2 * n * theta - 1)
 
 
 def coef_zero(eta, n: int, theta: float):
     """Zero-order term n eta (eta-1) {[n th-(n-1)] eta - [n th-1]}."""
-    eta = np.asarray(eta)
     return n * eta * (eta - 1) * ((n * theta - (n - 1)) * eta - (n * theta - 1))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 
-from .core import AnalyticEvaluator, ProfileEvaluator, RadialProfile
+from .core import AnalyticEvaluator, ProfileEvaluator, RadialProfile, shaped_like
 from .errors import ConvergenceError, DomainError, ParameterError, StepFailure
 
 __all__ = [
@@ -193,33 +193,32 @@ class PositivePairEvaluator(ProfileEvaluator):
                  v_up: np.ndarray, u: np.ndarray):
         self.config = config
         self.r_max = float(r[-1])
-        s = np.log1p(r)
-        self._logvpp = make_interp_spline(s, np.log(vpp), k=5)
-        self._vup = make_interp_spline(s, v_up, k=5)
-        self._u = make_interp_spline(s, u, k=5)
+        # one spline with the columns (log u'', u', u) on s = log(1 + r)
+        self._cols = make_interp_spline(
+            np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1), k=5)
 
-    def _s(self, r):
-        # clamp to the table; the factor is even in r
-        return np.log1p(np.minimum(np.abs(r), self.r_max))
+    def _at(self, r, j):
+        """Column j of the table spline at |r| clamped to the table."""
+        return self._cols(np.log1p(np.minimum(np.abs(r), self.r_max)))[..., j]
 
     def _vpp(self, r):
-        return np.exp(self._logvpp(self._s(r)))
+        return np.exp(self._at(r, 0))
 
     def v(self, r):
-        return np.sign(r) * self._vup(self._s(r))
+        return shaped_like(r, np.sign(r) * self._at(r, 1))
 
     def u(self, r):
-        return self._u(self._s(r))
+        return shaped_like(r, self._at(r, 2))
 
     def deriv(self, r, k):
+        if not 1 <= k <= 3:
+            return None
         vpp = self._vpp(r)
-        if k == 1:
-            return vpp
         if k == 2:
-            return self.config.vpp_prime(vpp) * np.sign(r)
-        if k == 3:
-            return self.config.vpp_second(vpp)
-        return None
+            vpp = self.config.vpp_prime(vpp) * np.sign(r)
+        elif k == 3:
+            vpp = self.config.vpp_second(vpp)
+        return shaped_like(r, vpp)
 
     def max_order(self):
         return 3
@@ -237,7 +236,9 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     integrand = _integrand_factory(config)
     # piece A: v from v0 down to v0/2
     tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
-    fA = np.array([integrand(t) for t in tA]) / math.sqrt(a)
+    # the scalar math integrand (the one quad uses): numpy's array
+    # log1p/expm1/power pick SIMD kernels by CPU and differ by 1 ulp
+    fA = np.fromiter(map(integrand, tA.tolist()), float, len(tA)) / math.sqrt(a)
     rA = cumulative_simpson(fA, x=tA, initial=0.0)
     vA = v0 * (1.0 - tA * tA)
     # piece B: descend in y = -log v from v0/2 down to v_min(r_max)
@@ -275,8 +276,8 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
     prof = RadialProfile(
         r=grid,
-        v=np.asarray(ev.v(grid), dtype=float),
-        u=np.asarray(ev.u(grid), dtype=float),
+        v=ev.v(grid),
+        u=ev.u(grid),
         n=1, evaluator=ev,
         meta={"config": config, "kind": "positive-pair"},
     )

@@ -101,11 +101,12 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         self.t_min, self.t_max = float(t[0]), float(t[-1])
         self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
         self.d1 = tab["d1"]
-        self._LX = make_interp_spline(t, np.log(tab["x"]), k=5)
-        self._LZ = make_interp_spline(t, np.log(tab["zeta"]), k=5)
-        self._LV = make_interp_spline(t, tab["logv"], k=5)
-        self._U = make_interp_spline(t, tab["u"], k=5)
-        self._dLZ = self._LZ.derivative()
+        # one spline with the columns (log x, log zeta, log v, u): the
+        # collocation matrix is factored once and one call evaluates all four
+        self._cols = make_interp_spline(
+            t, np.stack([np.log(tab["x"]), np.log(tab["zeta"]), tab["logv"],
+                         tab["u"]], axis=-1), k=5)
+        self._dcols = self._cols.derivative()
         # slope of v at the origin: v ~ vp0 * r below the grid
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
         self._x_min = float(tab["x"][0])
@@ -115,8 +116,10 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         return np.clip(np.log(np.maximum(r, self.r_min)), self.t_min, self.t_max)
 
     def _state(self, r):
+        """(t, etabar, zeta, log v) at radii inside the table."""
         t = self._t(r)
-        return t, 1.0 + np.exp(self._LX(t)), np.exp(self._LZ(t))
+        c = self._cols(t)
+        return t, 1.0 + np.exp(c[..., 0]), np.exp(c[..., 1]), c[..., 2]
 
     def etabar(self, r):
         # etabar - 1 ~ r^d1 below the table
@@ -126,20 +129,20 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def v(self, r):
         r = np.abs(r)
         return shaped_like(r, np.where(r < self.r_min, self.vp0 * r,
-                                       np.exp(self._LV(self._t(r)))))
+                                       np.exp(self._cols(self._t(r))[..., 2])))
 
     def u(self, r):
         r = np.abs(r)
         return shaped_like(r, np.where(r < self.r_min, 0.5 * self.vp0 * r * r,
-                                       self._U(self._t(r))))
+                                       self._cols(self._t(r))[..., 3]))
 
     def deriv(self, r, k):
         if not 1 <= k <= 3:
             return None
         r = np.abs(r)
         rs = np.maximum(r, self.r_min)
-        t, etab, zeta = self._state(rs)
-        vv = np.exp(self._LV(t))
+        t, etab, zeta, logv = self._state(rs)
+        vv = np.exp(logv)
         if k == 1:
             out, below = vv * etab / rs, self.vp0
         else:
@@ -147,7 +150,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
             if k == 2:
                 out = vv * G / (rs * rs)
             else:
-                zp = self._dLZ(t)
+                zp = self._dcols(t)[..., 1]
                 out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
             below = 0.0
         return shaped_like(r, np.where(r < self.r_min, below, out))

@@ -38,24 +38,26 @@ class DataEvaluator(ProfileEvaluator):
     """
 
     def __init__(self, profile: RadialProfile):
-        self._S = make_interp_spline(profile.r, profile.v, k=5)
-        self._U = make_interp_spline(profile.r, profile.u, k=5)
-        self._d = [self._S.derivative(k) for k in (1, 2, 3)]
+        # one spline with the columns (v, u); deriv reads column 0
+        self._cols = make_interp_spline(
+            profile.r, np.stack([profile.v, profile.u], axis=-1), k=5)
+        self._d = [self._cols.derivative(k) for k in (1, 2, 3)]
         self._lo, self._hi = float(profile.r[0]), float(profile.r[-1])
 
     def _clip(self, r):
         return np.clip(np.abs(r), self._lo, self._hi)
 
     def v(self, r):
-        return shaped_like(r, self._S(self._clip(r)) * np.where(r >= 0, 1.0, -1.0))
+        return shaped_like(r, self._cols(self._clip(r))[..., 0]
+                           * np.where(r >= 0, 1.0, -1.0))
 
     def u(self, r):
-        return shaped_like(r, self._U(self._clip(r)))
+        return shaped_like(r, self._cols(self._clip(r))[..., 1])
 
     def deriv(self, r, k):
         if not 1 <= k <= 3:
             return None
-        val = self._d[k - 1](self._clip(r))
+        val = self._d[k - 1](self._clip(r))[..., 0]
         if k % 2 == 0:
             val = val * np.where(r >= 0, 1.0, -1.0)
         return shaped_like(r, val)

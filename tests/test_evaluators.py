@@ -1,0 +1,286 @@
+"""The joint-spline evaluators against the per-column evaluators they replaced.
+
+Each table-backed evaluator now fits one multi-column quintic spline and
+reads every column from one evaluation.  The references below fit one
+spline per column, exactly as the evaluators did before.  The B-spline
+collocation matrix depends only on the sites and knots, so the joint
+fit must give the same coefficients and every value must agree bit for
+bit: no tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import make_interp_spline
+
+from affmax import positive_pair, reconstruct, verify
+from affmax.core import RadialProfile, shaped_like
+from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
+                                  _curvature_table, _integrand_factory)
+from affmax.reconstruct import PhaseProfileEvaluator, _tables
+from affmax.verify import DataEvaluator
+
+from conftest import THETA
+
+
+# ---------------------------------------------------------------------------
+# per-column references: one make_interp_spline call per column
+
+
+class RefPhaseProfileEvaluator:
+    def __init__(self, tab):
+        t = tab["t"]
+        self.t_min, self.t_max = float(t[0]), float(t[-1])
+        self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
+        self.d1 = tab["d1"]
+        self._LX = make_interp_spline(t, np.log(tab["x"]), k=5)
+        self._LZ = make_interp_spline(t, np.log(tab["zeta"]), k=5)
+        self._LV = make_interp_spline(t, tab["logv"], k=5)
+        self._U = make_interp_spline(t, tab["u"], k=5)
+        self._dLZ = self._LZ.derivative()
+        self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
+        self._x_min = float(tab["x"][0])
+
+    def _t(self, r):
+        return np.clip(np.log(np.maximum(r, self.r_min)), self.t_min, self.t_max)
+
+    def _state(self, r):
+        t = self._t(r)
+        return t, 1.0 + np.exp(self._LX(t)), np.exp(self._LZ(t))
+
+    def etabar(self, r):
+        below = 1.0 + self._x_min * (np.minimum(r, self.r_min) / self.r_min) ** self.d1
+        return shaped_like(r, np.where(r < self.r_min, below, self._state(r)[1]))
+
+    def v(self, r):
+        r = np.abs(r)
+        return shaped_like(r, np.where(r < self.r_min, self.vp0 * r,
+                                       np.exp(self._LV(self._t(r)))))
+
+    def u(self, r):
+        r = np.abs(r)
+        return shaped_like(r, np.where(r < self.r_min, 0.5 * self.vp0 * r * r,
+                                       self._U(self._t(r))))
+
+    def deriv(self, r, k):
+        if not 1 <= k <= 3:
+            return None
+        r = np.abs(r)
+        rs = np.maximum(r, self.r_min)
+        t, etab, zeta = self._state(rs)
+        vv = np.exp(self._LV(t))
+        if k == 1:
+            out, below = vv * etab / rs, self.vp0
+        else:
+            G = etab * etab + zeta - etab
+            if k == 2:
+                out = vv * G / (rs * rs)
+            else:
+                zp = self._dLZ(t)
+                out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
+            below = 0.0
+        return shaped_like(r, np.where(r < self.r_min, below, out))
+
+    def max_order(self):
+        return 3
+
+
+class RefPositivePairEvaluator:
+    def __init__(self, config, r, vpp, v_up, u):
+        self.config = config
+        self.r_max = float(r[-1])
+        s = np.log1p(r)
+        self._logvpp = make_interp_spline(s, np.log(vpp), k=5)
+        self._vup = make_interp_spline(s, v_up, k=5)
+        self._u = make_interp_spline(s, u, k=5)
+
+    def _s(self, r):
+        return np.log1p(np.minimum(np.abs(r), self.r_max))
+
+    def _vpp(self, r):
+        return np.exp(self._logvpp(self._s(r)))
+
+    def v(self, r):
+        return np.sign(r) * self._vup(self._s(r))
+
+    def u(self, r):
+        return self._u(self._s(r))
+
+    def deriv(self, r, k):
+        vpp = self._vpp(r)
+        if k == 1:
+            return vpp
+        if k == 2:
+            return self.config.vpp_prime(vpp) * np.sign(r)
+        if k == 3:
+            return self.config.vpp_second(vpp)
+        return None
+
+    def max_order(self):
+        return 3
+
+
+class RefDataEvaluator:
+    def __init__(self, profile):
+        self._S = make_interp_spline(profile.r, profile.v, k=5)
+        self._U = make_interp_spline(profile.r, profile.u, k=5)
+        self._d = [self._S.derivative(k) for k in (1, 2, 3)]
+        self._lo, self._hi = float(profile.r[0]), float(profile.r[-1])
+
+    def _clip(self, r):
+        return np.clip(np.abs(r), self._lo, self._hi)
+
+    def v(self, r):
+        return shaped_like(r, self._S(self._clip(r)) * np.where(r >= 0, 1.0, -1.0))
+
+    def u(self, r):
+        return shaped_like(r, self._U(self._clip(r)))
+
+    def deriv(self, r, k):
+        if not 1 <= k <= 3:
+            return None
+        val = self._d[k - 1](self._clip(r))
+        if k % 2 == 0:
+            val = val * np.where(r >= 0, 1.0, -1.0)
+        return shaped_like(r, val)
+
+    def max_order(self):
+        return 3
+
+
+def ref_curvature_table(config, r_max):
+    """_curvature_table with the node integrand built by a list comprehension."""
+    v0, a = config.v0, config.a
+    integrand = _integrand_factory(config)
+    tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
+    fA = np.array([integrand(t) for t in tA]) / math.sqrt(a)
+    rA = cumulative_simpson(fA, x=tA, initial=0.0)
+    vA = v0 * (1.0 - tA * tA)
+    v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / math.sqrt(v0 * a) + r_max) ** 2))
+    y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), 8000)
+    vB = np.exp(-y)
+    fB = vB / np.sqrt(a * config.radicand(vB))
+    rB = rA[-1] + cumulative_simpson(fB, x=y, initial=0.0)
+    return np.concatenate([rA, rB[1:]]), np.concatenate([vA, vB[1:]])
+
+
+# ---------------------------------------------------------------------------
+# the evaluators under test, each with its reference and its table range
+
+
+def phi_table(config, r_max):
+    """(r, u'', u', u) as build_phi tabulates them."""
+    r_q, v_q = _curvature_table(config, r_max)
+    keep = np.concatenate([[True], np.diff(r_q) > 1e-11])
+    r, vpp = r_q[keep], v_q[keep]
+    v_up = cumulative_simpson(vpp, x=r, initial=0.0)
+    return r, vpp, v_up, cumulative_simpson(v_up, x=r, initial=0.0)
+
+
+@pytest.fixture(scope="module")
+def pairs(curve_1e3, psi_profile, phi_profile):
+    """name -> (evaluator, reference, smallest table radius, largest)."""
+    tab = _tables(curve_1e3, v0=1.3)
+    phase = PhaseProfileEvaluator(tab)
+    config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
+    table = phi_table(config, 10.0)
+    out = {
+        "phase": (phase, RefPhaseProfileEvaluator(tab), phase.r_min, phase.r_max),
+        "positive": (PositivePairEvaluator(config, *table),
+                     RefPositivePairEvaluator(config, *table), 0.0, float(table[0][-1])),
+    }
+    for name, prof in (("data_psi", psi_profile), ("data_phi", phi_profile)):
+        stored = RadialProfile(r=prof.r, v=prof.v, u=prof.u, n=prof.n)
+        out[name] = (DataEvaluator(stored), RefDataEvaluator(stored),
+                     float(prof.r[0]), float(prof.r[-1]))
+    return out
+
+
+def radii(lo, hi):
+    """Negative radii, 0, radii below the table, inside it and beyond it."""
+    parts = [st.floats(-2.0 * hi, 0.0), st.just(0.0),
+             st.floats(lo, hi), st.floats(hi, 2.0 * hi)]
+    if lo > 0:
+        parts.append(st.floats(0.0, lo))
+    return st.one_of(parts)
+
+
+@st.composite
+def queries(draw, lo, hi):
+    """A float, a (k,) array or a (2, P, S) stencil-shaped array of radii."""
+    shape = draw(st.one_of(
+        st.just(()), st.tuples(st.integers(1, 9)),
+        st.tuples(st.just(2), st.integers(1, 4), st.integers(1, 5))))
+    if shape == ():
+        return float(draw(radii(lo, hi)))
+    return draw(hnp.arrays(np.float64, shape, elements=radii(lo, hi)))
+
+
+def assert_same(got, want, r):
+    """Bitwise equal, in r's shape; a float for a float."""
+    if np.ndim(r) == 0:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(r)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["phase", "positive", "data_psi", "data_phi"])
+def test_joint_spline_matches_per_column_fits(pairs, name):
+    ev, ref, lo, hi = pairs[name]
+    assert ev.max_order() == ref.max_order() == 3
+    assert ev.deriv(1.0, 4) is None and ev.deriv(1.0, 0) is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(r=queries(lo, hi))
+    def check(r):
+        assert_same(ev.v(r), ref.v(r), r)
+        assert_same(ev.u(r), ref.u(r), r)
+        for k in (1, 2, 3):
+            assert_same(ev.deriv(r, k), ref.deriv(r, k), r)
+        if name == "phase":
+            assert_same(ev.etabar(np.abs(r)), ref.etabar(np.abs(r)), r)
+
+    check()
+
+
+def test_joint_fit_coefficients_equal_per_column_fits(pairs):
+    ev, ref, _, _ = pairs["phase"]
+    cols = (ref._LX, ref._LZ, ref._LV, ref._U)
+    for j, spl in enumerate(cols):
+        assert ev._cols.c[:, j].tobytes() == spl.c.tobytes()
+    assert np.array_equal(ev._cols.t, ref._LX.t)
+
+
+@pytest.mark.parametrize("v0, lam, theta, r_max", [
+    (1.0, 1.0, THETA, 10.0), (0.3, 2.5, 0.62, 40.0), (4.0, 0.2, 1.3, 3.0)])
+def test_curvature_table_matches_list_loop(v0, lam, theta, r_max):
+    config = PositivePairConfig(v0=v0, lam=lam, theta=theta)
+    for got, want in zip(_curvature_table(config, r_max),
+                         ref_curvature_table(config, r_max)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_one_fit_per_evaluator(monkeypatch, curve_1e3, psi_profile):
+    calls = []
+    for mod in (reconstruct, positive_pair, verify):
+        def counted(*args, _fit=mod.make_interp_spline, **kw):
+            calls.append(1)
+            return _fit(*args, **kw)
+        monkeypatch.setattr(mod, "make_interp_spline", counted)
+    config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
+    table = phi_table(config, 10.0)
+    stored = RadialProfile(r=psi_profile.r, v=psi_profile.v, u=psi_profile.u, n=2)
+    for build in (lambda: PhaseProfileEvaluator(_tables(curve_1e3, v0=1.0)),
+                  lambda: PositivePairEvaluator(config, *table),
+                  lambda: DataEvaluator(stored)):
+        calls.clear()
+        build()
+        assert len(calls) == 1

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmax.core import AnalyticEvaluator, ModelParams, RadialProfile, radial_residual
 from affmax.errors import DomainError, ParameterError
-from affmax.phase_plane import (bernstein_radial_check, coef_zero, phase_rhs,
-                                phase_residual, power_solution_residual,
-                                stationary_eta)
+from affmax.phase_plane import (bernstein_radial_check, coef_linear, coef_zero,
+                                phase_rhs, phase_residual,
+                                power_solution_residual, stationary_eta)
 
 
 def brute_force_field(eta, zeta, n, theta):
@@ -61,6 +63,17 @@ class TestPhaseRHS:
         p = ModelParams(n=2, theta=0.55, lambda3=-0.3)
         rhs = PhaseRHS(p)
         assert rhs(1.5, 0.8, 0.2) == phase_rhs(1.5, 0.8, 0.2, p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(eta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 5),
+           theta=st.floats(0.5, 1.6, exclude_min=True, exclude_max=True))
+    def test_scalar_coefficients_match_array_ones(self, eta, n, theta):
+        # the ODE right-hand side calls these on floats; the fixed-point
+        # map calls them on arrays: the two must agree bit for bit
+        arr = np.array([eta])
+        for coef in (coef_linear, coef_zero):
+            got, want = coef(eta, n, theta), coef(arr, n, theta)[0]
+            assert np.float64(got).tobytes() == want.tobytes()
 
     def test_residual_form_consistency(self):
         p = ModelParams(n=2, theta=0.55, lambda3=-0.4)
