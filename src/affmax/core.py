@@ -98,31 +98,88 @@ class TaylorData:
 
 
 # ---------------------------------------------------------------------------
+# cumulative quadrature
+
+
+def _simpson_h1(y, dx):
+    """Simpson integrals over the first interval of each triple of samples."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def cumulative_simpson(y, x) -> np.ndarray:
+    """int_{x[0]}^{x[i]} y for every i, by Simpson's rule on unequal intervals.
+
+    Bit for bit scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
+    for 1-D input: intervals 0, 2, 4, ... take the first-interval formula
+    of the triple starting at them; intervals 1, 3, 5, ... and always the
+    last take the second-interval formula of the triple ending at them.
+    x must be strictly increasing and hold at least 3 samples.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or x.shape != y.shape:
+        raise ValueError("y and x must be 1-D arrays of one length")
+    if len(y) < 3:
+        raise ValueError("cumulative Simpson needs at least 3 samples")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("x must be strictly increasing")
+    h1 = _simpson_h1(y, dx)
+    h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    out = np.empty(len(y))
+    out[0] = 0.0
+    np.cumsum(sub, out=out[1:])
+    out[1:] += 0.0                  # as scipy's initial=0.0: -0.0 becomes 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # phase curves
 
 
-def fit_taylor(x, y, n_terms: int, window: float, y0: float = 0.0):
-    """Constrained least-squares fit y - y0 = sum c_k x^k / k! on (0, window]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sel = (x > 0) & (x <= window)
-    xs = x[sel]
-    if len(xs) < n_terms + 2:
-        raise GridTooCoarse("too few samples inside the Taylor-fit window")
-    cols = np.vstack([xs ** (k + 1) / math.factorial(k + 1)
-                      for k in range(n_terms)]).T
-    norm = np.linalg.norm(cols, axis=0)
-    c, *_ = np.linalg.lstsq(cols / norm, y[sel] - y0, rcond=None)
-    return c / norm
+class TaylorMeter:
+    """measure_taylor on one fixed eta grid, with its fit design built once.
+
+    The fit is the least-squares zeta = sum c_k x^k / k! (k = 1..5,
+    x = eta - 1) over the samples in (0, min(1e-2, (eta0-1)/2)], with
+    each design column divided by its norm.
+    """
+
+    N_TERMS = 5
+
+    def __init__(self, eta, eta0: float):
+        x = np.asarray(eta, dtype=float) - 1.0
+        self.sel = (x > 0) & (x <= min(1e-2, (eta0 - 1.0) / 2.0))
+        xs = x[self.sel]
+        if len(xs) < self.N_TERMS + 2:
+            raise GridTooCoarse("too few samples inside the Taylor-fit window")
+        cols = np.vstack([xs ** (k + 1) / math.factorial(k + 1)
+                          for k in range(self.N_TERMS)]).T
+        self.norm = np.linalg.norm(cols, axis=0)
+        self.design = cols / self.norm
+
+    def __call__(self, zeta) -> "TaylorData":
+        ys = np.asarray(zeta, dtype=float)[self.sel]
+        c = np.linalg.lstsq(self.design, ys, rcond=None)[0] / self.norm
+        return TaylorData(d1=float(c[0]), alpha=float(c[1]), beta=float(c[2]),
+                          gamma=float(c[3]))
 
 
 def measure_taylor(eta, zeta, eta0: float) -> "TaylorData":
     """Estimate (d1, alpha, beta, gamma) of a sampled curve at eta -> 1+."""
-    x = np.asarray(eta, dtype=float) - 1.0
-    w = min(1e-2, (eta0 - 1.0) / 2.0)
-    c = fit_taylor(x, np.asarray(zeta, dtype=float), 5, w)
-    return TaylorData(d1=float(c[0]), alpha=float(c[1]), beta=float(c[2]),
-                      gamma=float(c[3]))
+    return TaylorMeter(eta, eta0)(zeta)
 
 
 @dataclass

@@ -23,9 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
-from .core import ModelParams, PhaseCurve, TaylorData, measure_taylor
+from .core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
+                   cumulative_simpson, measure_taylor)
 from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
                      ParameterError, PositivityLoss, SingularityMismatch,
                      StepFailure, TailUnbounded)
@@ -38,11 +40,28 @@ __all__ = [
 ]
 
 _X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
+_EPS = np.finfo(float).eps
 
 
 def calibration_target(n: int) -> float:
     """Prescribed limit of lam * exp(I)/phi at eta -> 1+: 4 + n(n-2)/2."""
     return 4.0 + n * (n - 2) / 2.0
+
+
+def _calibrated_lambda(J: float, n: int, eta0: float,
+                       theta: float | None = None) -> float:
+    """lam = 2 * target(n) * (eta0 - 1) * exp(J), J = int_1^eta0 g.
+
+    exp(J) beyond the float range means the candidate has no calibration
+    constant: NoConvergence, naming J and the parameters (theta if given).
+    """
+    try:
+        return 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(J)
+    except OverflowError:
+        at = f"n = {n}" + ("" if theta is None else f", theta = {theta}")
+        raise NoConvergence(
+            f"calibration constant overflows: exp(J) with J = {J:.6g} "
+            f"({at}, eta0 = {eta0})") from None
 
 
 def taylor_coeffs(n: int, theta: float) -> TaylorData:
@@ -158,22 +177,22 @@ def calibrate_lambda(eta, phi, n: int, eta0: float,
         raise SingularityMismatch(
             f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
     g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, x=eta, initial=0.0)
-    return 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(float(Jfull[-1]))
+    Jfull = cumulative_simpson(g, eta)
+    return _calibrated_lambda(float(Jfull[-1]), n, eta0)
 
 
 def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float):
     """One application of the mapping; returns (zeta, lam, F = zeta')."""
     g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, x=eta, initial=0.0)
+    Jfull = cumulative_simpson(g, eta)
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
-    lam = 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(float(Jfull[-1]))
+    lam = _calibrated_lambda(float(Jfull[-1]), n, eta0, theta)
     ratio = _ratio_x_over_phi(x, phi, taylor)   # (eta-1)/phi
     exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
     q = (n * theta - (n - 1)) * eta - (n * theta - 1)
     F = ((theta + 1) * phi / eta + coef_linear(eta, n, theta)
          + n * eta * q * ratio + lam * eta**2 * exp_I_over_phi)
-    zeta = cumulative_simpson(F, x=eta, initial=0.0)
+    zeta = cumulative_simpson(F, eta)
     return zeta, lam, F
 
 
@@ -302,6 +321,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     formula = taylor_coeffs(n, theta)
     x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, grid_points)])
     eta = 1.0 + x
+    meter = TaylorMeter(eta, eta0)      # measure_taylor on this grid
     phi = formula.seed(x)
     taylor = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
     history = []
@@ -313,7 +333,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
         change = float(np.max(np.abs(zeta - phi)))
         history.append(change)
         phi = (1.0 - damping) * phi + damping * zeta
-        taylor = _measure_taylor(x, phi, eta0)
+        taylor = meter(phi)
         if change < tol:
             converged = True
             break
@@ -324,8 +344,8 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
         raise PositivityLoss("converged curve not positive on (1, eta0]")
     # final lambda and exponential integral of the fixed point itself
     g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, x=eta, initial=0.0)
-    lam = 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(float(Jfull[-1]))
+    Jfull = cumulative_simpson(g, eta)
+    lam = _calibrated_lambda(float(Jfull[-1]), n, eta0, theta)
     with np.errstate(divide="ignore"):
         I = (Jfull - Jfull[-1]) + np.where(x > 0, np.log(x / (eta0 - 1.0)), -np.inf)
     bands = GammaSetSpec(eta0=eta0, alpha=formula.alpha, beta=formula.beta,
@@ -359,6 +379,12 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
 
     Positivity of zeta is monitored; hitting zero raises PositivityLoss
     (reported, never clamped).
+
+    The DOP853 solver is stepped here, with solve_ivp's terminal event
+    rule: g = zeta - 1e-12 is checked at eta0 and after every accepted
+    step, a step with g_old >= 0 >= g_new is a hit, and the root is the
+    brentq zero of g on that step's dense output.  The samples are then
+    read from the dense outputs in one pass (_gather_dense).
     """
     params = local.curve.params
     params.require_negative_pair()
@@ -368,37 +394,66 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
     z0 = float(local.curve.zeta[-1])
 
     def rhs(e, y):
-        z, I = y
+        z, I = y.tolist()
         return [(theta + 1) * z / e + coef_linear(e, n, theta)
                 + coef_zero(e, n, theta) / z
                 - lam3 * e * e * math.exp(I) / z,
                 (e + 1) / z]
 
-    def hit_zero(e, y):
-        return y[0] - 1e-12
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    sol = solve_ivp(rhs, (eta0, eta_max), [z0, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=hit_zero)
-    if sol.status == 1:
-        raise PositivityLoss(f"zeta reached 0 near eta = {sol.t_events[0][0]:.6g}")
-    if not sol.success:
-        # a step-size collapse with zeta near zero is the same failure:
-        # the forcing terms are singular at zeta = 0
-        if len(sol.y[0]) and sol.y[0][-1] < 1e-3 * z0:
-            raise PositivityLoss(
-                f"zeta collapsed to {sol.y[0][-1]:.3e} near eta = {sol.t[-1]:.6g}")
-        raise StepFailure(f"extension failed: {sol.message}")
+    solver = DOP853(rhs, float(eta0), [z0, 0.0], float(eta_max),
+                    rtol=rtol, atol=atol)
+    ts, steps = [solver.t], []
+    g = z0 - 1e-12
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            # a step-size collapse with zeta near zero is the same failure:
+            # the forcing terms are singular at zeta = 0
+            if solver.y[0] < 1e-3 * z0:
+                raise PositivityLoss(
+                    f"zeta collapsed to {solver.y[0]:.3e} near eta = {solver.t:.6g}")
+            raise StepFailure(f"extension failed: {message}")
+        dense = solver.dense_output()
+        g_new = solver.y[0] - 1e-12
+        if g >= 0 and g_new <= 0:
+            root = brentq(lambda e: dense(e)[0] - 1e-12, solver.t_old, solver.t,
+                          xtol=4 * _EPS, rtol=4 * _EPS)
+            raise PositivityLoss(f"zeta reached 0 near eta = {root:.6g}")
+        g = g_new
+        ts.append(solver.t)
+        steps.append(dense)
     if n_samples is None:
         n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
     ee = np.geomspace(eta0, eta_max, n_samples)[1:]
-    zz, II = sol.sol(ee)
+    zz, II = _gather_dense(np.array(ts), steps, ee)
     eta = np.concatenate([local.curve.eta, ee])
     zeta = np.concatenate([local.curve.zeta, zz])
     I = np.concatenate([local.curve.I, II])
     return PhaseCurve(params=params, taylor=local.curve.taylor,
                       eta=eta, zeta=zeta, I=I)
+
+
+def _gather_dense(ts, steps, ee):
+    """The piecewise DOP853 dense output at the increasing samples ee.
+
+    Bit for bit what OdeSolution(ts, steps)(ee) returns: the segment of
+    each sample is searchsorted(ts, ee, "left") - 1, clipped to the valid
+    range, and the Dop853DenseOutput polynomial in x = (e - t_old)/h is
+    evaluated for every sample at once, one coefficient row F[seg, k] at
+    a time (a (P, 7, 2) block gather would be a 1.6 MB temporary).
+    """
+    seg = np.clip(np.searchsorted(ts, ee, "left") - 1, 0, len(steps) - 1)
+    F = np.array([s.F for s in steps])
+    x = ((ee - ts[seg]) / np.array([s.h for s in steps])[seg])[:, None]
+    y = np.zeros((len(ee), F.shape[2]))
+    for i, k in enumerate(reversed(range(F.shape[1]))):
+        y += F[seg, k]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += np.array([s.y_old for s in steps])[seg]
+    return y.T
 
 
 def growth_bounds_check(curve: PhaseCurve, safety: float = 0.9) -> dict:
@@ -478,6 +533,6 @@ def blowup_time(curve: PhaseCurve, eta0: float | None = None,
         raise TailUnbounded(
             "no quadratic lower bound on the tail; 1/zeta may not be integrable")
     eps_tail = safety * float(np.min(qtail))
-    main = float(cumulative_simpson(1.0 / zeta, x=eta, initial=0.0)[-1])
+    main = float(cumulative_simpson(1.0 / zeta, eta)[-1])
     tail_bound = 1.0 / (eps_tail * eta_max)
     return main + tail_bound, tail_bound

@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 
-from .core import AnalyticEvaluator, ProfileEvaluator, RadialProfile, shaped_like
+from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
+                   cumulative_simpson, shaped_like)
 from .errors import ConvergenceError, DomainError, ParameterError, StepFailure
 
 __all__ = [
@@ -173,8 +174,8 @@ def integrate_direct(config: PositivePairConfig, r_max: float,
     small = r <= h0
     vpp[small] = v0 + 0.5 * v2 * r[small] ** 2 + v4 * r[small] ** 4 / 24.0
     vpp[~small] = sol.sol(r[~small])[0]
-    v_up = cumulative_simpson(vpp, x=r, initial=0.0)    # u'
-    u = cumulative_simpson(v_up, x=r, initial=0.0)
+    v_up = cumulative_simpson(vpp, r)    # u'
+    u = cumulative_simpson(v_up, r)
     prof = RadialProfile(r=r, v=v_up, u=u, n=1)
     prof.meta["vpp"] = vpp
     prof.meta["config"] = config
@@ -239,14 +240,14 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     # the scalar math integrand (the one quad uses): numpy's array
     # log1p/expm1/power pick SIMD kernels by CPU and differ by 1 ulp
     fA = np.fromiter(map(integrand, tA.tolist()), float, len(tA)) / math.sqrt(a)
-    rA = cumulative_simpson(fA, x=tA, initial=0.0)
+    rA = cumulative_simpson(fA, tA)
     vA = v0 * (1.0 - tA * tA)
     # piece B: descend in y = -log v from v0/2 down to v_min(r_max)
     v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / math.sqrt(v0 * a) + r_max) ** 2))
     y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), 8000)
     vB = np.exp(-y)
     fB = vB / np.sqrt(a * config.radicand(vB))        # dr/dy > 0
-    rB = rA[-1] + cumulative_simpson(fB, x=y, initial=0.0)
+    rB = rA[-1] + cumulative_simpson(fB, y)
     r = np.concatenate([rA, rB[1:]])
     v = np.concatenate([vA, vB[1:]])
     return r, v
@@ -271,8 +272,8 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     # would plant C^1 kinks that downstream Hessian differencing amplifies
     keep = np.concatenate([[True], np.diff(r_q) > 1e-11])
     r_tab, vpp = r_q[keep], v_q[keep]
-    v_up = cumulative_simpson(vpp, x=r_tab, initial=0.0)
-    u = cumulative_simpson(v_up, x=r_tab, initial=0.0)
+    v_up = cumulative_simpson(vpp, r_tab)
+    u = cumulative_simpson(v_up, r_tab)
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
     prof = RadialProfile(
         r=grid,
@@ -313,7 +314,7 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
                      2 * theta - 1.0)
     # dr/dt = 2 v0 t / sqrt(a * v0^3 (1+t^2)^3 * h * t^2)
     drdt = 2.0 / (math.sqrt(a * v0) * (1.0 + t * t) ** 1.5 * np.sqrt(h))
-    r = cumulative_simpson(drdt, x=t, initial=0.0)
+    r = cumulative_simpson(drdt, t)
     c = v0 ** (theta - 0.5) / math.sqrt(a)
     vmax = v0 * vmax_factor
     tail_r = c * vmax ** (-theta) / theta
@@ -324,8 +325,8 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
     tail_u = (c * c / (theta * (2 * theta - 1.0))) * vmax ** (1.0 - 2 * theta)
     out = {"R": R, "u_at_R": u_main + tail_u, "tail_r": tail_r, "tail_u": tail_u}
     if return_profile:
-        u_prime = cumulative_simpson(vv * drdt, x=t, initial=0.0)
-        u = cumulative_simpson(u_prime * drdt, x=t, initial=0.0)
+        u_prime = cumulative_simpson(vv * drdt, t)
+        u = cumulative_simpson(u_prime * drdt, t)
         keep = np.concatenate([[True], np.diff(r) > 1e-13])
         rr, up, uu = r[keep], u_prime[keep], u[keep]
         s = np.log1p(rr)

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from .core import PhaseCurve, ProfileEvaluator, RadialProfile, shaped_like
+from .core import (PhaseCurve, ProfileEvaluator, RadialProfile,
+                   cumulative_simpson, shaped_like)
 from .errors import ParameterError, PositivityLoss
 from .negative_pair import _ratio_x_over_phi
 
@@ -63,14 +63,14 @@ def _tables(curve: PhaseCurve, v0: float, r0: float = 1.0):
     d1 = tay.d1
     tau_i = _tau_integrand(x, zeta, tay)
     ratio = _ratio_x_over_phi(x, zeta, tay)          # x/zeta, stable
-    ctau = cumulative_simpson(tau_i, x=eta, initial=0.0)
+    ctau = cumulative_simpson(tau_i, eta)
     tau = ctau - ctau[i0]
-    cW = cumulative_simpson(ratio, x=eta, initial=0.0)
+    cW = cumulative_simpson(ratio, eta)
     W = cW - cW[i0]
     t = tau + np.log(x / x0) / d1
     logv = math.log(v0) + W + t
     u_int = np.exp(W + 2.0 * tau) * np.power(x / x0, 2.0 / d1) * ratio / x
-    u = cumulative_simpson(u_int, x=eta, initial=0.0) * v0
+    u = cumulative_simpson(u_int, eta) * v0
     u += v0 * u_int[0] * x[0] * (d1 / 2.0)           # analytic piece over (1, eta[0])
     return {"eta": eta, "x": x, "zeta": zeta, "t": t, "W": W,
             "logv": logv, "u": u, "i0": i0, "v0": v0, "d1": d1}

@@ -117,9 +117,22 @@ def assemble(phi: RadialProfile, psi: RadialProfile, m_cylinder: int = 0,
 # batched pointwise machinery: every function below takes arrays of points
 
 
+def _distinct(r):
+    """(ascending distinct values of r, the index of each r among them).
+
+    Evaluating at the distinct values keeps spline interval walks short
+    and evaluates each radius once; 0.0 and -0.0 count as one value.
+    """
+    vals, inv = np.unique(r, return_inverse=True)
+    return vals, inv.reshape(np.shape(r))
+
+
 def _det_parts(sol: SeparableSolution, x, rho):
     """(phi'', psi', psi'') at the radii |x| and rho (arrays of one shape)."""
-    return sol.phi.v_deriv_at(x, 1), sol.psi.v_at(rho), sol.psi.v_deriv_at(rho, 1)
+    xs, ix = _distinct(x)
+    rs, ir = _distinct(rho)
+    return (sol.phi.v_deriv_at(xs, 1)[ix], sol.psi.v_at(rs)[ir],
+            sol.psi.v_deriv_at(rs, 1)[ir])
 
 
 def _w(sol: SeparableSolution, x, rho) -> np.ndarray:

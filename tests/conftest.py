@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from affmax import (PositivePairConfig, assemble, blowup_time, build_phi,
                     extend_global, fixed_point_solve, rebuild_profile)
 from affmax.core import PhaseCurve
 
 N, THETA, ETA0 = 2, 0.55, 1.05
+
+# one hypothesis profile for the suite: reproducible draws, and no
+# per-example deadline (some examples run a whole negative-pair solve)
+settings.register_profile("affmax", deadline=None, derandomize=True)
+settings.load_profile("affmax")
 
 
 @pytest.fixture(scope="session")

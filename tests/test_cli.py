@@ -189,6 +189,28 @@ class TestConfigAndErrors:
                     "--out", str(tmp_path / "c.csv"),
                     "--report", str(tmp_path / "r.json")]) == 2
 
+    def test_calibration_overflow_is_one_line_failure(self, tmp_path, capsys):
+        # exp(J) of the calibration constant overflows on the first sweep
+        assert run(["solve-negative", "--n", "3", "--theta", "0.6",
+                    "--eta0", "1.2", "--out", str(tmp_path / "c.csv"),
+                    "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1
+        for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 1.2"):
+            assert name in err
+
+    def test_calibration_overflow_fails_every_sweep_row(self, tmp_path, capsys):
+        assert run(["sweep", "--n", "4", "--steps", "3", "--theta-min", "0.55",
+                    "--theta-max", "0.72", "--outdir", str(tmp_path / "sw")]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["status"] == "failed"
+            assert row["error"].startswith("NoConvergence: calibration constant overflows")
+
     @pytest.mark.parametrize("text", [
         "", "\n\n", "eta,zeta,I\n", "eta,zeta,I\n1.1,0.2,0.3\n1.2,0.3\n",
         "eta,zeta,I\n1.1,0.2,0.3,0.4\n", "eta,zeta,I\n1.1,abc,0.3\n"],

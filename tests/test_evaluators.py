@@ -238,7 +238,7 @@ def test_joint_spline_matches_per_column_fits(pairs, name):
     assert ev.max_order() == ref.max_order() == 3
     assert ev.deriv(1.0, 4) is None and ev.deriv(1.0, 0) is None
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(r=queries(lo, hi))
     def check(r):
         assert_same(ev.v(r), ref.v(r), r)

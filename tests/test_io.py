@@ -110,7 +110,7 @@ def bits(a) -> bytes:
 # CSV
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(cols=column_sets())
 def test_writer_bytes_match_reference_and_read_back_bitwise(cols):
     names = [f"c{j}" for j in range(len(cols))]
@@ -127,7 +127,7 @@ def test_writer_bytes_match_reference_and_read_back_bitwise(cols):
     assert [bits(c) for c in got] == [bits(c) for c in cols]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(cols=column_sets())
 def test_plot_layout_matches_reference(cols):
     names = [f"c{j}" for j in range(len(cols))]
@@ -136,7 +136,7 @@ def test_plot_layout_matches_reference(cols):
     assert buf.getvalue() == reference_plot_text("# " + " ".join(names), cols)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(text=csv_texts())
 def test_reader_accepts_exactly_what_reference_accepts(text):
     try:
@@ -158,7 +158,7 @@ def test_reader_accepts_exactly_what_reference_accepts(text):
 any_bits = st.lists(st.integers(0, 2**64 - 1), max_size=40)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(raw=any_bits)
 def test_base64_round_trips_every_bit_pattern(raw):
     col = np.array(raw, dtype=np.uint64).view(np.float64)

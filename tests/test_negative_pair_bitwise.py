@@ -1,0 +1,234 @@
+"""The stepped DOP853 extension, the cumulative-Simpson port and the Taylor
+meter against the scipy calls and formulas they replaced.
+
+extend_global drives scipy's DOP853 class step by step and reads its
+dense output in one gather; the reference below is the solve_ivp version
+it replaced, so every scipy internal the gather reads (the step ends,
+each step's F, y_old and h) is checked against OdeSolution.  Every
+operation is meant to be the same, so every comparison is bit for bit:
+no tolerance.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.integrate import solve_ivp
+
+from affmax import negative_pair
+from affmax.core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
+                         cumulative_simpson, measure_taylor)
+from affmax.errors import PositivityLoss, StepFailure
+from affmax.negative_pair import (LocalSolve, _gather_dense, extend_global,
+                                  fixed_point_solve)
+from affmax.phase_plane import coef_linear, coef_zero
+
+from conftest import ETA0, N, THETA
+
+
+# ---------------------------------------------------------------------------
+# references: the solve_ivp extension and the per-call Taylor fit
+
+
+def ref_extend_global(local, eta_max=1e3, rtol=1e-11, atol=1e-13):
+    params = local.curve.params
+    n, theta = params.n, params.theta
+    lam3 = params.lambda3
+    eta0 = params.eta0
+    z0 = float(local.curve.zeta[-1])
+
+    def rhs(e, y):
+        z, I = y
+        return [(theta + 1) * z / e + coef_linear(e, n, theta)
+                + coef_zero(e, n, theta) / z
+                - lam3 * e * e * math.exp(I) / z,
+                (e + 1) / z]
+
+    def hit_zero(e, y):
+        return y[0] - 1e-12
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    sol = solve_ivp(rhs, (eta0, eta_max), [z0, 0.0], method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True, events=hit_zero)
+    if sol.status == 1:
+        raise PositivityLoss(f"zeta reached 0 near eta = {sol.t_events[0][0]:.6g}")
+    if not sol.success:
+        if len(sol.y[0]) and sol.y[0][-1] < 1e-3 * z0:
+            raise PositivityLoss(
+                f"zeta collapsed to {sol.y[0][-1]:.3e} near eta = {sol.t[-1]:.6g}")
+        raise StepFailure(f"extension failed: {sol.message}")
+    n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
+    ee = np.geomspace(eta0, eta_max, n_samples)[1:]
+    zz, II = sol.sol(ee)
+    return (np.concatenate([local.curve.eta, ee]),
+            np.concatenate([local.curve.zeta, zz]),
+            np.concatenate([local.curve.I, II]))
+
+
+def ref_measure_taylor(eta, zeta, eta0):
+    x = np.asarray(eta, dtype=float) - 1.0
+    w = min(1e-2, (eta0 - 1.0) / 2.0)
+    sel = (x > 0) & (x <= w)
+    xs = x[sel]
+    cols = np.vstack([xs ** (k + 1) / math.factorial(k + 1) for k in range(5)]).T
+    norm = np.linalg.norm(cols, axis=0)
+    c, *_ = np.linalg.lstsq(cols / norm, zeta[sel] - 0.0, rcond=None)
+    c = c / norm
+    return TaylorData(d1=float(c[0]), alpha=float(c[1]), beta=float(c[2]),
+                      gamma=float(c[3]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def taylor_bits(t):
+    return [float.hex(v) for v in (t.d1, t.alpha, t.beta, t.gamma)]
+
+
+# ---------------------------------------------------------------------------
+# extend_global
+
+
+@settings(max_examples=20)
+@given(theta=st.floats(0.51, 0.66, exclude_min=True, exclude_max=True),
+       eta0=st.sampled_from([1.02, 1.05]),
+       eta_max=st.sampled_from([50.0, 1e3, 1e5]))
+def test_extension_matches_solve_ivp(theta, eta0, eta_max):
+    local = fixed_point_solve(2, theta, eta0)
+    got = extend_global(local, eta_max=eta_max)
+    eta, zeta, I = ref_extend_global(local, eta_max=eta_max)
+    assert np.array_equal(got.eta, eta)
+    assert np.array_equal(got.zeta, zeta)
+    assert np.array_equal(got.I, I)
+
+
+def test_gather_matches_ode_solution_at_step_ends():
+    # samples on the step ends, between them and at both ends of the range
+    sol = solve_ivp(lambda e, y: [y[1] / e, -y[0] / e], (ETA0, 40.0), [1.0, 0.5],
+                    method="DOP853", rtol=1e-9, atol=1e-12, dense_output=True)
+    ts = sol.sol.ts
+    ee = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
+                                 np.geomspace(ETA0, 40.0, 301)]))
+    assert same_bits(_gather_dense(ts, sol.sol.interpolants, ee), sol.sol(ee))
+
+
+def stub_local(n, theta, lambda3, z):
+    """A local solve whose curve is constant z on [1.0001, 1.05]."""
+    params = ModelParams(n=n, theta=theta, lambda3=lambda3, eta0=1.05)
+    taylor = TaylorData(d1=2.0, alpha=0.0, beta=0.0, gamma=0.0)
+    eta = np.linspace(1.0001, 1.05, 200)
+    curve = PhaseCurve(params=params, taylor=taylor, eta=eta,
+                       zeta=z * np.ones_like(eta), I=np.zeros_like(eta))
+    return LocalSolve(curve=curve, lambda_cal=-lambda3, iterations=0,
+                      contraction_history=[], taylor_measured=taylor,
+                      taylor_formula=taylor)
+
+
+@pytest.mark.parametrize("stub,tols,kind,start", [
+    # the stub of test_positivity_loss_detected: zeta collapses
+    ((3, 0.4, -1e-6, 0.1), {}, PositivityLoss, "zeta collapsed to "),
+    # coarse tolerances: zeta steps through zero, the terminal event fires
+    ((3, 0.4, -1e-6, 0.1), {"rtol": 1e-3, "atol": 1e-6}, PositivityLoss,
+     "zeta reached 0 near "),
+    ((2, 0.55, 1.0, 0.05), {"rtol": 1e-2, "atol": 1e-4}, PositivityLoss,
+     "zeta reached 0 near "),
+    # an overflowing forcing term: the step size underflows, zeta stays up
+    ((2, 0.55, -1e308, 0.1), {}, StepFailure, "extension failed: "),
+], ids=["collapse", "event", "event-coarse", "step-failure"])
+def test_failures_match_solve_ivp(stub, tols, kind, start):
+    local = stub_local(*stub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(kind) as got:
+            extend_global(local, eta_max=100.0, **tols)
+        with pytest.raises(kind) as want:
+            ref_extend_global(local, eta_max=100.0, **tols)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(start)
+
+
+# ---------------------------------------------------------------------------
+# cumulative_simpson
+
+
+def simpson_inputs(n, seed):
+    """Increasing x and signed y, both with magnitudes from 1e-10 to 1e10."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(10.0 ** rng.uniform(-10.0, 10.0, n))
+    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10.0, 10.0, n)
+    return x, y
+
+
+@settings(max_examples=300)
+@given(n=st.one_of(st.integers(3, 50), st.just(6001)),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumulative_simpson_matches_scipy(n, seed):
+    x, y = simpson_inputs(n, seed)
+    assume(np.all(np.diff(x) > 0))     # two magnitudes may round to one float
+    assert same_bits(cumulative_simpson(y, x),
+                     scipy_cumulative_simpson(y, x=x, initial=0.0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 6001, 6002])
+def test_cumulative_simpson_odd_and_even_counts(n):
+    x, y = simpson_inputs(n, n)
+    assert same_bits(cumulative_simpson(y, x),
+                     scipy_cumulative_simpson(y, x=x, initial=0.0))
+    # a zero integrand: scipy's initial=0.0 turns every -0.0 into 0.0
+    z = -np.zeros(n)
+    assert same_bits(cumulative_simpson(z, x),
+                     scipy_cumulative_simpson(z, x=x, initial=0.0))
+
+
+def test_cumulative_simpson_signed_zero():
+    # the first interval integrates to -0.0; scipy's initial=0.0 adds +0.0
+    y, x = np.array([-0.0, -0.0, 0.0]), np.array([0.0, 1.0, 2.0])
+    got = cumulative_simpson(y, x)
+    assert same_bits(got, scipy_cumulative_simpson(y, x=x, initial=0.0))
+    assert math.copysign(1.0, got[1]) == 1.0
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                               [3.0, 2.0, 1.0, 0.0], [0.0, 1.0]],
+                         ids=["repeated", "decreasing-step", "decreasing",
+                              "two-samples"])
+def test_cumulative_simpson_rejects(x):
+    with pytest.raises(ValueError):
+        cumulative_simpson(np.ones(len(x)), np.array(x))
+
+
+# ---------------------------------------------------------------------------
+# the Taylor meter of the Picard loop
+
+
+def test_taylor_meter_matches_measure_taylor_on_picard_iterates(monkeypatch):
+    calls = []
+
+    class Recording(TaylorMeter):
+        def __init__(self, eta, eta0):
+            super().__init__(eta, eta0)
+            self.eta, self.eta0 = eta, eta0
+
+        def __call__(self, zeta):
+            out = super().__call__(zeta)
+            calls.append((self.eta, self.eta0, zeta.copy(), out))
+            return out
+
+    monkeypatch.setattr(negative_pair, "TaylorMeter", Recording)
+    local = fixed_point_solve(N, THETA, ETA0)
+    assert len(calls) == local.iterations > 1
+    # the meter measures on 1.0 + x, the grid _measure_taylor(x, ...) used
+    x = np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1.0, 6000)])
+    for eta, eta0, zeta, got in calls:
+        assert same_bits(eta, 1.0 + x) and eta0 == ETA0
+        want = ref_measure_taylor(eta, zeta, eta0)
+        assert taylor_bits(got) == taylor_bits(want)
+        assert taylor_bits(measure_taylor(eta, zeta, eta0)) == taylor_bits(want)
+    assert taylor_bits(local.taylor_measured) == taylor_bits(calls[-1][3])

@@ -64,7 +64,7 @@ class TestPhaseRHS:
         rhs = PhaseRHS(p)
         assert rhs(1.5, 0.8, 0.2) == phase_rhs(1.5, 0.8, 0.2, p)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(eta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 5),
            theta=st.floats(0.5, 1.6, exclude_min=True, exclude_max=True))
     def test_scalar_coefficients_match_array_ones(self, eta, n, theta):
