@@ -18,6 +18,7 @@ L[u] = (u'')^2 * (u^{ij} D_ij w)/(theta w)).
 from __future__ import annotations
 
 import base64
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -101,9 +102,12 @@ class TaylorData:
 # cumulative quadrature
 
 
-def _simpson_h1(y, dx):
-    """Simpson integrals over the first interval of each triple of samples."""
-    x21, x32 = dx[:-1], dx[1:]
+def _simpson_half(y0, y1, y2, x21, x32):
+    """Simpson integrals over [x1, x2] of the samples y0, y1, y2 at x1, x2, x3.
+
+    x21 = x2 - x1 and x32 = x3 - x2.  For the half next to x3, pass the
+    triple reversed: y2, y1, y0 with x32, x21.
+    """
     x31 = x21 + x32
     x21_x31 = x21 / x31
     x21_x32 = x21 / x32
@@ -111,17 +115,18 @@ def _simpson_h1(y, dx):
     coeff1 = 3 - x21_x31
     coeff2 = 3 + x21x21_x31x32 + x21_x31
     coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+    return x21 / 6 * (coeff1 * y0 + coeff2 * y1 + coeff3 * y2)
 
 
 def cumulative_simpson(y, x) -> np.ndarray:
     """int_{x[0]}^{x[i]} y for every i, by Simpson's rule on unequal intervals.
 
     Bit for bit scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
-    for 1-D input: intervals 0, 2, 4, ... take the first-interval formula
-    of the triple starting at them; intervals 1, 3, 5, ... and always the
-    last take the second-interval formula of the triple ending at them.
-    x must be strictly increasing and hold at least 3 samples.
+    for 1-D input: intervals 0, 2, 4, ... take the first half of the
+    triple starting at them; intervals 1, 3, 5, ... and always the last
+    take the second half of the triple ending at them.  Only those halves
+    are computed.  x must be strictly increasing and hold at least 3
+    samples.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -132,12 +137,13 @@ def cumulative_simpson(y, x) -> np.ndarray:
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("x must be strictly increasing")
-    h1 = _simpson_h1(y, dx)
-    h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
+    # the triples starting at even samples: (y0, y1, y2) with (dx0, dx1)
+    y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
+    dx0, dx1 = dx[:-1:2], dx[1::2]
     sub = np.empty(len(dx))
-    sub[:-1:2] = h1[::2]
-    sub[1::2] = h2[::2]
-    sub[-1] = h2[-1]
+    sub[:-1:2] = _simpson_half(y0, y1, y2, dx0, dx1)
+    sub[1::2] = _simpson_half(y2, y1, y0, dx1, dx0)
+    sub[-1:] = _simpson_half(y[-1:], y[-2:-1], y[-3:-2], dx[-1:], dx[-2:-1])
     out = np.empty(len(y))
     out[0] = 0.0
     np.cumsum(sub, out=out[1:])
@@ -599,10 +605,9 @@ def write_columns(path, names, cols, sep=",", comment=""):
     Each value is its shortest round-tripping repr; fields are joined by
     sep and the header line starts with comment.
     """
-    texts = [map(float.__repr__, np.asarray(c, dtype=float).tolist()) for c in cols]
-    lines = [comment + sep.join(names)]
-    lines.extend(map(sep.join, zip(*texts)))
-    text = "\n".join(lines) + "\n"
+    data = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    rows = (sep.join(["%r"] * data.shape[1]) + "\n") * len(data)
+    text = comment + sep.join(names) + "\n" + rows % tuple(data.ravel().tolist())
     if hasattr(path, "write"):
         path.write(text)
     else:
@@ -610,50 +615,58 @@ def write_columns(path, names, cols, sep=",", comment=""):
             fh.write(text)
 
 
+# in ASCII text: the line breaks of str.splitlines other than "\n", and
+# \x1c-\x1f, which numpy strips from a field as whitespace and float() does not
+_ROW_WALK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def read_columns(path):
     """Header names and float columns of a CSV as written by write_columns.
 
-    Empty, header-only, ragged or non-numeric input raises ParameterError.
+    ASCII text whose only line break is "\n" and that holds no other
+    control character from \x0b to \x1f is parsed by numpy's C reader,
+    which converts each field with the same strtod as float(); any other
+    text, and any text that reader refuses, is read row by row.  Empty,
+    header-only, ragged or non-numeric input raises ParameterError.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path) as fh:
             text = fh.read()
+    if text.isascii() and not any(map(text.__contains__, _ROW_WALK_CHARS)):
+        head, _, body = text.strip().partition("\n")
+        names = [s.strip() for s in head.split(",")]
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                              dtype=float, ndmin=2) if body else None
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == len(names):
+            return names, [data[:, j] for j in range(len(names))]
+    return _read_rows(text)
+
+
+def _read_rows(text):
+    """read_columns, one row at a time: the reference for every message."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("CSV input is empty")
     names = [s.strip() for s in lines[0].split(",")]
     if len(lines) == 1:
         raise ParameterError(f"CSV input has a header ({','.join(names)}) but no data rows")
-    body, width = lines[1:], len(names)
-    values = None
-    if all(ln.count(",") == width - 1 for ln in body):
-        # every line holds width fields, so the joined text splits back
-        # into exactly the same field strings, row by row
-        try:
-            values = list(map(float, ",".join(body).split(",")))
-        except ValueError:
-            pass
-    if values is None:
-        raise _first_bad_row(body, width)
-    data = np.array(values).reshape(len(body), width)
-    return names, [data[:, j] for j in range(width)]
-
-
-def _first_bad_row(body, width) -> ParameterError:
-    """The error naming the first ragged or non-numeric line of body."""
-    for k, ln in enumerate(body, start=1):
+    rows = []
+    for k, ln in enumerate(lines[1:], start=1):
         fields = ln.split(",")
-        if len(fields) != width:
-            return ParameterError(
-                f"CSV data row {k} has {len(fields)} fields, the header has {width}")
+        if len(fields) != len(names):
+            raise ParameterError(
+                f"CSV data row {k} has {len(fields)} fields, the header has {len(names)}")
         try:
-            for x in fields:
-                float(x)
+            rows.append([float(x) for x in fields])
         except ValueError:
-            return ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}")
-    raise AssertionError("no malformed row in a body that failed to parse")
+            raise ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}") from None
+    data = np.array(rows)
+    return names, [data[:, j] for j in range(len(names))]
 
 
 def encode_column(col) -> str:

@@ -131,19 +131,34 @@ def _measure_taylor(x, phi, eta0: float) -> TaylorData:
 
 
 def _local_derivatives(x, y, centers, window: float):
-    """First three derivatives at each center from windowed quartic fits."""
-    d1 = np.empty(len(centers))
-    d2 = np.empty(len(centers))
-    d3 = np.empty(len(centers))
-    for i, c in enumerate(centers):
-        sel = np.abs(x - c) <= window / 2
-        xs, ys = x[sel] - c, y[sel]
-        cols = np.vstack([np.ones_like(xs), xs, xs**2, xs**3, xs**4]).T
-        norm = np.linalg.norm(cols, axis=0)
-        coef, *_ = np.linalg.lstsq(cols / norm, ys, rcond=None)
-        coef /= norm
-        d1[i], d2[i], d3[i] = coef[1], 2.0 * coef[2], 6.0 * coef[3]
-    return d1, d2, d3
+    """First three derivatives at each center from windowed quartic fits.
+
+    Each center c gets the least-squares quartic in x - c through the
+    samples with |x - c| <= window/2 (x increasing), its design columns
+    scaled to unit norm.  All windows are solved at once, each zero-padded
+    to the longest (a zero row leaves a least-squares problem unchanged),
+    by the normal equations with one step of iterative refinement.
+    """
+    h = window / 2
+    # fl(x - c) is non-decreasing in x, so |x - c| <= h holds on one run
+    runs = np.array([(np.searchsorted(d, -h), np.searchsorted(d, h, side="right"))
+                     for d in (x - c for c in centers)])
+    count = runs[:, 1:] - runs[:, :1]
+    keep = np.arange(count.max()) < count
+    idx = np.minimum(runs[:, :1] + np.arange(keep.shape[1]), len(x) - 1)
+    c = np.asarray(centers, dtype=float)[:, None]
+    xs = np.where(keep, x[idx] - c, 0.0)
+    ys = np.where(keep, y[idx], 0.0)[..., None]
+    x2 = xs * xs
+    A = np.stack([keep * 1.0, xs, x2, x2 * xs, x2 * x2], axis=-1)
+    norm = np.sqrt(np.einsum("ckj,ckj->cj", A, A))[:, None, :]
+    A /= norm
+    At = A.transpose(0, 2, 1)
+    G = At @ A
+    coef = np.linalg.solve(G, At @ ys)
+    coef += np.linalg.solve(G, At @ (ys - A @ coef))
+    coef = coef[..., 0] / norm[:, 0]
+    return coef[:, 1], 2.0 * coef[:, 2], 6.0 * coef[:, 3]
 
 
 # ---------------------------------------------------------------------------

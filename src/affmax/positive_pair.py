@@ -18,6 +18,7 @@ contract.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +92,28 @@ def _integrand_factory(config: PositivePairConfig):
         return 2.0 / (math.sqrt(v0) * z ** 1.5 * math.sqrt(h))
 
     return integrand
+
+
+def _math_map(fn, x, *scalars):
+    """[fn(xi, *scalars) for xi in x] as an array, for fn from math."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, scalars)),
+                       float, len(x))
+
+
+def _integrand_nodes(config: PositivePairConfig, t):
+    """_integrand_factory(config) at each t >= 0 of an array, bit for bit.
+
+    The arithmetic is numpy's; log1p, expm1 and pow come from math, as in
+    the scalar integrand, because numpy's array kernels for them are
+    picked by CPU and can differ from libm by 1 ulp.
+    """
+    c = 2 * config.theta - 1.0
+    tt = t * t
+    h = np.full(len(t), c)                     # the limit at t = 0
+    pos = t != 0.0
+    h[pos] = -_math_map(math.expm1, c * _math_map(math.log1p, -tt[pos])) / tt[pos]
+    z15 = _math_map(math.pow, 1.0 - tt, 1.5)
+    return 2.0 / (math.sqrt(config.v0) * z15 * np.sqrt(h))
 
 
 def quadrature_r_of_v(v: float, config: PositivePairConfig,
@@ -234,13 +257,9 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     any adaptive quadrature calls.
     """
     v0, a = config.v0, config.a
-    integrand = _integrand_factory(config)
     # piece A: v from v0 down to v0/2
     tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
-    # the scalar math integrand (the one quad uses): numpy's array
-    # log1p/expm1/power pick SIMD kernels by CPU and differ by 1 ulp
-    fA = np.fromiter(map(integrand, tA.tolist()), float, len(tA)) / math.sqrt(a)
-    rA = cumulative_simpson(fA, tA)
+    rA = cumulative_simpson(_integrand_nodes(config, tA) / math.sqrt(a), tA)
     vA = v0 * (1.0 - tA * tA)
     # piece B: descend in y = -log v from v0/2 down to v_min(r_max)
     v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / math.sqrt(v0 * a) + r_max) ** 2))

@@ -22,6 +22,7 @@ rather than finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -101,15 +102,29 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         self.t_min, self.t_max = float(t[0]), float(t[-1])
         self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
         self.d1 = tab["d1"]
-        # one spline with the columns (log x, log zeta, log v, u): the
-        # collocation matrix is factored once and one call evaluates all four
-        self._cols = make_interp_spline(
-            t, np.stack([np.log(tab["x"]), np.log(tab["zeta"]), tab["logv"],
-                         tab["u"]], axis=-1), k=5)
-        self._dcols = self._cols.derivative()
         # slope of v at the origin: v ~ vp0 * r below the grid
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
         self._x_min = float(tab["x"][0])
+        # the columns _cols interpolates, held until the first evaluation
+        self._table = (t, tab["x"], tab["zeta"], tab["logv"], tab["u"])
+
+    @functools.cached_property
+    def _cols(self):
+        """One spline with the columns (log x, log zeta, log v, u) in t.
+
+        The collocation matrix is factored once and one call evaluates all
+        four.  It is fitted on first use, so a profile written from the
+        table columns alone never pays for it.
+        """
+        t, x, zeta, logv, u = self._table
+        cols = make_interp_spline(
+            t, np.stack([np.log(x), np.log(zeta), logv, u], axis=-1), k=5)
+        del self._table
+        return cols
+
+    @functools.cached_property
+    def _dcols(self):
+        return self._cols.derivative()
 
     def _t(self, r):
         """log r clamped to the table (radii below it map to t_min)."""

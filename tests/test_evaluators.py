@@ -19,6 +19,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
 from affmax import positive_pair, reconstruct, verify
+from affmax.cli import main
 from affmax.core import RadialProfile, shaped_like
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
                                   _curvature_table, _integrand_factory)
@@ -268,19 +269,44 @@ def test_curvature_table_matches_list_loop(v0, lam, theta, r_max):
         assert got.tobytes() == want.tobytes()
 
 
-def test_one_fit_per_evaluator(monkeypatch, curve_1e3, psi_profile):
+def count_fits(monkeypatch):
+    """The list every make_interp_spline call of the package appends to."""
     calls = []
     for mod in (reconstruct, positive_pair, verify):
         def counted(*args, _fit=mod.make_interp_spline, **kw):
             calls.append(1)
             return _fit(*args, **kw)
         monkeypatch.setattr(mod, "make_interp_spline", counted)
+    return calls
+
+
+def test_one_fit_per_evaluator(monkeypatch, curve_1e3, psi_profile):
+    calls = count_fits(monkeypatch)
     config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
     table = phi_table(config, 10.0)
     stored = RadialProfile(r=psi_profile.r, v=psi_profile.v, u=psi_profile.u, n=2)
-    for build in (lambda: PhaseProfileEvaluator(_tables(curve_1e3, v0=1.0)),
-                  lambda: PositivePairEvaluator(config, *table),
+    for build in (lambda: PositivePairEvaluator(config, *table),
                   lambda: DataEvaluator(stored)):
         calls.clear()
         build()
         assert len(calls) == 1
+    # the phase evaluator fits on its first evaluation, and only then
+    calls.clear()
+    ev = PhaseProfileEvaluator(_tables(curve_1e3, v0=1.0))
+    assert len(calls) == 0
+    r = np.geomspace(ev.r_min / 2, ev.r_max * 2, 9)
+    ev.v(r)
+    ev.u(r)
+    ev.etabar(r)
+    for k in (1, 2, 3):
+        ev.deriv(r, k)
+    assert len(calls) == 1
+
+
+def test_reconstruct_command_fits_no_spline(monkeypatch, tmp_path, curve_1e3):
+    curve_1e3.to_csv(tmp_path / "curve.csv")
+    calls = count_fits(monkeypatch)
+    rc = main(["reconstruct", "--curve", str(tmp_path / "curve.csv"),
+               "--out", str(tmp_path / "psi.csv")])
+    assert rc == 0 and (tmp_path / "psi.csv").exists()
+    assert len(calls) == 0

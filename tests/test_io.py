@@ -2,9 +2,10 @@
 
 The reference writer formats one value per repr call and one row per
 write; the reference reader splits and parses one row at a time.  The
-one-pass versions must produce the same bytes, accept exactly the same
-text and return bitwise-equal columns.  The base64 column helpers must
-round-trip every float64 bit pattern.
+writer must produce the same bytes, and the reader (numpy's C parser
+where the text allows it) must accept exactly the same text, raise the
+same messages and return bitwise-equal columns.  The base64 column
+helpers must round-trip every float64 bit pattern.
 """
 
 import base64
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affmax import core
 from affmax.core import decode_column, encode_column, read_columns, write_columns
 from affmax.errors import ParameterError
 
@@ -81,8 +83,12 @@ def column_sets(draw):
 
 good_fields = finite_floats.map(repr) | st.sampled_from([
     "nan", "-inf", "inf", "Infinity", " 2.5 ", "\t3", "4 ", "1_0", "+.5", "١٢"])
-bad_fields = st.sampled_from(["1__0", "0x10", "abc", "", " ", "1e", ".", "1,5"])
-line_ends = st.sampled_from(["\n", "\r\n", "\n\n", "\n \n", "\r"])
+bad_fields = st.sampled_from(["1__0", "0x10", "abc", "", " ", "1e", ".", "1,5", "#",
+                              "\x1f1"])
+# every line end str.splitlines knows, not only "\n": a field ending in
+# "\x0b" reads as a number where "\x0b" is whitespace, not a row break
+line_ends = st.sampled_from(["\n", "\r\n", "\n\n", "\n \n", "\r", "\x0b", "\x0c",
+                             "\x1c", "\x85", "\u2028"])
 
 
 @st.composite
@@ -149,6 +155,34 @@ def test_reader_accepts_exactly_what_reference_accepts(text):
     names, cols = read_columns(io.StringIO(text))
     assert names == ref[0]
     assert [bits(c) for c in cols] == [bits(c) for c in ref[1]]
+
+
+@pytest.mark.parametrize("text", [
+    "eta,eta\n0.0\x0b,0.0", "eta,eta\n0.0\x0c,0.0", "eta,eta\n0.0\x1c,0.0",
+    "eta,eta\n0.0\u2028,0.0", "eta\n\x1f1.0", "eta\n#1.0", "eta\n1.0\r2.0,3.0"])
+def test_reader_rejects_what_the_row_walk_rejects(text):
+    with pytest.raises(ParameterError) as exc:
+        reference_read_columns(text)
+    with pytest.raises(ParameterError) as err:
+        read_columns(io.StringIO(text))
+    assert str(err.value) == str(exc.value)
+
+
+def test_flagship_curve_reads_bitwise_without_the_row_walk(monkeypatch, curve_1e5):
+    buf = io.StringIO()
+    curve_1e5.to_csv(buf)
+    text = buf.getvalue()
+
+    def row_walk(text):
+        raise AssertionError("curve.csv text fell back to the row walk")
+
+    monkeypatch.setattr(core, "_read_rows", row_walk)
+    names, cols = read_columns(io.StringIO(text))
+    ref_names, ref_cols = reference_read_columns(text)
+    assert names == ref_names == ["eta", "zeta", "I"]
+    assert [bits(c) for c in cols] == [bits(c) for c in ref_cols]
+    assert [bits(c) for c in cols] == [bits(c) for c in
+                                       (curve_1e5.eta, curve_1e5.zeta, curve_1e5.I)]
 
 
 # ---------------------------------------------------------------------------

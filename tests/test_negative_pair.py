@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from affmax import negative_pair
 from affmax.core import ModelParams, PhaseCurve, TaylorData
 from affmax.errors import (AffmaxError, ParameterError, PositivityLoss,
                            SingularityMismatch, TailUnbounded)
@@ -12,6 +13,7 @@ from affmax.negative_pair import (GammaSetSpec, apply_T, blowup_time,
                                   extend_global, fixed_point_solve,
                                   growth_bounds_check, taylor_coeffs)
 from affmax.phase_plane import phase_residual
+from affmax.reconstruct import origin_compatibility
 
 from conftest import ETA0, N, THETA, restrict
 
@@ -284,3 +286,54 @@ class TestBlowupTime:
         assert tail1 < 1e-3 * T1
         T2, _ = blowup_time(restrict(curve_2e3, 2e3))
         assert abs(T2 - T1) < tail1
+
+
+# ---------------------------------------------------------------------------
+# batched windowed fits against the per-window lstsq loop they replaced
+
+
+def lstsq_local_derivatives(x, y, centers, window):
+    d1 = np.empty(len(centers))
+    d2 = np.empty(len(centers))
+    d3 = np.empty(len(centers))
+    for i, c in enumerate(centers):
+        sel = np.abs(x - c) <= window / 2
+        xs, ys = x[sel] - c, y[sel]
+        cols = np.vstack([np.ones_like(xs), xs, xs**2, xs**3, xs**4]).T
+        norm = np.linalg.norm(cols, axis=0)
+        coef, *_ = np.linalg.lstsq(cols / norm, ys, rcond=None)
+        coef /= norm
+        d1[i], d2[i], d3[i] = coef[1], 2.0 * coef[2], 6.0 * coef[3]
+    return d1, d2, d3
+
+
+@pytest.mark.parametrize("theta", [THETA] + np.linspace(0.51, 0.65, 16).tolist())
+def test_batched_local_derivatives_match_lstsq_loop(monkeypatch, theta):
+    batched = negative_pair._local_derivatives
+    pairs = []
+
+    def compared(x, y, centers, window):
+        got = batched(x, y, centers, window)
+        pairs.append((got, lstsq_local_derivatives(x, y, centers, window)))
+        return got
+
+    sol = fixed_point_solve(N, theta, ETA0)
+    spec = GammaSetSpec(eta0=ETA0, alpha=sol.taylor_formula.alpha,
+                        beta=sol.taylor_formula.beta, gamma=sol.taylor_measured.gamma)
+    eta = np.concatenate([[1.0], sol.curve.eta])
+    phi = np.concatenate([[0.0], sol.curve.zeta])
+    verdicts = []
+    for impl in (compared, lstsq_local_derivatives):
+        monkeypatch.setattr(negative_pair, "_local_derivatives", impl)
+        origin = origin_compatibility(sol.curve)
+        verdicts.append((spec.check(eta, phi, sol.taylor_measured)["conditions"],
+                         {k: v for k, v in origin.items() if isinstance(v, bool)},
+                         origin["zeta_ddd_sign"]))
+    assert verdicts[0] == verdicts[1]
+    assert len(pairs) == 2
+    for (d1, d2, d3), (r1, r2, r3) in pairs:
+        np.testing.assert_allclose(d1, r1, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(d2, r2, rtol=1e-9, atol=0)
+        # d3 weighs a term about 1e-7 of y in each window: the lstsq loop's
+        # own d3 is a few 1e-9 off a 50-digit solve of the same windows
+        np.testing.assert_allclose(d3, r3, rtol=0, atol=1e-7)
