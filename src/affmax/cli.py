@@ -22,7 +22,7 @@ import numpy as np
 from . import SCHEMA_VERSION, __version__
 from .core import (PhaseCurve, RadialProfile, decode_column, encode_column,
                    read_columns, write_columns)
-from .errors import AffmaxError, ParameterError, UnknownKind
+from .errors import AffmaxError, ParameterError
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
 from .phase_plane import bernstein_radial_check
@@ -41,27 +41,74 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-_DEFAULTS = {
-    "solve-positive": {"v0": 1.0, "theta": 0.55, "lambda": 1.0, "rmax": 10.0,
-                       "nodes": 2001, "out": "profile.csv"},
-    "solve-negative": {"n": 2, "theta": 0.55, "eta0": 1.05, "tol": 1e-10,
-                       "max_iter": 200, "damping": 0.5, "eta_max": 1e3,
-                       "eta_max_bounds": 1e5, "out": "curve.csv",
-                       "report": "report.json"},
-    "reconstruct": {"curve": "curve.csv", "v0": 1.0, "n": 2,
-                    "out": "profile.csv"},
-    "assemble": {"phi": "phi.csv", "psi": "psi.csv", "m": 0, "theta": 0.55,
-                 "n": 2, "report": None, "curve": None, "psi_v0": 1.0,
-                 "phi_v0": 1.0, "phi_lambda": 1.0, "out": "solution.json"},
-    "verify": {"solution": "solution.json", "points": 1000, "seed": 0,
-               "tol": 1e-4, "report": "verify.json"},
-    "bernstein-radial": {"n": 3, "theta": 1.0, "lo": 1.001, "hi": 1.05,
-                         "samples": 50, "out": None},
-    "bernstein-1d": {"theta": 1.0, "out": None},
-    "sweep": {"n": 2, "theta_min": 0.51, "theta_max": 0.65, "steps": 4,
-              "jobs": 1, "eta0": 1.05, "eta_max": 1e3, "outdir": "sweep_out"},
-    "emit-plot-data": {"artifact": None, "kind": "phase", "out": "plot.dat"},
-}
+# every option of every subcommand: (command, flag, type, default, help).
+# The option's key, in the parsed options and in a config file, is the
+# flag with dashes as underscores.
+_OPTIONS = [
+    ("solve-positive", "v0", float, 1.0, "initial curvature"),
+    ("solve-positive", "theta", float, 0.55, "exponent"),
+    ("solve-positive", "lambda", float, 1.0, "eigenvalue"),
+    ("solve-positive", "rmax", float, 10.0, "largest radius"),
+    ("solve-positive", "nodes", int, 2001, "grid size"),
+    ("solve-positive", "out", str, "profile.csv", "profile CSV"),
+    ("solve-negative", "n", int, 2, "factor dimension"),
+    ("solve-negative", "theta", float, 0.55, "exponent"),
+    ("solve-negative", "eta0", float, 1.05, "anchor eta0 > 1"),
+    ("solve-negative", "tol", float, 1e-10, "sup-norm tolerance"),
+    ("solve-negative", "max-iter", int, 200, "iteration cap"),
+    ("solve-negative", "damping", float, 0.5, "Picard damping"),
+    ("solve-negative", "eta-max", float, 1e3, "blow-up integration range"),
+    ("solve-negative", "eta-max-bounds", float, 1e5, "bound-scan range"),
+    ("solve-negative", "out", str, "curve.csv", "curve CSV"),
+    ("solve-negative", "report", str, "report.json", "report JSON"),
+    ("reconstruct", "curve", str, "curve.csv", "curve CSV"),
+    ("reconstruct", "v0", float, 1.0, "anchor value v(1)"),
+    ("reconstruct", "n", int, 2, "factor dimension"),
+    ("reconstruct", "out", str, "profile.csv", "profile CSV"),
+    ("assemble", "phi", str, "phi.csv", "1-D factor CSV"),
+    ("assemble", "psi", str, "psi.csv", "n-D factor CSV"),
+    ("assemble", "m", int, 0, "cylinder factors"),
+    ("assemble", "theta", float, 0.55, "exponent"),
+    ("assemble", "n", int, 2, "psi dimension"),
+    ("assemble", "report", str, None, "solve-negative report (R_inf)"),
+    ("assemble", "curve", str, "curve.csv",
+     "phase-curve CSV the psi factor is rebuilt from"),
+    ("assemble", "psi-v0", float, 1.0, "anchor v(1) of the psi factor"),
+    ("assemble", "phi-v0", float, 1.0, "initial curvature of the phi factor"),
+    ("assemble", "phi-lambda", float, 1.0, "eigenvalue of the phi factor"),
+    ("assemble", "out", str, "solution.json", "solution JSON"),
+    ("verify", "solution", str, "solution.json", "solution JSON"),
+    ("verify", "points", int, 1000, "sample count"),
+    ("verify", "seed", int, 0, "sampling seed"),
+    ("verify", "tol", float, 1e-4, "residual tolerance"),
+    ("verify", "report", str, "verify.json", "report JSON"),
+    ("bernstein-radial", "n", int, 3, "dimension (>= 3)"),
+    ("bernstein-radial", "theta", float, 1.0, "exponent"),
+    ("bernstein-radial", "lo", float, 1.001, "window start"),
+    ("bernstein-radial", "hi", float, 1.05, "window end"),
+    ("bernstein-radial", "samples", int, 50, "sample count"),
+    ("bernstein-radial", "out", str, None, "report JSON"),
+    ("bernstein-1d", "theta", float, 1.0, "exponent"),
+    ("bernstein-1d", "out", str, None, "report JSON"),
+    ("sweep", "n", int, 2, "factor dimension"),
+    ("sweep", "theta-min", float, 0.51, "first theta"),
+    ("sweep", "theta-max", float, 0.65, "last theta"),
+    ("sweep", "steps", int, 4, "grid size"),
+    ("sweep", "jobs", int, 1, "parallel workers"),
+    ("sweep", "eta0", float, 1.05, "anchor"),
+    ("sweep", "eta-max", float, 1e3, "integration range"),
+    ("sweep", "outdir", str, "sweep_out", "output directory"),
+    ("emit-plot-data", "artifact", str, None, "input artifact"),
+    ("emit-plot-data", "kind", str, "phase",
+     "phase | profile | bounds | residual-hist"),
+    ("emit-plot-data", "out", str, "plot.dat", "output file"),
+]
+
+
+def _options(command):
+    """(key, flag, type, default, help) of each option of command."""
+    return [(flag.replace("-", "_"), flag, typ, default, hlp)
+            for cmd, flag, typ, default, hlp in _OPTIONS if cmd == command]
 
 
 def _merge(args: argparse.Namespace, command: str) -> dict:
@@ -74,12 +121,12 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         if parser.has_section(command):
             cfg = dict(parser.items(command))
     out = {}
-    for key, default in _DEFAULTS[command].items():
+    for key, _, typ, default, _ in _options(command):
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             out[key] = cli_val
         elif key in cfg:
-            out[key] = type(default)(cfg[key]) if default is not None else cfg[key]
+            out[key] = typ(cfg[key])
         else:
             out[key] = default
     return out
@@ -158,31 +205,24 @@ def _cmd_reconstruct(o) -> int:
 
 
 def _cmd_assemble(o) -> int:
-    from .verify import DataEvaluator
-    phi = RadialProfile.from_csv(o["phi"], n=1)
-    psi = RadialProfile.from_csv(o["psi"], n=int(o["n"]))
-    phi_ctor = psi_ctor = None
-    if o["curve"]:
-        # native reconstruction: the sampled columns only cross-check it
-        curve = PhaseCurve.from_csv(o["curve"], n=int(o["n"]), theta=o["theta"])
-        psi_native = rebuild_profile(curve, v0=o["psi_v0"])
-        _check_columns_match(psi, psi_native, "psi")
-        psi = psi_native
-        cfg = PositivePairConfig(v0=o["phi_v0"], lam=o["phi_lambda"],
-                                 theta=o["theta"])
-        phi_native = build_phi(cfg, phi.r)
-        _check_columns_match(phi, phi_native, "phi")
-        phi = phi_native
-        phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
-                    "lambda": o["phi_lambda"], "rmax": float(phi.r[-1]),
-                    "nodes": len(phi.r)}
-        psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
-                    "eta": encode_column(curve.eta),
-                    "zeta": encode_column(curve.zeta),
-                    "I": encode_column(curve.I)}
-    else:
-        phi.evaluator = DataEvaluator(phi)
-        psi.evaluator = DataEvaluator(psi)
+    phi_csv = RadialProfile.from_csv(o["phi"], n=1)
+    psi_csv = RadialProfile.from_csv(o["psi"], n=int(o["n"]))
+    # both factors are rebuilt from their constructors; the CSV columns
+    # only cross-check them
+    curve = PhaseCurve.from_csv(o["curve"], n=int(o["n"]), theta=o["theta"])
+    psi = rebuild_profile(curve, v0=o["psi_v0"])
+    _check_columns_match(psi_csv, psi, "psi")
+    cfg = PositivePairConfig(v0=o["phi_v0"], lam=o["phi_lambda"],
+                             theta=o["theta"])
+    phi = build_phi(cfg, phi_csv.r)
+    _check_columns_match(phi_csv, phi, "phi")
+    phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
+                "lambda": o["phi_lambda"], "rmax": float(phi.r[-1]),
+                "nodes": len(phi.r)}
+    psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
+                "eta": encode_column(curve.eta),
+                "zeta": encode_column(curve.zeta),
+                "I": encode_column(curve.I)}
     R_inf = None
     if o["report"]:
         with open(o["report"]) as fh:
@@ -238,7 +278,6 @@ def _solution_from_json(path):
     one-line ParameterError.
     """
     from .core import ModelParams, SeparableSolution, measure_taylor
-    from .verify import DataEvaluator
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -261,11 +300,6 @@ def _solution_from_json(path):
                 f"{where} columns r, v, u hold {len(r)}, {len(v)}, {len(u)} values")
         prof = RadialProfile(r=r, v=v, u=u, n=n)
         ctor = block["constructor"]
-        if ctor is None:
-            prof.evaluator = DataEvaluator(prof)
-            prof.meta["r_min"] = float(r[0]) if r[0] > 0 else float(r[1])
-            prof.meta["r_max"] = float(r[-1])
-            return prof
         kind = _require(ctor, ("kind",), f"{where}.constructor")["kind"]
         if kind not in _CONSTRUCTOR_KEYS:
             raise ParameterError(f"{where}.constructor has unknown kind {kind!r}")
@@ -399,7 +433,7 @@ def _cmd_emit_plot_data(o) -> int:
         names = ["log10_abs_residual", "count"]
         cols = [0.5 * (edges[:-1] + edges[1:]), hist]
     else:
-        raise UnknownKind(f"unknown plot kind {kind!r}")
+        raise ParameterError(f"unknown plot kind {kind!r}")
     write_columns(o["out"], names, cols, sep=" ", comment="# ")
     print(f"wrote {o['out']}")
     return 0
@@ -409,61 +443,15 @@ def _cmd_emit_plot_data(o) -> int:
 # argument wiring
 
 
-def _add_opts(sub, command, specs):
-    p = sub.add_parser(command)
-    p.add_argument("--config", default=None, help="INI config file")
-    for name, typ, hlp in specs:
-        p.add_argument(f"--{name}", type=typ, default=None, help=hlp,
-                       dest=name.replace("-", "_"))
-    return p
-
-
 def build_parser() -> _Parser:
     ap = _Parser(prog="affmax", description=__doc__)
     ap.add_argument("--version", action="store_true", help="print version and exit")
     sub = ap.add_subparsers(dest="command")
-    f, i, s = float, int, str
-    _add_opts(sub, "solve-positive", [
-        ("v0", f, "initial curvature"), ("theta", f, "exponent"),
-        ("lambda", f, "eigenvalue"), ("rmax", f, "largest radius"),
-        ("nodes", i, "grid size"), ("out", s, "profile CSV")])
-    _add_opts(sub, "solve-negative", [
-        ("n", i, "factor dimension"), ("theta", f, "exponent"),
-        ("eta0", f, "anchor eta0 > 1"), ("tol", f, "sup-norm tolerance"),
-        ("max-iter", i, "iteration cap"), ("damping", f, "Picard damping"),
-        ("eta-max", f, "blow-up integration range"),
-        ("eta-max-bounds", f, "bound-scan range"),
-        ("out", s, "curve CSV"), ("report", s, "report JSON")])
-    _add_opts(sub, "reconstruct", [
-        ("curve", s, "curve CSV"), ("v0", f, "anchor value v(1)"),
-        ("n", i, "factor dimension"), ("out", s, "profile CSV")])
-    _add_opts(sub, "assemble", [
-        ("phi", s, "1-D factor CSV"), ("psi", s, "n-D factor CSV"),
-        ("m", i, "cylinder factors"), ("theta", f, "exponent"),
-        ("n", i, "psi dimension"), ("report", s, "solve-negative report (R_inf)"),
-        ("curve", s, "phase-curve CSV (enables exact reconstruction)"),
-        ("psi-v0", f, "anchor v(1) of the psi factor"),
-        ("phi-v0", f, "initial curvature of the phi factor"),
-        ("phi-lambda", f, "eigenvalue of the phi factor"),
-        ("out", s, "solution JSON")])
-    _add_opts(sub, "verify", [
-        ("solution", s, "solution JSON"), ("points", i, "sample count"),
-        ("seed", i, "sampling seed"), ("tol", f, "residual tolerance"),
-        ("report", s, "report JSON")])
-    _add_opts(sub, "bernstein-radial", [
-        ("n", i, "dimension (>= 3)"), ("theta", f, "exponent"),
-        ("lo", f, "window start"), ("hi", f, "window end"),
-        ("samples", i, "sample count"), ("out", s, "report JSON")])
-    _add_opts(sub, "bernstein-1d", [
-        ("theta", f, "exponent"), ("out", s, "report JSON")])
-    _add_opts(sub, "sweep", [
-        ("n", i, "factor dimension"), ("theta-min", f, "first theta"),
-        ("theta-max", f, "last theta"), ("steps", i, "grid size"),
-        ("jobs", i, "parallel workers"), ("eta0", f, "anchor"),
-        ("eta-max", f, "integration range"), ("outdir", s, "output directory")])
-    _add_opts(sub, "emit-plot-data", [
-        ("artifact", s, "input artifact"), ("kind", s,
-         "phase | profile | bounds | residual-hist"), ("out", s, "output file")])
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
+        p.add_argument("--config", default=None, help="INI config file")
+        for key, flag, typ, _, hlp in _options(command):
+            p.add_argument(f"--{flag}", type=typ, default=None, help=hlp, dest=key)
     return ap
 
 
@@ -500,7 +488,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except AffmaxError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return USAGE_ERROR if isinstance(exc, (ParameterError, UnknownKind)) else FAILURE
+        return USAGE_ERROR if isinstance(exc, ParameterError) else FAILURE
 
 
 if __name__ == "__main__":

@@ -343,9 +343,9 @@ class ScaledEvaluator(ProfileEvaluator):
 class RadialProfile:
     """One radial factor: grid r >= 0 with v = u'(r) and u(r).
 
-    Normalisation u(0) = 0.  An attached evaluator, when present, gives
-    high-accuracy point values between (and beyond) the stored nodes;
-    CSV round-trips keep only the three columns.
+    Normalisation u(0) = 0.  Point values between (and beyond) the
+    stored nodes come from the attached evaluator; a profile read from
+    CSV has none and holds only the three columns.
     """
 
     r: np.ndarray
@@ -365,24 +365,25 @@ class RadialProfile:
             raise ParameterError("radii must be nonnegative")
 
     # -- point evaluation -------------------------------------------------
+    def _evaluator(self) -> ProfileEvaluator:
+        if self.evaluator is None:
+            raise ParameterError("profile has no evaluator, only its r, v, u columns")
+        return self.evaluator
+
     def v_at(self, r):
-        if self.evaluator is not None:
-            return self.evaluator.v(r)
-        return np.interp(r, self.r, self.v)
+        return self._evaluator().v(r)
 
     def v_deriv_at(self, r, k: int, h_rel: float | None = None):
-        """d^k v/dr^k at the radii r; analytic chain if available, else FD."""
-        if self.evaluator is not None and self.evaluator.max_order() >= k:
-            return self.evaluator.deriv(r, k)
-        if self.evaluator is not None:
-            h = (h_rel or fd.DEFAULT_H_REL[k]) * np.maximum(np.abs(r), 1e-2)
-            return fd.derivative_from_callable(self.evaluator.v, r, k, h=h)
-        i = np.clip(np.searchsorted(self.r, r), 0, len(self.r) - 1)
-        return fd.grid_derivative(self.r, self.v, k)[i]
+        """d^k v/dr^k at the radii r; analytic chain if available, else FD on v."""
+        ev = self._evaluator()
+        if ev.max_order() >= k:
+            return ev.deriv(r, k)
+        h = (h_rel or fd.DEFAULT_H_REL[k]) * np.maximum(np.abs(r), 1e-2)
+        return fd.derivative_from_callable(ev.v, r, k, h=h)
 
     def scaled(self, kappa: float) -> "RadialProfile":
         """The profile of kappa * u (v and u scale linearly)."""
-        ev = None if self.evaluator is None else ScaledEvaluator(self.evaluator, kappa)
+        ev = ScaledEvaluator(self._evaluator(), kappa)
         return RadialProfile(r=self.r.copy(), v=kappa * self.v, u=kappa * self.u,
                              n=self.n, evaluator=ev, meta=dict(self.meta))
 
@@ -468,21 +469,9 @@ def radial_lhs(r, u1, u2, u3, u4, theta: float, n: int):
     return t1 + t2 + t3
 
 
-def _profile_derivatives(profile: RadialProfile, nodes, need=(0, 1, 2, 3)):
+def _profile_derivatives(profile: RadialProfile, nodes):
     """(u', u'', u''', u'''') = (v, v', v'', v''') at the given radii."""
-    nodes = np.asarray(nodes, dtype=float)
-    if profile.evaluator is not None:
-        return [profile.v_at(nodes)] + [profile.v_deriv_at(nodes, k) for k in (1, 2, 3)]
-    # stored-grid fallback
-    interior = np.sum(profile.r > 0)
-    if interior < 5 or len(profile.r) < 6:
-        raise GridTooCoarse("need at least 5 positive-radius nodes for stencil estimates")
-    idx = np.searchsorted(profile.r, nodes)
-    idx = np.clip(idx, 0, len(profile.r) - 1)
-    out = [profile.v[idx]]
-    for k in (1, 2, 3):
-        out.append(fd.grid_derivative(profile.r, profile.v, k)[idx])
-    return out
+    return [profile.v_at(nodes)] + [profile.v_deriv_at(nodes, k) for k in (1, 2, 3)]
 
 
 def radial_residual(profile: RadialProfile, theta: float, n: int,
@@ -550,48 +539,36 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
     if np.any(v == 0):
         raise DegenerateProfile("v vanishes at an interior node")
     ev = profile.evaluator
-    if ev is not None:
-        r_hi = float(profile.r[-1])
-        # local variation scale of v, from the stored columns; stencils
-        # shrink with it and with the distance to the domain edge
-        # (self-limiting under nesting: reach <= 0.4 * gap)
-        dv = np.gradient(profile.v, profile.r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ell = np.where(dv != 0, np.abs(profile.v / dv), np.inf)
-        ell[:2] = np.inf
+    r_hi = float(profile.r[-1])
+    # local variation scale of v, from the stored columns; stencils
+    # shrink with it and with the distance to the domain edge
+    # (self-limiting under nesting: reach <= 0.4 * gap)
+    dv = np.gradient(profile.v, profile.r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell = np.where(dv != 0, np.abs(profile.v / dv), np.inf)
+    ell[:2] = np.inf
 
-        def hcap(x, base):
-            h = base * np.maximum(np.abs(x), 1e-2)
-            h = np.minimum(h, 0.04 * np.interp(x, profile.r, ell))
-            gap = r_hi - x
-            return np.where(gap > 0, np.minimum(h, 0.1 * gap), h)
+    def hcap(x, base):
+        h = base * np.maximum(np.abs(x), 1e-2)
+        h = np.minimum(h, 0.04 * np.interp(x, profile.r, ell))
+        gap = r_hi - x
+        return np.where(gap > 0, np.minimum(h, 0.1 * gap), h)
 
-        use_chain = ev.max_order() >= 1
+    use_chain = ev.max_order() >= 1
 
-        def vprime(x):
-            if use_chain:
-                return ev.deriv(x, 1)
-            # tighter than the standalone default: the outer derivative
-            # amplifies any truncation error left in v'
-            return fd.derivative_from_callable(ev.v, x, 1, h=hcap(x, 2e-3))
+    def vprime(x):
+        if use_chain:
+            return ev.deriv(x, 1)
+        # tighter than the standalone default: the outer derivative
+        # amplifies any truncation error left in v'
+        return fd.derivative_from_callable(ev.v, x, 1, h=hcap(x, 2e-3))
 
-        def eta_fn(x):
-            return x * vprime(x) / ev.v(x)
+    def eta_fn(x):
+        return x * vprime(x) / ev.v(x)
 
-        eta = eta_fn(nodes)
-        zeta = nodes * fd.derivative_from_callable(eta_fn, nodes, 1,
-                                                   h=hcap(nodes, 5e-4))
-    else:
-        sel = profile.r >= r_floor
-        rr, vv = profile.r[sel], profile.v[sel]
-        if np.any(vv == 0):
-            raise DegenerateProfile("v vanishes at an interior node")
-        v1 = fd.grid_derivative(rr, vv, 1)
-        eta_all = rr * v1 / vv
-        zeta_all = rr * fd.grid_derivative(rr, eta_all, 1)
-        idx = np.searchsorted(rr, nodes)
-        idx = np.clip(idx, 0, len(rr) - 1)
-        eta, zeta = eta_all[idx], zeta_all[idx]
+    eta = eta_fn(nodes)
+    zeta = nodes * fd.derivative_from_callable(eta_fn, nodes, 1,
+                                               h=hcap(nodes, 5e-4))
     return eta, zeta
 
 

@@ -29,10 +29,6 @@ class InconsistentProfile(AffmaxError):
     """Per-node eigenvalue ratios spread beyond the configured tolerance."""
 
 
-class ConvergenceError(AffmaxError):
-    """An iterative inversion exceeded its iteration cap."""
-
-
 class StepFailure(AffmaxError):
     """Adaptive integration failed (step-size underflow or solver abort)."""
 
@@ -46,7 +42,7 @@ class BlowupInsideWindow(AffmaxError):
 
 
 class NoConvergence(AffmaxError):
-    """Fixed-point iteration did not converge within max_iter."""
+    """An iteration (fixed point or bisection) did not converge within its cap."""
 
 
 class MembershipViolation(AffmaxError):
@@ -67,7 +63,3 @@ class NearSingular(AffmaxError):
 
 class SignError(AffmaxError):
     """Factor eigenvalues share a sign; no opposite-pair assembly exists."""
-
-
-class UnknownKind(AffmaxError):
-    """Unrecognized plot-data kind."""

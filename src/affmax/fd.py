@@ -1,11 +1,10 @@
 """Finite-difference derivative estimation.
 
-Centered high-order stencils on callables, and Fornberg weights for
-arbitrary (possibly non-uniform) node sets when only sampled data is
-available.  Fourth derivatives in double precision are noise-limited:
-roundoff grows like eps*|f|/h^k, so the default steps below are sized
-near the truncation/roundoff balance for 9-point O(h^6) stencils
-instead of the naive h ~ 1e-4.
+Centered and one-sided high-order stencils on callables, with weights
+from Fornberg's recursion.  Fourth derivatives in double precision are
+noise-limited: roundoff grows like eps*|f|/h^k, so the default steps
+below are sized near the truncation/roundoff balance for 9-point O(h^6)
+stencils instead of the naive h ~ 1e-4.
 """
 
 from __future__ import annotations
@@ -81,27 +80,3 @@ def one_sided_derivative(f, x0: float, order: int, h: float, points: int | None 
     vals = np.asarray(f(nodes), dtype=float)
     return float(w @ vals)
 
-
-def grid_derivative(x: np.ndarray, y: np.ndarray, order: int,
-                    stencil: int | None = None) -> np.ndarray:
-    """Derivative of sampled data at every node, via local Fornberg stencils.
-
-    Works on non-uniform grids; each node uses its `stencil` nearest
-    neighbours (by index window).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    npts = len(x)
-    if stencil is None:
-        stencil = max(order + 3, 5)
-    if npts < stencil:
-        from .errors import GridTooCoarse
-        raise GridTooCoarse(f"need {stencil} nodes for order-{order} stencil, got {npts}")
-    out = np.empty(npts)
-    half = stencil // 2
-    for i in range(npts):
-        lo = min(max(0, i - half), npts - stencil)
-        sl = slice(lo, lo + stencil)
-        w = fornberg_weights(x[i], x[sl], order)[order]
-        out[i] = w @ y[sl]
-    return out

@@ -126,10 +126,6 @@ def _g_integrand(x, eta, phi, taylor: TaylorData):
     return out
 
 
-def _measure_taylor(x, phi, eta0: float) -> TaylorData:
-    return measure_taylor(1.0 + x, phi, eta0)
-
-
 def _local_derivatives(x, y, centers, window: float):
     """First three derivatives at each center from windowed quartic fits.
 
@@ -187,7 +183,7 @@ def calibrate_lambda(eta, phi, n: int, eta0: float,
     """
     eta, x, phi = _prepare_grid(eta, phi)
     if taylor is None:
-        taylor = _measure_taylor(x, phi, eta0)
+        taylor = measure_taylor(1.0 + x, phi, eta0)
     if abs(taylor.d1 - 2.0) > slope_tol:
         raise SingularityMismatch(
             f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
@@ -220,7 +216,7 @@ def apply_T(eta, phi, n: int, theta: float, eta0: float,
     """
     eta, x, phi = _prepare_grid(eta, phi)
     if taylor is None:
-        taylor = _measure_taylor(x, phi, eta0)
+        taylor = measure_taylor(1.0 + x, phi, eta0)
     if abs(taylor.d1 - 2.0) > 2e-2:
         raise SingularityMismatch(f"phi'(1) = {taylor.d1:.6f} != 2")
     zeta, lam, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
@@ -259,7 +255,7 @@ class GammaSetSpec:
               fd_slack: float = 5e-3) -> dict:
         eta, x, phi = _prepare_grid(eta, phi)
         if taylor is None:
-            taylor = _measure_taylor(x, phi, self.eta0)
+            taylor = measure_taylor(1.0 + x, phi, self.eta0)
         # windowed quartic fits: robust derivative estimates on the part of
         # the window away from 1; the eta -> 1 limits are the fitted Taylor
         # data itself, checked through `taylor`.

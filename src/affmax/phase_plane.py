@@ -14,7 +14,6 @@ lambda3 = 0 is the source (non-eigenvalue) equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .core import ModelParams, RadialProfile, AnalyticEvaluator, radial_residual
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "PhaseRHS", "coef_linear", "coef_zero", "phase_rhs", "phase_residual",
+    "coef_linear", "coef_zero", "phase_rhs", "phase_residual",
     "stationary_eta", "bernstein_radial_check", "power_solution_residual",
 ]
 
@@ -35,16 +34,6 @@ def coef_linear(eta, n: int, theta: float):
 def coef_zero(eta, n: int, theta: float):
     """Zero-order term n eta (eta-1) {[n th-(n-1)] eta - [n th-1]}."""
     return n * eta * (eta - 1) * ((n * theta - (n - 1)) * eta - (n * theta - 1))
-
-
-@dataclass
-class PhaseRHS:
-    """Right-hand side of the coupled (zeta, I) system in eta."""
-
-    params: ModelParams
-
-    def __call__(self, eta: float, zeta: float, I: float):
-        return phase_rhs(eta, zeta, I, self.params)
 
 
 def phase_rhs(eta: float, zeta: float, I: float, params: ModelParams):

@@ -28,7 +28,7 @@ from scipy.interpolate import make_interp_spline
 
 from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
                    cumulative_simpson, shaped_like)
-from .errors import ConvergenceError, DomainError, ParameterError, StepFailure
+from .errors import DomainError, NoConvergence, ParameterError, StepFailure
 
 __all__ = [
     "PositivePairConfig", "quadrature_r_of_v", "v_of_r", "integrate_direct",
@@ -164,7 +164,7 @@ def v_of_r(r: float, config: PositivePairConfig, tol: float = 1e-10,
             hi = mid
         if hi - lo < 1e-16 * config.v0:
             return 0.5 * (lo + hi)
-    raise ConvergenceError(f"bisection for v(r={r}) did not reach tol={tol}")
+    raise NoConvergence(f"bisection for v(r={r}) did not reach tol={tol}")
 
 
 def integrate_direct(config: PositivePairConfig, r_max: float,

@@ -14,56 +14,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
-from .core import (ProfileEvaluator, RadialProfile, SeparableSolution,
-                   VerificationReport, effective_lambda_fit,
-                   eigenvalue_from_lambda_prime, shaped_like)
+from .core import (RadialProfile, SeparableSolution, VerificationReport,
+                   effective_lambda_fit, eigenvalue_from_lambda_prime)
 from .errors import NearSingular, ParameterError, SignError
 from .reconstruct import large_condition_check
 
 __all__ = [
-    "DataEvaluator", "assemble", "full_residual", "convexity_check",
-    "completeness_check", "bernstein_1d_check", "residual_at",
-    "hessian_eigenvalues_at", "factor_residual_phi", "factor_residual_psi",
+    "assemble", "full_residual", "convexity_check", "completeness_check",
+    "bernstein_1d_check", "residual_at", "hessian_eigenvalues_at",
+    "factor_residual_phi", "factor_residual_psi",
 ]
-
-
-class DataEvaluator(ProfileEvaluator):
-    """Quintic-spline evaluator over stored (r, v, u) columns.
-
-    Used when a profile arrives from CSV/JSON without its construction;
-    derivative accuracy is then limited by the stored grid density.
-    The factor is even in r, and |r| is clamped to the stored range.
-    """
-
-    def __init__(self, profile: RadialProfile):
-        # one spline with the columns (v, u); deriv reads column 0
-        self._cols = make_interp_spline(
-            profile.r, np.stack([profile.v, profile.u], axis=-1), k=5)
-        self._d = [self._cols.derivative(k) for k in (1, 2, 3)]
-        self._lo, self._hi = float(profile.r[0]), float(profile.r[-1])
-
-    def _clip(self, r):
-        return np.clip(np.abs(r), self._lo, self._hi)
-
-    def v(self, r):
-        return shaped_like(r, self._cols(self._clip(r))[..., 0]
-                           * np.where(r >= 0, 1.0, -1.0))
-
-    def u(self, r):
-        return shaped_like(r, self._cols(self._clip(r))[..., 1])
-
-    def deriv(self, r, k):
-        if not 1 <= k <= 3:
-            return None
-        val = self._d[k - 1](self._clip(r))[..., 0]
-        if k % 2 == 0:
-            val = val * np.where(r >= 0, 1.0, -1.0)
-        return shaped_like(r, val)
-
-    def max_order(self):
-        return 3
 
 
 def _fit_nodes(profile: RadialProfile):
@@ -256,8 +217,8 @@ def _sample_points(sol: SeparableSolution, n_points: int, seed: int,
     rng = np.random.default_rng(seed)
     n, m = sol.psi.n, sol.m_cylinder
     x_max = 0.8 * float(sol.phi.r[-1])
-    r_lo = max(10.0 * h_rel, 20.0 * sol.psi.meta.get("r_min", sol.psi.r[0] + 1e-9))
-    r_hi = 0.95 * float(sol.psi.meta.get("r_max", sol.psi.r[-1]))
+    r_lo = max(10.0 * h_rel, 20.0 * (sol.psi.r[0] + 1e-9))
+    r_hi = 0.95 * float(sol.psi.r[-1])
     pts = np.empty((n_points, 1 + n + m))
     pts[:, 0] = rng.uniform(-x_max, x_max, n_points)
     rho = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n_points))
@@ -331,9 +292,9 @@ def completeness_check(sol: SeparableSolution, ceiling: float = 1e6) -> dict:
     """
     phi = sol.phi
     xs = phi.r[-1] * np.array([0.25, 0.5, 1.0])
-    u_vals = phi.evaluator.u(xs) if phi.evaluator is not None else None
+    u_vals = phi.evaluator.u(xs)
     if u_vals is None:
-        u_vals = np.interp(xs, phi.r, phi.u)
+        raise ParameterError("completeness check needs a rule for u of the phi factor")
     increasing = bool(u_vals[0] < u_vals[1] < u_vals[2])
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
     x_ceiling = xs[2] + max(ceiling - u_vals[2], 0.0) / slope if slope > 0 else math.inf

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from affmax.cli import _solution_from_json, main
-from affmax.core import encode_column, read_columns
+from affmax.cli import main
+from affmax.core import encode_column
 
 
 def run(argv):
@@ -74,18 +74,18 @@ class TestPipeline:
         assert run(["emit-plot-data", "--artifact", str(workdir / "curve.csv"),
                     "--kind", "nope", "--out", str(workdir / "x.dat")]) == 1
 
-    def test_columns_only_assemble_fallback(self, workdir, tmp_path):
-        # without the curve, factors are re-splined from the CSV columns;
-        # the residual floor is then set by re-differentiation (~5e-4)
-        out = tmp_path / "sol2.json"
+    def test_assemble_without_curve_is_one_line_usage_error(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # --curve defaults to curve.csv, which the empty directory lacks
+        monkeypatch.chdir(tmp_path)
         assert run(["assemble", "--phi", str(workdir / "phi.csv"),
-                    "--psi", str(workdir / "psi.csv"), "--m", "0",
-                    "--theta", "0.55", "--n", "2",
-                    "--report", str(workdir / "report.json"),
-                    "--out", str(out)]) == 0
-        assert run(["verify", "--solution", str(out), "--points", "40",
-                    "--seed", "2", "--tol", "1e-3",
-                    "--report", str(tmp_path / "v2.json")]) == 0
+                    "--psi", str(workdir / "psi.csv"),
+                    "--report", str(workdir / "report.json")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "curve.csv" in err
+        assert not (tmp_path / "solution.json").exists()
 
 
 class TestDeterminism:
@@ -108,22 +108,6 @@ class TestDeterminism:
             assert (tmp_path / name.format("a")).read_bytes() == \
                 (tmp_path / name.format("b")).read_bytes()
 
-    def test_stored_columns_decode_bitwise(self, tmp_path, workdir):
-        out = tmp_path / "sol_m2.json"
-        assert run(["assemble", "--phi", str(workdir / "phi.csv"),
-                    "--psi", str(workdir / "psi.csv"), "--m", "2",
-                    "--report", str(workdir / "report.json"),
-                    "--out", str(out)]) == 0
-        sol = _solution_from_json(out)
-        _, (r, v, u) = read_columns(workdir / "phi.csv")
-        # the stored 1-D factor is the kappa-scaled one
-        assert sol.phi.r.tobytes() == r.tobytes()
-        assert sol.phi.v.tobytes() == (sol.kappa * v).tobytes()
-        assert sol.phi.u.tobytes() == (sol.kappa * u).tobytes()
-        _, (r, v, u) = read_columns(workdir / "psi.csv")
-        for got, want in ((sol.psi.r, r), (sol.psi.v, v), (sol.psi.u, u)):
-            assert got.tobytes() == want.tobytes()
-
 
 _DELETE = object()
 _MALFORMED_SOLUTIONS = {
@@ -133,6 +117,7 @@ _MALFORMED_SOLUTIONS = {
     "missing-key": {"kappa": _DELETE},
     "missing-column": {"phi.u": _DELETE},
     "missing-curve-column": {"psi.constructor.zeta": _DELETE},
+    "null-constructor": {"phi.constructor": None},
     "block-not-object": {"phi": [1.0]},
     "non-alphabet": {"phi.r": "AAAA*AAAAAA="},
     "odd-bytes": {"psi.v": base64.b64encode(bytes(12)).decode("ascii")},

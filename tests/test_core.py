@@ -7,9 +7,8 @@ from affmax.core import (AnalyticEvaluator, ModelParams, RadialProfile,
                          TaylorData, VerificationReport, effective_lambda_fit,
                          eigenvalue_from_lambda_prime, profile_to_phase,
                          radial_residual)
-from affmax.errors import (DegenerateProfile, GridTooCoarse,
-                           InconsistentProfile, NonConvexProfile,
-                           ParameterError)
+from affmax.errors import (DegenerateProfile, InconsistentProfile,
+                           NonConvexProfile, ParameterError)
 
 
 def quadratic_profile(C=1.0, n=2, rmax=3.0):
@@ -107,12 +106,6 @@ class TestRadialResidual:
         with pytest.raises(NonConvexProfile):
             radial_residual(prof, 0.75, 2, 0.0, nodes=[1.0])
 
-    def test_grid_too_coarse(self):
-        r = np.array([0.0, 0.5, 1.0, 1.5])
-        prof = RadialProfile(r=r, v=2 * r, u=r**2, n=2)
-        with pytest.raises(GridTooCoarse):
-            radial_residual(prof, 0.75, 2, 0.0)
-
 
 class TestProfileToPhase:
     def test_quadratic_degenerate_branch(self):
@@ -152,7 +145,8 @@ class TestProfileToPhase:
     def test_degenerate_profile_raises(self):
         r = np.linspace(0.5, 1.5, 11)
         v = r * (1 - r)  # vanishes at r = 1 (interior node)
-        prof = RadialProfile(r=r, v=v, u=np.zeros_like(r), n=2)
+        prof = RadialProfile(r=r, v=v, u=np.zeros_like(r), n=2,
+                             evaluator=AnalyticEvaluator(lambda x: x * (1 - x)))
         with pytest.raises(DegenerateProfile):
             profile_to_phase(prof, r_floor=0.1)
 
@@ -169,28 +163,18 @@ class TestEffectiveLambdaFit:
             effective_lambda_fit(poly_profile(), 0.75, 2,
                                  nodes=np.linspace(0.5, 1.5, 7))
 
-    def test_grid_refinement_invariance(self):
-        # grid-sampled eigenprofile data (u = r^8, lambda' = 0 at its
-        # self-similar exponent): halving the spacing shrinks the
-        # stencil truncation error by at least the expected factor
-        nodes = np.linspace(0.5, 3.0, 7)
-
-        def sampled(npts):
-            r = np.linspace(0.25, 4.0, npts)
-            return RadialProfile(r=r, v=8 * r**7, u=r**8, n=4)
-
-        lam_c, _ = effective_lambda_fit(sampled(400), 5.0 / 6.0, 4,
-                                        nodes=nodes, spread_tol=10.0)
-        lam_f, _ = effective_lambda_fit(sampled(800), 5.0 / 6.0, 4,
-                                        nodes=nodes, spread_tol=10.0)
-        assert abs(lam_f) < abs(lam_c) / 4.0
-        assert abs(lam_f) < 1e-5
-
     def test_eigenvalue_conversion(self):
         assert eigenvalue_from_lambda_prime(2.0, 0.55) == pytest.approx(1.1)
 
 
 class TestSerialization:
+    def test_columns_only_profile_is_not_evaluated(self):
+        prof = RadialProfile.from_csv(io.StringIO("r,v,u\n0,0,0\n1,2,1\n"), n=1)
+        for call in (lambda: prof.v_at(0.5), lambda: prof.v_deriv_at(0.5, 1),
+                     lambda: prof.scaled(2.0)):
+            with pytest.raises(ParameterError):
+                call()
+
     def test_profile_csv_round_trip(self):
         prof = poly_profile()
         buf = io.StringIO()

@@ -18,13 +18,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from affmax import positive_pair, reconstruct, verify
+from affmax import positive_pair, reconstruct
 from affmax.cli import main
-from affmax.core import RadialProfile, shaped_like
+from affmax.core import shaped_like
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
                                   _curvature_table, _integrand_factory)
 from affmax.reconstruct import PhaseProfileEvaluator, _tables
-from affmax.verify import DataEvaluator
 
 from conftest import THETA
 
@@ -126,34 +125,6 @@ class RefPositivePairEvaluator:
         return 3
 
 
-class RefDataEvaluator:
-    def __init__(self, profile):
-        self._S = make_interp_spline(profile.r, profile.v, k=5)
-        self._U = make_interp_spline(profile.r, profile.u, k=5)
-        self._d = [self._S.derivative(k) for k in (1, 2, 3)]
-        self._lo, self._hi = float(profile.r[0]), float(profile.r[-1])
-
-    def _clip(self, r):
-        return np.clip(np.abs(r), self._lo, self._hi)
-
-    def v(self, r):
-        return shaped_like(r, self._S(self._clip(r)) * np.where(r >= 0, 1.0, -1.0))
-
-    def u(self, r):
-        return shaped_like(r, self._U(self._clip(r)))
-
-    def deriv(self, r, k):
-        if not 1 <= k <= 3:
-            return None
-        val = self._d[k - 1](self._clip(r))
-        if k % 2 == 0:
-            val = val * np.where(r >= 0, 1.0, -1.0)
-        return shaped_like(r, val)
-
-    def max_order(self):
-        return 3
-
-
 def ref_curvature_table(config, r_max):
     """_curvature_table with the node integrand built by a list comprehension."""
     v0, a = config.v0, config.a
@@ -184,7 +155,7 @@ def phi_table(config, r_max):
 
 
 @pytest.fixture(scope="module")
-def pairs(curve_1e3, psi_profile, phi_profile):
+def pairs(curve_1e3):
     """name -> (evaluator, reference, smallest table radius, largest)."""
     tab = _tables(curve_1e3, v0=1.3)
     phase = PhaseProfileEvaluator(tab)
@@ -195,10 +166,6 @@ def pairs(curve_1e3, psi_profile, phi_profile):
         "positive": (PositivePairEvaluator(config, *table),
                      RefPositivePairEvaluator(config, *table), 0.0, float(table[0][-1])),
     }
-    for name, prof in (("data_psi", psi_profile), ("data_phi", phi_profile)):
-        stored = RadialProfile(r=prof.r, v=prof.v, u=prof.u, n=prof.n)
-        out[name] = (DataEvaluator(stored), RefDataEvaluator(stored),
-                     float(prof.r[0]), float(prof.r[-1]))
     return out
 
 
@@ -233,7 +200,7 @@ def assert_same(got, want, r):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["phase", "positive", "data_psi", "data_phi"])
+@pytest.mark.parametrize("name", ["phase", "positive"])
 def test_joint_spline_matches_per_column_fits(pairs, name):
     ev, ref, lo, hi = pairs[name]
     assert ev.max_order() == ref.max_order() == 3
@@ -272,7 +239,7 @@ def test_curvature_table_matches_list_loop(v0, lam, theta, r_max):
 def count_fits(monkeypatch):
     """The list every make_interp_spline call of the package appends to."""
     calls = []
-    for mod in (reconstruct, positive_pair, verify):
+    for mod in (reconstruct, positive_pair):
         def counted(*args, _fit=mod.make_interp_spline, **kw):
             calls.append(1)
             return _fit(*args, **kw)
@@ -280,16 +247,12 @@ def count_fits(monkeypatch):
     return calls
 
 
-def test_one_fit_per_evaluator(monkeypatch, curve_1e3, psi_profile):
+def test_one_fit_per_evaluator(monkeypatch, curve_1e3):
     calls = count_fits(monkeypatch)
     config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
     table = phi_table(config, 10.0)
-    stored = RadialProfile(r=psi_profile.r, v=psi_profile.v, u=psi_profile.u, n=2)
-    for build in (lambda: PositivePairEvaluator(config, *table),
-                  lambda: DataEvaluator(stored)):
-        calls.clear()
-        build()
-        assert len(calls) == 1
+    PositivePairEvaluator(config, *table)
+    assert len(calls) == 1
     # the phase evaluator fits on its first evaluation, and only then
     calls.clear()
     ev = PhaseProfileEvaluator(_tables(curve_1e3, v0=1.0))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from affmax.errors import GridTooCoarse
 from affmax.fd import (derivative_from_callable, fornberg_weights,
-                       grid_derivative, one_sided_derivative)
+                       one_sided_derivative)
 
 
 def test_classical_stencils():
@@ -34,14 +33,3 @@ def test_one_sided_derivative_polynomial():
     assert abs(one_sided_derivative(f, 0.0, 2, 1e-2)) < 1e-7
     assert abs(one_sided_derivative(f, 0.0, 3, 1e-2) - 3.0) < 1e-4
 
-
-def test_grid_derivative_nonuniform():
-    x = np.geomspace(0.5, 2.0, 60)
-    y = x**3
-    d2 = grid_derivative(x, y, 2)
-    assert np.max(np.abs(d2 - 6 * x)) < 1e-7
-
-
-def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
-        grid_derivative(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]), 3)

@@ -224,7 +224,7 @@ def test_taylor_meter_matches_measure_taylor_on_picard_iterates(monkeypatch):
     monkeypatch.setattr(negative_pair, "TaylorMeter", Recording)
     local = fixed_point_solve(N, THETA, ETA0)
     assert len(calls) == local.iterations > 1
-    # the meter measures on 1.0 + x, the grid _measure_taylor(x, ...) used
+    # the meter measures on 1.0 + x, the grid the solve passes to measure_taylor
     x = np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1.0, 6000)])
     for eta, eta0, zeta, got in calls:
         assert same_bits(eta, 1.0 + x) and eta0 == ETA0

@@ -58,12 +58,6 @@ class TestPhaseRHS:
         with pytest.raises(DomainError):
             phase_rhs(1.0, 0.5, 0.0, p)
 
-    def test_callable_wrapper(self):
-        from affmax.phase_plane import PhaseRHS
-        p = ModelParams(n=2, theta=0.55, lambda3=-0.3)
-        rhs = PhaseRHS(p)
-        assert rhs(1.5, 0.8, 0.2) == phase_rhs(1.5, 0.8, 0.2, p)
-
     @settings(max_examples=200)
     @given(eta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 5),
            theta=st.floats(0.5, 1.6, exclude_min=True, exclude_max=True))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affmax.core import effective_lambda_fit
-from affmax.errors import ConvergenceError, DomainError, ParameterError
+from affmax.errors import DomainError, NoConvergence, ParameterError
 from affmax.fd import one_sided_derivative
 from affmax.positive_pair import (PositivePairConfig, build_phi,
                                   integrate_direct, lower_bound_v,
@@ -80,7 +80,7 @@ class TestInversion:
             assert v_of_r(r, CFG) > lower_bound_v(r, CFG)
 
     def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(NoConvergence):
             v_of_r(1.0, CFG, tol=1e-14, max_iter=3)
 
 

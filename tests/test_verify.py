@@ -19,8 +19,7 @@ def quadratic_factor(n, rmax=4.0, C=0.5):
                             lambda r: 0.0 * r],
                            u_fn=lambda r: C * r * r)
     r = np.linspace(0.0, rmax, 41)
-    return RadialProfile(r=r, v=2 * C * r, u=C * r**2, n=n, evaluator=ev,
-                         meta={"r_min": 0.0, "r_max": rmax})
+    return RadialProfile(r=r, v=2 * C * r, u=C * r**2, n=n, evaluator=ev)
 
 
 def paraboloid_solution(m=0):
@@ -186,6 +185,12 @@ class TestCompleteness:
         rep = completeness_check(paraboloid_solution())
         assert rep["pass"]
         assert not rep["psi"]["finite_boundary"]
+
+    def test_phi_without_u_rule_raises(self):
+        sol = paraboloid_solution()
+        sol.phi.evaluator = AnalyticEvaluator(sol.phi.evaluator.v)
+        with pytest.raises(ParameterError):
+            completeness_check(sol)
 
 
 class TestBernstein1D:

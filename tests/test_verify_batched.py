@@ -118,8 +118,8 @@ def interior_points(sol, raw):
     """Map unit tuples onto the region verify samples (as in _sample_points)."""
     n, m = sol.psi.n, sol.m_cylinder
     x_max = 0.8 * float(sol.phi.r[-1])
-    r_lo = max(10.0 * H_REL, 20.0 * sol.psi.meta.get("r_min", sol.psi.r[0] + 1e-9))
-    r_hi = 0.95 * float(sol.psi.meta.get("r_max", sol.psi.r[-1]))
+    r_lo = max(10.0 * H_REL, 20.0 * (sol.psi.r[0] + 1e-9))
+    r_hi = 0.95 * float(sol.psi.r[-1])
     pts = []
     for a, b, c, d, e in raw:
         rho = math.exp(math.log(r_lo) + b * (math.log(r_hi) - math.log(r_lo)))
