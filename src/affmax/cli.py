@@ -15,7 +15,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -399,6 +398,8 @@ def _cmd_sweep(o) -> int:
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     jobs = int(o["jobs"])
     if jobs > 1:
+        # imported here: multiprocessing costs every other command ~15 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_sweep_worker, tasks))
     else:

@@ -1,0 +1,348 @@
+"""The DOP853 integrator and Brent's root finder, ported from scipy.
+
+DOP853 is the explicit Runge-Kutta method of order 8(5, 3) with a
+7th-order dense output (Hairer, Norsett and Wanner, *Solving Ordinary
+Differential Equations I*, sec. II.10; the tableau is Hairer's).  The
+class below is scipy's ``scipy.integrate.DOP853`` stepped by hand: the
+same tableau, initial step, step control, error norm and dense-output
+coefficients F, computed with the same numpy operations (``np.dot``
+included, whose summation order differs from a plain sum), so every
+accepted step and every dense output is bit-equal to scipy's.
+
+brentq is scipy's C ``brentq`` (Brent's method with inverse quadratic
+extrapolation) in Python; its floating-point operations are the C ones
+in the same order, so it returns the same root after the same number of
+iterations.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+
+from .errors import NoConvergence
+
+__all__ = ["DOP853", "brentq"]
+
+_EPS = np.finfo(float).eps
+SAFETY = 0.9         # multiplies the step size the error estimate asks for
+MIN_FACTOR = 0.2     # the smallest step-size decrease
+MAX_FACTOR = 10.0    # the largest step-size increase
+N_STAGES = 12
+N_STAGES_EXTENDED = 16
+INTERPOLATOR_POWER = 7
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# the tableau: nodes C, stages A (row i holds A[i, :i]), error weights E3
+# and E5, and the dense-output weights D of stages 0..15
+
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+])
+_A_ROWS = [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+]
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+])
+_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+])
+
+_A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+for _i, _row in enumerate(_A_ROWS):
+    _A[_i, :_i] = _row
+_B = _A[N_STAGES, :N_STAGES]
+del _i, _row
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class DenseStep:
+    """The degree-7 interpolant of one accepted step on [t_old, t].
+
+    y(t_old + x h) is the polynomial in x with the coefficient rows F,
+    evaluated from the highest row down, alternately times x and 1 - x.
+    """
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.t = t_old, t
+        self.h = t - t_old
+        self.y_old = y_old
+        self.F = F
+
+    def __call__(self, t):
+        """y at the scalar t."""
+        x = (t - self.t_old) / self.h
+        y = np.zeros_like(self.y_old)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y
+
+
+class DOP853:
+    """Adaptive DOP853 steps of y' = fun(t, y) from t0 up to t_bound > t0.
+
+    step() takes one accepted step, or sets status to "failed" and
+    returns the message; status becomes "finished" at t_bound.
+    dense_output() is the interpolant of the last accepted step.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
+        if not t_bound > t0:
+            raise ValueError("DOP853 integrates forward: t_bound must exceed t0")
+        y0 = np.asarray(y0).astype(float, copy=False)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        if np.any(rtol < 100 * _EPS):
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                          stacklevel=2)
+            rtol = np.maximum(rtol, 100 * _EPS)
+        atol = np.asarray(atol)
+        if atol.ndim > 0 and atol.shape != y0.shape:
+            raise ValueError("`atol` has wrong shape.")
+        if np.any(atol < 0):
+            raise ValueError("`atol` must be positive.")
+        self._fun = fun
+        self.t_old, self.t, self.y = None, t0, y0
+        self.t_bound = t_bound
+        self.rtol, self.atol = rtol, atol
+        self.status = "running"
+        self.y_old = None
+        self.f = self.fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+        self.K_extended = K = np.empty((N_STAGES_EXTENDED, y0.size))
+        self.K = K[:N_STAGES + 1]
+        # stage s reads K[:s].T @ A[s, :s]; the views are made once
+        self._stages = [(s, K[:s].T, _A[s, :s], _C[s])
+                        for s in range(1, N_STAGES_EXTENDED)]
+        self.h_previous = None
+
+    def fun(self, t, y):
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def _initial_step(self):
+        """Hairer, Norsett and Wanner's starting step (sec. II.4), as scipy's."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval_length = self.t_bound - t0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        return min(100 * h0, h1, interval_length)
+
+    def _rk_step(self, t, y, h):
+        K, fun = self.K, self._fun
+        K[0] = self.f
+        for s, Ks, a, c in self._stages[:N_STAGES - 1]:
+            K[s] = np.asarray(fun(t + c * h, y + np.dot(Ks, a) * h), dtype=float)
+        y_new = y + h * np.dot(K[:-1].T, _B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def _error_norm(self, h, scale):
+        err5 = np.dot(self.K.T, _E5) / scale
+        err3 = np.dot(self.K.T, _E3) / scale
+        err5_norm_2 = np.linalg.norm(err5)**2
+        err3_norm_2 = np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def step(self):
+        """One accepted step; the failure message, or None."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished solver.")
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._error_norm(h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** (-1 / 8))
+            step_rejected = True
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** (-1 / 8))
+        if step_rejected:
+            factor = min(1, factor)
+        self.h_previous = h
+        self.y_old = y
+        self.t_old, self.t = t, t_new
+        self.y = y_new
+        self.h_abs = h_abs * factor
+        self.f = f_new
+        if self.t >= self.t_bound:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> DenseStep:
+        """The interpolant of the last accepted step (three more stages)."""
+        K = self.K_extended
+        h = self.h_previous
+        for s, Ks, a, c in self._stages[N_STAGES:]:
+            K[s] = self.fun(self.t_old + c * h, self.y_old + np.dot(Ks, a) * h)
+        F = np.empty((INTERPOLATOR_POWER, len(self.y)))
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(_D, K)
+        return DenseStep(self.t_old, self.t, self.y_old, F)
+
+
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """(root, iterations): a zero of f in [xa, xb] by Brent's method.
+
+    f(xa) and f(xb) must differ in sign (ValueError otherwise, and for a
+    NaN value of f).  Converged when the bracket is below
+    xtol + rtol |x|; NoConvergence after maxiter iterations.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:f} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(value(xpre)), float(value(xcur))
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry          # a good short step
+            else:
+                spre = scur = sbis               # bisect
+        else:
+            spre = scur = sbis                   # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(value(xcur))
+    raise NoConvergence(f"brentq did not converge after {maxiter} iterations; "
+                        f"value is {xcur}")

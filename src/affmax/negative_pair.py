@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                    cumulative_simpson, measure_taylor)
+from .dop853 import DOP853, brentq
 from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
                      ParameterError, PositivityLoss, SingularityMismatch,
                      StepFailure, TailUnbounded)
@@ -391,14 +390,17 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
     Positivity of zeta is monitored; hitting zero raises PositivityLoss
     (reported, never clamped).
 
-    The DOP853 solver is stepped here, with solve_ivp's terminal event
-    rule: g = zeta - 1e-12 is checked at eta0 and after every accepted
-    step, a step with g_old >= 0 >= g_new is a hit, and the root is the
-    brentq zero of g on that step's dense output.  The samples are then
-    read from the dense outputs in one pass (_gather_dense).
+    The DOP853 solver (affmax.dop853, bit-equal to scipy's) is stepped
+    here, with solve_ivp's terminal event rule: g = zeta - 1e-12 is
+    checked at eta0 and after every accepted step, a step with
+    g_old >= 0 >= g_new is a hit, and the root is the brentq zero of g on
+    that step's dense output.  The samples are then read from the dense
+    outputs in one pass (_gather_dense).
     """
     params = local.curve.params
     params.require_negative_pair()
+    if not eta_max > params.eta0:
+        raise ParameterError(f"eta_max = {eta_max} must exceed eta0 = {params.eta0}")
     n, theta = params.n, params.theta
     lam3 = params.lambda3
     eta0 = params.eta0
@@ -427,8 +429,8 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
         dense = solver.dense_output()
         g_new = solver.y[0] - 1e-12
         if g >= 0 and g_new <= 0:
-            root = brentq(lambda e: dense(e)[0] - 1e-12, solver.t_old, solver.t,
-                          xtol=4 * _EPS, rtol=4 * _EPS)
+            root, _ = brentq(lambda e: dense(e)[0] - 1e-12, solver.t_old,
+                             solver.t, xtol=4 * _EPS, rtol=4 * _EPS)
             raise PositivityLoss(f"zeta reached 0 near eta = {root:.6g}")
         g = g_new
         ts.append(solver.t)
@@ -449,7 +451,7 @@ def _gather_dense(ts, steps, ee):
 
     Bit for bit what OdeSolution(ts, steps)(ee) returns: the segment of
     each sample is searchsorted(ts, ee, "left") - 1, clipped to the valid
-    range, and the Dop853DenseOutput polynomial in x = (e - t_old)/h is
+    range, and the DenseStep polynomial in x = (e - t_old)/h is
     evaluated for every sample at once, one coefficient row F[seg, k] at
     a time (a (P, 7, 2) block gather would be a 1.6 MB temporary).
     """

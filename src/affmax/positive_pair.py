@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import make_interp_spline
 
 from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
                    cumulative_simpson, shaped_like)
 from .errors import DomainError, NoConvergence, ParameterError, StepFailure
+from .spline import interp_spline
 
 __all__ = [
     "PositivePairConfig", "quadrature_r_of_v", "v_of_r", "integrate_direct",
@@ -124,6 +123,8 @@ def quadrature_r_of_v(v: float, config: PositivePairConfig,
     near the upper endpoint, and w = 1/sqrt(s) for the far tail (where
     the integrand tends to the constant 2).
     """
+    from scipy.integrate import quad     # an oracle: scipy only when called
+
     if not 0.0 < v < config.v0:
         raise DomainError(f"v must lie in (0, v0) = (0, {config.v0}), got {v}")
     v0, th = config.v0, config.theta
@@ -176,6 +177,8 @@ def integrate_direct(config: PositivePairConfig, r_max: float,
     with v-column u' and u-column from cumulative integration of the
     computed curvature.
     """
+    from scipy.integrate import solve_ivp    # an oracle: scipy only when called
+
     if not r_max > 0:
         raise ParameterError("r_max must be positive")
     v0, a, th = config.v0, config.a, config.theta
@@ -218,12 +221,12 @@ class PositivePairEvaluator(ProfileEvaluator):
         self.config = config
         self.r_max = float(r[-1])
         # one spline with the columns (log u'', u', u) on s = log(1 + r)
-        self._cols = make_interp_spline(
-            np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1), k=5)
+        self._cols = interp_spline(
+            np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1), 5)
 
     def _at(self, r, j):
         """Column j of the table spline at |r| clamped to the table."""
-        return self._cols(np.log1p(np.minimum(np.abs(r), self.r_max)))[..., j]
+        return self._cols(np.log1p(np.minimum(np.abs(r), self.r_max)), j)
 
     def _vpp(self, r):
         return np.exp(self._at(r, 0))
@@ -348,11 +351,9 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         u = cumulative_simpson(u_prime * drdt, t)
         keep = np.concatenate([[True], np.diff(r) > 1e-13])
         rr, up, uu = r[keep], u_prime[keep], u[keep]
-        s = np.log1p(rr)
-        v_sp = make_interp_spline(s, up, k=3)
-        u_sp = make_interp_spline(s, uu, k=3)
-        ev = AnalyticEvaluator(lambda x: v_sp(np.log1p(np.abs(x))),
-                               u_fn=lambda x: u_sp(np.log1p(np.abs(x))))
+        cols = interp_spline(np.log1p(rr), np.stack([up, uu], axis=-1), 3)
+        ev = AnalyticEvaluator(lambda x: cols(np.log1p(np.abs(x)), 0),
+                               u_fn=lambda x: cols(np.log1p(np.abs(x)), 1))
         out["profile"] = RadialProfile(
             r=rr[:: max(1, len(rr) // 2000)], v=up[:: max(1, len(rr) // 2000)],
             u=uu[:: max(1, len(rr) // 2000)], n=1, evaluator=ev,

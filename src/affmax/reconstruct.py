@@ -26,12 +26,12 @@ import functools
 import math
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .core import (PhaseCurve, ProfileEvaluator, RadialProfile,
                    cumulative_simpson, shaped_like)
 from .errors import ParameterError, PositivityLoss
 from .negative_pair import _ratio_x_over_phi
+from .spline import interp_spline
 
 __all__ = ["t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",
            "paraboloid_profile", "origin_compatibility", "PhaseProfileEvaluator"]
@@ -117,8 +117,8 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         table columns alone never pays for it.
         """
         t, x, zeta, logv, u = self._table
-        cols = make_interp_spline(
-            t, np.stack([np.log(x), np.log(zeta), logv, u], axis=-1), k=5)
+        cols = interp_spline(
+            t, np.stack([np.log(x), np.log(zeta), logv, u], axis=-1), 5)
         del self._table
         return cols
 
@@ -133,7 +133,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def _state(self, r):
         """(t, etabar, zeta, log v) at radii inside the table."""
         t = self._t(r)
-        c = self._cols(t)
+        c = self._cols(t, slice(0, 3))
         return t, 1.0 + np.exp(c[..., 0]), np.exp(c[..., 1]), c[..., 2]
 
     def etabar(self, r):
@@ -144,12 +144,12 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def v(self, r):
         r = np.abs(r)
         return shaped_like(r, np.where(r < self.r_min, self.vp0 * r,
-                                       np.exp(self._cols(self._t(r))[..., 2])))
+                                       np.exp(self._cols(self._t(r), 2))))
 
     def u(self, r):
         r = np.abs(r)
         return shaped_like(r, np.where(r < self.r_min, 0.5 * self.vp0 * r * r,
-                                       self._cols(self._t(r))[..., 3]))
+                                       self._cols(self._t(r), 3)))
 
     def deriv(self, r, k):
         if not 1 <= k <= 3:
@@ -165,7 +165,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
             if k == 2:
                 out = vv * G / (rs * rs)
             else:
-                zp = self._dcols(t)[..., 1]
+                zp = self._dcols(t, 1)
                 out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
             below = 0.0
         return shaped_like(r, np.where(r < self.r_min, below, out))

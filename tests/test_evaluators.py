@@ -1,11 +1,12 @@
 """The joint-spline evaluators against the per-column evaluators they replaced.
 
-Each table-backed evaluator now fits one multi-column quintic spline and
-reads every column from one evaluation.  The references below fit one
-spline per column, exactly as the evaluators did before.  The B-spline
-collocation matrix depends only on the sites and knots, so the joint
-fit must give the same coefficients and every value must agree bit for
-bit: no tolerance.
+Each table-backed evaluator fits one multi-column quintic spline and
+reads its columns from one evaluation.  The references below fit one
+spline per column with the same interp_spline, as the evaluators did
+before.  The collocation matrix depends only on the sites and knots, and
+interp_spline gives each column the same operations whatever the other
+columns are, so the joint fit must give the same coefficients and every
+value must agree bit for bit: no tolerance.
 """
 
 import math
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
 
 from affmax import positive_pair, reconstruct
 from affmax.cli import main
@@ -24,12 +24,13 @@ from affmax.core import shaped_like
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
                                   _curvature_table, _integrand_factory)
 from affmax.reconstruct import PhaseProfileEvaluator, _tables
+from affmax.spline import interp_spline
 
 from conftest import THETA
 
 
 # ---------------------------------------------------------------------------
-# per-column references: one make_interp_spline call per column
+# per-column references: one interp_spline call per column
 
 
 class RefPhaseProfileEvaluator:
@@ -38,10 +39,10 @@ class RefPhaseProfileEvaluator:
         self.t_min, self.t_max = float(t[0]), float(t[-1])
         self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
         self.d1 = tab["d1"]
-        self._LX = make_interp_spline(t, np.log(tab["x"]), k=5)
-        self._LZ = make_interp_spline(t, np.log(tab["zeta"]), k=5)
-        self._LV = make_interp_spline(t, tab["logv"], k=5)
-        self._U = make_interp_spline(t, tab["u"], k=5)
+        self._LX = interp_spline(t, np.log(tab["x"]), 5)
+        self._LZ = interp_spline(t, np.log(tab["zeta"]), 5)
+        self._LV = interp_spline(t, tab["logv"], 5)
+        self._U = interp_spline(t, tab["u"], 5)
         self._dLZ = self._LZ.derivative()
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
         self._x_min = float(tab["x"][0])
@@ -95,9 +96,9 @@ class RefPositivePairEvaluator:
         self.config = config
         self.r_max = float(r[-1])
         s = np.log1p(r)
-        self._logvpp = make_interp_spline(s, np.log(vpp), k=5)
-        self._vup = make_interp_spline(s, v_up, k=5)
-        self._u = make_interp_spline(s, u, k=5)
+        self._logvpp = interp_spline(s, np.log(vpp), 5)
+        self._vup = interp_spline(s, v_up, 5)
+        self._u = interp_spline(s, u, 5)
 
     def _s(self, r):
         return np.log1p(np.minimum(np.abs(r), self.r_max))
@@ -237,13 +238,13 @@ def test_curvature_table_matches_list_loop(v0, lam, theta, r_max):
 
 
 def count_fits(monkeypatch):
-    """The list every make_interp_spline call of the package appends to."""
+    """The list every interp_spline call of the package appends to."""
     calls = []
     for mod in (reconstruct, positive_pair):
-        def counted(*args, _fit=mod.make_interp_spline, **kw):
+        def counted(*args, _fit=mod.interp_spline, **kw):
             calls.append(1)
             return _fit(*args, **kw)
-        monkeypatch.setattr(mod, "make_interp_spline", counted)
+        monkeypatch.setattr(mod, "interp_spline", counted)
     return calls
 
 

@@ -1,10 +1,12 @@
-"""The stepped DOP853 extension, the cumulative-Simpson port and the Taylor
-meter against the scipy calls and formulas they replaced.
+"""The stepped DOP853 extension, the DOP853 and brentq ports, the
+cumulative-Simpson port and the Taylor meter against the scipy calls and
+formulas they replaced.
 
-extend_global drives scipy's DOP853 class step by step and reads its
-dense output in one gather; the reference below is the solve_ivp version
-it replaced, so every scipy internal the gather reads (the step ends,
-each step's F, y_old and h) is checked against OdeSolution.  Every
+extend_global steps affmax.dop853.DOP853, a port of scipy's class, and
+reads its dense output in one gather; the reference below is the
+solve_ivp version it replaced, so every quantity the gather reads (the
+step ends, each step's F, y_old and h) is checked against OdeSolution,
+and the port is checked step by step against scipy's class.  Every
 operation is meant to be the same, so every comparison is bit for bit:
 no tolerance.
 """
@@ -16,13 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq as scipy_brentq
 
-from affmax import negative_pair
+from affmax import dop853, negative_pair
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                          cumulative_simpson, measure_taylor)
-from affmax.errors import PositivityLoss, StepFailure
+from affmax.errors import ParameterError, PositivityLoss, StepFailure
 from affmax.negative_pair import (LocalSolve, _gather_dense, extend_global,
                                   fixed_point_solve)
 from affmax.phase_plane import coef_linear, coef_zero
@@ -34,12 +39,10 @@ from conftest import ETA0, N, THETA
 # references: the solve_ivp extension and the per-call Taylor fit
 
 
-def ref_extend_global(local, eta_max=1e3, rtol=1e-11, atol=1e-13):
+def extension_rhs(local):
+    """The right-hand side (zeta, I)' that extend_global integrates."""
     params = local.curve.params
-    n, theta = params.n, params.theta
-    lam3 = params.lambda3
-    eta0 = params.eta0
-    z0 = float(local.curve.zeta[-1])
+    n, theta, lam3 = params.n, params.theta, params.lambda3
 
     def rhs(e, y):
         z, I = y
@@ -47,6 +50,13 @@ def ref_extend_global(local, eta_max=1e3, rtol=1e-11, atol=1e-13):
                 + coef_zero(e, n, theta) / z
                 - lam3 * e * e * math.exp(I) / z,
                 (e + 1) / z]
+    return rhs
+
+
+def ref_extend_global(local, eta_max=1e3, rtol=1e-11, atol=1e-13):
+    eta0 = local.curve.params.eta0
+    z0 = float(local.curve.zeta[-1])
+    rhs = extension_rhs(local)
 
     def hit_zero(e, y):
         return y[0] - 1e-12
@@ -152,6 +162,87 @@ def test_failures_match_solve_ivp(stub, tols, kind, start):
             ref_extend_global(local, eta_max=100.0, **tols)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(start)
+
+
+def test_extension_needs_eta_max_above_eta0(local_solve):
+    for eta_max in (ETA0, 1.0):
+        with pytest.raises(ParameterError, match="must exceed eta0"):
+            extend_global(local_solve, eta_max=eta_max)
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 and brentq ports against scipy's
+
+
+def test_tableau_equals_scipy():
+    ref = dop853_coefficients
+    assert (dop853.N_STAGES, dop853.N_STAGES_EXTENDED, dop853.INTERPOLATOR_POWER) \
+        == (ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER)
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        assert np.array_equal(getattr(dop853, "_" + name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("theta, eta_max", [(THETA, 1e5), (0.52, 1e3), (0.58, 1e3),
+                                            (0.64, 1e3)])
+def test_dop853_steps_equal_scipy_bitwise(theta, eta_max):
+    # the flagship and a theta grid in (1/2, 2/3): every accepted step and
+    # every dense output of the port equals scipy's class
+    local = fixed_point_solve(N, theta, ETA0)
+    rhs = extension_rhs(local)
+    y0 = [float(local.curve.zeta[-1]), 0.0]
+    ours = dop853.DOP853(rhs, ETA0, y0, eta_max, rtol=1e-11, atol=1e-13)
+    ref = ScipyDOP853(rhs, ETA0, y0, eta_max, rtol=1e-11, atol=1e-13)
+    assert same_bits(ours.h_abs, ref.h_abs)
+    steps = 0
+    while ref.status == "running":
+        assert ours.step() == ref.step()
+        assert ours.status == ref.status
+        for name in ("t", "t_old", "h_abs", "y", "f"):
+            assert same_bits(getattr(ours, name), getattr(ref, name)), name
+        got, want = ours.dense_output(), ref.dense_output()
+        for name in ("t_old", "t", "h", "y_old", "F"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        mid = 0.5 * (ref.t_old + ref.t)
+        assert same_bits(got(mid), want(mid))
+        steps += 1
+    assert ours.status == "finished" and steps > 50
+
+
+@st.composite
+def brackets(draw):
+    """(f, a, b): a smooth f with one sign change between a and b."""
+    r = draw(st.floats(-10.0, 10.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    a = r - scale * draw(st.floats(1e-6, 1.0))
+    b = r + scale * draw(st.floats(1e-6, 1.0))
+    c = draw(st.floats(0.0, 10.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["cubic", "exp", "tanh", "log"]))
+    f = {"cubic": lambda x: sign * ((x - r) + c * (x - r) ** 3),
+         "exp": lambda x: sign * math.expm1((c + 0.1) * (x - r) / scale),
+         "tanh": lambda x: sign * math.tanh((1.0 + c) * (x - r) / scale),
+         "log": lambda x: sign * (math.log((x - a + 1.0) / (r - a + 1.0)))}[kind]
+    return f, a, b
+
+
+@settings(max_examples=300)
+@given(bracket=brackets())
+def test_brentq_equals_scipy_bitwise(bracket):
+    f, a, b = bracket
+    tol = 4 * np.finfo(float).eps            # extend_global's xtol and rtol
+    root, iterations = dop853.brentq(f, a, b, xtol=tol, rtol=tol)
+    want, result = scipy_brentq(f, a, b, xtol=tol, rtol=tol, full_output=True)
+    assert float.hex(root) == float.hex(want)
+    assert iterations == result.iterations
+
+
+def test_brentq_rejects_like_scipy():
+    with pytest.raises(ValueError, match="different signs"):
+        dop853.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        dop853.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-12, 1e-12)
+    with pytest.raises(ValueError):
+        scipy_brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

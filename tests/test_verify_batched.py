@@ -6,6 +6,10 @@ residuals came from one batched stencil pass.  numpy's array exp/log/
 power differ from their scalar counterparts by about 1 ulp on a few
 percent of inputs, so w is compared in ulps and each residual against
 the rounding error the h^-2 stencil can amplify that into.
+
+The same bound holds the residuals of the numpy splines to those of the
+scipy splines they replaced (make_interp_spline; the fits differ in their
+last bits, see test_spline.py).
 """
 
 import math
@@ -15,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.interpolate import make_interp_spline
+
+from affmax import (blowup_time, build_phi, positive_pair, reconstruct,
+                    rebuild_profile)
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular
-from affmax.verify import (_det_parts, _eigenvalues, _residuals, _stencil, _w,
-                           assemble, convexity_check, hessian_eigenvalues_at,
-                           residual_at)
+from affmax.verify import (_det_parts, _eigenvalues, _inverse_hessian,
+                           _residuals, _sample_points, _stencil, _w, assemble,
+                           convexity_check, hessian_eigenvalues_at, residual_at)
 
 from conftest import THETA
 
@@ -98,6 +106,24 @@ def ref_eigenvalues(sol, p):
     return np.linalg.eigvalsh(hess)
 
 
+class ScipySpline:
+    """A make_interp_spline fit behind the interface of affmax's Spline."""
+
+    def __init__(self, spl):
+        self.spl = spl
+
+    def __call__(self, x, columns=slice(None)):
+        y = self.spl(x)
+        return y if self.spl.c.ndim == 1 else y[..., columns]
+
+    def derivative(self):
+        return ScipySpline(self.spl.derivative())
+
+
+def scipy_fit(x, y, k):
+    return ScipySpline(make_interp_spline(x, y, k=k))
+
+
 # ---------------------------------------------------------------------------
 # interior points of the flagship solution and its cylinder extensions
 
@@ -107,6 +133,32 @@ def solutions(solution, phi_profile, psi_profile):
     return {0: solution,
             1: assemble(phi_profile, psi_profile, m_cylinder=1, theta=THETA),
             2: assemble(phi_profile, psi_profile, m_cylinder=2, theta=THETA)}
+
+
+@pytest.fixture(scope="module")
+def scipy_solutions(phi_config, curve_1e3):
+    """The solutions of the solutions fixture, built on scipy's splines."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (positive_pair, reconstruct):
+            mp.setattr(mod, "interp_spline", scipy_fit)
+        phi = build_phi(phi_config, np.linspace(0.0, 10.0, 1001))
+        T_inf, _ = blowup_time(curve_1e3)
+        psi = rebuild_profile(curve_1e3, v0=1.0)
+        psi.meta["R_inf"] = float(np.exp(T_inf))
+        psi.meta["T_inf"] = float(T_inf)
+        psi.evaluator._dcols          # fitted on first use: fit them here
+        return {m: assemble(phi, psi, m_cylinder=m, theta=THETA) for m in (0, 1, 2)}
+
+
+def rounding_gaps(sol, ref, pts):
+    """|residual - reference residual| / E_p at each point, E_p the bound
+    of test_batched_residual_matches_scalar_loop."""
+    n = sol.psi.n
+    h = H_REL * np.maximum(np.abs(pts), 1.0)
+    w_p = _w(ref, pts[:, 0], np.linalg.norm(pts[:, 1:1 + n], axis=1))
+    E_p = (EPS * np.abs(w_p) * np.abs(_inverse_hessian(ref, pts)).sum(axis=(1, 2))
+           / (h.min(axis=1) / 2.0) ** 2)
+    return np.abs(_residuals(sol, pts) - _residuals(ref, pts)) / E_p
 
 
 unit = st.floats(0.0, 1.0)
@@ -180,6 +232,21 @@ def test_batched_residual_matches_scalar_loop(solutions, m, raw):
         E_p = EPS * abs(w_p) * np.sum(np.abs(inv)) / (h.min() / 2.0) ** 2
         assert abs(r - want) <= 64 * E_p
         assert residual_at(sol, p) == r       # one point is a batch of one
+
+
+def test_verify_points_within_rounding_of_scipy_splines(solutions, scipy_solutions):
+    # the 1000 points verify samples by default (max measured: 28 E_p)
+    pts = _sample_points(solutions[0], 1000, 0)
+    assert rounding_gaps(solutions[0], scipy_solutions[0], pts).max() <= 64
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(max_examples=15)
+@given(raw=raw_points)
+def test_residuals_within_rounding_of_scipy_splines(solutions, scipy_solutions,
+                                                    m, raw):
+    pts = interior_points(solutions[m], raw)
+    assert rounding_gaps(solutions[m], scipy_solutions[m], pts).max() <= 64
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
