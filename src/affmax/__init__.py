@@ -8,7 +8,7 @@ convexity, growth bounds, blow-up radius and completeness numerically.
 """
 
 __version__ = "0.1.0"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
                    TaylorData, VerificationReport, effective_lambda_fit,

@@ -27,8 +27,8 @@ from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
 from .phase_plane import bernstein_radial_check
 from .positive_pair import PositivePairConfig, build_phi
 from .reconstruct import rebuild_profile
-from .verify import (assemble, bernstein_1d_check, completeness_check,
-                     full_residual)
+from .verify import (assemble, bernstein_1d_check, check_assembly,
+                     completeness_check, full_residual)
 
 USAGE_ERROR, FAILURE = 1, 2
 
@@ -204,37 +204,31 @@ def _cmd_reconstruct(o) -> int:
 
 
 def _cmd_assemble(o) -> int:
+    n, theta = int(o["n"]), o["theta"]
     phi_csv = RadialProfile.from_csv(o["phi"], n=1)
-    psi_csv = RadialProfile.from_csv(o["psi"], n=int(o["n"]))
-    # both factors are rebuilt from their constructors; the CSV columns
-    # only cross-check them
-    curve = PhaseCurve.from_csv(o["curve"], n=int(o["n"]), theta=o["theta"])
-    psi = rebuild_profile(curve, v0=o["psi_v0"])
-    _check_columns_match(psi_csv, psi, "psi")
-    cfg = PositivePairConfig(v0=o["phi_v0"], lam=o["phi_lambda"],
-                             theta=o["theta"])
-    phi = build_phi(cfg, phi_csv.r)
-    _check_columns_match(phi_csv, phi, "phi")
+    psi_csv = RadialProfile.from_csv(o["psi"], n=n)
+    _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
+    R_inf = (_number(_load_json(o["report"]), "R_inf", o["report"],
+                     positive=True, nullable=True) if o["report"] else None)
+    # both factors are built from their constructors, as verify builds
+    # them; the CSV columns only cross-check them
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
-                "lambda": o["phi_lambda"], "rmax": float(phi.r[-1]),
-                "nodes": len(phi.r)}
+                "lambda": o["phi_lambda"], "rmax": float(phi_csv.r[-1]),
+                "nodes": len(phi_csv.r)}
     psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
-                "eta": encode_column(curve.eta),
-                "zeta": encode_column(curve.zeta),
-                "I": encode_column(curve.I)}
-    R_inf = None
-    if o["report"]:
-        with open(o["report"]) as fh:
-            R_inf = json.load(fh).get("R_inf")
-    sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=o["theta"],
+                **{k: encode_column(c) for k, c in zip(("eta", "zeta", "I"), curve)}}
+    phi = _factor(phi_ctor, theta, 1, "phi.constructor")
+    _check_columns_match(phi_csv, phi, "phi")
+    psi = _factor(psi_ctor, theta, n, "psi.constructor")
+    _check_columns_match(psi_csv, psi, "psi")
+    sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta,
                    R_inf=R_inf, spread_tol=5e-3)
     payload = {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
-        "R_inf": sol.R_inf if sol.R_inf is not None and np.isfinite(sol.R_inf) else None,
+        "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None,
         "lambda_phi": sol.lambda_phi, "lambda_psi": sol.lambda_psi,
-        "phi": dict(_encode_factor(sol.phi), constructor=phi_ctor),
-        "psi": dict(_encode_factor(sol.psi), constructor=psi_ctor),
+        "phi": {"constructor": phi_ctor}, "psi": {"constructor": psi_ctor},
     }
     _dump_json(payload, o["out"])
     print(f"wrote {o['out']} (kappa = {sol.kappa:.6g}, N = {sol.N})")
@@ -251,79 +245,104 @@ def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile,
             "wrong curve/v0/lambda for this CSV?")
 
 
-def _encode_factor(prof: RadialProfile) -> dict:
-    return {k: encode_column(getattr(prof, k)) for k in ("r", "v", "u")}
+# the phi grid only resamples the 16,000-row curvature table
+_MAX_NODES = 10**6
 
 
-def _require(obj, keys, where):
-    """obj, after checking that it is a JSON object holding every key."""
+def _factor(ctor, theta, n, where):
+    """The factor a solution.json constructor block describes (phi unscaled).
+
+    assemble and verify both build their factors here.  A missing key or
+    a value of the wrong type or range raises a one-line ParameterError.
+    """
+    kind = _get(ctor, "kind", where)
+    if kind not in ("positive-pair", "phase-reconstruction"):
+        raise ParameterError(f"{where} has unknown kind {kind!r}")
+    v0 = _number(ctor, "v0", where, positive=True)
+    if kind == "positive-pair":
+        lam, rmax = (_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
+        nodes = _number(ctor, "nodes", where, integer=True)
+        if not 2 <= nodes <= _MAX_NODES:
+            raise ParameterError(f"{where}: nodes must be in [2, {_MAX_NODES}], got {nodes}")
+        return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta),
+                         np.linspace(0.0, rmax, nodes))
+    eta, zeta, I = (decode_column(_get(ctor, k, where), f"{where}: {k}")
+                    for k in ("eta", "zeta", "I"))
+    return rebuild_profile(PhaseCurve.from_columns(eta, zeta, I, n=n, theta=theta),
+                           v0=v0)
+
+
+def _load_json(path):
+    """The JSON document in the file at path; ParameterError if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"{path} is not valid JSON ({exc})") from None
+
+
+def _get(obj, key, where):
+    """obj[key], after checking that obj is a JSON object holding key."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{where} is not a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ParameterError(f"{where} lacks the key {missing[0]!r}")
-    return obj
+    if key not in obj:
+        raise ParameterError(f"{where} lacks the key {key!r}")
+    return obj[key]
 
 
-_CONSTRUCTOR_KEYS = {"positive-pair": ("v0", "lambda"),
-                     "phase-reconstruction": ("v0", "eta", "zeta", "I")}
+def _number(obj, key, where, integer=False, positive=False, nullable=False):
+    """obj[key]: an integer if asked, else a finite JSON number (a bool is
+    neither), positive if asked, or null if nullable; else ParameterError."""
+    val = _get(obj, key, where)
+    if val is None and nullable:
+        return None
+    ok = (isinstance(val, int if integer else (int, float))
+          and not isinstance(val, bool))
+    if ok and not integer:
+        # False for NaN, infinities and ints beyond the float range
+        ok = abs(val) <= sys.float_info.max and (val > 0 or not positive)
+    if not ok:
+        need = ("an integer" if integer else
+                f"a {'positive ' if positive else ''}finite number")
+        raise ParameterError(f"{where}: {key} must be {need}"
+                             f"{' or null' if nullable else ''}, got {repr(val)[:40]}")
+    return val if integer else float(val)
 
 
 def _solution_from_json(path):
-    """The SeparableSolution a schema-2 solution.json describes.
+    """The SeparableSolution a schema-3 solution.json describes.
 
-    Invalid JSON, another schema, a missing key, a column that is not
-    base64 float64 data, or r, v, u columns of unequal length raise a
-    one-line ParameterError.
+    Invalid JSON, another schema, a missing key, a scalar or constructor
+    value of the wrong type or range, or a curve column that is not
+    base64 float64 data raise a one-line ParameterError.
     """
-    from .core import ModelParams, SeparableSolution, measure_taylor
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ParameterError(f"{path} is not valid JSON ({exc})") from None
-    _require(data, ("schema",), path)
-    if data["schema"] != SCHEMA_VERSION:
+    from .core import ModelParams, SeparableSolution
+    data = _load_json(path)
+    if _get(data, "schema", path) != SCHEMA_VERSION:
         raise ParameterError(
             f"{path} has solution schema {data['schema']!r}, this version reads "
             f"schema {SCHEMA_VERSION}; rerun assemble to regenerate it")
-    _require(data, ("theta", "kappa", "m_cylinder", "n_psi", "R_inf",
-                    "lambda_phi", "lambda_psi", "phi", "psi"), path)
-
-    def factor(name, n):
-        where = f"{path}: {name}"
-        block = _require(data[name], ("r", "v", "u", "constructor"), where)
-        r, v, u = (decode_column(block[k], f"{where}.{k}") for k in ("r", "v", "u"))
-        if not 0 < len(r) == len(v) == len(u):
-            raise ParameterError(
-                f"{where} columns r, v, u hold {len(r)}, {len(v)}, {len(u)} values")
-        prof = RadialProfile(r=r, v=v, u=u, n=n)
-        ctor = block["constructor"]
-        kind = _require(ctor, ("kind",), f"{where}.constructor")["kind"]
-        if kind not in _CONSTRUCTOR_KEYS:
-            raise ParameterError(f"{where}.constructor has unknown kind {kind!r}")
-        _require(ctor, _CONSTRUCTOR_KEYS[kind], f"{where}.constructor")
-        if kind == "positive-pair":
-            cfg = PositivePairConfig(v0=ctor["v0"], lam=ctor["lambda"],
-                                     theta=data["theta"])
-            # the stored columns are the kappa-scaled factor
-            return build_phi(cfg, prof.r).scaled(data["kappa"])
-        eta, zeta, I = (decode_column(ctor[k], f"{where}.constructor.{k}")
-                        for k in ("eta", "zeta", "I"))
-        eta0 = float(np.interp(0.0, I, eta))
-        curve = PhaseCurve(
-            params=ModelParams(n=n, theta=data["theta"], eta0=eta0),
-            taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
-        return rebuild_profile(curve, v0=ctor["v0"])
-
-    phi = factor("phi", 1)
-    psi = factor("psi", int(data["n_psi"]))
-    R_inf = data["R_inf"] if data["R_inf"] is not None else math.inf
-    return SeparableSolution(phi=phi, psi=psi, kappa=data["kappa"],
-                             theta=data["theta"], R_inf=R_inf,
-                             m_cylinder=int(data["m_cylinder"]),
-                             lambda_phi=data["lambda_phi"],
-                             lambda_psi=data["lambda_psi"])
+    n = _number(data, "n_psi", path, integer=True)
+    m = _number(data, "m_cylinder", path, integer=True)
+    theta = _number(data, "theta", path)
+    try:
+        # psi is rebuilt from a phase curve of the negative pair
+        ModelParams(n=n, theta=theta).require_negative_pair()
+        check_assembly(theta, n, m)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    if _number(data, "N", path, integer=True) != 1 + n + m:
+        raise ParameterError(f"{path}: N is not 1 + n_psi + m_cylinder = {1 + n + m}")
+    kappa, lam_phi, lam_psi = (_number(data, k, path)
+                               for k in ("kappa", "lambda_phi", "lambda_psi"))
+    R_inf = _number(data, "R_inf", path, positive=True, nullable=True)
+    phi, psi = (_factor(_get(_get(data, k, path), "constructor", f"{path}: {k}"),
+                        theta, dim, f"{path}: {k}.constructor")
+                for k, dim in (("phi", 1), ("psi", n)))
+    return SeparableSolution(
+        phi=phi.scaled(kappa), psi=psi, kappa=kappa, theta=theta,
+        R_inf=math.inf if R_inf is None else R_inf, m_cylinder=m,
+        lambda_phi=lam_phi, lambda_psi=lam_psi)
 
 
 def _cmd_verify(o) -> int:
@@ -333,7 +352,6 @@ def _cmd_verify(o) -> int:
     passed = (rep.residual_max < o["tol"] and rep.convexity_margin > 0
               and comp["pass"])
     payload = rep.as_dict()
-    payload["residuals"] = getattr(rep, "residuals", [])
     payload["completeness"] = comp
     payload["bounds"] = [
         {"bound_id": "hessian-positive-definite",

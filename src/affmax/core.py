@@ -30,7 +30,7 @@ from .errors import (DegenerateProfile, GridTooCoarse, InconsistentProfile,
 
 __all__ = [
     "ModelParams", "TaylorData", "PhaseCurve", "RadialProfile",
-    "SeparableSolution", "BoundCheck", "VerificationReport",
+    "SeparableSolution", "VerificationReport",
     "radial_lhs", "radial_residual", "profile_to_phase",
     "effective_lambda_fit", "eigenvalue_from_lambda_prime",
 ]
@@ -93,9 +93,6 @@ class TaylorData:
     def seed(self, x: np.ndarray) -> np.ndarray:
         """Cubic model d1*x + alpha/2 x^2 + beta/6 x^3 (x = eta - 1)."""
         return x * (self.d1 + x * (self.alpha / 2 + x * self.beta / 6))
-
-    def quartic(self, x: np.ndarray) -> np.ndarray:
-        return x * (self.d1 + x * (self.alpha / 2 + x * (self.beta / 6 + x * self.gamma / 24)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +201,22 @@ class PhaseCurve:
     I: np.ndarray
 
     def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        self.I = np.asarray(self.I, dtype=float)
-        if not np.all(np.diff(self.eta) > 0):
+        self.eta, self.zeta, self.I = self._columns(self.eta, self.zeta, self.I)
+
+    @staticmethod
+    def _columns(eta, zeta, I):
+        """eta, zeta, I as float arrays, after checking they describe a curve."""
+        eta, zeta, I = (np.asarray(c, dtype=float) for c in (eta, zeta, I))
+        if not 0 < len(eta) == len(zeta) == len(I):
+            raise ParameterError(f"curve columns eta, zeta, I hold {len(eta)}, "
+                                 f"{len(zeta)}, {len(I)} values")
+        if not np.all(np.diff(eta) > 0):
             raise ParameterError("eta samples must be strictly increasing")
-        if self.eta[0] <= 1.0:
+        if eta[0] <= 1.0:
             raise ParameterError("curve samples start strictly above eta = 1")
-        if not np.all(self.zeta > 0):
+        if not np.all(zeta > 0):
             raise ParameterError("zeta must be positive on the sampled range")
+        return eta, zeta, I
 
     @property
     def eta_max(self) -> float:
@@ -225,32 +229,22 @@ class PhaseCurve:
         return bool(self.zeta[0] < tol and np.all(np.abs(ratio - self.taylor.d1)
                                                   < tol * max(1.0, self.taylor.d1)))
 
-    def zeta_at(self, e):
-        """Interpolated zeta, using the Taylor model below the first sample."""
-        e = np.asarray(e, dtype=float)
-        out = np.interp(e, self.eta, self.zeta)
-        small = e < self.eta[0]
-        if np.any(small):
-            out = np.where(small, self.taylor.quartic(e - 1.0), out)
-        return out if out.shape else float(out)
-
     def to_csv(self, path):
         write_columns(path, ["eta", "zeta", "I"], [self.eta, self.zeta, self.I])
 
     @classmethod
-    def from_csv(cls, path, n: int = 2, theta: float = 0.55,
-                 params: ModelParams | None = None,
-                 taylor: TaylorData | None = None) -> "PhaseCurve":
-        names, cols = read_columns(path)
-        if names != ["eta", "zeta", "I"]:
-            raise ParameterError(f"expected header eta,zeta,I, got {names}")
-        eta, zeta, I = cols
+    def from_columns(cls, eta, zeta, I, n: int = 2, theta: float = 0.55) -> "PhaseCurve":
+        """The curve of these columns: eta0 is where I vanishes, and the
+        Taylor data is measured from the samples."""
+        eta, zeta, I = cls._columns(eta, zeta, I)
         eta0 = float(np.interp(0.0, I, eta))
-        if taylor is None:
-            taylor = measure_taylor(eta, zeta, eta0)
-        if params is None:
-            params = ModelParams(n=n, theta=theta, eta0=eta0)
-        return cls(params=params, taylor=taylor, eta=eta, zeta=zeta, I=I)
+        return cls(params=ModelParams(n=n, theta=theta, eta0=eta0),
+                   taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
+
+    @classmethod
+    def from_csv(cls, path, n: int = 2, theta: float = 0.55) -> "PhaseCurve":
+        _, cols = read_columns(path, header=["eta", "zeta", "I"])
+        return cls.from_columns(*cols, n=n, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +386,8 @@ class RadialProfile:
 
     @classmethod
     def from_csv(cls, path, n: int) -> "RadialProfile":
-        names, cols = read_columns(path)
-        if names != ["r", "v", "u"]:
-            raise ParameterError(f"expected header r,v,u, got {names}")
-        return cls(r=cols[0], v=cols[1], u=cols[2], n=n)
+        _, (r, v, u) = read_columns(path, header=["r", "v", "u"])
+        return cls(r=r, v=v, u=u, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +413,13 @@ class SeparableSolution:
 
 
 @dataclass
-class BoundCheck:
-    bound_id: str
-    holds: bool
-    witness: dict
-
-    def as_dict(self):
-        return {"bound_id": self.bound_id, "holds": self.holds, "witness": self.witness}
-
-
-@dataclass
 class VerificationReport:
     residual_max: float
     residual_mean: float
     convexity_margin: float
-    bounds: list
     blowup: dict
     effective_lambda: dict
+    residuals: list              # the residual at each sampled point
 
     def __post_init__(self):
         if self.residual_max < 0 or self.residual_mean < 0:
@@ -448,9 +430,9 @@ class VerificationReport:
             "residual_max": self.residual_max,
             "residual_mean": self.residual_mean,
             "convexity_margin": self.convexity_margin,
-            "bounds": [b.as_dict() if isinstance(b, BoundCheck) else b for b in self.bounds],
             "blowup": self.blowup,
             "effective_lambda": self.effective_lambda,
+            "residuals": self.residuals,
         }
 
 
@@ -597,20 +579,22 @@ def write_columns(path, names, cols, sep=",", comment=""):
 _ROW_WALK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def read_columns(path):
+def read_columns(path, header=None):
     """Header names and float columns of a CSV as written by write_columns.
 
     ASCII text whose only line break is "\n" and that holds no other
     control character from \x0b to \x1f is parsed by numpy's C reader,
     which converts each field with the same strtod as float(); any other
     text, and any text that reader refuses, is read row by row.  Empty,
-    header-only, ragged or non-numeric input raises ParameterError.
+    header-only, ragged or non-numeric input, and a header other than
+    the given list of names, raise ParameterError.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path) as fh:
             text = fh.read()
+    data = None
     if text.isascii() and not any(map(text.__contains__, _ROW_WALK_CHARS)):
         head, _, body = text.strip().partition("\n")
         names = [s.strip() for s in head.split(",")]
@@ -618,10 +602,14 @@ def read_columns(path):
             data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
                               dtype=float, ndmin=2) if body else None
         except ValueError:
-            data = None
-        if data is not None and data.shape[1] == len(names):
-            return names, [data[:, j] for j in range(len(names))]
-    return _read_rows(text)
+            pass
+    if data is not None and data.shape[1] == len(names):
+        cols = [data[:, j] for j in range(len(names))]
+    else:
+        names, cols = _read_rows(text)
+    if header is not None and names != header:
+        raise ParameterError(f"expected header {','.join(header)}, got {names}")
+    return names, cols
 
 
 def _read_rows(text):

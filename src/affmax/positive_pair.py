@@ -68,11 +68,6 @@ class PositivePairConfig:
         th, v0, a = self.theta, self.v0, self.a
         return 1.5 * a * v * v - (th + 1) * a * v0 ** (1 - 2 * th) * v ** (2 * th + 1)
 
-    def vpp_third(self, v):
-        th, v0, a = self.theta, self.v0, self.a
-        return a * (3 * v - (th + 1) * (2 * th + 1) * v0 ** (1 - 2 * th) * v ** (2 * th)) \
-            * self.vpp_prime(v)
-
 
 def _integrand_factory(config: PositivePairConfig):
     """Integrand of r(v) after the substitution s = v0 (1 - t^2).

@@ -50,10 +50,8 @@ def _tau_integrand(x, zeta, taylor):
     return out
 
 
-def _tables(curve: PhaseCurve, v0: float, r0: float = 1.0):
-    """Cumulative t, W, log v, u on the curve grid, anchored at eta0."""
-    if r0 != 1.0:
-        raise ParameterError("the reconstruction anchor is fixed at r0 = 1")
+def _tables(curve: PhaseCurve, v0: float):
+    """Cumulative t, W, log v, u on the curve grid, anchored at eta0 (r = 1)."""
     eta, zeta = curve.eta, curve.zeta
     x = eta - 1.0
     x0 = curve.params.eta0 - 1.0
@@ -208,37 +206,29 @@ def etabar_of_r(curve: PhaseCurve, r_grid):
     return etab, report
 
 
-def rebuild_profile(curve: PhaseCurve, v0: float, r0: float = 1.0,
-                    grid=None, max_rows: int = 6000) -> RadialProfile:
+def rebuild_profile(curve: PhaseCurve, v0: float,
+                    max_rows: int = 6000) -> RadialProfile:
     """RadialProfile of the factor whose phase curve is given.
 
-    v0 = v(r0) at the anchor r0 = 1 sets the one free scale; u(0) = 0.
-    The returned profile carries an evaluator with the exact derivative
-    chain, valid on radii covered by the curve.
+    v0 = v(1) at the anchor r = 1 sets the one free scale; u(0) = 0.
+    The returned profile holds at most about max_rows of the table's
+    rows and carries an evaluator with the exact derivative chain, valid
+    on radii covered by the curve.
     """
     if v0 <= 0:
         raise ParameterError("v0 must be positive")
-    tab = _tables(curve, v0=v0, r0=r0)
+    tab = _tables(curve, v0=v0)
     ev = PhaseProfileEvaluator(tab)
-    if grid is None:
-        r_all = np.exp(tab["t"])
-        step = max(1, len(r_all) // max_rows)
-        idx = np.unique(np.concatenate([np.arange(0, len(r_all), step),
-                                        [tab["i0"], len(r_all) - 1]]))
-        grid = r_all[idx]
-        v_vals = np.exp(tab["logv"])[idx]
-        u_vals = tab["u"][idx]
-    else:
-        grid = np.asarray(grid, dtype=float)
-        v_vals = ev.v(grid)
-        u_vals = ev.u(grid)
-    prof = RadialProfile(r=grid, v=v_vals, u=u_vals, n=curve.params.n,
-                         evaluator=ev,
+    r_all = np.exp(tab["t"])
+    step = max(1, len(r_all) // max_rows)
+    idx = np.unique(np.concatenate([np.arange(0, len(r_all), step),
+                                    [tab["i0"], len(r_all) - 1]]))
+    return RadialProfile(r=r_all[idx], v=np.exp(tab["logv"])[idx], u=tab["u"][idx],
+                         n=curve.params.n, evaluator=ev,
                          meta={"kind": "phase-reconstruction", "v0": v0,
-                               "r0": r0, "r_max": ev.r_max, "r_min": ev.r_min,
+                               "r_max": ev.r_max, "r_min": ev.r_min,
                                "lambda3": curve.params.lambda3,
                                "theta": curve.params.theta})
-    return prof
 
 
 def paraboloid_profile(v0: float, r0: float, grid, n: int = 2) -> RadialProfile:

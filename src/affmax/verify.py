@@ -21,9 +21,9 @@ from .errors import NearSingular, ParameterError, SignError
 from .reconstruct import large_condition_check
 
 __all__ = [
-    "assemble", "full_residual", "convexity_check", "completeness_check",
-    "bernstein_1d_check", "residual_at", "hessian_eigenvalues_at",
-    "factor_residual_phi", "factor_residual_psi",
+    "assemble", "check_assembly", "full_residual", "convexity_check",
+    "completeness_check", "bernstein_1d_check", "residual_at",
+    "hessian_eigenvalues_at", "factor_residual_phi", "factor_residual_psi",
 ]
 
 
@@ -35,8 +35,23 @@ def _fit_nodes(profile: RadialProfile):
     return np.linspace(lo, r_hi, 9)
 
 
-def assemble(phi: RadialProfile, psi: RadialProfile, m_cylinder: int = 0,
-             theta: float | None = None, R_inf: float | None = None,
+# per sample, the verify stencil holds 2 N^2 + 1 points of N = 1 + n + m coordinates
+MAX_CYLINDER = 8
+
+
+def check_assembly(theta: float, n: int, m_cylinder: int):
+    """ParameterError unless theta lies in (1/2, n/(n+1)) for the psi
+    dimension n and m_cylinder is an integer in [0, MAX_CYLINDER]."""
+    if not (0 <= m_cylinder <= MAX_CYLINDER and int(m_cylinder) == m_cylinder):
+        raise ParameterError(
+            f"m_cylinder must be an integer in [0, {MAX_CYLINDER}], got {m_cylinder}")
+    if not 0.5 < theta < n / (n + 1):
+        raise ParameterError(
+            f"assembly needs theta in (1/2, {n/(n+1)}) for the {n}-dimensional factor")
+
+
+def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
+             m_cylinder: int = 0, R_inf: float | None = None,
              spread_tol: float = 1e-3) -> SeparableSolution:
     """Scale phi so the factor eigenvalues are opposite and combine.
 
@@ -45,16 +60,8 @@ def assemble(phi: RadialProfile, psi: RadialProfile, m_cylinder: int = 0,
     psi dimension n (the range on which both factor constructions are
     available and complete).
     """
-    if theta is None:
-        theta = psi.meta.get("theta")
-        if theta is None:
-            raise ParameterError("theta is required")
-    if m_cylinder < 0 or int(m_cylinder) != m_cylinder:
-        raise ParameterError("m_cylinder must be a nonnegative integer")
     n = psi.n
-    if not 0.5 < theta < n / (n + 1):
-        raise ParameterError(
-            f"assembly needs theta in (1/2, {n/(n+1)}) for the {n}-dimensional factor")
+    check_assembly(theta, n, m_cylinder)
     lp_phi, _ = effective_lambda_fit(phi, theta, phi.n, nodes=_fit_nodes(phi),
                                      spread_tol=spread_tol)
     lp_psi, _ = effective_lambda_fit(psi, theta, n, nodes=_fit_nodes(psi),
@@ -238,17 +245,15 @@ def full_residual(sol: SeparableSolution, n_points: int = 1000, seed: int = 0,
     eigs = _eigenvalues(sol, pts)[:, 0]
     blow = {"T_inf": math.log(sol.R_inf) if np.isfinite(sol.R_inf) else None,
             "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None}
-    report = VerificationReport(
+    return VerificationReport(
         residual_max=float(np.max(np.abs(res))),
         residual_mean=float(np.mean(np.abs(res))),
         convexity_margin=float(np.min(eigs)),
-        bounds=[],
         blowup=blow,
         effective_lambda={"lambda_phi": sol.lambda_phi,
                           "lambda_psi": sol.lambda_psi, "kappa": sol.kappa},
+        residuals=res.tolist(),
     )
-    report.residuals = res.tolist()
-    return report
 
 
 def convexity_check(sol: SeparableSolution, points=None, n_points: int = 200,

@@ -1,15 +1,28 @@
 import base64
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from affmax import cli, verify
 from affmax.cli import main
-from affmax.core import encode_column
+from affmax.core import encode_column, read_columns
 
 
 def run(argv):
     return main(argv)
+
+
+def assemble_argv(d, out, report=None):
+    """assemble on the artifacts in d, as the README runs it."""
+    return ["assemble", "--phi", str(d / "phi.csv"), "--psi", str(d / "psi.csv"),
+            "--curve", str(d / "curve.csv"), "--m", "0", "--theta", "0.55",
+            "--n", "2", "--report", str(report or d / "report.json"),
+            "--out", str(out)]
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +38,7 @@ def workdir(tmp_path_factory):
                 "--report", str(d / "report.json")]) == 0
     assert run(["reconstruct", "--curve", str(d / "curve.csv"), "--v0", "1.0",
                 "--n", "2", "--out", str(d / "psi.csv")]) == 0
-    assert run(["assemble", "--phi", str(d / "phi.csv"),
-                "--psi", str(d / "psi.csv"), "--curve", str(d / "curve.csv"),
-                "--m", "0", "--theta", "0.55",
-                "--n", "2", "--report", str(d / "report.json"),
-                "--out", str(d / "solution.json")]) == 0
+    assert run(assemble_argv(d, d / "solution.json")) == 0
     return d
 
 
@@ -87,6 +96,53 @@ class TestPipeline:
         assert "curve.csv" in err
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("text", ["[1]", '{"R_inf": "big"}', '{"R_inf": NaN}',
+                                      '{"T_inf": 1.5}', '{"R_inf": 4.6'],
+                             ids=["array", "string-R_inf", "nan-R_inf",
+                                  "no-R_inf", "invalid-json"])
+    def test_malformed_report_is_one_line_usage_error(self, workdir, tmp_path,
+                                                      capsys, text):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        assert run(assemble_argv(workdir, tmp_path / "solution.json", bad)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        assert not (tmp_path / "solution.json").exists()
+
+
+class TestSchema3:
+    def test_factor_blocks_hold_only_constructors(self, workdir):
+        data = json.loads((workdir / "solution.json").read_text())
+        assert data["schema"] == 3
+        assert list(data["phi"]) == ["constructor"]
+        assert list(data["psi"]) == ["constructor"]
+        assert data["phi"]["constructor"]["nodes"] == 2001
+        assert data["phi"]["constructor"]["rmax"] == 10.0
+
+    def test_verify_builds_the_factors_assemble_fitted(self, workdir, tmp_path,
+                                                        monkeypatch):
+        built = []
+
+        def recording_assemble(*args, **kwargs):
+            built.append(verify.assemble(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "assemble", recording_assemble)
+        assert run(assemble_argv(workdir, tmp_path / "solution.json")) == 0
+        (sol,) = built
+        back = cli._solution_from_json(str(tmp_path / "solution.json"))
+        assert back.kappa == sol.kappa
+        phi_csv_r = read_columns(str(workdir / "phi.csv"))[1][0]
+        assert back.phi.r.tobytes() == sol.phi.r.tobytes() == phi_csv_r.tobytes()
+        for made, read in ((sol.phi, back.phi), (sol.psi, back.psi)):
+            r = np.geomspace(max(made.r[0], 1e-6), made.r[-1], 257)
+            a, b = made.evaluator, read.evaluator
+            assert a.v(r).tobytes() == b.v(r).tobytes()
+            assert a.u(r).tobytes() == b.u(r).tobytes()
+            for k in (1, 2, 3):
+                assert a.deriv(r, k).tobytes() == b.deriv(r, k).tobytes()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, workdir):
@@ -113,16 +169,59 @@ _DELETE = object()
 _MALFORMED_SOLUTIONS = {
     # a file as schema 1 wrote it: float columns as JSON lists
     "schema-1": {"schema": 1, "phi.r": [0.0, 0.5, 1.0]},
+    # schema 2 also stored the r, v, u columns of both factors
+    "schema-2": {"schema": 2},
     "no-schema": {"schema": _DELETE},
     "missing-key": {"kappa": _DELETE},
-    "missing-column": {"phi.u": _DELETE},
+    "missing-column": {"psi.constructor.eta": _DELETE},
     "missing-curve-column": {"psi.constructor.zeta": _DELETE},
     "null-constructor": {"phi.constructor": None},
+    "missing-constructor": {"psi.constructor": _DELETE},
     "block-not-object": {"phi": [1.0]},
-    "non-alphabet": {"phi.r": "AAAA*AAAAAA="},
-    "odd-bytes": {"psi.v": base64.b64encode(bytes(12)).decode("ascii")},
-    "unequal-columns": {"phi.u": encode_column(np.zeros(3))},
+    "unknown-kind": {"phi.constructor.kind": "spline"},
+    "non-alphabet": {"psi.constructor.eta": "AAAA*AAAAAA="},
+    "odd-bytes": {"psi.constructor.zeta": base64.b64encode(bytes(12)).decode("ascii")},
+    "unequal-columns": {"psi.constructor.zeta": encode_column(np.ones(3))},
+    "short-I": {"psi.constructor.I": encode_column(np.zeros(3))},
+    "empty-columns": {"psi.constructor.eta": "", "psi.constructor.zeta": "",
+                      "psi.constructor.I": ""},
+    "theta-string": {"theta": "0.55"},
+    "theta-outside-range": {"theta": 0.7},
+    "theta-nan": {"theta": math.nan},
+    "kappa-string": {"kappa": "2.5"},
+    "kappa-huge-int": {"kappa": 10**400},
+    "phi-v0-string": {"phi.constructor.v0": "1.0"},
+    "phi-v0-bool": {"phi.constructor.v0": True},
+    "psi-v0-null": {"psi.constructor.v0": None},
+    "psi-v0-negative": {"psi.constructor.v0": -1.0},
+    "lambda-zero": {"phi.constructor.lambda": 0.0},
+    "rmax-infinite": {"phi.constructor.rmax": math.inf},
+    "nodes-float": {"phi.constructor.nodes": 2001.0},
+    "nodes-one": {"phi.constructor.nodes": 1},
+    "nodes-huge": {"phi.constructor.nodes": 2**63},
+    "R_inf-string": {"R_inf": "big"},
+    "R_inf-negative": {"R_inf": -4.7},
+    "m_cylinder-list": {"m_cylinder": [1]},
+    "m_cylinder-huge": {"m_cylinder": 2**63},
+    "n_psi-float": {"n_psi": 2.5},
+    "n_psi-huge": {"n_psi": 10**400},
+    "N-mismatch": {"N": 4},
+    "lambda_phi-string": {"lambda_phi": "a"},
+    "lambda_psi-object": {"lambda_psi": {}},
 }
+
+
+_DRAWN_FIELDS = [
+    "schema", "theta", "kappa", "m_cylinder", "n_psi", "N", "R_inf",
+    "lambda_phi", "lambda_psi", "phi.constructor.kind", "phi.constructor.v0",
+    "phi.constructor.lambda", "phi.constructor.rmax", "phi.constructor.nodes",
+    "psi.constructor.kind", "psi.constructor.v0", "psi.constructor.eta",
+    "psi.constructor.zeta", "psi.constructor.I"]
+_JSON_VALUES = st.one_of(
+    st.text(max_size=12), st.none(), st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.just(math.nan), st.sampled_from([2**63, -2**63, 10**400]))
 
 
 def _edit(data, edits):
@@ -227,7 +326,7 @@ class TestConfigAndErrors:
         bad = tmp_path / "solution.json"
         bad.write_text(json.dumps(data))
         err = self._assert_one_line_usage_error(bad, capsys)
-        if data.get("schema") == 1:
+        if data.get("schema") in (1, 2):
             assert "rerun assemble" in err
 
     @staticmethod
@@ -238,6 +337,29 @@ class TestConfigAndErrors:
         assert "Traceback" not in err
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
         return err
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(_DRAWN_FIELDS), value=_JSON_VALUES)
+    def test_drawn_field_gives_one_line_or_a_verdict(self, workdir, tmp_path,
+                                                     capsys, field, value):
+        data = json.loads((workdir / "solution.json").read_text())
+        _edit(data, {field: value})
+        bad = tmp_path / "solution.json"
+        bad.write_text(json.dumps(data))
+        # a warning would print to stderr ahead of the error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["verify", "--solution", str(bad), "--points", "10",
+                      "--report", str(tmp_path / "verify.json")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if rc == 1:
+            assert not caught
+            assert captured.err.startswith("error: ParameterError: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert rc in (0, 2)
 
     def test_bernstein_1d(self, tmp_path):
         out = tmp_path / "b1.json"

@@ -201,13 +201,25 @@ class TestSerialization:
     def test_report_rejects_negative_stats(self):
         with pytest.raises(ParameterError):
             VerificationReport(residual_max=-1.0, residual_mean=0.0,
-                               convexity_margin=1.0, bounds=[], blowup={},
-                               effective_lambda={})
+                               convexity_margin=1.0, blowup={},
+                               effective_lambda={}, residuals=[])
 
 
 class TestPhaseCurveType:
     def test_limit_check(self, local_solve):
         assert local_solve.curve.limit_check()
+
+    @pytest.mark.parametrize("cut", ["zeta", "I"])
+    def test_unequal_columns_rejected(self, curve_1e3, cut):
+        from affmax.core import PhaseCurve
+        cols = {"eta": curve_1e3.eta, "zeta": curve_1e3.zeta, "I": curve_1e3.I}
+        cols[cut] = cols[cut][:-5]
+        lengths = [len(cols[k]) for k in ("eta", "zeta", "I")]
+        message = "hold {}, {}, {} values".format(*lengths)
+        with pytest.raises(ParameterError, match=message):
+            PhaseCurve(params=curve_1e3.params, taylor=curve_1e3.taylor, **cols)
+        with pytest.raises(ParameterError, match=message):
+            PhaseCurve.from_columns(**cols, n=2, theta=0.55)
 
     def test_monotone_eta_required(self):
         with pytest.raises(ParameterError):

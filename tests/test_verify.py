@@ -5,8 +5,8 @@ import pytest
 
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
-from affmax.verify import (assemble, bernstein_1d_check, completeness_check,
-                           convexity_check, factor_residual_phi,
+from affmax.verify import (MAX_CYLINDER, assemble, bernstein_1d_check,
+                           completeness_check, convexity_check, factor_residual_phi,
                            factor_residual_psi, full_residual,
                            hessian_eigenvalues_at, residual_at)
 
@@ -62,6 +62,11 @@ class TestAssemble:
     def test_theta_gate(self, phi_profile, psi_profile):
         with pytest.raises(ParameterError):
             assemble(phi_profile, psi_profile, theta=0.7)  # >= n/(n+1)
+
+    @pytest.mark.parametrize("m", [-1, 1.5, MAX_CYLINDER + 1])
+    def test_cylinder_gate(self, phi_profile, psi_profile, m):
+        with pytest.raises(ParameterError, match="m_cylinder"):
+            assemble(phi_profile, psi_profile, m_cylinder=m, theta=THETA)
 
 
 class TestFullResidual:
