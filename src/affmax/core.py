@@ -259,36 +259,40 @@ def shaped_like(r, val):
     return val if val.ndim else float(val)
 
 
+def check_order(k: int):
+    """ParameterError unless the derivative order k is 1, 2 or 3."""
+    if k not in (1, 2, 3):
+        raise ParameterError(f"derivative order must be 1, 2 or 3, got {k!r}")
+
+
 class ProfileEvaluator:
-    """Evaluation of v = u' and its derivatives for a profile, on arrays.
+    """Evaluation of u, v = u' and d^k v / dr^k (k = 1, 2, 3) of a profile.
 
     Every method takes radii r as a float or an ndarray of any shape and
     returns values of the same shape (a float for a float), computed
-    elementwise.  deriv(r, k) returns d^k v / dr^k for 1 <= k <=
-    max_order() and None above it (the caller then falls back to finite
-    differences on v); u(r) returns None when the evaluator has no rule
-    for u.  Evaluators backed by a table clamp radii outside it exactly
-    as they would a single radius.
+    elementwise.  An evaluator with no rule for what is asked, and
+    deriv at any order k other than 1, 2 or 3, raise ParameterError.
+    Evaluators backed by a table clamp radii outside it exactly as they
+    would a single radius.
     """
 
     def v(self, r):
-        raise NotImplementedError
+        raise ParameterError(f"{type(self).__name__} has no rule for v")
 
     def u(self, r):
-        return None
+        raise ParameterError(f"{type(self).__name__} has no rule for u")
 
     def deriv(self, r, k: int):
-        return None
-
-    def max_order(self) -> int:
-        return 0
+        check_order(k)
+        raise ParameterError(f"{type(self).__name__} has no rule for v" + "'" * k)
 
 
 class AnalyticEvaluator(ProfileEvaluator):
-    """Closed-form profile: v_fn plus optional derivative callables.
+    """Closed-form profile: v_fn plus rules for v', v'', ... and for u.
 
     The callables receive the radii array; a callable returning a
-    constant (lambda r: 2.0) is broadcast to the shape of r.
+    constant (lambda r: 2.0) is broadcast to the shape of r.  Asking for
+    a rule that was not given raises ParameterError.
     """
 
     def __init__(self, v_fn, derivs=(), u_fn=None):
@@ -300,15 +304,13 @@ class AnalyticEvaluator(ProfileEvaluator):
         return shaped_like(r, self._v(r))
 
     def u(self, r):
-        return shaped_like(r, self._u(r)) if self._u is not None else None
+        return super().u(r) if self._u is None else shaped_like(r, self._u(r))
 
     def deriv(self, r, k):
-        if 1 <= k <= len(self._derivs):
-            return shaped_like(r, self._derivs[k - 1](r))
-        return None
-
-    def max_order(self):
-        return len(self._derivs)
+        check_order(k)
+        if k > len(self._derivs):
+            return super().deriv(r, k)
+        return shaped_like(r, self._derivs[k - 1](r))
 
 
 class ScaledEvaluator(ProfileEvaluator):
@@ -322,15 +324,10 @@ class ScaledEvaluator(ProfileEvaluator):
         return self.kappa * self.base.v(r)
 
     def u(self, r):
-        u = self.base.u(r)
-        return None if u is None else self.kappa * u
+        return self.kappa * self.base.u(r)
 
     def deriv(self, r, k):
-        d = self.base.deriv(r, k)
-        return None if d is None else self.kappa * d
-
-    def max_order(self):
-        return self.base.max_order()
+        return self.kappa * self.base.deriv(r, k)
 
 
 @dataclass
@@ -367,13 +364,9 @@ class RadialProfile:
     def v_at(self, r):
         return self._evaluator().v(r)
 
-    def v_deriv_at(self, r, k: int, h_rel: float | None = None):
-        """d^k v/dr^k at the radii r; analytic chain if available, else FD on v."""
-        ev = self._evaluator()
-        if ev.max_order() >= k:
-            return ev.deriv(r, k)
-        h = (h_rel or fd.DEFAULT_H_REL[k]) * np.maximum(np.abs(r), 1e-2)
-        return fd.derivative_from_callable(ev.v, r, k, h=h)
+    def v_deriv_at(self, r, k: int):
+        """d^k v/dr^k (k = 1, 2, 3) at the radii r, by the evaluator's rule."""
+        return self._evaluator().deriv(r, k)
 
     def scaled(self, kappa: float) -> "RadialProfile":
         """The profile of kappa * u (v and u scale linearly)."""
@@ -509,7 +502,8 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
     """Sampled (eta, zeta) of the profile: eta = r v'/v, zeta = r deta/dr.
 
     Radii below r_floor are excluded (the ratio is 0/0 at the origin).
-    Returns (eta, zeta) ordered by increasing r; callers may
+    Both derivatives come from edge-aware stencils on the evaluator's v
+    alone.  Returns (eta, zeta) ordered by increasing r; callers may
     reparametrise by eta when it is strictly monotone.
     """
     if nodes is None:
@@ -536,17 +530,11 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
         gap = r_hi - x
         return np.where(gap > 0, np.minimum(h, 0.1 * gap), h)
 
-    use_chain = ev.max_order() >= 1
-
-    def vprime(x):
-        if use_chain:
-            return ev.deriv(x, 1)
-        # tighter than the standalone default: the outer derivative
-        # amplifies any truncation error left in v'
-        return fd.derivative_from_callable(ev.v, x, 1, h=hcap(x, 2e-3))
-
     def eta_fn(x):
-        return x * vprime(x) / ev.v(x)
+        # v' from values too, so a values-only profile takes this path;
+        # a small step, as the outer derivative amplifies its truncation error
+        vprime = fd.derivative_from_callable(ev.v, x, 1, h=hcap(x, 2e-3))
+        return x * vprime / ev.v(x)
 
     eta = eta_fn(nodes)
     zeta = nodes * fd.derivative_from_callable(eta_fn, nodes, 1,

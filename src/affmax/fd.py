@@ -1,18 +1,14 @@
 """Finite-difference derivative estimation.
 
 Centered and one-sided high-order stencils on callables, with weights
-from Fornberg's recursion.  Fourth derivatives in double precision are
-noise-limited: roundoff grows like eps*|f|/h^k, so the default steps
-below are sized near the truncation/roundoff balance for 9-point O(h^6)
-stencils instead of the naive h ~ 1e-4.
+from Fornberg's recursion.  The caller gives every step: roundoff grows
+like eps*|f|/h^k while truncation falls with a power of h, so the
+balanced step depends on the order, the stencil and the scale of f.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# balanced relative steps for 9-point stencils, by derivative order
-DEFAULT_H_REL = {1: 5e-3, 2: 1e-2, 3: 1.7e-2, 4: 2.5e-2}
 
 
 def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -48,8 +44,8 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def derivative_from_callable(f, x0, order: int, h=None, points: int = 9):
-    """Centered stencil estimate of f^(order) at x0 using `points` nodes.
+def derivative_from_callable(f, x0, order: int, h, points: int = 9):
+    """Centered stencil estimate of f^(order) at x0 using `points` nodes spaced h.
 
     x0 and h are floats or arrays that broadcast together; f is called
     once, on the array of every stencil node (shape x0.shape + (points,)),
@@ -57,8 +53,6 @@ def derivative_from_callable(f, x0, order: int, h=None, points: int = 9):
     x0 (a float for a float).
     """
     x0 = np.asarray(x0, dtype=float)
-    if h is None:
-        h = DEFAULT_H_REL[order] * np.maximum(np.abs(x0), 1.0)
     h = np.asarray(h, dtype=float)
     half = points // 2
     offsets = np.arange(-half, half + 1, dtype=float)

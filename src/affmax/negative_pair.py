@@ -47,22 +47,6 @@ def calibration_target(n: int) -> float:
     return 4.0 + n * (n - 2) / 2.0
 
 
-def _calibrated_lambda(J: float, n: int, eta0: float,
-                       theta: float | None = None) -> float:
-    """lam = 2 * target(n) * (eta0 - 1) * exp(J), J = int_1^eta0 g.
-
-    exp(J) beyond the float range means the candidate has no calibration
-    constant: NoConvergence, naming J and the parameters (theta if given).
-    """
-    try:
-        return 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(J)
-    except OverflowError:
-        at = f"n = {n}" + ("" if theta is None else f", theta = {theta}")
-        raise NoConvergence(
-            f"calibration constant overflows: exp(J) with J = {J:.6g} "
-            f"({at}, eta0 = {eta0})") from None
-
-
 def taylor_coeffs(n: int, theta: float) -> TaylorData:
     """Closed-form Taylor data of the local solution at eta = 1.
 
@@ -171,6 +155,27 @@ def _prepare_grid(eta, phi):
     return eta, eta - 1.0, phi
 
 
+def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
+                 theta: float | None = None):
+    """(Jfull, lam): Jfull = int_1^eta g at each sample, with g the regular
+    part of (s+1)/phi, and lam = 2 * target(n) * (eta0 - 1) * exp(J),
+    J = Jfull[-1] = int_1^eta0 g.
+
+    exp(J) beyond the float range means the candidate has no calibration
+    constant: NoConvergence, naming J and the parameters (theta if given).
+    """
+    g = _g_integrand(x, eta, phi, taylor)
+    Jfull = cumulative_simpson(g, eta)
+    J = float(Jfull[-1])
+    try:
+        return Jfull, 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(J)
+    except OverflowError:
+        at = f"n = {n}" + ("" if theta is None else f", theta = {theta}")
+        raise NoConvergence(
+            f"calibration constant overflows: exp(J) with J = {J:.6g} "
+            f"({at}, eta0 = {eta0})") from None
+
+
 def calibrate_lambda(eta, phi, n: int, eta0: float,
                      taylor: TaylorData | None = None,
                      slope_tol: float = 2e-2) -> float:
@@ -186,17 +191,13 @@ def calibrate_lambda(eta, phi, n: int, eta0: float,
     if abs(taylor.d1 - 2.0) > slope_tol:
         raise SingularityMismatch(
             f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
-    g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, eta)
-    return _calibrated_lambda(float(Jfull[-1]), n, eta0)
+    return _calibration(x, eta, phi, taylor, n, eta0)[1]
 
 
 def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float):
     """One application of the mapping; returns (zeta, lam, F = zeta')."""
-    g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, eta)
+    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0, theta)
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
-    lam = _calibrated_lambda(float(Jfull[-1]), n, eta0, theta)
     ratio = _ratio_x_over_phi(x, phi, taylor)   # (eta-1)/phi
     exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
     q = (n * theta - (n - 1)) * eta - (n * theta - 1)
@@ -353,9 +354,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     if np.any(phi[1:] <= 0):
         raise PositivityLoss("converged curve not positive on (1, eta0]")
     # final lambda and exponential integral of the fixed point itself
-    g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, eta)
-    lam = _calibrated_lambda(float(Jfull[-1]), n, eta0, theta)
+    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0, theta)
     with np.errstate(divide="ignore"):
         I = (Jfull - Jfull[-1]) + np.where(x > 0, np.log(x / (eta0 - 1.0)), -np.inf)
     bands = GammaSetSpec(eta0=eta0, alpha=formula.alpha, beta=formula.beta,

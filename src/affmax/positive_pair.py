@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
-                   cumulative_simpson, shaped_like)
+                   check_order, cumulative_simpson, shaped_like)
 from .errors import DomainError, NoConvergence, ParameterError, StepFailure
 from .spline import interp_spline
 
@@ -233,8 +233,7 @@ class PositivePairEvaluator(ProfileEvaluator):
         return shaped_like(r, self._at(r, 2))
 
     def deriv(self, r, k):
-        if not 1 <= k <= 3:
-            return None
+        check_order(k)
         vpp = self._vpp(r)
         if k == 2:
             vpp = self.config.vpp_prime(vpp) * np.sign(r)
@@ -242,8 +241,25 @@ class PositivePairEvaluator(ProfileEvaluator):
             vpp = self.config.vpp_second(vpp)
         return shaped_like(r, vpp)
 
-    def max_order(self):
-        return 3
+
+def _table_floor(config: PositivePairConfig, r_max: float) -> float:
+    """v_min = min(v0/4, 1/(a (2/sqrt(v0 a) + r_max)^2)), where the table ends:
+    the second term is the curvature lower bound at r_max.
+
+    ParameterError unless v0, a, v_min and the products the table forms,
+    v^3 and a * radicand(v) (both increasing on [v_min, v0/2]), are
+    finite normal floats.  Here float64 overflows to inf rather than raise.
+    """
+    v0, a = np.float64(config.v0), np.float64(config.a)
+    with np.errstate(all="ignore"):
+        v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / np.sqrt(v0 * a) + r_max) ** 2))
+        vals = np.array([v0, a, v_min, v0 ** 3, v_min ** 3,
+                         a * config.radicand(v_min), a * config.radicand(v0 / 2.0)])
+    if not np.all((vals >= np.finfo(float).tiny) & (vals < np.inf)):
+        raise ParameterError(
+            f"the curvature table of v0 = {config.v0:g}, lambda = {config.lam:g}, "
+            f"theta = {config.theta:g} to r_max = {r_max:g} leaves the float range")
+    return float(v_min)
 
 
 def _curvature_table(config: PositivePairConfig, r_max: float):
@@ -255,12 +271,12 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     any adaptive quadrature calls.
     """
     v0, a = config.v0, config.a
+    v_min = _table_floor(config, r_max)
     # piece A: v from v0 down to v0/2
     tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
     rA = cumulative_simpson(_integrand_nodes(config, tA) / math.sqrt(a), tA)
     vA = v0 * (1.0 - tA * tA)
-    # piece B: descend in y = -log v from v0/2 down to v_min(r_max)
-    v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / math.sqrt(v0 * a) + r_max) ** 2))
+    # piece B: descend in y = -log v from v0/2 down to v_min
     y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), 8000)
     vB = np.exp(-y)
     fB = vB / np.sqrt(a * config.radicand(vB))        # dr/dy > 0
@@ -286,11 +302,17 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     if r_q[-1] < r_max:
         raise ParameterError("curvature table fell short of r_max")
     # spline the quadrature table directly: any intermediate resampling
-    # would plant C^1 kinks that downstream Hessian differencing amplifies
-    keep = np.concatenate([[True], np.diff(r_q) > 1e-11])
+    # would plant C^1 kinks that downstream Hessian differencing amplifies.
+    # Rows closer than 1e-11 of the radius scale 1/sqrt(v0 a) are dropped.
+    scale = 1.0 / (math.sqrt(config.v0) * math.sqrt(config.a))
+    keep = np.concatenate([[True], np.diff(r_q) > 1e-11 * scale])
     r_tab, vpp = r_q[keep], v_q[keep]
     v_up = cumulative_simpson(vpp, r_tab)
-    u = cumulative_simpson(v_up, r_tab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = cumulative_simpson(v_up, r_tab)
+    if not np.isfinite(u[-1]):
+        raise ParameterError(f"u overflows before r_max = {r_max:g} at v0 = "
+                             f"{config.v0:g}, lambda = {config.lam:g}")
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
     prof = RadialProfile(
         r=grid,

@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .core import (PhaseCurve, ProfileEvaluator, RadialProfile,
-                   cumulative_simpson, shaped_like)
+from .core import (AnalyticEvaluator, PhaseCurve, ProfileEvaluator, RadialProfile,
+                   check_order, cumulative_simpson, shaped_like)
 from .errors import ParameterError, PositivityLoss
 from .negative_pair import _ratio_x_over_phi
 from .spline import interp_spline
@@ -150,8 +150,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
                                        self._cols(self._t(r), 3)))
 
     def deriv(self, r, k):
-        if not 1 <= k <= 3:
-            return None
+        check_order(k)
         r = np.abs(r)
         rs = np.maximum(r, self.r_min)
         t, etab, zeta, logv = self._state(rs)
@@ -167,9 +166,6 @@ class PhaseProfileEvaluator(ProfileEvaluator):
                 out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
             below = 0.0
         return shaped_like(r, np.where(r < self.r_min, below, out))
-
-    def max_order(self):
-        return 3
 
 
 def etabar_of_r(curve: PhaseCurve, r_grid):
@@ -233,7 +229,6 @@ def rebuild_profile(curve: PhaseCurve, v0: float,
 
 def paraboloid_profile(v0: float, r0: float, grid, n: int = 2) -> RadialProfile:
     """The degenerate branch eta == 1, zeta == 0: v = (v0/r0) r, u = v0 r^2/(2 r0)."""
-    from .core import AnalyticEvaluator
     grid = np.asarray(grid, dtype=float)
     c = v0 / r0
     ev = AnalyticEvaluator(lambda r: c * r,

@@ -294,12 +294,11 @@ def completeness_check(sol: SeparableSolution, ceiling: float = 1e6) -> dict:
     The phi side grows at least linearly for large |x| (its curvature is
     positive and u' increasing), so u exceeds any ceiling at a finite,
     reported |x|.  The psi side delegates to the boundary blow-up check.
+    A phi evaluator with no rule for u raises ParameterError.
     """
     phi = sol.phi
     xs = phi.r[-1] * np.array([0.25, 0.5, 1.0])
     u_vals = phi.evaluator.u(xs)
-    if u_vals is None:
-        raise ParameterError("completeness check needs a rule for u of the phi factor")
     increasing = bool(u_vals[0] < u_vals[1] < u_vals[2])
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
     x_ceiling = xs[2] + max(ceiling - u_vals[2], 0.0) / slope if slope > 0 else math.inf

@@ -196,6 +196,8 @@ _MALFORMED_SOLUTIONS = {
     "psi-v0-negative": {"psi.constructor.v0": -1.0},
     "lambda-zero": {"phi.constructor.lambda": 0.0},
     "rmax-infinite": {"phi.constructor.rmax": math.inf},
+    # finite, but the curvature table down to it leaves the float range
+    "rmax-huge": {"phi.constructor.rmax": 1e300},
     "nodes-float": {"phi.constructor.nodes": 2001.0},
     "nodes-one": {"phi.constructor.nodes": 1},
     "nodes-huge": {"phi.constructor.nodes": 2**63},
@@ -360,6 +362,47 @@ class TestConfigAndErrors:
             assert captured.err.count("\n") == 1
         else:
             assert rc in (0, 2)
+
+    @pytest.mark.parametrize("args", [
+        ["--rmax", "1e300"], ["--lambda", "1e300"], ["--v0", "1e-200"],
+        ["--v0", "1e300"], ["--rmax", "1e60"],
+        # a table inside the float range whose u is not
+        ["--v0", "1e100", "--lambda", "5e-292", "--rmax", "5e147"]],
+        ids=lambda args: " ".join(args))
+    def test_curvature_table_beyond_float_range_is_one_line_usage_error(
+            self, tmp_path, capsys, args):
+        out = tmp_path / "phi.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["solve-positive", *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and not out.exists()
+        assert captured.err.startswith("error: ParameterError: ")
+        assert captured.err.count("\n") == 1
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v0=st.floats(-300, 300), lam=st.floats(-300, 300),
+           rmax=st.floats(-300, 300))
+    def test_drawn_positive_pair_gives_one_line_or_finite_columns(
+            self, tmp_path, capsys, v0, lam, rmax):
+        # v0, lambda and rmax drawn log-uniformly in [1e-300, 1e300]
+        out = tmp_path / "phi.csv"
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["solve-positive", "--v0", repr(10.0 ** v0),
+                      "--lambda", repr(10.0 ** lam), "--rmax", repr(10.0 ** rmax),
+                      "--nodes", "201", "--out", str(out)])
+        captured = capsys.readouterr()
+        if rc == 1:
+            assert captured.err.startswith("error: ParameterError: ")
+            assert captured.err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert rc == 0 and captured.err == ""
+            _, cols = read_columns(out, header=["r", "v", "u"])
+            assert all(np.isfinite(c).all() for c in cols)
 
     def test_bernstein_1d(self, tmp_path):
         out = tmp_path / "b1.json"

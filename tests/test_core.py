@@ -87,13 +87,16 @@ class TestRadialResidual:
         assert abs(res[0] - oracle) < 1e-6
         assert abs(res[0]) > 1.0  # nonzero residual, far from machine zero
 
-    def test_fd_fallback_matches_analytic(self):
-        # strip the derivative chain: only v values available
+    def test_values_only_profile_raises(self):
+        # strip the derivative chain: with only v values there is no rule for v'
         base = poly_profile()
         ev = AnalyticEvaluator(base.evaluator.v)
         prof = RadialProfile(r=base.r, v=base.v, u=base.u, n=2, evaluator=ev)
-        res_fd = radial_residual(prof, 0.75, 2, 0.0, nodes=[1.0])
-        assert abs(res_fd[0] - (-187.0 / 60.0)) < 1e-6
+        with pytest.raises(ParameterError, match="no rule for v'$"):
+            radial_residual(prof, 0.75, 2, 0.0, nodes=[1.0])
+        for k in (0, 4):
+            with pytest.raises(ParameterError, match="order must be 1, 2 or 3"):
+                base.v_deriv_at(1.0, k)
 
     def test_nonconvex_raises(self):
         # v = r - r^3 has u'' = 1 - 3 r^2 < 0 at r = 1

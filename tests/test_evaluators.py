@@ -20,10 +20,11 @@ from scipy.integrate import cumulative_simpson
 
 from affmax import positive_pair, reconstruct
 from affmax.cli import main
-from affmax.core import shaped_like
+from affmax.core import AnalyticEvaluator, shaped_like
+from affmax.errors import ParameterError
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
                                   _curvature_table, _integrand_factory)
-from affmax.reconstruct import PhaseProfileEvaluator, _tables
+from affmax.reconstruct import PhaseProfileEvaluator, _tables, paraboloid_profile
 from affmax.spline import interp_spline
 
 from conftest import THETA
@@ -87,9 +88,6 @@ class RefPhaseProfileEvaluator:
             below = 0.0
         return shaped_like(r, np.where(r < self.r_min, below, out))
 
-    def max_order(self):
-        return 3
-
 
 class RefPositivePairEvaluator:
     def __init__(self, config, r, vpp, v_up, u):
@@ -121,9 +119,6 @@ class RefPositivePairEvaluator:
         if k == 3:
             return self.config.vpp_second(vpp)
         return None
-
-    def max_order(self):
-        return 3
 
 
 def ref_curvature_table(config, r_max):
@@ -204,8 +199,9 @@ def assert_same(got, want, r):
 @pytest.mark.parametrize("name", ["phase", "positive"])
 def test_joint_spline_matches_per_column_fits(pairs, name):
     ev, ref, lo, hi = pairs[name]
-    assert ev.max_order() == ref.max_order() == 3
-    assert ev.deriv(1.0, 4) is None and ev.deriv(1.0, 0) is None
+    for k in (0, 4):
+        with pytest.raises(ParameterError, match="order must be 1, 2 or 3"):
+            ev.deriv(1.0, k)
 
     @settings(max_examples=60)
     @given(r=queries(lo, hi))
@@ -274,3 +270,51 @@ def test_reconstruct_command_fits_no_spline(monkeypatch, tmp_path, curve_1e3):
                "--out", str(tmp_path / "psi.csv")])
     assert rc == 0 and (tmp_path / "psi.csv").exists()
     assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# the evaluator contract, for every evaluator the package builds
+
+
+def power_evaluator(p=8, C=1.0):
+    """v = C p r^(p-1) with its derivative chain, as power_solution_residual
+    builds it, plus the rule u = C r^p."""
+    def mono(j):
+        coef = C * p
+        for i in range(j):
+            coef *= (p - 1 - i)
+        return lambda r, c=coef, q=p - 1 - j: c * r**q
+
+    return AnalyticEvaluator(mono(0), [mono(1), mono(2), mono(3)],
+                             u_fn=lambda r: C * r**p)
+
+
+@pytest.fixture(scope="module")
+def built(phi_profile, psi_profile):
+    """name -> (evaluator, smallest radius, largest radius) to query."""
+    grid = np.linspace(0.0, 3.0, 31)
+    return {
+        "build_phi": (phi_profile.evaluator, 0.0, float(phi_profile.r[-1])),
+        "rebuild_profile": (psi_profile.evaluator, float(psi_profile.r[0]),
+                            float(psi_profile.r[-1])),
+        "scaled": (phi_profile.scaled(2.5).evaluator, 0.0, float(phi_profile.r[-1])),
+        "paraboloid": (paraboloid_profile(2.0, 1.0, grid).evaluator, 0.0, 3.0),
+        "analytic": (power_evaluator(), 0.25, 4.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled",
+                                  "paraboloid", "analytic"])
+def test_every_evaluator_keeps_the_contract(built, name):
+    ev, lo, hi = built[name]
+    rng = np.random.default_rng(7)
+    for r in (0.5 * (lo + hi), rng.uniform(lo, hi, 7), rng.uniform(lo, hi, (2, 3, 5))):
+        for val in (ev.v(r), ev.u(r), *(ev.deriv(r, k) for k in (1, 2, 3))):
+            if np.ndim(r) == 0:
+                assert type(val) is float
+            else:
+                assert isinstance(val, np.ndarray) and val.shape == r.shape
+            assert np.all(np.isfinite(val))
+    for k in (0, 4):
+        with pytest.raises(ParameterError, match="order must be 1, 2 or 3"):
+            ev.deriv(1.0, k)
