@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import math
 import sys
@@ -20,12 +21,12 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .core import (PhaseCurve, RadialProfile, decode_column, encode_column,
-                   read_columns, write_columns)
+                   read_columns, upper_bound_claimed, write_columns)
 from .errors import AffmaxError, ParameterError
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
 from .phase_plane import bernstein_radial_check
-from .positive_pair import PositivePairConfig, build_phi
+from .positive_pair import PositivePairConfig, build_phi, phi_grid
 from .reconstruct import rebuild_profile
 from .verify import (assemble, bernstein_1d_check, check_assembly,
                      completeness_check, full_residual)
@@ -40,6 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+# solve-negative keeps fixed_point_solve's defaults, as sweep does
+_SOLVER = inspect.signature(fixed_point_solve).parameters
+
 # every option of every subcommand: (command, flag, type, default, help).
 # The option's key, in the parsed options and in a config file, is the
 # flag with dashes as underscores.
@@ -53,11 +57,10 @@ _OPTIONS = [
     ("solve-negative", "n", int, 2, "factor dimension"),
     ("solve-negative", "theta", float, 0.55, "exponent"),
     ("solve-negative", "eta0", float, 1.05, "anchor eta0 > 1"),
-    ("solve-negative", "tol", float, 1e-10, "sup-norm tolerance"),
-    ("solve-negative", "max-iter", int, 200, "iteration cap"),
-    ("solve-negative", "damping", float, 0.5, "Picard damping"),
-    ("solve-negative", "eta-max", float, 1e3, "blow-up integration range"),
-    ("solve-negative", "eta-max-bounds", float, 1e5, "bound-scan range"),
+    ("solve-negative", "tol", float, _SOLVER["tol"].default, "sup-norm tolerance"),
+    ("solve-negative", "max-iter", int, _SOLVER["max_iter"].default, "iteration cap"),
+    ("solve-negative", "damping", float, _SOLVER["damping"].default, "Picard damping"),
+    ("solve-negative", "eta-max", float, 1e5, "integration and bound-scan range"),
     ("solve-negative", "out", str, "curve.csv", "curve CSV"),
     ("solve-negative", "report", str, "report.json", "report JSON"),
     ("reconstruct", "curve", str, "curve.csv", "curve CSV"),
@@ -111,7 +114,7 @@ def _options(command):
 
 
 def _merge(args: argparse.Namespace, command: str) -> dict:
-    cfg = {}
+    cfg, own = {}, set()
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
         read = parser.read(args.config)
@@ -119,6 +122,11 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             raise FileNotFoundError(f"config file {args.config} not found")
         if parser.has_section(command):
             cfg = dict(parser.items(command))
+            own = set(cfg) - set(parser.defaults())     # [DEFAULT] serves every section
+    unknown = sorted(own - {key for key, *_ in _options(command)})
+    if unknown:
+        raise ParameterError(f"config file {args.config}: [{command}] has no "
+                             f"option {', '.join(unknown)}")
     out = {}
     for key, _, typ, default, _ in _options(command):
         cli_val = getattr(args, key, None)
@@ -143,26 +151,23 @@ def _dump_json(obj, path):
 
 def _cmd_solve_positive(o) -> int:
     cfg = PositivePairConfig(v0=o["v0"], lam=o["lambda"], theta=o["theta"])
-    grid = np.linspace(0.0, o["rmax"], int(o["nodes"]))
+    grid = phi_grid(o["rmax"], int(o["nodes"]))
     prof = build_phi(cfg, grid)
     prof.to_csv(o["out"])
     print(f"wrote {o['out']} ({len(grid)} rows, r <= {o['rmax']})")
     return 0
 
 
-def _solve_negative_pipeline(n, theta, eta0, tol, max_iter, damping,
-                             eta_max, eta_max_bounds):
-    local = fixed_point_solve(n, theta, eta0, tol=tol, max_iter=max_iter,
-                              damping=damping)
-    span = max(eta_max, eta_max_bounds)
-    curve = extend_global(local, eta_max=span)
+def _solve_negative_pipeline(local, eta_max):
+    """The local solve's curve extended to eta_max, and its report."""
+    curve = extend_global(local, eta_max=eta_max)
     bounds_rep = growth_bounds_check(curve)
     # the blow-up estimate uses the full integration range: the curve (and
     # any profile rebuilt from it) reaches within ~1/(q eta_max) of the
     # boundary, so T_inf must be at least that accurate
     T_inf, tail = blowup_time(curve)
     report = {
-        "n": n, "theta": theta, "eta0": eta0,
+        "n": curve.params.n, "theta": curve.params.theta, "eta0": curve.params.eta0,
         "taylor": {"alpha": local.taylor_formula.alpha,
                    "beta": local.taylor_formula.beta,
                    "gamma": local.taylor_formula.gamma},
@@ -181,9 +186,9 @@ def _solve_negative_pipeline(n, theta, eta0, tol, max_iter, damping,
 
 
 def _cmd_solve_negative(o) -> int:
-    curve, report = _solve_negative_pipeline(
-        int(o["n"]), o["theta"], o["eta0"], o["tol"], int(o["max_iter"]),
-        o["damping"], o["eta_max"], o["eta_max_bounds"])
+    local = fixed_point_solve(int(o["n"]), o["theta"], o["eta0"], tol=o["tol"],
+                              max_iter=int(o["max_iter"]), damping=o["damping"])
+    curve, report = _solve_negative_pipeline(local, o["eta_max"])
     curve.to_csv(o["out"])
     _dump_json(report, o["report"])
     ok = (report["bounds_detail"]["rho_holds"]
@@ -235,18 +240,13 @@ def _cmd_assemble(o) -> int:
     return 0
 
 
-def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile,
-                         name: str, tol: float = 1e-6):
+def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile, name: str):
     v_ref = rebuilt.v_at(stored.r)
     scale = np.max(np.abs(v_ref))
-    if np.max(np.abs(v_ref - stored.v)) > tol * scale:
+    if np.max(np.abs(v_ref - stored.v)) > 1e-6 * scale:
         raise ValueError(
             f"{name} profile columns disagree with the reconstruction; "
             "wrong curve/v0/lambda for this CSV?")
-
-
-# the phi grid only resamples the 16,000-row curvature table
-_MAX_NODES = 10**6
 
 
 def _factor(ctor, theta, n, where):
@@ -261,11 +261,8 @@ def _factor(ctor, theta, n, where):
     v0 = _number(ctor, "v0", where, positive=True)
     if kind == "positive-pair":
         lam, rmax = (_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
-        nodes = _number(ctor, "nodes", where, integer=True)
-        if not 2 <= nodes <= _MAX_NODES:
-            raise ParameterError(f"{where}: nodes must be in [2, {_MAX_NODES}], got {nodes}")
-        return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta),
-                         np.linspace(0.0, rmax, nodes))
+        grid = phi_grid(rmax, _number(ctor, "nodes", where, integer=True))
+        return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
     eta, zeta, I = (decode_column(_get(ctor, k, where), f"{where}: {k}")
                     for k in ("eta", "zeta", "I"))
     return rebuild_profile(PhaseCurve.from_columns(eta, zeta, I, n=n, theta=theta),
@@ -394,13 +391,12 @@ def _cmd_bernstein_1d(o) -> int:
 
 def _sweep_worker(task):
     n, theta, eta0, eta_max = task
-    lo, hi = 1.0 / n, n / (n + 1)
-    row = {"theta": theta, "upper_bound_claimed": bool(lo <= theta < hi)}
+    row = {"theta": theta, "upper_bound_claimed": upper_bound_claimed(n, theta)}
     if not row["upper_bound_claimed"]:
         row["note"] = "upper-bound-not-claimed"
     try:
-        _, report = _solve_negative_pipeline(n, theta, eta0, 1e-10, 200, 0.5,
-                                             eta_max, eta_max)
+        _, report = _solve_negative_pipeline(fixed_point_solve(n, theta, eta0),
+                                             eta_max)
         row.update({"lambda_cal": report["lambda_cal"],
                     "iterations": report["iterations"],
                     "T_inf": report["T_inf"], "R_inf": report["R_inf"],
@@ -412,6 +408,8 @@ def _sweep_worker(task):
 
 def _cmd_sweep(o) -> int:
     import os
+    if not o["steps"] >= 1:
+        raise ParameterError(f"steps must be at least 1, got {o['steps']}")
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     jobs = int(o["jobs"])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (DegenerateProfile, GridTooCoarse, InconsistentProfile,
                      NonConvexProfile, ParameterError)
 
 __all__ = [
-    "ModelParams", "TaylorData", "PhaseCurve", "RadialProfile",
-    "SeparableSolution", "VerificationReport",
+    "ModelParams", "upper_bound_claimed", "TaylorData", "PhaseCurve",
+    "RadialProfile", "SeparableSolution", "VerificationReport",
     "radial_lhs", "radial_residual", "profile_to_phase",
     "effective_lambda_fit", "eigenvalue_from_lambda_prime",
 ]
@@ -64,17 +64,18 @@ class ModelParams:
         if not self.eta0 > 1:
             raise ParameterError(f"eta0 must exceed 1, got {self.eta0}")
 
-    def require_negative_pair(self, want_upper_bound: bool = False):
+    def require_negative_pair(self):
         """Extra hypotheses for the bounded-factor construction."""
         if not 2 <= self.n <= 5:
             raise ParameterError(f"negative-pair solve needs 2 <= n <= 5, got {self.n}")
         if not self.theta > (self.n - 7) / self.n**2:
             raise ParameterError(
                 f"global extension needs theta > (n-7)/n^2 = {(self.n - 7) / self.n ** 2}")
-        if want_upper_bound and not (1 / self.n <= self.theta < self.n / (self.n + 1)):
-            raise ParameterError(
-                f"quadratic upper bound needs theta in [1/n, n/(n+1)) = "
-                f"[{1 / self.n}, {self.n / (self.n + 1)}), got {self.theta}")
+
+
+def upper_bound_claimed(n: int, theta: float) -> bool:
+    """zeta <= eta^2 (eventually) is claimed exactly for theta in [1/n, n/(n+1))."""
+    return bool(1 / n <= theta < n / (n + 1))
 
 
 @dataclass
@@ -222,12 +223,12 @@ class PhaseCurve:
     def eta_max(self) -> float:
         return float(self.eta[-1])
 
-    def limit_check(self, tol: float = 1e-2) -> bool:
-        """zeta -> 0 and zeta/(eta-1) -> d1 as eta -> 1+ (on the first samples)."""
+    def limit_check(self) -> bool:
+        """zeta -> 0 and zeta/(eta-1) -> d1 as eta -> 1+, to 1e-2 on the first samples."""
         k = min(8, len(self.eta))
         ratio = self.zeta[:k] / (self.eta[:k] - 1.0)
-        return bool(self.zeta[0] < tol and np.all(np.abs(ratio - self.taylor.d1)
-                                                  < tol * max(1.0, self.taylor.d1)))
+        return bool(self.zeta[0] < 1e-2 and np.all(np.abs(ratio - self.taylor.d1)
+                                                   < 1e-2 * max(1.0, self.taylor.d1)))
 
     def to_csv(self, path):
         write_columns(path, ["eta", "zeta", "I"], [self.eta, self.zeta, self.I])
@@ -419,14 +420,7 @@ class VerificationReport:
             raise ParameterError("residual statistics must be nonnegative")
 
     def as_dict(self):
-        return {
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
-            "convexity_margin": self.convexity_margin,
-            "blowup": self.blowup,
-            "effective_lambda": self.effective_lambda,
-            "residuals": self.residuals,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

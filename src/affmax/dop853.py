@@ -287,12 +287,12 @@ class DOP853:
         return DenseStep(self.t_old, self.t, self.y_old, F)
 
 
-def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+def brentq(f, xa, xb, xtol, rtol):
     """(root, iterations): a zero of f in [xa, xb] by Brent's method.
 
     f(xa) and f(xb) must differ in sign (ValueError otherwise, and for a
     NaN value of f).  Converged when the bracket is below
-    xtol + rtol |x|; NoConvergence after maxiter iterations.
+    xtol + rtol |x|; NoConvergence after 100 iterations, scipy's default.
     """
     def value(x):
         fx = f(x)
@@ -310,7 +310,7 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
         return xcur, 0
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, maxiter + 1):
+    for i in range(1, 101):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -344,5 +344,5 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(value(xcur))
-    raise NoConvergence(f"brentq did not converge after {maxiter} iterations; "
+    raise NoConvergence(f"brentq did not converge after 100 iterations; "
                         f"value is {xcur}")

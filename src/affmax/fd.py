@@ -44,32 +44,30 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def derivative_from_callable(f, x0, order: int, h, points: int = 9):
-    """Centered stencil estimate of f^(order) at x0 using `points` nodes spaced h.
+def derivative_from_callable(f, x0, order: int, h):
+    """Centered 9-point stencil estimate of f^(order) at x0, nodes spaced h.
 
     x0 and h are floats or arrays that broadcast together; f is called
-    once, on the array of every stencil node (shape x0.shape + (points,)),
+    once, on the array of every stencil node (shape x0.shape + (9,)),
     and must return values of that shape.  The result has the shape of
     x0 (a float for a float).
     """
     x0 = np.asarray(x0, dtype=float)
     h = np.asarray(h, dtype=float)
-    half = points // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
+    offsets = np.arange(-4, 5, dtype=float)
     w = fornberg_weights(0.0, offsets, order)[order]
     vals = np.asarray(f(x0[..., None] + h[..., None] * offsets), dtype=float)
     out = (vals @ w) / h ** order
     return out if out.ndim else float(out)
 
 
-def one_sided_derivative(f, x0: float, order: int, h: float, points: int | None = None) -> float:
-    """One-sided estimate of f^(order)(x0) from nodes x0, x0+h, ... (right side).
+def one_sided_derivative(f, x0: float, order: int, h: float) -> float:
+    """One-sided estimate of f^(order)(x0) from the order + 4 nodes x0,
+    x0+h, ... (right side).
 
     f is called once, on the array of nodes.
     """
-    if points is None:
-        points = order + 4
-    nodes = x0 + h * np.arange(points)
+    nodes = x0 + h * np.arange(order + 4)
     w = fornberg_weights(x0, nodes, order)[order]
     vals = np.asarray(f(nodes), dtype=float)
     return float(w @ vals)

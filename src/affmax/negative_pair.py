@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
-                   cumulative_simpson, measure_taylor)
+                   cumulative_simpson, measure_taylor, upper_bound_claimed)
 from .dop853 import DOP853, brentq
 from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
                      ParameterError, PositivityLoss, SingularityMismatch,
                      StepFailure, TailUnbounded)
-from .phase_plane import coef_linear, coef_zero
+from .phase_plane import coef_linear, phase_field
 
 __all__ = [
     "taylor_coeffs", "calibration_target", "GammaSetSpec", "LocalSolve",
@@ -40,6 +40,9 @@ __all__ = [
 
 _X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
 _EPS = np.finfo(float).eps
+# the quadratic lower bound eps0 eta^2 keeps this fraction of the scanned minimum
+_SAFETY = 0.9
+_FD_SLACK = 5e-3   # allowed error of the windowed-fit derivatives in the bands
 
 
 def calibration_target(n: int) -> float:
@@ -56,10 +59,7 @@ def taylor_coeffs(n: int, theta: float) -> TaylorData:
     LocalSolve.membership["gamma_formula_consistent"]), so band checks
     use the measured value and this one is reported alongside.
     """
-    if not 2 <= n <= 5:
-        raise ParameterError(f"Taylor data is defined for 2 <= n <= 5, got {n}")
-    if not theta > 0:
-        raise ParameterError("theta must be positive")
+    ModelParams(n=n, theta=theta).require_negative_pair()
     alpha = (4 * (n + 2) ** 2 * theta + (2 * n * n - 24 * n + 104)) / (n * n - 2 * n + 24)
     beta = (48 * (n + 2) * (n - 2) * theta + 6 * (n - 2) * (9 * n - 8) + 528
             + 6 * (n * (n - 2) + 12) * alpha ** 2
@@ -144,7 +144,9 @@ def _local_derivatives(x, y, centers, window: float):
 # calibration and the mapping
 
 
-def _prepare_grid(eta, phi):
+def _prepare_grid(eta, phi, eta0: float, taylor: TaylorData | None):
+    """(eta, x, phi, taylor) of a sampled candidate with phi(1) = 0 (the
+    sample at 1 added if missing), its Taylor data measured unless given."""
     eta = np.asarray(eta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if eta[0] > 1.0:
@@ -152,7 +154,8 @@ def _prepare_grid(eta, phi):
         phi = np.concatenate([[0.0], phi])
     if abs(eta[0] - 1.0) > 1e-14 or abs(phi[0]) > 1e-12:
         raise ParameterError("candidate must satisfy phi(1) = 0")
-    return eta, eta - 1.0, phi
+    x = eta - 1.0
+    return eta, x, phi, measure_taylor(1.0 + x, phi, eta0) if taylor is None else taylor
 
 
 def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
@@ -176,21 +179,24 @@ def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
             f"({at}, eta0 = {eta0})") from None
 
 
-def calibrate_lambda(eta, phi, n: int, eta0: float,
-                     taylor: TaylorData | None = None,
-                     slope_tol: float = 2e-2) -> float:
+def _candidate(eta, phi, eta0: float, taylor: TaylorData | None):
+    """_prepare_grid, and SingularityMismatch unless the slope phi'(1) is
+    about 2: the regular part of (s+1)/phi is bounded only for the slope 2."""
+    eta, x, phi, taylor = _prepare_grid(eta, phi, eta0, taylor)
+    if abs(taylor.d1 - 2.0) > 2e-2:
+        raise SingularityMismatch(
+            f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
+    return eta, x, phi, taylor
+
+
+def calibrate_lambda(eta, phi, n: int, eta0: float) -> float:
     """Calibration constant lam(phi, eta0) of a sampled candidate.
 
     lam = 2 * target(n) * (eta0 - 1) * exp(int_1^eta0 g), where g is the
-    regular part of (s+1)/phi.  g is bounded only when phi'(1) = 2; a
-    measured slope away from 2 raises SingularityMismatch.
+    regular part of (s+1)/phi, with the Taylor data measured from the
+    samples.
     """
-    eta, x, phi = _prepare_grid(eta, phi)
-    if taylor is None:
-        taylor = measure_taylor(1.0 + x, phi, eta0)
-    if abs(taylor.d1 - 2.0) > slope_tol:
-        raise SingularityMismatch(
-            f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
+    eta, x, phi, taylor = _candidate(eta, phi, eta0, None)
     return _calibration(x, eta, phi, taylor, n, eta0)[1]
 
 
@@ -214,11 +220,7 @@ def apply_T(eta, phi, n: int, theta: float, eta0: float,
     Returns (zeta samples on the same grid, lam).  Raises
     BlowupInsideWindow if the image leaves the admissible band [0, 1].
     """
-    eta, x, phi = _prepare_grid(eta, phi)
-    if taylor is None:
-        taylor = measure_taylor(1.0 + x, phi, eta0)
-    if abs(taylor.d1 - 2.0) > 2e-2:
-        raise SingularityMismatch(f"phi'(1) = {taylor.d1:.6f} != 2")
+    eta, x, phi, taylor = _candidate(eta, phi, eta0, taylor)
     zeta, lam, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
     if np.any(zeta < -1e-12) or np.any(zeta > 1.0 + 1e-9):
         raise BlowupInsideWindow("mapped curve left [0, 1] on the local window")
@@ -251,11 +253,8 @@ class GammaSetSpec:
     def sigma_d3(self) -> float:
         return max(self.sigma, 1.05 * (abs(self.gamma) + 1.0) * (self.eta0 - 1.0))
 
-    def check(self, eta, phi, taylor: TaylorData | None = None,
-              fd_slack: float = 5e-3) -> dict:
-        eta, x, phi = _prepare_grid(eta, phi)
-        if taylor is None:
-            taylor = measure_taylor(1.0 + x, phi, self.eta0)
+    def check(self, eta, phi, taylor: TaylorData | None = None) -> dict:
+        eta, x, phi, taylor = _prepare_grid(eta, phi, self.eta0, taylor)
         # windowed quartic fits: robust derivative estimates on the part of
         # the window away from 1; the eta -> 1 limits are the fitted Taylor
         # data itself, checked through `taylor`.
@@ -271,12 +270,12 @@ class GammaSetSpec:
         conds = {
             "endpoint": abs(phi[0]) < 1e-12 and abs(taylor.d1 - 2.0) < 1e-3,
             "range_phi": bool(np.all(phi >= -1e-12) and np.all(phi <= 1.0 + 1e-9)),
-            "band_d1": bool(np.all(np.abs(d1 - 2.0) <= self.sigma + fd_slack)),
-            "band_d2": bool(np.all(np.abs(d2 - self.alpha) <= self.sigma + fd_slack)),
-            "band_d3": bool(np.all(np.abs(d3 - self.beta) <= s3 + fd_slack)),
-            "band_quotient": bool(np.all(np.abs(quot - self.gamma) <= 1.0 + fd_slack)),
+            "band_d1": bool(np.all(np.abs(d1 - 2.0) <= self.sigma + _FD_SLACK)),
+            "band_d2": bool(np.all(np.abs(d2 - self.alpha) <= self.sigma + _FD_SLACK)),
+            "band_d3": bool(np.all(np.abs(d3 - self.beta) <= s3 + _FD_SLACK)),
+            "band_quotient": bool(np.all(np.abs(quot - self.gamma) <= 1.0 + _FD_SLACK)),
         }
-        report = {
+        return {
             "conditions": conds,
             "pass": all(conds.values()),
             "sigma": self.sigma,
@@ -284,7 +283,6 @@ class GammaSetSpec:
             "measured": {"d1": taylor.d1, "alpha": taylor.alpha,
                          "beta": taylor.beta, "gamma": taylor.gamma},
         }
-        return report
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +314,22 @@ class LocalSolve:
 
 def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
                       tol: float = 1e-10, max_iter: int = 200,
-                      damping: float = 0.5, grid_points: int = 6000,
-                      sigma: float = 0.5) -> LocalSolve:
+                      damping: float = 0.5, grid_points: int = 6000) -> LocalSolve:
     """Damped Picard iteration phi <- (1-d) phi + d T(phi) from the cubic seed.
 
-    Converges when the sup-norm change drops below tol; the final
-    iterate must satisfy the band conditions (MembershipViolation
-    otherwise, e.g. for n >= 3 where the calibrated slope at 1+ is
-    6 - 2n rather than 2).
+    Converges when the sup-norm change drops below tol (> 0) within
+    max_iter (>= 1) sweeps; the final iterate must satisfy the band
+    conditions of GammaSetSpec (MembershipViolation otherwise, e.g. for
+    n >= 3 where the calibrated slope at 1+ is 6 - 2n rather than 2).
     """
     params = ModelParams(n=n, theta=theta, eta0=eta0)
     params.require_negative_pair()
     if not 0 < damping <= 1:
         raise ParameterError("damping must lie in (0, 1]")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+    if not max_iter >= 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     formula = taylor_coeffs(n, theta)
     x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, grid_points)])
     eta = 1.0 + x
@@ -358,7 +359,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     with np.errstate(divide="ignore"):
         I = (Jfull - Jfull[-1]) + np.where(x > 0, np.log(x / (eta0 - 1.0)), -np.inf)
     bands = GammaSetSpec(eta0=eta0, alpha=formula.alpha, beta=formula.beta,
-                         gamma=taylor.gamma, sigma=sigma)
+                         gamma=taylor.gamma)
     membership = bands.check(eta, phi, taylor)
     membership["gamma_formula"] = formula.gamma
     membership["gamma_formula_consistent"] = bool(
@@ -382,12 +383,12 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
 
 
 def extend_global(local: LocalSolve, eta_max: float = 1e3,
-                  rtol: float = 1e-11, atol: float = 1e-13,
-                  n_samples: int | None = None) -> PhaseCurve:
+                  rtol: float = 1e-11, atol: float = 1e-13) -> PhaseCurve:
     """Continue (zeta, I) from eta0 to eta_max with an adaptive integrator.
 
     Positivity of zeta is monitored; hitting zero raises PositivityLoss
-    (reported, never clamped).
+    (reported, never clamped).  The samples added are geometric in eta,
+    max(4000, 3000 log10(eta_max/eta0 + 1)) of them counting eta0.
 
     The DOP853 solver (affmax.dop853, bit-equal to scipy's) is stepped
     here, with solve_ivp's terminal event rule: g = zeta - 1e-12 is
@@ -400,20 +401,10 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
     params.require_negative_pair()
     if not eta_max > params.eta0:
         raise ParameterError(f"eta_max = {eta_max} must exceed eta0 = {params.eta0}")
-    n, theta = params.n, params.theta
-    lam3 = params.lambda3
     eta0 = params.eta0
     z0 = float(local.curve.zeta[-1])
-
-    def rhs(e, y):
-        z, I = y.tolist()
-        return [(theta + 1) * z / e + coef_linear(e, n, theta)
-                + coef_zero(e, n, theta) / z
-                - lam3 * e * e * math.exp(I) / z,
-                (e + 1) / z]
-
-    solver = DOP853(rhs, float(eta0), [z0, 0.0], float(eta_max),
-                    rtol=rtol, atol=atol)
+    solver = DOP853(lambda e, y: phase_field(e, *y.tolist(), params), float(eta0),
+                    [z0, 0.0], float(eta_max), rtol=rtol, atol=atol)
     ts, steps = [solver.t], []
     g = z0 - 1e-12
     while solver.status == "running":
@@ -434,8 +425,7 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
         g = g_new
         ts.append(solver.t)
         steps.append(dense)
-    if n_samples is None:
-        n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
+    n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
     ee = np.geomspace(eta0, eta_max, n_samples)[1:]
     zz, II = _gather_dense(np.array(ts), steps, ee)
     eta = np.concatenate([local.curve.eta, ee])
@@ -468,15 +458,15 @@ def _gather_dense(ts, steps, ee):
     return y.T
 
 
-def growth_bounds_check(curve: PhaseCurve, safety: float = 0.9) -> dict:
+def growth_bounds_check(curve: PhaseCurve) -> dict:
     """Scan-and-shrink witnesses for the three growth bounds.
 
     * linear barrier: largest rho with zeta >= rho (eta - 1) on all samples;
     * quadratic lower bound: eps0, eta1 such that zeta > eps0 eta^2 for
-      eta >= eta1 on the scanned range (eps0 includes a safety factor
-      used by the blow-up tail);
-    * quadratic upper bound zeta <= eta^2 beyond eta2, claimed only for
-      theta in [1/n, n/(n+1)).  The curve approaches eta^2 in a damped
+      eta >= eta1 on the scanned range (eps0 includes the safety factor
+      _SAFETY that the blow-up tail also uses);
+    * quadratic upper bound zeta <= eta^2 beyond eta2, claimed only where
+      upper_bound_claimed(n, theta).  The curve approaches eta^2 in a damped
       spiral, so the bound is certified between sign changes; crossings
       found in the scan are reported.
     """
@@ -489,10 +479,9 @@ def growth_bounds_check(curve: PhaseCurve, safety: float = 0.9) -> dict:
     best = float(np.max(suffix_min))
     j1 = int(np.argmax(suffix_min >= 0.98 * best))
     eta1 = float(eta[j1])
-    eps0 = safety * float(suffix_min[j1])
+    eps0 = _SAFETY * float(suffix_min[j1])
     lower_ok = bool(np.all(zeta[eta >= eta1] > eps0 * eta[eta >= eta1] ** 2))
     # quadratic upper bound
-    upper_claimed = 1.0 / n <= theta < n / (n + 1)
     d = zeta - eta**2
     sign_change = np.where(np.sign(d[:-1]) != np.sign(d[1:]))[0]
     crossings = [float(eta[i + 1]) for i in sign_change]
@@ -512,7 +501,7 @@ def growth_bounds_check(curve: PhaseCurve, safety: float = 0.9) -> dict:
         "rho": rho,
         "rho_holds": bool(np.all(zeta >= rho * (eta - 1.0) - 1e-15)),
         "eps0": eps0, "eta1": eta1, "lower_quadratic_holds": lower_ok,
-        "upper_claimed": bool(upper_claimed),
+        "upper_claimed": upper_bound_claimed(n, theta),
         "eta2": eta2, "upper_holds": upper_holds,
         "upper_margin_max_q": margin,
         "crossings": crossings,
@@ -521,17 +510,16 @@ def growth_bounds_check(curve: PhaseCurve, safety: float = 0.9) -> dict:
     }
 
 
-def blowup_time(curve: PhaseCurve, eta0: float | None = None,
-                safety: float = 0.9) -> tuple:
+def blowup_time(curve: PhaseCurve, safety: float = _SAFETY) -> tuple:
     """(T_inf, tail_bound): T_inf = int_{eta0}^{eta_max} ds/zeta + tail.
 
-    The tail uses the certified quadratic lower bound on the last
-    decade of the scan: int_{eta_max}^inf ds/(eps0 s^2) = 1/(eps0 eta_max).
-    Raises TailUnbounded when no such bound is certifiable (zeta/eta^2
-    decaying toward zero at the right end).
+    The tail uses the certified quadratic lower bound on the last decade
+    of the scan: int_{eta_max}^inf ds/(eps0 s^2) = 1/(eps0 eta_max), eps0
+    being safety times the least zeta/eta^2 there.  Raises TailUnbounded
+    when no such bound is certifiable (zeta/eta^2 decaying toward zero
+    at the right end).
     """
-    if eta0 is None:
-        eta0 = curve.params.eta0
+    eta0 = curve.params.eta0
     sel = curve.eta >= eta0 * (1 - 1e-12)
     eta, zeta = curve.eta[sel], curve.zeta[sel]
     if len(eta) < 16:

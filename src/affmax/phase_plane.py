@@ -21,7 +21,7 @@ from .core import ModelParams, RadialProfile, AnalyticEvaluator, radial_residual
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "coef_linear", "coef_zero", "phase_rhs", "phase_residual",
+    "coef_linear", "coef_zero", "phase_field", "phase_rhs", "phase_residual",
     "stationary_eta", "bernstein_radial_check", "power_solution_residual",
 ]
 
@@ -36,22 +36,28 @@ def coef_zero(eta, n: int, theta: float):
     return n * eta * (eta - 1) * ((n * theta - (n - 1)) * eta - (n * theta - 1))
 
 
-def phase_rhs(eta: float, zeta: float, I: float, params: ModelParams):
-    """(dzeta/deta, dI/deta) at a phase point.
+def phase_field(eta: float, zeta: float, I: float, params: ModelParams):
+    """(dzeta/deta, dI/deta) at a phase point, with no domain checks.
 
     Solving the phase equation for zeta' places the exponential term at
     -lambda3 * eta^2 * e^I / zeta, so a negative lambda3 pushes the
     curve upward.
     """
+    n, theta = params.n, params.theta
+    return ((theta + 1) * zeta / eta + coef_linear(eta, n, theta)
+            + coef_zero(eta, n, theta) / zeta
+            - params.lambda3 * eta * eta * math.exp(I) / zeta,
+            (eta + 1) / zeta)
+
+
+def phase_rhs(eta: float, zeta: float, I: float, params: ModelParams):
+    """phase_field at a point of eta > 1, zeta > 0 (DomainError elsewhere)."""
     if zeta <= 0:
         raise DomainError(f"zeta must be positive, got {zeta}")
     if eta <= 1:
         raise DomainError(f"eta must exceed 1, got {eta}")
-    n, theta = params.n, params.theta
-    dzeta = ((theta + 1) * zeta / eta + coef_linear(eta, n, theta)
-             + coef_zero(eta, n, theta) / zeta
-             - params.lambda3 * eta * eta * math.exp(I) / zeta)
-    return float(dzeta), (eta + 1) / zeta
+    dzeta, dI = phase_field(eta, zeta, I, params)
+    return float(dzeta), dI
 
 
 def phase_residual(eta, zeta, dzeta, I, params: ModelParams):
@@ -78,8 +84,7 @@ def stationary_eta(n: int, theta: float) -> set:
     return out
 
 
-def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50,
-                           trial_phis=(0.0, 1e-6, 1e-3, 1e-1)) -> dict:
+def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50) -> dict:
     """Sign check behind the radial uniqueness theorem (dimension >= 3).
 
     With phi = eta^(-2(th+1)) zeta^2, the lambda3 = 0 phase equation
@@ -89,12 +94,15 @@ def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50,
     negated on the zeta < 0 branch (eta < 1).  Near eta = 1 both
     coefficients are negative (resp. force phi' > 0 below 1), which
     contradicts phi >= 0 vanishing at the window edge; any non-trivial
-    solution family is therefore excluded.  Samples where the
-    zero-order coefficient changes sign (a stationary crossing) are
-    reported separately, not as failures.
+    solution family is therefore excluded.  The forced sign is checked at
+    the trial values phi = 0, 1e-6, 1e-3 and 0.1 on each of samples (>= 1)
+    points.  Samples where the zero-order coefficient changes sign (a
+    stationary crossing) are reported separately, not as failures.
     """
     if n < 3:
         raise ParameterError(f"radial uniqueness check requires n >= 3, got {n}")
+    if not samples >= 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     lo, hi = float(eta_window[0]), float(eta_window[1])
     if not lo < hi:
         raise ParameterError("empty window")
@@ -113,7 +121,7 @@ def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50,
             c_sqrt = -c_sqrt
         term0 = 2.0 * n * e ** (-(2 * theta + 1)) * (e - 1) \
             * ((n * theta - (n - 1)) * e - (n * theta - 1))
-        forced = [c_sqrt * math.sqrt(p) + term0 for p in trial_phis]
+        forced = [c_sqrt * math.sqrt(p) + term0 for p in (0.0, 1e-6, 1e-3, 1e-1)]
         sign = want if all(want * f > 0 for f in forced) else -want
         # zero-order coefficient changing sign marks a stationary value inside
         if term0 * want < 0 or (term0 == 0 and c_sqrt == 0):

@@ -31,8 +31,11 @@ from .spline import interp_spline
 
 __all__ = [
     "PositivePairConfig", "quadrature_r_of_v", "v_of_r", "integrate_direct",
-    "build_phi", "lower_bound_v", "negative_pair_blowup_1d",
+    "phi_grid", "build_phi", "lower_bound_v", "negative_pair_blowup_1d",
 ]
+
+# a phi grid resamples the 16,000-row curvature table
+MAX_NODES = 10**6
 
 
 @dataclass
@@ -110,13 +113,13 @@ def _integrand_nodes(config: PositivePairConfig, t):
     return 2.0 / (math.sqrt(config.v0) * z15 * np.sqrt(h))
 
 
-def quadrature_r_of_v(v: float, config: PositivePairConfig,
-                      epsabs: float = 1e-12) -> float:
+def quadrature_r_of_v(v: float, config: PositivePairConfig) -> float:
     """Radius at which the curvature has decayed to v (0 < v < v0).
 
-    Adaptive quadrature on two desingularised pieces: s = v0 (1 - t^2)
-    near the upper endpoint, and w = 1/sqrt(s) for the far tail (where
-    the integrand tends to the constant 2).
+    Adaptive quadrature, to 1e-12 absolute and relative, on two
+    desingularised pieces: s = v0 (1 - t^2) near the upper endpoint, and
+    w = 1/sqrt(s) for the far tail (where the integrand tends to the
+    constant 2).
     """
     from scipy.integrate import quad     # an oracle: scipy only when called
 
@@ -126,13 +129,13 @@ def quadrature_r_of_v(v: float, config: PositivePairConfig,
     v_cut = max(v, v0 / 2.0)
     t_up = math.sqrt(1.0 - v_cut / v0)
     val, _ = quad(_integrand_factory(config), 0.0, t_up,
-                  epsabs=epsabs, epsrel=1e-12, limit=200)
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
     if v < v0 / 2.0:
         def tail_integrand(w):
             return 2.0 / math.sqrt(-math.expm1((2 * th - 1.0)
                                                * 2.0 * math.log(1.0 / (w * math.sqrt(v0)))))
         lo, hi = math.sqrt(2.0 / v0), 1.0 / math.sqrt(v)
-        part, _ = quad(tail_integrand, lo, hi, epsabs=epsabs, epsrel=1e-12,
+        part, _ = quad(tail_integrand, lo, hi, epsabs=1e-12, epsrel=1e-12,
                        limit=200)
         val += part
     return val / math.sqrt(config.a)
@@ -163,14 +166,13 @@ def v_of_r(r: float, config: PositivePairConfig, tol: float = 1e-10,
     raise NoConvergence(f"bisection for v(r={r}) did not reach tol={tol}")
 
 
-def integrate_direct(config: PositivePairConfig, r_max: float,
-                     n_nodes: int = 2001) -> RadialProfile:
+def integrate_direct(config: PositivePairConfig, r_max: float) -> RadialProfile:
     """Independent oracle: integrate v' = -sqrt(a * radicand(v)) directly.
 
     The start is degenerate (v'(0) = 0); the first step uses the Taylor
-    expansion of v about 0 through fourth order.  Returns a profile
-    with v-column u' and u-column from cumulative integration of the
-    computed curvature.
+    expansion of v about 0 through fourth order.  Returns a profile on
+    2001 nodes over [0, r_max] with v-column u' and u-column from
+    cumulative integration of the computed curvature.
     """
     from scipy.integrate import solve_ivp    # an oracle: scipy only when called
 
@@ -190,7 +192,7 @@ def integrate_direct(config: PositivePairConfig, r_max: float,
                     rtol=1e-12, atol=1e-14, dense_output=True)
     if not sol.success:
         raise StepFailure(f"curvature integration failed: {sol.message}")
-    r = np.linspace(0.0, r_max, n_nodes)
+    r = np.linspace(0.0, r_max, 2001)
     vpp = np.empty_like(r)
     small = r <= h0
     vpp[small] = v0 + 0.5 * v2 * r[small] ** 2 + v4 * r[small] ** 4 / 24.0
@@ -242,24 +244,28 @@ class PositivePairEvaluator(ProfileEvaluator):
         return shaped_like(r, vpp)
 
 
-def _table_floor(config: PositivePairConfig, r_max: float) -> float:
-    """v_min = min(v0/4, 1/(a (2/sqrt(v0 a) + r_max)^2)), where the table ends:
-    the second term is the curvature lower bound at r_max.
+def _table_range(config: PositivePairConfig, r_max: float) -> tuple:
+    """(t_first, v_min): the first nonzero t of the curvature table, whose
+    row lies near r = t_first sqrt(2/(v0 lambda)), and the last curvature.
 
-    ParameterError unless v0, a, v_min and the products the table forms,
-    v^3 and a * radicand(v) (both increasing on [v_min, v0/2]), are
-    finite normal floats.  Here float64 overflows to inf rather than raise.
+    v_min = min(v0/4, 1/(a (2/sqrt(v0 a) + r_max)^2)); the second term is
+    the curvature lower bound at r_max.  t_first is 1e-8, or less if that
+    row would lie beyond the finest phi grid spacing r_max / MAX_NODES.
+    ParameterError unless v0, a, v_min, t_first^2 and the products the
+    table forms, v^3 and a * radicand(v) (both increasing on [v_min,
+    v0/2]), are finite normal floats (float64 overflows to inf here).
     """
     v0, a = np.float64(config.v0), np.float64(config.a)
     with np.errstate(all="ignore"):
         v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / np.sqrt(v0 * a) + r_max) ** 2))
-        vals = np.array([v0, a, v_min, v0 ** 3, v_min ** 3,
+        t_first = min(1e-8, r_max / MAX_NODES * np.sqrt(v0 * config.lam / 2.0))
+        vals = np.array([v0, a, v_min, t_first ** 2, v0 ** 3, v_min ** 3,
                          a * config.radicand(v_min), a * config.radicand(v0 / 2.0)])
     if not np.all((vals >= np.finfo(float).tiny) & (vals < np.inf)):
         raise ParameterError(
             f"the curvature table of v0 = {config.v0:g}, lambda = {config.lam:g}, "
             f"theta = {config.theta:g} to r_max = {r_max:g} leaves the float range")
-    return float(v_min)
+    return t_first, float(v_min)
 
 
 def _curvature_table(config: PositivePairConfig, r_max: float):
@@ -271,9 +277,9 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     any adaptive quadrature calls.
     """
     v0, a = config.v0, config.a
-    v_min = _table_floor(config, r_max)
+    t_first, v_min = _table_range(config, r_max)
     # piece A: v from v0 down to v0/2
-    tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
+    tA = np.concatenate([[0.0], np.geomspace(t_first, math.sqrt(0.5), 8000)])
     rA = cumulative_simpson(_integrand_nodes(config, tA) / math.sqrt(a), tA)
     vA = v0 * (1.0 - tA * tA)
     # piece B: descend in y = -log v from v0/2 down to v_min
@@ -284,6 +290,13 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
     r = np.concatenate([rA, rB[1:]])
     v = np.concatenate([vA, vB[1:]])
     return r, v
+
+
+def phi_grid(r_max: float, nodes: int) -> np.ndarray:
+    """nodes radii evenly spaced over [0, r_max], nodes in [2, MAX_NODES]."""
+    if not 2 <= nodes <= MAX_NODES:
+        raise ParameterError(f"nodes must be in [2, {MAX_NODES}], got {nodes}")
+    return np.linspace(0.0, r_max, nodes)
 
 
 def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
@@ -303,9 +316,11 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
         raise ParameterError("curvature table fell short of r_max")
     # spline the quadrature table directly: any intermediate resampling
     # would plant C^1 kinks that downstream Hessian differencing amplifies.
-    # Rows closer than 1e-11 of the radius scale 1/sqrt(v0 a) are dropped.
+    # Rows closer than 1e-11 of the radius scale 1/sqrt(v0 a), times
+    # t_first/1e-8 for a table that starts lower, are dropped.
     scale = 1.0 / (math.sqrt(config.v0) * math.sqrt(config.a))
-    keep = np.concatenate([[True], np.diff(r_q) > 1e-11 * scale])
+    step = 1e-11 * scale * (_table_range(config, r_max)[0] / 1e-8)
+    keep = np.concatenate([[True], np.diff(r_q) > step])
     r_tab, vpp = r_q[keep], v_q[keep]
     v_up = cumulative_simpson(vpp, r_tab)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,14 +329,8 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
         raise ParameterError(f"u overflows before r_max = {r_max:g} at v0 = "
                              f"{config.v0:g}, lambda = {config.lam:g}")
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
-    prof = RadialProfile(
-        r=grid,
-        v=ev.v(grid),
-        u=ev.u(grid),
-        n=1, evaluator=ev,
-        meta={"config": config, "kind": "positive-pair"},
-    )
-    return prof
+    return RadialProfile(r=grid, v=ev.v(grid), u=ev.u(grid), n=1, evaluator=ev,
+                         meta={"config": config, "kind": "positive-pair"})
 
 
 def lower_bound_v(r, config: PositivePairConfig):
@@ -331,10 +340,11 @@ def lower_bound_v(r, config: PositivePairConfig):
 
 
 def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
-                            vmax_factor: float = 1e8, n_nodes: int = 60000,
+                            vmax_factor: float = 1e8,
                             return_profile: bool = False) -> dict:
     """The 1-D factor with the opposite eigenvalue sign: curvature blows up
     at a finite radius R, but u stays bounded there (no large condition).
+    The v-integrals run over 60,000 nodes.
 
     Returns {"R", "u_at_R", "tail_r", "tail_u"}; the tails are analytic
     bounds for the truncated v-integrals beyond vmax_factor * v0.  With
@@ -345,7 +355,7 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         raise ParameterError("construction needs theta > 1/2")
     a = 2.0 * lam / (2.0 * theta - 1.0)
     t_max = math.sqrt(vmax_factor - 1.0)
-    t = np.concatenate([[0.0], np.geomspace(1e-8, t_max, n_nodes - 1)])
+    t = np.concatenate([[0.0], np.geomspace(1e-8, t_max, 59999)])
     vv = v0 * (1.0 + t * t)
     with np.errstate(divide="ignore"):
         h = np.where(t > 0,

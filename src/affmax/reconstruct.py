@@ -30,18 +30,20 @@ import numpy as np
 from .core import (AnalyticEvaluator, PhaseCurve, ProfileEvaluator, RadialProfile,
                    check_order, cumulative_simpson, shaped_like)
 from .errors import ParameterError, PositivityLoss
-from .negative_pair import _ratio_x_over_phi
+from .negative_pair import _X_SWITCH, _ratio_x_over_phi
 from .spline import interp_spline
 
 __all__ = ["t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",
            "paraboloid_profile", "origin_compatibility", "PhaseProfileEvaluator"]
+
+U_CEILING = 1e6   # the value of u whose radius the completeness checks report
 
 
 def _tau_integrand(x, zeta, taylor):
     """1/zeta - 1/(d1 x), regular at x = 0."""
     d, a, b, g = taylor.d1, taylor.alpha, taylor.beta, taylor.gamma
     out = np.empty_like(x)
-    small = x < 1e-4
+    small = x < _X_SWITCH
     xs = x[small]
     a1, a2, a3 = a / (2 * d), b / (6 * d), g / (24 * d)
     out[small] = -(a1 + a2 * xs + a3 * xs * xs) / (
@@ -75,14 +77,12 @@ def _tables(curve: PhaseCurve, v0: float):
             "logv": logv, "u": u, "i0": i0, "v0": v0, "d1": d1}
 
 
-def t_of_eta(curve: PhaseCurve, eta0: float | None = None):
+def t_of_eta(curve: PhaseCurve):
     """Sampled t(eta) = int_{eta0}^eta ds/zeta on the curve grid.
 
     t(eta0) = 0; t -> -inf logarithmically at eta -> 1+ and increases
     toward the blow-up time as eta grows.
     """
-    if eta0 is not None and abs(eta0 - curve.params.eta0) > 1e-12:
-        raise ParameterError("eta0 must match the curve anchor")
     tab = _tables(curve, v0=1.0)
     return tab["eta"], tab["t"]
 
@@ -202,21 +202,20 @@ def etabar_of_r(curve: PhaseCurve, r_grid):
     return etab, report
 
 
-def rebuild_profile(curve: PhaseCurve, v0: float,
-                    max_rows: int = 6000) -> RadialProfile:
+def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
     """RadialProfile of the factor whose phase curve is given.
 
     v0 = v(1) at the anchor r = 1 sets the one free scale; u(0) = 0.
-    The returned profile holds at most about max_rows of the table's
-    rows and carries an evaluator with the exact derivative chain, valid
-    on radii covered by the curve.
+    The returned profile holds about 6000 of the table's rows at most
+    and carries an evaluator with the exact derivative chain, valid on
+    radii covered by the curve.
     """
     if v0 <= 0:
         raise ParameterError("v0 must be positive")
     tab = _tables(curve, v0=v0)
     ev = PhaseProfileEvaluator(tab)
     r_all = np.exp(tab["t"])
-    step = max(1, len(r_all) // max_rows)
+    step = max(1, len(r_all) // 6000)
     idx = np.unique(np.concatenate([np.arange(0, len(r_all), step),
                                     [tab["i0"], len(r_all) - 1]]))
     return RadialProfile(r=r_all[idx], v=np.exp(tab["logv"])[idx], u=tab["u"][idx],
@@ -267,15 +266,14 @@ def origin_compatibility(curve: PhaseCurve) -> dict:
     }
 
 
-def large_condition_check(profile: RadialProfile, R_inf: float,
-                          ceiling: float = 1e6) -> dict:
+def large_condition_check(profile: RadialProfile, R_inf: float) -> dict:
     """Does u blow up at the finite boundary radius R_inf = e^(T_inf)?
 
     Two diagnostics: the scan of the curvature lower bound
     v >= v0 (T - log r0)/(T - log r), and a fit of v against the
     1/(T - log r) law plus a fit of u against -log(T - log r) whose
     divergence (positive slope, finite radius at which the
-    extrapolation exceeds the ceiling) certifies the large condition.
+    extrapolation exceeds U_CEILING) certifies the large condition.
     An infinite R_inf (entire factor) passes vacuously.
     """
     if not np.isfinite(R_inf):
@@ -324,7 +322,7 @@ def large_condition_check(profile: RadialProfile, R_inf: float,
     resid = float(np.max(np.abs(u_tail - A @ [slope, intercept]))
                   / max(np.max(u_tail) - np.min(u_tail), 1e-300))
     # extrapolated radius at which u reaches the ceiling
-    s_ceiling = (ceiling - intercept) / slope if slope > 0 else math.inf
+    s_ceiling = (U_CEILING - intercept) / slope if slope > 0 else math.inf
     diverges = slope > 0 and resid < 0.05
     return {
         "pass": bool(diverges),

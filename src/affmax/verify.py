@@ -18,7 +18,7 @@ import numpy as np
 from .core import (RadialProfile, SeparableSolution, VerificationReport,
                    effective_lambda_fit, eigenvalue_from_lambda_prime)
 from .errors import NearSingular, ParameterError, SignError
-from .reconstruct import large_condition_check
+from .reconstruct import U_CEILING, large_condition_check
 
 __all__ = [
     "assemble", "check_assembly", "full_residual", "convexity_check",
@@ -172,24 +172,25 @@ def _points(sol: SeparableSolution, points) -> np.ndarray:
     return pts
 
 
-def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = 1e-3,
-               richardson: bool = True) -> np.ndarray:
+_H_REL = 1e-3   # relative step of the verify stencil
+
+
+def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL) -> np.ndarray:
     """u^{ij} D_ij w at each of the (P, N) points, from one batched stencil pass.
 
     w is differentiated by central differences with steps h = h_rel *
-    max(|p_i|, 1) and, with richardson, also h/2, combined as
+    max(|p_i|, 1) and h/2, combined by Richardson extrapolation as
     (4 H(h/2) - H(h)) / 3.  w is evaluated once over every stencil point.
     """
     n = sol.psi.n
     h = h_rel * np.maximum(np.abs(pts), 1.0)
-    steps = [h, h / 2.0] if richardson else [h]
+    steps = [h, h / 2.0]
     off = _stencil(pts.shape[1])
     q = np.stack([pts[:, None, :] + off * hk[:, None, :] for hk in steps])
     x, rho = q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)
     wv = _w(sol, x, rho)
     H = _hessian_from_stencil(wv[0], steps[0])
-    if richardson:
-        H = (4.0 * _hessian_from_stencil(wv[1], steps[1]) - H) / 3.0
+    H = (4.0 * _hessian_from_stencil(wv[1], steps[1]) - H) / 3.0
     return np.einsum("pij,pij->p", _inverse_hessian(sol, pts), H)
 
 
@@ -207,10 +208,9 @@ def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def residual_at(sol: SeparableSolution, point: np.ndarray,
-                h_rel: float = 1e-3, richardson: bool = True) -> float:
+def residual_at(sol: SeparableSolution, point: np.ndarray) -> float:
     """u^{ij} D_ij w at one point, with w differentiated by nested FD."""
-    return float(_residuals(sol, _points(sol, [point]), h_rel, richardson)[0])
+    return float(_residuals(sol, _points(sol, [point]))[0])
 
 
 def hessian_eigenvalues_at(sol: SeparableSolution, point: np.ndarray) -> np.ndarray:
@@ -218,13 +218,14 @@ def hessian_eigenvalues_at(sol: SeparableSolution, point: np.ndarray) -> np.ndar
     return _eigenvalues(sol, _points(sol, [point]))[0]
 
 
-def _sample_points(sol: SeparableSolution, n_points: int, seed: int,
-                   h_rel: float = 1e-3):
-    """Interior samples: |x| inside the phi table, rho away from 0 and R_inf."""
+def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
+    """n_points (>= 1) samples: |x| inside the phi table, rho away from 0 and R_inf."""
+    if not n_points >= 1:
+        raise ParameterError(f"the sample count must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     n, m = sol.psi.n, sol.m_cylinder
     x_max = 0.8 * float(sol.phi.r[-1])
-    r_lo = max(10.0 * h_rel, 20.0 * (sol.psi.r[0] + 1e-9))
+    r_lo = max(10.0 * _H_REL, 20.0 * (sol.psi.r[0] + 1e-9))
     r_hi = 0.95 * float(sol.psi.r[-1])
     pts = np.empty((n_points, 1 + n + m))
     pts[:, 0] = rng.uniform(-x_max, x_max, n_points)
@@ -237,11 +238,11 @@ def _sample_points(sol: SeparableSolution, n_points: int, seed: int,
     return pts
 
 
-def full_residual(sol: SeparableSolution, n_points: int = 1000, seed: int = 0,
-                  h_rel: float = 1e-3) -> VerificationReport:
+def full_residual(sol: SeparableSolution, n_points: int = 1000,
+                  seed: int = 0) -> VerificationReport:
     """Residual statistics of the source equation at random interior points."""
-    pts = _sample_points(sol, n_points, seed, h_rel)
-    res = _residuals(sol, pts, h_rel=h_rel)
+    pts = _sample_points(sol, n_points, seed)
+    res = _residuals(sol, pts)
     eigs = _eigenvalues(sol, pts)[:, 0]
     blow = {"T_inf": math.log(sol.R_inf) if np.isfinite(sol.R_inf) else None,
             "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None}
@@ -264,17 +265,19 @@ def convexity_check(sol: SeparableSolution, points=None, n_points: int = 200,
     return float(_eigenvalues(sol, _points(sol, points))[:, 0].min())
 
 
-def factor_residual_phi(sol: SeparableSolution, xq: float, h: float = 1e-4) -> float:
+def factor_residual_phi(sol: SeparableSolution, xq: float) -> float:
     """phi^{ij} D_ij w_phi = w_phi''/phi'' at a 1-D factor point."""
+    h = 1e-4
+
     def w_phi(x):
         return sol.phi.v_deriv_at(x, 1) ** (-sol.theta)
     d2 = (w_phi(xq + h) - 2 * w_phi(xq) + w_phi(xq - h)) / h**2
     return d2 / sol.phi.v_deriv_at(xq, 1)
 
 
-def factor_residual_psi(sol: SeparableSolution, rho: float, h: float = 1e-4) -> float:
+def factor_residual_psi(sol: SeparableSolution, rho: float) -> float:
     """psi^{ij} D_ij w_psi via the radial operator (r/v)[(v/(r v')) d2 + (n-1)/r d1]."""
-    n = sol.psi.n
+    n, h = sol.psi.n, 1e-4
 
     def w_psi(r):
         v1 = sol.psi.v_at(r)
@@ -288,11 +291,11 @@ def factor_residual_psi(sol: SeparableSolution, rho: float, h: float = 1e-4) -> 
     return (rho / v1) * ((v1 / (rho * v2)) * d2 + (n - 1) / rho * d1)
 
 
-def completeness_check(sol: SeparableSolution, ceiling: float = 1e6) -> dict:
+def completeness_check(sol: SeparableSolution) -> dict:
     """u -> infinity toward every boundary direction of R x B_{R_inf} x R^m.
 
     The phi side grows at least linearly for large |x| (its curvature is
-    positive and u' increasing), so u exceeds any ceiling at a finite,
+    positive and u' increasing), so u exceeds U_CEILING at a finite,
     reported |x|.  The psi side delegates to the boundary blow-up check.
     A phi evaluator with no rule for u raises ParameterError.
     """
@@ -301,9 +304,9 @@ def completeness_check(sol: SeparableSolution, ceiling: float = 1e6) -> dict:
     u_vals = phi.evaluator.u(xs)
     increasing = bool(u_vals[0] < u_vals[1] < u_vals[2])
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
-    x_ceiling = xs[2] + max(ceiling - u_vals[2], 0.0) / slope if slope > 0 else math.inf
+    x_ceiling = xs[2] + max(U_CEILING - u_vals[2], 0.0) / slope if slope > 0 else math.inf
     phi_ok = increasing and slope > 0
-    psi_rep = large_condition_check(sol.psi, sol.R_inf, ceiling=ceiling)
+    psi_rep = large_condition_check(sol.psi, sol.R_inf)
     return {
         "pass": bool(phi_ok and psi_rep["pass"]),
         "phi": {"increasing": increasing, "slope": float(slope),

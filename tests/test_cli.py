@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from affmax import cli, verify
 from affmax.cli import main
-from affmax.core import encode_column, read_columns
+from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
+                         read_columns, upper_bound_claimed)
+from affmax.negative_pair import growth_bounds_check
 
 
 def run(argv):
@@ -33,7 +35,7 @@ def workdir(tmp_path_factory):
                 "--lambda", "1.0", "--rmax", "10", "--out",
                 str(d / "phi.csv")]) == 0
     assert run(["solve-negative", "--n", "2", "--theta", "0.55",
-                "--eta0", "1.05", "--eta-max-bounds", "50000",
+                "--eta0", "1.05", "--eta-max", "50000",
                 "--out", str(d / "curve.csv"),
                 "--report", str(d / "report.json")]) == 0
     assert run(["reconstruct", "--curve", str(d / "curve.csv"), "--v0", "1.0",
@@ -149,7 +151,6 @@ class TestDeterminism:
         for tag in ("a", "b"):
             assert run(["solve-negative", "--n", "2", "--theta", "0.55",
                         "--eta0", "1.05", "--eta-max", "200",
-                        "--eta-max-bounds", "200",
                         "--out", str(tmp_path / f"c_{tag}.csv"),
                         "--report", str(tmp_path / f"r_{tag}.json")]) in (0, 2)
             assert run(["assemble", "--phi", str(workdir / "phi.csv"),
@@ -249,6 +250,47 @@ class TestConfigAndErrors:
         # flag overrides the file
         assert run(["bernstein-radial", "--config", str(cfg),
                     "--theta", "1.5"]) == 0
+
+    @pytest.mark.parametrize("key", ["thetaa = 0.6", "eta_max_bounds = 200"],
+                             ids=["misspelt", "retired"])
+    def test_unknown_config_key_is_one_line_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[solve-negative]\ntheta = 0.55\n{key}\n")
+        assert run(["solve-negative", "--config", str(cfg),
+                    "--out", str(tmp_path / "c.csv"),
+                    "--report", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        assert key.split()[0] in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_default_section_keys_need_not_be_options(self, tmp_path):
+        # [DEFAULT] reaches every section, bernstein-1d's too, which has no n
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nn = 3\n[bernstein-1d]\ntheta = 0.6\n")
+        assert run(["bernstein-1d", "--config", str(cfg)]) == 0
+
+    def test_eta_max_bounds_is_an_unrecognised_argument(self, tmp_path, capsys):
+        assert run(["solve-negative", "--eta-max", "200", "--eta-max-bounds", "200",
+                    "--out", str(tmp_path / "c.csv")]) == 1
+        assert "unrecognized arguments: --eta-max-bounds" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-negative", "--max-iter", "0"], ["solve-negative", "--tol", "-1"],
+        ["verify", "--points", "0"], ["sweep", "--steps", "0"],
+        ["bernstein-radial", "--samples", "0"], ["solve-positive", "--nodes", "0"],
+        ["solve-positive", "--nodes", "1"], ["solve-positive", "--nodes", "1000001"]],
+        ids=" ".join)
+    def test_bad_count_or_tolerance_is_one_line_usage_error(
+            self, workdir, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "verify":
+            argv = argv + ["--solution", str(workdir / "solution.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_solution_is_usage_error(self, tmp_path):
         assert run(["verify", "--solution", str(tmp_path / "missing.json")]) == 1
@@ -404,6 +446,21 @@ class TestConfigAndErrors:
             _, cols = read_columns(out, header=["r", "v", "u"])
             assert all(np.isfinite(c).all() for c in cols)
 
+    @pytest.mark.parametrize("lam", ["1e-12", "1e-16", "1e-20"])
+    def test_large_radius_scale_is_refused_or_right(self, tmp_path, capsys, lam):
+        # here a v0 rmax^2 <= 2e-9, so v = v0 r and u = v0 r^2/2 to about 1e-9
+        out = tmp_path / "phi.csv"
+        rc = run(["solve-positive", "--lambda", lam, "--rmax", "10",
+                  "--out", str(out)])
+        if rc == 1:
+            assert capsys.readouterr().err.startswith("error: ParameterError: ")
+            assert not out.exists()
+        else:
+            assert rc == 0
+            _, (r, v, u) = read_columns(out, header=["r", "v", "u"])
+            assert np.all(np.abs(v - r) <= 1e-6 * r)
+            assert np.all(np.abs(u - r * r / 2) <= 1e-6 * r * r / 2)
+
     def test_bernstein_1d(self, tmp_path):
         out = tmp_path / "b1.json"
         assert run(["bernstein-1d", "--theta", "0.6", "--out", str(out)]) == 0
@@ -423,6 +480,28 @@ class TestSweep:
         assert rows[1]["upper_bound_claimed"] is False
         assert rows[1].get("note") == "upper-bound-not-claimed"
         assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_upper_bound_rule_at_its_edges(self, tmp_path, n):
+        # the bound is claimed exactly for theta in [1/n, n/(n+1))
+        thetas = [float(np.nextafter(1 / n, 0)), 1 / n,
+                  float(np.nextafter(n / (n + 1), 0)), n / (n + 1)]
+        want = [False, True, True, False]
+        eta = np.geomspace(1.01, 100.0, 200)
+        for theta, claimed in zip(thetas, want):
+            assert upper_bound_claimed(n, theta) is claimed
+            curve = PhaseCurve(params=ModelParams(n=n, theta=theta),
+                               taylor=TaylorData(d1=2.0, alpha=0.0, beta=0.0, gamma=0.0),
+                               eta=eta, zeta=0.5 * eta**2, I=np.zeros_like(eta))
+            assert growth_bounds_check(curve)["upper_claimed"] is claimed
+            if n == 2:
+                outdir = tmp_path / repr(theta)
+                assert run(["sweep", "--n", "2", "--theta-min", repr(theta),
+                            "--theta-max", repr(theta), "--steps", "1",
+                            "--eta-max", "50", "--outdir", str(outdir)]) in (0, 2)
+                (row,) = json.loads((outdir / "sweep.json").read_text())["rows"]
+                assert row["theta"] == theta
+                assert row["upper_bound_claimed"] is claimed
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",

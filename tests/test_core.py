@@ -6,7 +6,7 @@ import pytest
 from affmax.core import (AnalyticEvaluator, ModelParams, RadialProfile,
                          TaylorData, VerificationReport, effective_lambda_fit,
                          eigenvalue_from_lambda_prime, profile_to_phase,
-                         radial_residual)
+                         radial_residual, upper_bound_claimed)
 from affmax.errors import (DegenerateProfile, InconsistentProfile,
                            NonConvexProfile, ParameterError)
 
@@ -39,12 +39,12 @@ class TestModelParams:
             ModelParams(n=2, theta=0.5, eta0=1.0)
 
     def test_negative_pair_hypotheses(self):
-        ModelParams(n=2, theta=0.55).require_negative_pair(want_upper_bound=True)
+        ModelParams(n=2, theta=0.55).require_negative_pair()
+        assert upper_bound_claimed(2, 0.55)
         with pytest.raises(ParameterError):
             ModelParams(n=6, theta=0.55).require_negative_pair()
-        with pytest.raises(ParameterError):
-            # theta outside [1/n, n/(n+1)) for the upper bound
-            ModelParams(n=2, theta=0.7).require_negative_pair(want_upper_bound=True)
+        # theta outside [1/n, n/(n+1)) for the upper bound
+        assert not upper_bound_claimed(2, 0.7)
 
 
 class TestRadialResidual:
