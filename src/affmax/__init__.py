@@ -18,8 +18,7 @@ from .negative_pair import (LocalSolve, blowup_time, calibrate_lambda,
                             growth_bounds_check, taylor_coeffs)
 from .phase_plane import (bernstein_radial_check, phase_rhs,
                           power_solution_residual, stationary_eta)
-from .positive_pair import (PositivePairConfig, build_phi, integrate_direct,
-                            quadrature_r_of_v, v_of_r)
+from .positive_pair import PositivePairConfig, build_phi
 from .reconstruct import etabar_of_r, large_condition_check, rebuild_profile, t_of_eta
 from .verify import (assemble, bernstein_1d_check, completeness_check,
                      convexity_check, full_residual)
@@ -31,8 +30,7 @@ __all__ = [
     "radial_residual", "profile_to_phase", "effective_lambda_fit",
     "phase_rhs", "stationary_eta", "bernstein_radial_check",
     "power_solution_residual",
-    "PositivePairConfig", "quadrature_r_of_v", "v_of_r", "integrate_direct",
-    "build_phi",
+    "PositivePairConfig", "build_phi",
     "taylor_coeffs", "calibrate_lambda", "fixed_point_solve", "LocalSolve",
     "extend_global", "growth_bounds_check", "blowup_time",
     "t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",

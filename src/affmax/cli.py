@@ -20,8 +20,9 @@ import sys
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .core import (PhaseCurve, RadialProfile, decode_column, encode_column,
-                   read_columns, upper_bound_claimed, write_columns)
+from .core import (PhaseCurve, RadialProfile, check_radii, decode_column,
+                   encode_column, read_columns, upper_bound_claimed,
+                   write_columns)
 from .errors import AffmaxError, ParameterError
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
@@ -210,24 +211,26 @@ def _cmd_reconstruct(o) -> int:
 
 def _cmd_assemble(o) -> int:
     n, theta = int(o["n"]), o["theta"]
-    phi_csv = RadialProfile.from_csv(o["phi"], n=1)
-    psi_csv = RadialProfile.from_csv(o["psi"], n=n)
+    phi_r, phi_v, _ = read_columns(o["phi"], header=["r", "v", "u"])[1]
+    check_radii(phi_r)
+    psi_r, psi_v, _ = read_columns(o["psi"], header=["r", "v", "u"])[1]
+    check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
     R_inf = (_number(_load_json(o["report"]), "R_inf", o["report"],
                      positive=True, nullable=True) if o["report"] else None)
     # both factors are built from their constructors, as verify builds
     # them; the CSV columns only cross-check them
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
-                "lambda": o["phi_lambda"], "rmax": float(phi_csv.r[-1]),
-                "nodes": len(phi_csv.r)}
+                "lambda": o["phi_lambda"], "rmax": float(phi_r[-1]),
+                "nodes": len(phi_r)}
     psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
                 **{k: encode_column(c) for k, c in zip(("eta", "zeta", "I"), curve)}}
     phi = _factor(phi_ctor, theta, 1, "phi.constructor")
-    _check_columns_match(phi_csv, phi, "phi")
+    _check_columns_match(phi_r, phi_v, phi, "phi")
     psi = _factor(psi_ctor, theta, n, "psi.constructor")
-    _check_columns_match(psi_csv, psi, "psi")
+    _check_columns_match(psi_r, psi_v, psi, "psi")
     sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta,
-                   R_inf=R_inf, spread_tol=5e-3)
+                   R_inf=math.inf if R_inf is None else R_inf, spread_tol=5e-3)
     payload = {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
@@ -240,10 +243,10 @@ def _cmd_assemble(o) -> int:
     return 0
 
 
-def _check_columns_match(stored: RadialProfile, rebuilt: RadialProfile, name: str):
-    v_ref = rebuilt.v_at(stored.r)
+def _check_columns_match(r, v, rebuilt: RadialProfile, name: str):
+    v_ref = rebuilt.v_at(r)
     scale = np.max(np.abs(v_ref))
-    if np.max(np.abs(v_ref - stored.v)) > 1e-6 * scale:
+    if np.max(np.abs(v_ref - v)) > 1e-6 * scale:
         raise ValueError(
             f"{name} profile columns disagree with the reconstruction; "
             "wrong curve/v0/lambda for this CSV?")
@@ -410,6 +413,8 @@ def _cmd_sweep(o) -> int:
     import os
     if not o["steps"] >= 1:
         raise ParameterError(f"steps must be at least 1, got {o['steps']}")
+    if not o["jobs"] >= 1:
+        raise ParameterError(f"jobs must be at least 1, got {o['jobs']}")
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     jobs = int(o["jobs"])

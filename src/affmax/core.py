@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import io
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -331,57 +331,49 @@ class ScaledEvaluator(ProfileEvaluator):
         return self.kappa * self.base.deriv(r, k)
 
 
+def check_radii(r):
+    """ParameterError unless r is a strictly increasing grid of radii >= 0."""
+    if not np.all(np.diff(r) > 0):
+        raise ParameterError("r grid must be strictly increasing")
+    if r[0] < 0:
+        raise ParameterError("radii must be nonnegative")
+
+
 @dataclass
 class RadialProfile:
-    """One radial factor: grid r >= 0 with v = u'(r) and u(r).
+    """One radial factor: grid r >= 0 with v = u'(r) and u(r), in dimension n.
 
     Normalisation u(0) = 0.  Point values between (and beyond) the
-    stored nodes come from the attached evaluator; a profile read from
-    CSV has none and holds only the three columns.
+    stored nodes come from the evaluator, which every profile carries.
     """
 
     r: np.ndarray
     v: np.ndarray
     u: np.ndarray
     n: int
-    evaluator: ProfileEvaluator | None = None
-    meta: dict = field(default_factory=dict)
+    evaluator: ProfileEvaluator
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        if not np.all(np.diff(self.r) > 0):
-            raise ParameterError("r grid must be strictly increasing")
-        if self.r[0] < 0:
-            raise ParameterError("radii must be nonnegative")
+        check_radii(self.r)
 
     # -- point evaluation -------------------------------------------------
-    def _evaluator(self) -> ProfileEvaluator:
-        if self.evaluator is None:
-            raise ParameterError("profile has no evaluator, only its r, v, u columns")
-        return self.evaluator
-
     def v_at(self, r):
-        return self._evaluator().v(r)
+        return self.evaluator.v(r)
 
     def v_deriv_at(self, r, k: int):
         """d^k v/dr^k (k = 1, 2, 3) at the radii r, by the evaluator's rule."""
-        return self._evaluator().deriv(r, k)
+        return self.evaluator.deriv(r, k)
 
     def scaled(self, kappa: float) -> "RadialProfile":
         """The profile of kappa * u (v and u scale linearly)."""
-        ev = ScaledEvaluator(self._evaluator(), kappa)
         return RadialProfile(r=self.r.copy(), v=kappa * self.v, u=kappa * self.u,
-                             n=self.n, evaluator=ev, meta=dict(self.meta))
+                             n=self.n, evaluator=ScaledEvaluator(self.evaluator, kappa))
 
     def to_csv(self, path):
         write_columns(path, ["r", "v", "u"], [self.r, self.v, self.u])
-
-    @classmethod
-    def from_csv(cls, path, n: int) -> "RadialProfile":
-        _, (r, v, u) = read_columns(path, header=["r", "v", "u"])
-        return cls(r=r, v=v, u=u, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +382,16 @@ class RadialProfile:
 
 @dataclass
 class SeparableSolution:
-    """u(x, y, z) = phi(|x|) + psi(|y|) + |z|^2/2 on R x B_{R_inf} x R^m."""
+    """u(x, y, z) = phi(|x|) + psi(|y|) + |z|^2/2 on R x B_{R_inf} x R^m.
+
+    R_inf is infinite when psi is entire (no finite boundary).
+    """
 
     phi: RadialProfile           # 1-D factor, already rescaled by kappa
     psi: RadialProfile           # n-D factor on the ball of radius R_inf
     kappa: float
     theta: float
-    R_inf: float | None = None
+    R_inf: float = math.inf
     m_cylinder: int = 0
     lambda_phi: float = 0.0      # eigenvalues of the scaled factors
     lambda_psi: float = 0.0

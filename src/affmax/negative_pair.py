@@ -30,7 +30,7 @@ from .dop853 import DOP853, brentq
 from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
                      ParameterError, PositivityLoss, SingularityMismatch,
                      StepFailure, TailUnbounded)
-from .phase_plane import coef_linear, phase_field
+from .phase_plane import coef_linear, coef_q, phase_field
 
 __all__ = [
     "taylor_coeffs", "calibration_target", "GammaSetSpec", "LocalSolve",
@@ -206,7 +206,7 @@ def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
     ratio = _ratio_x_over_phi(x, phi, taylor)   # (eta-1)/phi
     exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
-    q = (n * theta - (n - 1)) * eta - (n * theta - 1)
+    q = coef_q(eta, n, theta)
     F = ((theta + 1) * phi / eta + coef_linear(eta, n, theta)
          + n * eta * q * ratio + lam * eta**2 * exp_I_over_phi)
     zeta = cumulative_simpson(F, eta)

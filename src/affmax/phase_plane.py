@@ -6,8 +6,9 @@ zeta(eta) = eta') the radial equation becomes first order:
     -zeta zeta' + (th+1) zeta^2/eta + zeta * A(eta) + B(eta)
         = lambda3 * eta^2 * exp(I),      I = int_{eta0}^eta (s+1)/zeta ds,
 
-with A(eta) = [2n th - (2n-1)] eta - [2n th - 1] and
-B(eta) = n eta (eta-1) { [n th - (n-1)] eta - [n th - 1] }.
+with A(eta) = [2n th - (2n-1)] eta - [2n th - 1] (coef_linear),
+B(eta) = n eta (eta-1) q(eta) (coef_zero) and
+q(eta) = [n th - (n-1)] eta - [n th - 1] (coef_q).
 lambda3 = 0 is the source (non-eigenvalue) equation.
 """
 
@@ -21,19 +22,25 @@ from .core import ModelParams, RadialProfile, AnalyticEvaluator, radial_residual
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "coef_linear", "coef_zero", "phase_field", "phase_rhs", "phase_residual",
-    "stationary_eta", "bernstein_radial_check", "power_solution_residual",
+    "coef_linear", "coef_q", "coef_zero", "phase_field", "phase_rhs",
+    "phase_residual", "stationary_eta", "bernstein_radial_check",
+    "power_solution_residual",
 ]
 
 
 def coef_linear(eta, n: int, theta: float):
-    """Coefficient of zeta in the phase equation."""
+    """A(eta), the coefficient of zeta in the phase equation."""
     return (2 * n * theta - (2 * n - 1)) * eta - (2 * n * theta - 1)
 
 
+def coef_q(eta, n: int, theta: float):
+    """q(eta) = [n th-(n-1)] eta - [n th-1], the linear factor of B(eta)."""
+    return (n * theta - (n - 1)) * eta - (n * theta - 1)
+
+
 def coef_zero(eta, n: int, theta: float):
-    """Zero-order term n eta (eta-1) {[n th-(n-1)] eta - [n th-1]}."""
-    return n * eta * (eta - 1) * ((n * theta - (n - 1)) * eta - (n * theta - 1))
+    """Zero-order term B(eta) = n eta (eta-1) q(eta)."""
+    return n * eta * (eta - 1) * coef_q(eta, n, theta)
 
 
 def phase_field(eta: float, zeta: float, I: float, params: ModelParams):
@@ -70,7 +77,7 @@ def phase_residual(eta, zeta, dzeta, I, params: ModelParams):
 
 
 def stationary_eta(n: int, theta: float) -> set:
-    """Stationary values of eta: always 1, plus the root of the cubic factor.
+    """Stationary values of eta: always 1, plus the root of coef_q.
 
     The second value (n th - 1)/(n th - (n-1)) corresponds to the power
     profile u ~ r^(eta*+1); it is returned when defined and positive.
@@ -119,8 +126,7 @@ def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50) 
         c_sqrt = 2.0 * e ** (-(theta + 1)) * float(coef_linear(e, n, theta))
         if not above:
             c_sqrt = -c_sqrt
-        term0 = 2.0 * n * e ** (-(2 * theta + 1)) * (e - 1) \
-            * ((n * theta - (n - 1)) * e - (n * theta - 1))
+        term0 = 2.0 * n * e ** (-(2 * theta + 1)) * (e - 1) * coef_q(e, n, theta)
         forced = [c_sqrt * math.sqrt(p) + term0 for p in (0.0, 1e-6, 1e-3, 1e-1)]
         sign = want if all(want * f > 0 for f in forced) else -want
         # zero-order coefficient changing sign marks a stationary value inside

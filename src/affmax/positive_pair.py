@@ -26,12 +26,12 @@ import numpy as np
 
 from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
                    check_order, cumulative_simpson, shaped_like)
-from .errors import DomainError, NoConvergence, ParameterError, StepFailure
+from .errors import ParameterError
 from .spline import interp_spline
 
 __all__ = [
-    "PositivePairConfig", "quadrature_r_of_v", "v_of_r", "integrate_direct",
-    "phi_grid", "build_phi", "lower_bound_v", "negative_pair_blowup_1d",
+    "PositivePairConfig", "phi_grid", "build_phi", "lower_bound_v",
+    "negative_pair_blowup_1d",
 ]
 
 # a phi grid resamples the 16,000-row curvature table
@@ -72,25 +72,6 @@ class PositivePairConfig:
         return 1.5 * a * v * v - (th + 1) * a * v0 ** (1 - 2 * th) * v ** (2 * th + 1)
 
 
-def _integrand_factory(config: PositivePairConfig):
-    """Integrand of r(v) after the substitution s = v0 (1 - t^2).
-
-    The 1/sqrt endpoint singularity at s = v0 cancels against the
-    Jacobian; h(t) -> (2 theta - 1) as t -> 0.
-    """
-    th, v0 = config.theta, config.v0
-
-    def integrand(t):
-        z = 1.0 - t * t
-        if t == 0.0:
-            h = 2 * th - 1.0
-        else:
-            h = -math.expm1((2 * th - 1.0) * math.log1p(-t * t)) / (t * t)
-        return 2.0 / (math.sqrt(v0) * z ** 1.5 * math.sqrt(h))
-
-    return integrand
-
-
 def _math_map(fn, x, *scalars):
     """[fn(xi, *scalars) for xi in x] as an array, for fn from math."""
     return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, scalars)),
@@ -98,11 +79,13 @@ def _math_map(fn, x, *scalars):
 
 
 def _integrand_nodes(config: PositivePairConfig, t):
-    """_integrand_factory(config) at each t >= 0 of an array, bit for bit.
+    """Integrand of r(v) after the substitution s = v0 (1 - t^2), at each t >= 0.
 
-    The arithmetic is numpy's; log1p, expm1 and pow come from math, as in
-    the scalar integrand, because numpy's array kernels for them are
-    picked by CPU and can differ from libm by 1 ulp.
+    h(t) = -expm1((2 theta - 1) log1p(-t^2)) / t^2 -> 2 theta - 1 as t -> 0
+    cancels the 1/sqrt endpoint singularity.  log1p, expm1 and pow come
+    from math, as in the scalar reference of the test suite, because
+    numpy's array kernels for them are picked by CPU and can differ from
+    libm by 1 ulp.
     """
     c = 2 * config.theta - 1.0
     tt = t * t
@@ -111,98 +94,6 @@ def _integrand_nodes(config: PositivePairConfig, t):
     h[pos] = -_math_map(math.expm1, c * _math_map(math.log1p, -tt[pos])) / tt[pos]
     z15 = _math_map(math.pow, 1.0 - tt, 1.5)
     return 2.0 / (math.sqrt(config.v0) * z15 * np.sqrt(h))
-
-
-def quadrature_r_of_v(v: float, config: PositivePairConfig) -> float:
-    """Radius at which the curvature has decayed to v (0 < v < v0).
-
-    Adaptive quadrature, to 1e-12 absolute and relative, on two
-    desingularised pieces: s = v0 (1 - t^2) near the upper endpoint, and
-    w = 1/sqrt(s) for the far tail (where the integrand tends to the
-    constant 2).
-    """
-    from scipy.integrate import quad     # an oracle: scipy only when called
-
-    if not 0.0 < v < config.v0:
-        raise DomainError(f"v must lie in (0, v0) = (0, {config.v0}), got {v}")
-    v0, th = config.v0, config.theta
-    v_cut = max(v, v0 / 2.0)
-    t_up = math.sqrt(1.0 - v_cut / v0)
-    val, _ = quad(_integrand_factory(config), 0.0, t_up,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    if v < v0 / 2.0:
-        def tail_integrand(w):
-            return 2.0 / math.sqrt(-math.expm1((2 * th - 1.0)
-                                               * 2.0 * math.log(1.0 / (w * math.sqrt(v0)))))
-        lo, hi = math.sqrt(2.0 / v0), 1.0 / math.sqrt(v)
-        part, _ = quad(tail_integrand, lo, hi, epsabs=1e-12, epsrel=1e-12,
-                       limit=200)
-        val += part
-    return val / math.sqrt(config.a)
-
-
-def v_of_r(r: float, config: PositivePairConfig, tol: float = 1e-10,
-           max_iter: int = 200) -> float:
-    """Invert the quadrature by bisection on the monotone map v -> r(v)."""
-    if r < 0:
-        raise DomainError(f"r must be nonnegative, got {r}")
-    if r == 0.0:
-        return config.v0
-    eps = 1e-14 * config.v0
-    lo, hi = eps, config.v0 - eps
-    if quadrature_r_of_v(hi, config) > r:
-        return config.v0 - eps  # r below resolvable scale; v ~ v0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        rm = quadrature_r_of_v(mid, config)
-        if abs(rm - r) < tol:
-            return mid
-        if rm > r:      # r(v) decreasing: too-far radius means v too small
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * config.v0:
-            return 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection for v(r={r}) did not reach tol={tol}")
-
-
-def integrate_direct(config: PositivePairConfig, r_max: float) -> RadialProfile:
-    """Independent oracle: integrate v' = -sqrt(a * radicand(v)) directly.
-
-    The start is degenerate (v'(0) = 0); the first step uses the Taylor
-    expansion of v about 0 through fourth order.  Returns a profile on
-    2001 nodes over [0, r_max] with v-column u' and u-column from
-    cumulative integration of the computed curvature.
-    """
-    from scipy.integrate import solve_ivp    # an oracle: scipy only when called
-
-    if not r_max > 0:
-        raise ParameterError("r_max must be positive")
-    v0, a, th = config.v0, config.a, config.theta
-    scale = 1.0 / math.sqrt(a * v0)
-    h0 = 1e-4 * min(scale, r_max)
-    v2 = a * v0 * v0 * (0.5 - th)                       # v''(0)
-    v4 = a * v0 * (3 - (th + 1) * (2 * th + 1)) * v2    # v''''(0)
-    v_start = v0 + 0.5 * v2 * h0 * h0 + v4 * h0**4 / 24.0
-
-    def rhs(r, y):
-        return [-math.sqrt(max(a * float(config.radicand(min(y[0], v0 * (1 - 1e-16)))), 0.0))]
-
-    sol = solve_ivp(rhs, (h0, r_max), [v_start], method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"curvature integration failed: {sol.message}")
-    r = np.linspace(0.0, r_max, 2001)
-    vpp = np.empty_like(r)
-    small = r <= h0
-    vpp[small] = v0 + 0.5 * v2 * r[small] ** 2 + v4 * r[small] ** 4 / 24.0
-    vpp[~small] = sol.sol(r[~small])[0]
-    v_up = cumulative_simpson(vpp, r)    # u'
-    u = cumulative_simpson(v_up, r)
-    prof = RadialProfile(r=r, v=v_up, u=u, n=1)
-    prof.meta["vpp"] = vpp
-    prof.meta["config"] = config
-    return prof
 
 
 class PositivePairEvaluator(ProfileEvaluator):
@@ -303,8 +194,8 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     """Profile of the entire 1-D factor on the given radii (grid[0] = 0).
 
     The curvature table comes from cumulative integration of the
-    quadrature (cross-checked against quadrature_r_of_v / v_of_r in the
-    test suite); u' and u follow by cumulative integration, so
+    quadrature (cross-checked against the adaptive quadrature oracle of
+    the test suite); u' and u follow by cumulative integration, so
     u(0) = u'(0) = 0 and u is even.
     """
     grid = np.asarray(grid, dtype=float)
@@ -329,8 +220,7 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
         raise ParameterError(f"u overflows before r_max = {r_max:g} at v0 = "
                              f"{config.v0:g}, lambda = {config.lam:g}")
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
-    return RadialProfile(r=grid, v=ev.v(grid), u=ev.u(grid), n=1, evaluator=ev,
-                         meta={"config": config, "kind": "positive-pair"})
+    return RadialProfile(r=grid, v=ev.v(grid), u=ev.u(grid), n=1, evaluator=ev)
 
 
 def lower_bound_v(r, config: PositivePairConfig):
@@ -381,9 +271,7 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         cols = interp_spline(np.log1p(rr), np.stack([up, uu], axis=-1), 3)
         ev = AnalyticEvaluator(lambda x: cols(np.log1p(np.abs(x)), 0),
                                u_fn=lambda x: cols(np.log1p(np.abs(x)), 1))
-        out["profile"] = RadialProfile(
-            r=rr[:: max(1, len(rr) // 2000)], v=up[:: max(1, len(rr) // 2000)],
-            u=uu[:: max(1, len(rr) // 2000)], n=1, evaluator=ev,
-            meta={"v0": up[np.searchsorted(rr, 1.0)] if rr[-1] > 1 else v0,
-                  "r_max": float(rr[-1]), "kind": "negative-pair-1d"})
+        sub = slice(None, None, max(1, len(rr) // 2000))
+        out["profile"] = RadialProfile(r=rr[sub], v=up[sub], u=uu[sub], n=1,
+                                       evaluator=ev)
     return out

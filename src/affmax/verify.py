@@ -51,11 +51,12 @@ def check_assembly(theta: float, n: int, m_cylinder: int):
 
 
 def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
-             m_cylinder: int = 0, R_inf: float | None = None,
+             m_cylinder: int = 0, R_inf: float = math.inf,
              spread_tol: float = 1e-3) -> SeparableSolution:
     """Scale phi so the factor eigenvalues are opposite and combine.
 
-    Requires the fitted eigenvalues to have strictly opposite signs
+    R_inf is the boundary radius of the psi factor (infinite for an
+    entire one).  Requires the fitted eigenvalues to have strictly opposite signs
     (SignError otherwise) and theta inside (1/2, n/(n+1)) for the
     psi dimension n (the range on which both factor constructions are
     available and complete).
@@ -74,8 +75,6 @@ def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
     if lam_phi < 0:
         raise SignError("expected the 1-D factor to carry the positive eigenvalue")
     kappa = lam_phi / (-lam_psi)
-    if R_inf is None:
-        R_inf = psi.meta.get("R_inf", math.inf)
     return SeparableSolution(phi=phi.scaled(kappa), psi=psi, kappa=kappa,
                              theta=theta, R_inf=R_inf, m_cylinder=int(m_cylinder),
                              lambda_phi=lam_phi / kappa, lambda_psi=lam_psi)

@@ -38,11 +38,13 @@ def curve_2e3(local_solve):
 
 @pytest.fixture(scope="session")
 def psi_profile(curve_1e3):
-    T_inf, _ = blowup_time(curve_1e3)
-    psi = rebuild_profile(curve_1e3, v0=1.0)
-    psi.meta["R_inf"] = float(np.exp(T_inf))
-    psi.meta["T_inf"] = float(T_inf)
-    return psi
+    return rebuild_profile(curve_1e3, v0=1.0)
+
+
+@pytest.fixture(scope="session")
+def psi_R_inf(curve_1e3):
+    """The boundary radius exp(T_inf) of the psi factor."""
+    return float(np.exp(blowup_time(curve_1e3)[0]))
 
 
 @pytest.fixture(scope="session")
@@ -56,8 +58,9 @@ def phi_profile(phi_config):
 
 
 @pytest.fixture(scope="session")
-def solution(phi_profile, psi_profile):
-    return assemble(phi_profile, psi_profile, m_cylinder=0, theta=THETA)
+def solution(phi_profile, psi_profile, psi_R_inf):
+    return assemble(phi_profile, psi_profile, m_cylinder=0, theta=THETA,
+                    R_inf=psi_R_inf)
 
 
 def restrict(curve: PhaseCurve, eta_max: float) -> PhaseCurve:

@@ -10,8 +10,7 @@ import mpmath
 import numpy as np
 
 from affmax import (blowup_time, calibrate_lambda, effective_lambda_fit,
-                    growth_bounds_check, integrate_direct, rebuild_profile,
-                    taylor_coeffs)
+                    growth_bounds_check, rebuild_profile, taylor_coeffs)
 from affmax.core import AnalyticEvaluator, RadialProfile, profile_to_phase
 from affmax.phase_plane import (bernstein_radial_check, phase_residual,
                                 power_solution_residual)
@@ -20,6 +19,7 @@ from affmax.verify import (assemble, bernstein_1d_check, completeness_check,
                            full_residual, residual_at)
 
 from conftest import N, THETA, restrict
+from oracles import integrate_direct
 
 
 def _ok(k, text):
@@ -102,8 +102,7 @@ def test_criterion_5_blowup(curve_1e3, curve_2e3):
 
 
 def test_criterion_6_positive_pair(phi_config, phi_profile):
-    oracle = integrate_direct(phi_config, 10.0)
-    vpp = oracle.meta["vpp"]
+    oracle, vpp = integrate_direct(phi_config, 10.0)
     diff = max(abs(phi_profile.v_deriv_at(r, 1) - v)
                for r, v in zip(oracle.r[::50], vpp[::50]))
     assert diff < 1e-6

@@ -112,6 +112,20 @@ class TestPipeline:
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("name", ["phi.csv", "psi.csv"])
+    def test_unordered_profile_rows_are_one_line_usage_error(self, workdir, tmp_path,
+                                                             capsys, name):
+        # swapped rows still agree with the factor row by row
+        for f in ("phi.csv", "psi.csv", "curve.csv", "report.json"):
+            (tmp_path / f).write_text((workdir / f).read_text())
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        lines[5], lines[6] = lines[6], lines[5]
+        (tmp_path / name).write_text("".join(lines))
+        assert run(assemble_argv(tmp_path, tmp_path / "solution.json")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ParameterError: r grid must be strictly increasing\n"
+        assert not (tmp_path / "solution.json").exists()
+
 
 class TestSchema3:
     def test_factor_blocks_hold_only_constructors(self, workdir):
@@ -279,6 +293,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", [
         ["solve-negative", "--max-iter", "0"], ["solve-negative", "--tol", "-1"],
         ["verify", "--points", "0"], ["sweep", "--steps", "0"],
+        ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
         ["bernstein-radial", "--samples", "0"], ["solve-positive", "--nodes", "0"],
         ["solve-positive", "--nodes", "1"], ["solve-positive", "--nodes", "1000001"]],
         ids=" ".join)

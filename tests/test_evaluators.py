@@ -23,11 +23,12 @@ from affmax.cli import main
 from affmax.core import AnalyticEvaluator, shaped_like
 from affmax.errors import ParameterError
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
-                                  _curvature_table, _integrand_factory)
+                                  _curvature_table)
 from affmax.reconstruct import PhaseProfileEvaluator, _tables, paraboloid_profile
 from affmax.spline import interp_spline
 
 from conftest import THETA
+from oracles import _integrand_factory
 
 
 # ---------------------------------------------------------------------------

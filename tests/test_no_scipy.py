@@ -1,11 +1,12 @@
-"""The command-line path runs without scipy.
+"""The package and its command-line path run without scipy.
 
-scipy serves only the test oracles (quadrature_r_of_v, v_of_r and
-integrate_direct import it when called) and the references of the test
-suite.  Each check runs in a fresh interpreter, since this one has
-imported scipy for the other tests.
+scipy serves only the test suite: its oracles (tests/oracles.py) and
+its references.  No module of the package imports it, at module level or
+in a function body.  The run-time checks use a fresh interpreter, since
+this one has imported scipy for the other tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -46,6 +47,37 @@ for command in commands:
         raise SystemExit(f"{command.split()[0]} exited {rc}")
 assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 """
+
+
+def scipy_imports(path):
+    """(line, module) of each import of scipy or a scipy submodule in the file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return sorted(found)
+
+
+def test_no_module_imports_scipy():
+    package = Path(affmax.__file__).resolve().parent
+    found = {path.name: hits for path in sorted(package.glob("*.py"))
+             if (hits := scipy_imports(path))}
+    assert found == {}
+
+
+def test_scipy_import_lint_sees_function_bodies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f():\n    import scipy.integrate\n"
+                     "    from scipy import interpolate\n"
+                     "from scipy.integrate import quad\nimport scipyx\n")
+    assert scipy_imports(probe) == [(2, "scipy.integrate"), (3, "scipy"),
+                                    (4, "scipy.integrate")]
 
 
 def run_python(code, cwd):

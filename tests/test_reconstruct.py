@@ -14,15 +14,15 @@ from affmax.reconstruct import (etabar_of_r, large_condition_check,
 from conftest import ETA0
 
 
-def linear_curve(eta0=1.2, lo=1.0 + 1e-9, hi=3.0, m=6000):
-    """zeta = 2 (eta - 1): t and etabar have closed forms."""
+def linear_curve(eta0=1.2, lo=1.0 + 1e-9, hi=3.0, m=6000, d1=2.0):
+    """zeta = d1 (eta - 1): t and etabar have closed forms."""
     eta = np.concatenate([np.geomspace(lo, eta0, m // 2),
                           np.geomspace(eta0, hi, m // 2)[1:]])
     eta = np.unique(1.0 + (eta - 1.0))
-    zeta = 2.0 * (eta - 1.0)
-    I = (eta - eta0) + 2.0 * np.log((eta - 1.0) / (eta0 - 1.0))
+    zeta = d1 * (eta - 1.0)
+    I = ((eta - eta0) + 2.0 * np.log((eta - 1.0) / (eta0 - 1.0))) / d1
     return PhaseCurve(params=ModelParams(n=2, theta=0.55, eta0=eta0),
-                      taylor=TaylorData(2.0, 0.0, 0.0, 0.0),
+                      taylor=TaylorData(d1, 0.0, 0.0, 0.0),
                       eta=eta, zeta=zeta, I=I)
 
 
@@ -85,7 +85,16 @@ class TestEtabar:
         etab, rep = etabar_of_r(curve_1e3, r)
         assert np.all(etab > 1.0)
         assert np.all(etab - 1.0 <= rep["C_quadratic"] * r**2 * (1 + 1e-12))
+        # d1 = 2: (etabar - 1)/r^1.8 grows like r^0.2
         assert rep["ratio_vanishes_at_0"]
+
+    def test_ratio_growing_toward_origin_fails(self):
+        # zeta = 1.5 (eta - 1): etabar - 1 = 0.2 r^1.5, so
+        # (etabar - 1)/r^1.8 = 0.2 r^-0.3 grows as r falls
+        r = np.geomspace(0.01, 0.1, 30)
+        _, rep = etabar_of_r(linear_curve(d1=1.5), r)
+        assert not rep["ratio_vanishes_at_0"]
+        assert rep["C_alpha"] == pytest.approx(0.2 * 0.01 ** -0.3, rel=1e-6)
 
     def test_out_of_range_raises(self, curve_1e3):
         with pytest.raises(ParameterError):
@@ -201,8 +210,8 @@ class TestOriginCompatibility:
 
 
 class TestLargeCondition:
-    def test_flagship_passes(self, psi_profile):
-        rep = large_condition_check(psi_profile, psi_profile.meta["R_inf"])
+    def test_flagship_passes(self, psi_profile, psi_R_inf):
+        rep = large_condition_check(psi_profile, psi_R_inf)
         assert rep["pass"]
         assert rep["u_log_slope"] > 0
         # the classical curvature bound fails on part of the range (it
@@ -225,8 +234,7 @@ class TestLargeCondition:
         r = np.geomspace(1e-3, math.exp(T) * (1 - 1e-4), 400)
         prof = RadialProfile(r=r, v=np.array([v_fn(x) for x in r]),
                              u=np.array([u_fn(x) for x in r]), n=2,
-                             evaluator=AnalyticEvaluator(v_fn, u_fn=u_fn),
-                             meta={"v0": v_fn(1.0), "r_max": float(r[-1])})
+                             evaluator=AnalyticEvaluator(v_fn, u_fn=u_fn))
         rep = large_condition_check(prof, math.exp(T))
         assert rep["pass"]
         assert rep["v_law_spread"] < 1e-9           # exact law

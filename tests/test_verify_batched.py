@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from scipy.interpolate import make_interp_spline
 
-from affmax import (blowup_time, build_phi, positive_pair, reconstruct,
-                    rebuild_profile)
+from affmax import build_phi, positive_pair, reconstruct, rebuild_profile
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular
 from affmax.verify import (_det_parts, _eigenvalues, _inverse_hessian,
@@ -129,25 +128,23 @@ def scipy_fit(x, y, k):
 
 
 @pytest.fixture(scope="module")
-def solutions(solution, phi_profile, psi_profile):
+def solutions(solution, phi_profile, psi_profile, psi_R_inf):
     return {0: solution,
-            1: assemble(phi_profile, psi_profile, m_cylinder=1, theta=THETA),
-            2: assemble(phi_profile, psi_profile, m_cylinder=2, theta=THETA)}
+            **{m: assemble(phi_profile, psi_profile, m_cylinder=m, theta=THETA,
+                           R_inf=psi_R_inf) for m in (1, 2)}}
 
 
 @pytest.fixture(scope="module")
-def scipy_solutions(phi_config, curve_1e3):
+def scipy_solutions(phi_config, curve_1e3, psi_R_inf):
     """The solutions of the solutions fixture, built on scipy's splines."""
     with pytest.MonkeyPatch.context() as mp:
         for mod in (positive_pair, reconstruct):
             mp.setattr(mod, "interp_spline", scipy_fit)
         phi = build_phi(phi_config, np.linspace(0.0, 10.0, 1001))
-        T_inf, _ = blowup_time(curve_1e3)
         psi = rebuild_profile(curve_1e3, v0=1.0)
-        psi.meta["R_inf"] = float(np.exp(T_inf))
-        psi.meta["T_inf"] = float(T_inf)
         psi.evaluator._dcols          # fitted on first use: fit them here
-        return {m: assemble(phi, psi, m_cylinder=m, theta=THETA) for m in (0, 1, 2)}
+        return {m: assemble(phi, psi, m_cylinder=m, theta=THETA, R_inf=psi_R_inf)
+                for m in (0, 1, 2)}
 
 
 def rounding_gaps(sol, ref, pts):
