@@ -66,7 +66,6 @@ _OPTIONS = [
     ("solve-negative", "report", str, "report.json", "report JSON"),
     ("reconstruct", "curve", str, "curve.csv", "curve CSV"),
     ("reconstruct", "v0", float, 1.0, "anchor value v(1)"),
-    ("reconstruct", "n", int, 2, "factor dimension"),
     ("reconstruct", "out", str, "profile.csv", "profile CSV"),
     ("assemble", "phi", str, "phi.csv", "1-D factor CSV"),
     ("assemble", "psi", str, "psi.csv", "n-D factor CSV"),
@@ -202,7 +201,7 @@ def _cmd_solve_negative(o) -> int:
 
 
 def _cmd_reconstruct(o) -> int:
-    curve = PhaseCurve.from_csv(o["curve"], n=int(o["n"]))
+    curve = PhaseCurve.from_csv(o["curve"])
     prof = rebuild_profile(curve, v0=o["v0"])
     prof.to_csv(o["out"])
     print(f"wrote {o['out']} ({len(prof.r)} rows)")
@@ -230,7 +229,7 @@ def _cmd_assemble(o) -> int:
     psi = _factor(psi_ctor, theta, n, "psi.constructor")
     _check_columns_match(psi_r, psi_v, psi, "psi")
     sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta,
-                   R_inf=math.inf if R_inf is None else R_inf, spread_tol=5e-3)
+                   R_inf=math.inf if R_inf is None else R_inf)
     payload = {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fd
-from .errors import (DegenerateProfile, GridTooCoarse, InconsistentProfile,
-                     NonConvexProfile, ParameterError)
+from .errors import (DegenerateProfile, DomainError, GridTooCoarse,
+                     InconsistentProfile, NonConvexProfile, ParameterError)
 
 __all__ = [
     "ModelParams", "upper_bound_claimed", "TaylorData", "PhaseCurve",
@@ -94,6 +94,23 @@ class TaylorData:
     def seed(self, x: np.ndarray) -> np.ndarray:
         """Cubic model d1*x + alpha/2 x^2 + beta/6 x^3 (x = eta - 1)."""
         return x * (self.d1 + x * (self.alpha / 2 + x * self.beta / 6))
+
+    def series(self, x, d: float):
+        """1 + alpha x/(2d) + beta x^2/(6d) + gamma x^3/(24d); zeta/(d1 x) at d = d1."""
+        return (1 + (self.alpha / (2 * d)) * x + (self.beta / (6 * d)) * x**2
+                + (self.gamma / (24 * d)) * x**3)
+
+
+X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
+
+
+def x_over_zeta(x, zeta, taylor: TaylorData):
+    """(eta-1)/zeta, from the Taylor series of zeta below X_SWITCH."""
+    out = np.empty_like(x)
+    small = x < X_SWITCH
+    out[small] = 1.0 / (taylor.d1 * taylor.series(x[small], taylor.d1))
+    out[~small] = x[~small] / zeta[~small]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,83 +269,85 @@ class PhaseCurve:
 # radial profiles
 
 
-def shaped_like(r, val):
-    """val as floats in the shape of r: a float for a scalar r, else an array."""
-    val = np.asarray(val, dtype=float)
-    if val.shape != np.shape(r):
-        val = np.broadcast_to(val, np.shape(r)).copy()
-    return val if val.ndim else float(val)
-
-
-def check_order(k: int):
-    """ParameterError unless the derivative order k is 1, 2 or 3."""
-    if k not in (1, 2, 3):
-        raise ParameterError(f"derivative order must be 1, 2 or 3, got {k!r}")
-
-
 class ProfileEvaluator:
     """Evaluation of u, v = u' and d^k v / dr^k (k = 1, 2, 3) of a profile.
 
-    Every method takes radii r as a float or an ndarray of any shape and
-    returns values of the same shape (a float for a float), computed
-    elementwise.  An evaluator with no rule for what is asked, and
-    deriv at any order k other than 1, 2 or 3, raise ParameterError.
-    Evaluators backed by a table clamp radii outside it exactly as they
-    would a single radius.
+    v, u and deriv hold the whole contract: they take radii r as a float or
+    an ndarray of any shape and return that shape (a float for a float);
+    deriv takes only k = 1, 2, 3; |r| > r_max raises DomainError; and the
+    subclass rules _v, _u, _deriv see a = |r| alone, the results taking
+    the parity of an even u (v, v'' odd).  A missing rule raises ParameterError.
     """
 
+    r_max = math.inf        # the table edge of a table-backed evaluator
+
     def v(self, r):
-        raise ParameterError(f"{type(self).__name__} has no rule for v")
+        return self._evaluate(r, True, self._v)
 
     def u(self, r):
-        raise ParameterError(f"{type(self).__name__} has no rule for u")
+        return self._evaluate(r, False, self._u)
 
     def deriv(self, r, k: int):
-        check_order(k)
+        if k not in (1, 2, 3):
+            raise ParameterError(f"derivative order must be 1, 2 or 3, got {k!r}")
+        return self._evaluate(r, k == 2, self._deriv, k)
+
+    def _evaluate(self, r, odd: bool, rule, *args):
+        """rule(|r|, *args) in the shape of r, made odd in r if asked."""
+        r = np.asarray(r, dtype=float)
+        a = np.abs(r)
+        if np.any(a > self.r_max):
+            raise DomainError(f"{type(self).__name__} evaluated at |r| = "
+                              f"{np.max(a)!r}, beyond its table edge {self.r_max!r}")
+        # a constant rule broadcasts; times 1.0 leaves every value as it is
+        val = np.broadcast_to(rule(a, *args), r.shape) * (np.sign(r) if odd else 1.0)
+        return val if val.ndim else float(val)
+
+    def _v(self, a):
+        raise ParameterError(f"{type(self).__name__} has no rule for v")
+
+    def _u(self, a):
+        raise ParameterError(f"{type(self).__name__} has no rule for u")
+
+    def _deriv(self, a, k):
         raise ParameterError(f"{type(self).__name__} has no rule for v" + "'" * k)
 
 
 class AnalyticEvaluator(ProfileEvaluator):
     """Closed-form profile: v_fn plus rules for v', v'', ... and for u.
 
-    The callables receive the radii array; a callable returning a
+    The callables receive the array of radii |r|; a callable returning a
     constant (lambda r: 2.0) is broadcast to the shape of r.  Asking for
     a rule that was not given raises ParameterError.
     """
 
     def __init__(self, v_fn, derivs=(), u_fn=None):
-        self._v = v_fn
-        self._derivs = list(derivs)
-        self._u = u_fn
+        self.v_fn, self.derivs, self.u_fn = v_fn, list(derivs), u_fn
 
-    def v(self, r):
-        return shaped_like(r, self._v(r))
+    def _v(self, a):
+        return self.v_fn(a)
 
-    def u(self, r):
-        return super().u(r) if self._u is None else shaped_like(r, self._u(r))
+    def _u(self, a):
+        return super()._u(a) if self.u_fn is None else self.u_fn(a)
 
-    def deriv(self, r, k):
-        check_order(k)
-        if k > len(self._derivs):
-            return super().deriv(r, k)
-        return shaped_like(r, self._derivs[k - 1](r))
+    def _deriv(self, a, k):
+        return super()._deriv(a, k) if k > len(self.derivs) else self.derivs[k - 1](a)
 
 
 class ScaledEvaluator(ProfileEvaluator):
     """The evaluator of kappa * u, given the evaluator of u."""
 
     def __init__(self, base: ProfileEvaluator, kappa: float):
-        self.base = base
-        self.kappa = kappa
+        self.base, self.kappa, self.r_max = base, kappa, base.r_max
 
-    def v(self, r):
-        return self.kappa * self.base.v(r)
+    def _v(self, a):
+        return self.kappa * self.base._v(a)
 
-    def u(self, r):
-        return self.kappa * self.base.u(r)
+    def _u(self, a):
+        return self.kappa * self.base._u(a)
 
-    def deriv(self, r, k):
-        return self.kappa * self.base.deriv(r, k)
+    def _deriv(self, a, k):
+        return self.kappa * self.base._deriv(a, k)
 
 
 def check_radii(r):
@@ -455,12 +474,14 @@ def radial_residual(profile: RadialProfile, theta: float, n: int,
     return radial_lhs(nodes, u1, u2, u3, u4, theta, n) - lambda_prime * u2 * u2
 
 
-def effective_lambda_fit(profile: RadialProfile, theta: float, n: int,
-                         nodes=None, spread_tol: float = 1e-3):
+SPREAD_TOL = 1e-3   # the largest relative spread of an eigenprofile's lambda' ratios
+
+
+def effective_lambda_fit(profile: RadialProfile, theta: float, n: int, nodes=None):
     """Least-squares lambda' with L[u] = lambda' (u'')^2 across nodes.
 
     Returns (lambda_prime, fit_residual).  fit_residual is the relative
-    spread of the per-node ratios; above spread_tol the profile is not
+    spread of the per-node ratios; above SPREAD_TOL the profile is not
     an eigenprofile and InconsistentProfile is raised.
     """
     if nodes is None:
@@ -475,9 +496,9 @@ def effective_lambda_fit(profile: RadialProfile, theta: float, n: int,
     ratios = lhs / w
     scale = max(abs(lam), np.max(np.abs(ratios)), 1e-12)
     spread = float((np.max(ratios) - np.min(ratios)) / scale)
-    if spread > spread_tol:
+    if spread > SPREAD_TOL:
         raise InconsistentProfile(
-            f"lambda' ratios spread {spread:.3e} exceeds {spread_tol:.1e}")
+            f"lambda' ratios spread {spread:.3e} exceeds {SPREAD_TOL:.1e}")
     return lam, spread
 
 
@@ -490,20 +511,21 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
                      nodes=None):
     """Sampled (eta, zeta) of the profile: eta = r v'/v, zeta = r deta/dr.
 
-    Radii below r_floor are excluded (the ratio is 0/0 at the origin).
+    Radii below r_floor (the ratio is 0/0 at the origin) and, by default,
+    the table edge r_max (no room for a centred stencil) are excluded.
     Both derivatives come from edge-aware stencils on the evaluator's v
     alone.  Returns (eta, zeta) ordered by increasing r; callers may
     reparametrise by eta when it is strictly monotone.
     """
+    ev = profile.evaluator
     if nodes is None:
-        nodes = profile.r[profile.r >= r_floor]
+        nodes = profile.r[(profile.r >= r_floor) & (profile.r < ev.r_max)]
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if len(nodes) == 0:
         raise GridTooCoarse("no nodes above the r floor")
     v = profile.v_at(nodes)
     if np.any(v == 0):
         raise DegenerateProfile("v vanishes at an interior node")
-    ev = profile.evaluator
     r_hi = float(profile.r[-1])
     # local variation scale of v, from the stored columns; stencils
     # shrink with it and with the distance to the domain edge

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
-                   cumulative_simpson, measure_taylor, upper_bound_claimed)
+from .core import (X_SWITCH, ModelParams, PhaseCurve, TaylorData, TaylorMeter,
+                   cumulative_simpson, measure_taylor, upper_bound_claimed,
+                   x_over_zeta)
 from .dop853 import DOP853, brentq
 from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
                      ParameterError, PositivityLoss, SingularityMismatch,
@@ -35,10 +36,9 @@ from .phase_plane import coef_linear, coef_q, phase_field
 __all__ = [
     "taylor_coeffs", "calibration_target", "GammaSetSpec", "LocalSolve",
     "calibrate_lambda", "apply_T", "fixed_point_solve", "extend_global",
-    "growth_bounds_check", "blowup_time",
+    "growth_bounds_check", "blowup_time", "local_derivatives",
 ]
 
-_X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
 _EPS = np.finfo(float).eps
 # the quadratic lower bound eps0 eta^2 keeps this fraction of the scanned minimum
 _SAFETY = 0.9
@@ -80,36 +80,20 @@ def taylor_coeffs(n: int, theta: float) -> TaylorData:
 # stable integrand helpers (x = eta - 1)
 
 
-def _series_ratio(x, taylor: TaylorData):
-    """(eta-1)/phi for a candidate with the given Taylor data (small x)."""
-    d, a, b, g = taylor.d1, taylor.alpha, taylor.beta, taylor.gamma
-    return 1.0 / (d * (1 + (a / (2 * d)) * x + (b / (6 * d)) * x**2
-                       + (g / (24 * d)) * x**3))
-
-
-def _ratio_x_over_phi(x, phi, taylor: TaylorData):
-    out = np.empty_like(x)
-    small = x < _X_SWITCH
-    out[small] = _series_ratio(x[small], taylor)
-    out[~small] = x[~small] / phi[~small]
-    return out
-
-
 def _g_integrand(x, eta, phi, taylor: TaylorData):
     """(s+1)/phi - 1/(s-1); requires phi'(1) = 2 for regularity."""
     a, b, g = taylor.alpha, taylor.beta, taylor.gamma
     out = np.empty_like(x)
-    small = x < _X_SWITCH
+    small = x < X_SWITCH
     xs = x[small]
     num = (1 - a / 2) - (b / 6) * xs - (g / 24) * xs * xs
-    den = 1 + (a / 4) * xs + (b / 12) * xs**2 + (g / 48) * xs**3
-    out[small] = num / (2.0 * den)
+    out[small] = num / (2.0 * taylor.series(xs, 2.0))
     xl = x[~small]
     out[~small] = ((eta[~small] ** 2 - 1.0) - phi[~small]) / (phi[~small] * xl)
     return out
 
 
-def _local_derivatives(x, y, centers, window: float):
+def local_derivatives(x, y, centers, window: float):
     """First three derivatives at each center from windowed quartic fits.
 
     Each center c gets the least-squares quartic in x - c through the
@@ -204,7 +188,7 @@ def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float
     """One application of the mapping; returns (zeta, lam, F = zeta')."""
     Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0, theta)
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
-    ratio = _ratio_x_over_phi(x, phi, taylor)   # (eta-1)/phi
+    ratio = x_over_zeta(x, phi, taylor)         # (eta-1)/phi
     exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
     q = coef_q(eta, n, theta)
     F = ((theta + 1) * phi / eta + coef_linear(eta, n, theta)
@@ -260,7 +244,7 @@ class GammaSetSpec:
         # data itself, checked through `taylor`.
         span = self.eta0 - 1.0
         centers = np.linspace(0.12 * span, 0.88 * span, 24)
-        d1c, d2c, d3c = _local_derivatives(x, phi, centers, window=0.2 * span)
+        d1c, d2c, d3c = local_derivatives(x, phi, centers, window=0.2 * span)
         d1 = np.concatenate([[taylor.d1], d1c])
         d2 = np.concatenate([[taylor.alpha], d2c])
         d3 = np.concatenate([[taylor.beta], d3c])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
-                   check_order, cumulative_simpson, shaped_like)
+                   cumulative_simpson)
 from .errors import ParameterError
 from .spline import interp_spline
 
@@ -112,27 +112,17 @@ class PositivePairEvaluator(ProfileEvaluator):
         self._cols = interp_spline(
             np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1), 5)
 
-    def _at(self, r, j):
-        """Column j of the table spline at |r| clamped to the table."""
-        return self._cols(np.log1p(np.minimum(np.abs(r), self.r_max)), j)
+    def _v(self, a):
+        return self._cols(np.log1p(a), 1)
 
-    def _vpp(self, r):
-        return np.exp(self._at(r, 0))
+    def _u(self, a):
+        return self._cols(np.log1p(a), 2)
 
-    def v(self, r):
-        return shaped_like(r, np.sign(r) * self._at(r, 1))
-
-    def u(self, r):
-        return shaped_like(r, self._at(r, 2))
-
-    def deriv(self, r, k):
-        check_order(k)
-        vpp = self._vpp(r)
+    def _deriv(self, a, k):
+        vpp = np.exp(self._cols(np.log1p(a), 0))
         if k == 2:
-            vpp = self.config.vpp_prime(vpp) * np.sign(r)
-        elif k == 3:
-            vpp = self.config.vpp_second(vpp)
-        return shaped_like(r, vpp)
+            return self.config.vpp_prime(vpp)
+        return self.config.vpp_second(vpp) if k == 3 else vpp
 
 
 def _table_range(config: PositivePairConfig, r_max: float) -> tuple:
@@ -269,8 +259,8 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         keep = np.concatenate([[True], np.diff(r) > 1e-13])
         rr, up, uu = r[keep], u_prime[keep], u[keep]
         cols = interp_spline(np.log1p(rr), np.stack([up, uu], axis=-1), 3)
-        ev = AnalyticEvaluator(lambda x: cols(np.log1p(np.abs(x)), 0),
-                               u_fn=lambda x: cols(np.log1p(np.abs(x)), 1))
+        ev = AnalyticEvaluator(lambda a: cols(np.log1p(a), 0),
+                               u_fn=lambda a: cols(np.log1p(a), 1))
         sub = slice(None, None, max(1, len(rr) // 2000))
         out["profile"] = RadialProfile(r=rr[sub], v=up[sub], u=uu[sub], n=1,
                                        evaluator=ev)

@@ -27,10 +27,10 @@ import math
 
 import numpy as np
 
-from .core import (AnalyticEvaluator, PhaseCurve, ProfileEvaluator, RadialProfile,
-                   check_order, cumulative_simpson, shaped_like)
+from .core import (X_SWITCH, AnalyticEvaluator, PhaseCurve, ProfileEvaluator,
+                   RadialProfile, cumulative_simpson, x_over_zeta)
 from .errors import ParameterError, PositivityLoss
-from .negative_pair import _X_SWITCH, _ratio_x_over_phi
+from .negative_pair import local_derivatives
 from .spline import interp_spline
 
 __all__ = ["t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",
@@ -43,11 +43,10 @@ def _tau_integrand(x, zeta, taylor):
     """1/zeta - 1/(d1 x), regular at x = 0."""
     d, a, b, g = taylor.d1, taylor.alpha, taylor.beta, taylor.gamma
     out = np.empty_like(x)
-    small = x < _X_SWITCH
+    small = x < X_SWITCH
     xs = x[small]
-    a1, a2, a3 = a / (2 * d), b / (6 * d), g / (24 * d)
-    out[small] = -(a1 + a2 * xs + a3 * xs * xs) / (
-        d * (1 + a1 * xs + a2 * xs**2 + a3 * xs**3))
+    out[small] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
+        d * taylor.series(xs, d))
     out[~small] = 1.0 / zeta[~small] - 1.0 / (d * x[~small])
     return out
 
@@ -63,7 +62,7 @@ def _tables(curve: PhaseCurve, v0: float):
     tay = curve.taylor
     d1 = tay.d1
     tau_i = _tau_integrand(x, zeta, tay)
-    ratio = _ratio_x_over_phi(x, zeta, tay)          # x/zeta, stable
+    ratio = x_over_zeta(x, zeta, tay)                # x/zeta, stable
     ctau = cumulative_simpson(tau_i, eta)
     tau = ctau - ctau[i0]
     cW = cumulative_simpson(ratio, eta)
@@ -91,14 +90,15 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     """Evaluation of the rebuilt profile through quintic splines in t = log r.
 
     Below the table (r < r_min) the profile continues with its origin
-    asymptotics v ~ vp0 r and etabar - 1 ~ r^d1; above it t is clamped
-    to the last node.
+    asymptotics v ~ vp0 r and etabar - 1 ~ r^d1; its last radius r_max is
+    the table edge.
     """
 
     def __init__(self, tab):
         t = tab["t"]
         self.t_min, self.t_max = float(t[0]), float(t[-1])
-        self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
+        # r_max as np.exp gives the profile's last radius (math.exp may differ)
+        self.r_min, self.r_max = math.exp(self.t_min), float(np.exp(t[-1]))
         self.d1 = tab["d1"]
         # slope of v at the origin: v ~ vp0 * r below the grid
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
@@ -124,35 +124,32 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def _dcols(self):
         return self._cols.derivative()
 
-    def _t(self, r):
-        """log r clamped to the table (radii below it map to t_min)."""
-        return np.clip(np.log(np.maximum(r, self.r_min)), self.t_min, self.t_max)
+    def _t(self, a):
+        """log a, t_min below the table; the clip undoes log(exp(t_max)) > t_max."""
+        return np.clip(np.log(np.maximum(a, self.r_min)), self.t_min, self.t_max)
 
-    def _state(self, r):
+    def _state(self, a):
         """(t, etabar, zeta, log v) at radii inside the table."""
-        t = self._t(r)
+        t = self._t(a)
         c = self._cols(t, slice(0, 3))
         return t, 1.0 + np.exp(c[..., 0]), np.exp(c[..., 1]), c[..., 2]
 
     def etabar(self, r):
+        return self._evaluate(r, False, self._etabar)    # r v'/v is even
+
+    def _etabar(self, a):
         # etabar - 1 ~ r^d1 below the table
-        below = 1.0 + self._x_min * (np.minimum(r, self.r_min) / self.r_min) ** self.d1
-        return shaped_like(r, np.where(r < self.r_min, below, self._state(r)[1]))
+        below = 1.0 + self._x_min * (np.minimum(a, self.r_min) / self.r_min) ** self.d1
+        return np.where(a < self.r_min, below, self._state(a)[1])
 
-    def v(self, r):
-        r = np.abs(r)
-        return shaped_like(r, np.where(r < self.r_min, self.vp0 * r,
-                                       np.exp(self._cols(self._t(r), 2))))
+    def _v(self, a):
+        return np.where(a < self.r_min, self.vp0 * a, np.exp(self._cols(self._t(a), 2)))
 
-    def u(self, r):
-        r = np.abs(r)
-        return shaped_like(r, np.where(r < self.r_min, 0.5 * self.vp0 * r * r,
-                                       self._cols(self._t(r), 3)))
+    def _u(self, a):
+        return np.where(a < self.r_min, 0.5 * self.vp0 * a * a, self._cols(self._t(a), 3))
 
-    def deriv(self, r, k):
-        check_order(k)
-        r = np.abs(r)
-        rs = np.maximum(r, self.r_min)
+    def _deriv(self, a, k):
+        rs = np.maximum(a, self.r_min)
         t, etab, zeta, logv = self._state(rs)
         vv = np.exp(logv)
         if k == 1:
@@ -165,7 +162,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
                 zp = self._dcols(t, 1)
                 out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
             below = 0.0
-        return shaped_like(r, np.where(r < self.r_min, below, out))
+        return np.where(a < self.r_min, below, out)
 
 
 def etabar_of_r(curve: PhaseCurve, r_grid):
@@ -244,14 +241,13 @@ def origin_compatibility(curve: PhaseCurve) -> dict:
     zeta''' is recorded rather than asserted).  Which set is binding for
     the fixed point is left open; both are reported.
     """
-    from .negative_pair import _local_derivatives
     eta0 = curve.params.eta0
     sel = curve.eta <= eta0 * (1 + 1e-12)
     x = curve.eta[sel] - 1.0
     z = curve.zeta[sel]
     span = eta0 - 1.0
     centers = np.linspace(0.12 * span, 0.88 * span, 16)
-    _, d2, d3 = _local_derivatives(x, z, centers, window=0.2 * span)
+    _, d2, d3 = local_derivatives(x, z, centers, window=0.2 * span)
     tay = curve.taylor
     return {
         "zeta_dd_min": float(min(np.min(d2), tay.alpha)),
@@ -285,7 +281,7 @@ def large_condition_check(profile: RadialProfile, R_inf: float) -> dict:
     t_hi = math.log(r_max)
     # full scan of the classical curvature lower bound on r > r0
     t_all = np.linspace(1e-3, t_hi, 400)
-    v_all = ev.v(np.exp(t_all))
+    v_all = ev.v(np.append(np.exp(t_all[:-1]), r_max))   # exp(t_hi) may pass r_max
     bound = v0 * T / (T - t_all)
     ok = v_all >= bound * (1 - 1e-12)
     holds_all = bool(np.all(ok))

@@ -51,8 +51,7 @@ def check_assembly(theta: float, n: int, m_cylinder: int):
 
 
 def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
-             m_cylinder: int = 0, R_inf: float = math.inf,
-             spread_tol: float = 1e-3) -> SeparableSolution:
+             m_cylinder: int = 0, R_inf: float = math.inf) -> SeparableSolution:
     """Scale phi so the factor eigenvalues are opposite and combine.
 
     R_inf is the boundary radius of the psi factor (infinite for an
@@ -63,10 +62,8 @@ def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
     """
     n = psi.n
     check_assembly(theta, n, m_cylinder)
-    lp_phi, _ = effective_lambda_fit(phi, theta, phi.n, nodes=_fit_nodes(phi),
-                                     spread_tol=spread_tol)
-    lp_psi, _ = effective_lambda_fit(psi, theta, n, nodes=_fit_nodes(psi),
-                                     spread_tol=spread_tol)
+    lp_phi, _ = effective_lambda_fit(phi, theta, phi.n, nodes=_fit_nodes(phi))
+    lp_psi, _ = effective_lambda_fit(psi, theta, n, nodes=_fit_nodes(psi))
     lam_phi = eigenvalue_from_lambda_prime(lp_phi, theta)
     lam_psi = eigenvalue_from_lambda_prime(lp_psi, theta)
     if lam_phi * lam_psi >= 0:

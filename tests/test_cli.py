@@ -39,7 +39,7 @@ def workdir(tmp_path_factory):
                 "--out", str(d / "curve.csv"),
                 "--report", str(d / "report.json")]) == 0
     assert run(["reconstruct", "--curve", str(d / "curve.csv"), "--v0", "1.0",
-                "--n", "2", "--out", str(d / "psi.csv")]) == 0
+                "--out", str(d / "psi.csv")]) == 0
     assert run(assemble_argv(d, d / "solution.json")) == 0
     return d
 
@@ -283,6 +283,18 @@ class TestConfigAndErrors:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[DEFAULT]\nn = 3\n[bernstein-1d]\ntheta = 0.6\n")
         assert run(["bernstein-1d", "--config", str(cfg)]) == 0
+
+    def test_reconstruct_takes_no_dimension(self, tmp_path, capsys):
+        # the rebuilt profile does not depend on n, so reconstruct has no --n
+        out = ["--out", str(tmp_path / "psi.csv")]
+        assert run(["reconstruct", "--n", "2"] + out) == 1
+        assert "unrecognized arguments: --n" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reconstruct]\nn = 2\n")
+        assert run(["reconstruct", "--config", str(cfg)] + out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ParameterError: config file {cfg}: [reconstruct] has no option n\n"
+        assert not (tmp_path / "psi.csv").exists()
 
     def test_eta_max_bounds_is_an_unrecognised_argument(self, tmp_path, capsys):
         assert run(["solve-negative", "--eta-max", "200", "--eta-max-bounds", "200",

@@ -20,10 +20,10 @@ from scipy.integrate import cumulative_simpson
 
 from affmax import positive_pair, reconstruct
 from affmax.cli import main
-from affmax.core import AnalyticEvaluator, shaped_like
-from affmax.errors import ParameterError
+from affmax.core import AnalyticEvaluator, profile_to_phase
+from affmax.errors import DomainError, ParameterError
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
-                                  _curvature_table)
+                                  _curvature_table, negative_pair_blowup_1d)
 from affmax.reconstruct import PhaseProfileEvaluator, _tables, paraboloid_profile
 from affmax.spline import interp_spline
 
@@ -33,6 +33,14 @@ from oracles import _integrand_factory
 
 # ---------------------------------------------------------------------------
 # per-column references: one interp_spline call per column
+
+
+def shaped_like(r, val):
+    """val as floats in the shape of r: a float for a scalar r, else an array."""
+    val = np.asarray(val, dtype=float)
+    if val.shape != np.shape(r):
+        val = np.broadcast_to(val, np.shape(r)).copy()
+    return val if val.ndim else float(val)
 
 
 class RefPhaseProfileEvaluator:
@@ -167,9 +175,8 @@ def pairs(curve_1e3):
 
 
 def radii(lo, hi):
-    """Negative radii, 0, radii below the table, inside it and beyond it."""
-    parts = [st.floats(-2.0 * hi, 0.0), st.just(0.0),
-             st.floats(lo, hi), st.floats(hi, 2.0 * hi)]
+    """Negative radii, 0, radii below the table and inside it, up to its edge."""
+    parts = [st.floats(-hi, 0.0), st.just(0.0), st.floats(lo, hi), st.just(hi)]
     if lo > 0:
         parts.append(st.floats(0.0, lo))
     return st.one_of(parts)
@@ -204,13 +211,19 @@ def test_joint_spline_matches_per_column_fits(pairs, name):
         with pytest.raises(ParameterError, match="order must be 1, 2 or 3"):
             ev.deriv(1.0, k)
 
+    def odd(val, r):
+        """A reference value at |r| with the parity of v or v''."""
+        return np.sign(r) * np.asarray(val)
+
     @settings(max_examples=60)
     @given(r=queries(lo, hi))
     def check(r):
-        assert_same(ev.v(r), ref.v(r), r)
-        assert_same(ev.u(r), ref.u(r), r)
-        for k in (1, 2, 3):
-            assert_same(ev.deriv(r, k), ref.deriv(r, k), r)
+        a = np.abs(r)
+        assert_same(ev.v(r), odd(ref.v(a), r), r)
+        assert_same(ev.u(r), ref.u(a), r)
+        for k in (1, 3):
+            assert_same(ev.deriv(r, k), ref.deriv(a, k), r)
+        assert_same(ev.deriv(r, 2), odd(ref.deriv(a, 2), r), r)
         if name == "phase":
             assert_same(ev.etabar(np.abs(r)), ref.etabar(np.abs(r)), r)
 
@@ -255,7 +268,7 @@ def test_one_fit_per_evaluator(monkeypatch, curve_1e3):
     calls.clear()
     ev = PhaseProfileEvaluator(_tables(curve_1e3, v0=1.0))
     assert len(calls) == 0
-    r = np.geomspace(ev.r_min / 2, ev.r_max * 2, 9)
+    r = np.geomspace(ev.r_min / 2, ev.r_max, 9)
     ev.v(r)
     ev.u(r)
     ev.etabar(r)
@@ -294,12 +307,14 @@ def power_evaluator(p=8, C=1.0):
 def built(phi_profile, psi_profile):
     """name -> (evaluator, smallest radius, largest radius) to query."""
     grid = np.linspace(0.0, 3.0, 31)
+    blowup = negative_pair_blowup_1d(1.0, THETA, 1.0, return_profile=True)["profile"]
     return {
         "build_phi": (phi_profile.evaluator, 0.0, float(phi_profile.r[-1])),
         "rebuild_profile": (psi_profile.evaluator, float(psi_profile.r[0]),
                             float(psi_profile.r[-1])),
         "scaled": (phi_profile.scaled(2.5).evaluator, 0.0, float(phi_profile.r[-1])),
         "paraboloid": (paraboloid_profile(2.0, 1.0, grid).evaluator, 0.0, 3.0),
+        "blowup_1d": (blowup.evaluator, 0.0, float(blowup.r[-1])),
         "analytic": (power_evaluator(), 0.25, 4.0),
     }
 
@@ -319,3 +334,38 @@ def test_every_evaluator_keeps_the_contract(built, name):
     for k in (0, 4):
         with pytest.raises(ParameterError, match="order must be 1, 2 or 3"):
             ev.deriv(1.0, k)
+
+
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled",
+                                  "paraboloid", "blowup_1d", "analytic"])
+def test_every_evaluator_has_the_parity_of_an_even_u(built, name):
+    """v and v'' odd; u, v' and v''' even: bit for bit at -r and r."""
+    ev, lo, hi = built[name]
+    r = np.random.default_rng(11).uniform(lo, hi, 9)
+    rules = [(ev.v, True), (ev.u, False)]
+    if name != "blowup_1d":                 # its profile gives v and u alone
+        rules += [(lambda x, k=k: ev.deriv(x, k), k == 2) for k in (1, 2, 3)]
+    for rule, odd in rules:
+        at_r = rule(r)
+        assert rule(-r).tobytes() == (-at_r if odd else at_r).tobytes()
+
+
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled"])
+def test_table_backed_evaluators_raise_beyond_the_table(built, name):
+    ev = built[name][0]
+    edge = ev.r_max
+    assert math.isfinite(edge)
+    rules = [ev.v, ev.u] + [lambda x, k=k: ev.deriv(x, k) for k in (1, 2, 3)]
+    for rule in rules:
+        assert np.all(np.isfinite(rule(np.array([-edge, edge]))))
+        for r in (np.nextafter(edge, np.inf), -2.0 * edge, np.array([1.0, 2.0 * edge])):
+            with pytest.raises(DomainError, match="beyond its table edge"):
+                rule(r)
+
+
+def test_profile_to_phase_of_psi_keeps_its_stencils_in_the_table(psi_profile):
+    """The default nodes stop below the table edge, so zeta = r deta/dr
+    is positive at every node, the last one included."""
+    eta, zeta = profile_to_phase(psi_profile)
+    assert np.all(zeta > 0)
+    assert len(zeta) == np.count_nonzero(psi_profile.r >= 1e-3) - 1

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from affmax import negative_pair
+from affmax import negative_pair, reconstruct
 from affmax.core import ModelParams, PhaseCurve, TaylorData
 from affmax.errors import (AffmaxError, ParameterError, PositivityLoss,
                            SingularityMismatch, TailUnbounded)
@@ -309,7 +309,7 @@ def lstsq_local_derivatives(x, y, centers, window):
 
 @pytest.mark.parametrize("theta", [THETA] + np.linspace(0.51, 0.65, 16).tolist())
 def test_batched_local_derivatives_match_lstsq_loop(monkeypatch, theta):
-    batched = negative_pair._local_derivatives
+    batched = negative_pair.local_derivatives
     pairs = []
 
     def compared(x, y, centers, window):
@@ -324,7 +324,8 @@ def test_batched_local_derivatives_match_lstsq_loop(monkeypatch, theta):
     phi = np.concatenate([[0.0], sol.curve.zeta])
     verdicts = []
     for impl in (compared, lstsq_local_derivatives):
-        monkeypatch.setattr(negative_pair, "_local_derivatives", impl)
+        monkeypatch.setattr(negative_pair, "local_derivatives", impl)
+        monkeypatch.setattr(reconstruct, "local_derivatives", impl)
         origin = origin_compatibility(sol.curve)
         verdicts.append((spec.check(eta, phi, sol.taylor_measured)["conditions"],
                          {k: v for k, v in origin.items() if isinstance(v, bool)},
