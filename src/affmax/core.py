@@ -18,7 +18,6 @@ L[u] = (u'')^2 * (u^{ij} D_ij w)/(theta w)).
 from __future__ import annotations
 
 import base64
-import io
 import math
 from dataclasses import asdict, dataclass
 
@@ -595,11 +594,13 @@ def read_columns(path, header=None):
             text = fh.read()
     data = None
     if text.isascii() and not any(map(text.__contains__, _ROW_WALK_CHARS)):
-        head, _, body = text.strip().partition("\n")
+        # the reader takes the lines as a list of str, one byte a character
+        # here; a StringIO of the text would hold it at four
+        head, *lines = text.strip().split("\n")
         names = [s.strip() for s in head.split(",")]
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                              dtype=float, ndmin=2) if body else None
+            data = np.loadtxt(lines, delimiter=",", comments=None,
+                              dtype=float, ndmin=2) if lines else None
         except ValueError:
             pass
     if data is not None and data.shape[1] == len(names):

@@ -110,7 +110,7 @@ class PositivePairEvaluator(ProfileEvaluator):
         self.r_max = float(r[-1])
         # one spline with the columns (log u'', u', u) on s = log(1 + r)
         self._cols = interp_spline(
-            np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1), 5)
+            np.log1p(r), np.stack([np.log(vpp), v_up, u]).T, 5)
 
     def _v(self, a):
         return self._cols(np.log1p(a), 1)
@@ -258,7 +258,7 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         u = cumulative_simpson(u_prime * drdt, t)
         keep = np.concatenate([[True], np.diff(r) > 1e-13])
         rr, up, uu = r[keep], u_prime[keep], u[keep]
-        cols = interp_spline(np.log1p(rr), np.stack([up, uu], axis=-1), 3)
+        cols = interp_spline(np.log1p(rr), np.stack([up, uu]).T, 3)
         ev = AnalyticEvaluator(lambda a: cols(np.log1p(a), 0),
                                u_fn=lambda a: cols(np.log1p(a), 1))
         sub = slice(None, None, max(1, len(rr) // 2000))

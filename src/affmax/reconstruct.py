@@ -116,7 +116,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         """
         t, x, zeta, logv, u = self._table
         cols = interp_spline(
-            t, np.stack([np.log(x), np.log(zeta), logv, u], axis=-1), 5)
+            t, np.stack([np.log(x), np.log(zeta), logv, u]).T, 5)
         del self._table
         return cols
 

@@ -94,7 +94,9 @@ def interp_spline(x, y, k: int) -> Spline:
     """The not-a-knot spline of degree k (3 or 5) through (x[i], y[i]).
 
     x is strictly increasing; y has shape (len(x),) or (len(x), m), and
-    every column is fitted on the one collocation matrix.
+    every column is fitted on the one collocation matrix.  The fit works on
+    the columns as rows, so a y whose columns are contiguous, such as
+    np.stack(columns).T, is not copied.
     """
     if k not in (3, 5):
         raise ParameterError(f"interp_spline fits degree 3 or 5, got {k}")
@@ -109,10 +111,9 @@ def interp_spline(x, y, k: int) -> Spline:
         raise ParameterError("sites must be strictly increasing")
     e = (k + 1) // 2
     t = np.concatenate([np.full(k + 1, x[0]), x[e:n - e], np.full(k + 1, x[-1])])
-    # site i lies in [t[ell], t[ell+1]): the sites are the knots t[i+e]
-    ell = np.clip(np.arange(n) + e, k, n - 1)
-    rows = _basis(t, k, x, ell)              # row i is nonzero in ell_i-k .. ell_i
-    start = ell - k
+    # site i lies in [t[ell], t[ell+1]), ell = start + k: the sites are the knots t[i+e]
+    start = np.clip(np.arange(n) + e - k, 0, n - 1 - k)
+    rows = _basis(t, k, x, start + k)        # row i is nonzero in start_i .. start_i+k
     Y = np.ascontiguousarray(y.reshape(n, -1).T)     # one row per column of y
     if n < _DENSE_BELOW:
         A = np.zeros((n, n))
@@ -192,21 +193,18 @@ def _solve_banded(rows, start, Y, k):
     The first and last e = (k+1)/2 unknowns are eliminated by a dense solve
     of their own rows (a Schur complement on the interior rows coupled to
     them); the remaining pentadiagonal system is solved by cyclic
-    reduction.
+    reduction.  Y is not written to.
     """
     n = len(start)
     e = (k + 1) // 2
+    G, g, head = _eliminate_end(rows, start, Y, e, k)
+    # the last rows are the first of the reversed system
+    Gb, gb, tail = _eliminate_end(rows[::-1, ::-1], (n - 1 - k - start)[::-1],
+                                  Y[:, ::-1], e, k)
     # interior row i holds offsets -(e-1)..e in rows[0..k]; offset e is zero
-    band = np.zeros((5, n - 2 * e))
-    band[3 - e:2 + e] = rows[:2 * e - 1, e:n - e]
-    Y = Y.copy()
-    G, g, band[:, :e - 1] = _eliminate_end(rows, start, Y, e, k)
-    # the last rows are the first of the reversed system, whose band is
-    # band reversed in both axes
-    Gb, gb, band[::-1, ::-1][:, :e - 1] = _eliminate_end(
-        rows[::-1, ::-1], (n - 1 - k - start)[::-1], Y[:, ::-1], e, k)
-    C = np.empty_like(Y)
-    C[:, e:n - e] = _cyclic_reduction(band, Y[:, e:n - e])
+    inner = _cyclic_reduction(rows[:2 * e - 1, e:n - e], Y[:, e:n - e], head, tail)
+    C = np.empty_like(Y)                     # not held through the reduction
+    C[:, e:n - e] = inner
     C[:, :e] = g - _dot(G, C[:, e:k + 1])
     Cb = C[:, ::-1]
     Cb[:, :e] = gb - _dot(Gb, Cb[:, e:k + 1])
@@ -216,10 +214,11 @@ def _solve_banded(rows, start, Y, k):
 def _eliminate_end(rows, start, Y, e, k):
     """Eliminate unknowns 0..e-1 with rows 0..e-1 (columns 0..k).
 
-    Returns (G, g, band) with C[:, :e] = g - C[:, e:k+1] G^T.  The interior
-    rows e..2e-2 reach columns below e; they get the Schur-complement
-    update, which stays within two diagonals of theirs, and lose those
-    columns: band holds their diagonals -2..2, and Y is updated in place.
+    Returns (G, g, (band, d)) with C[:, :e] = g - C[:, e:k+1] G^T.  The
+    interior rows e..2e-2 reach columns below e; they get the
+    Schur-complement update, which stays within two diagonals of theirs,
+    and lose those columns: band holds their diagonals -2..2, and d their
+    updated right-hand sides, in place of Y[:, e:2e-1].
     """
     r = 2 * e - 1
     cols = start[:r, None] + np.arange(k + 1)
@@ -229,15 +228,18 @@ def _eliminate_end(rows, start, Y, e, k):
     g = _solve_columns(corner[:e, :e], Y[:, :e])
     L = corner[e:, :e]
     corner[e:, e:k + 1] -= L @ G
-    Y[:, e:r] -= _dot(L, g)
+    d = Y[:, e:r] - _dot(L, g)
     L[:] = 0.0
     i = np.arange(e, r)[:, None]
-    return G, g, corner[i, i + np.arange(-2, 3)].T
+    return G, g, (corner[i, i + np.arange(-2, 3)].T, d)
 
 
-def _cyclic_reduction(band, rhs):
-    """Solve the pentadiagonal system band (5, N), offsets -2..2, for each
-    row of rhs (m, N); band's entries outside the matrix are zero.
+def _cyclic_reduction(diags, rhs, head, tail):
+    """Solve the pentadiagonal system with diagonals -h..h (h = 1 or 2)
+    diags (2h+1, N), for each row of rhs (m, N), but for its first and
+    last h rows: head = (band (5, h), d (m, h)) gives their diagonals -2..2
+    and right-hand sides, and tail those of the last rows, reversed in
+    both axes.  Entries outside the matrix are zero.
 
     Pairs of unknowns form 2x2 blocks z_b of a block-tridiagonal system,
     written B_b z_b = d_b + A_b z_{b-1} + C_b z_{b+1}; an odd N gets one
@@ -247,32 +249,44 @@ def _cyclic_reduction(band, rhs):
     level by level.  Blocks are (2, w, M) arrays, so each 2x2 operation
     is a few whole-array operations over the last axis.
     """
-    m, N = rhs.shape
-    if N % 2:
-        band = np.concatenate([band, [[0.0], [0.0], [1.0], [0.0], [0.0]]], axis=1)
-        rhs = np.concatenate([rhs, np.zeros((m, 1))], axis=1)
-    M = (N + 1) // 2
+    h, (m, N) = len(diags) // 2, rhs.shape
+    band = np.zeros((5, N))                  # diagonals -2..2
+    band[2 - h:3 + h] = diags
+    band[:, :h], band[::-1, ::-1][:, :h] = head[0], tail[0]
+    M, Mo = (N + 1) // 2, N // 2             # blocks, and rows 2p+1
     ev, od = band[:, 0::2], band[:, 1::2]    # rows 2p and 2p+1
-    B = np.array([[ev[2], ev[3]], [od[1], od[2]]])
+    B = np.zeros((2, 2, M))
+    B[0, 0], B[0, 1], B[1, 0, :Mo], B[1, 1, :Mo] = ev[2], ev[3], od[1], od[2]
+    B[1, 1, Mo:] = 1.0
     W = np.empty((2, 4 + m, M))              # [A | C | d]
-    W[0, 0], W[0, 1], W[1, 1] = -ev[0], -ev[1], -od[0]
-    W[0, 2], W[1, 2], W[1, 3] = -ev[4], -od[3], -od[4]
+    W[1, 1:4, Mo:] = -0.0                    # the identity row's, negated as the band's
+    W[0, 0], W[0, 1], W[0, 2] = -ev[0], -ev[1], -ev[4]
+    W[1, 1, :Mo], W[1, 2, :Mo], W[1, 3, :Mo] = -od[0], -od[3], -od[4]
     W[1, 0] = W[0, 3] = 0.0
-    W[:, 4:] = rhs.reshape(m, M, 2).transpose(2, 0, 1)
+    del band, ev, od                         # B and W hold all of it
+    W[0, 4:], W[1, 4:, :Mo], W[1, 4:, Mo:] = rhs[:, 0::2], rhs[:, 1::2], 0.0
+    ends = (*range(h), *range(N - 1, N - 1 - h, -1))
+    for i, d in zip(ends, (*head[1].T, *tail[1].T)):
+        W[i % 2, 4:, i // 2] = d
     levels = []
     while M > 1:
         Me, Mo = (M + 1) // 2, M // 2        # even blocks, odd blocks
         E = _mul(_inv(B[..., 0::2]), W[..., 0::2])
         levels.append(E)
-        Wo = W[..., 1::2]
-        Y = _mul(Wo[:, 2:4, :Me - 1], E[..., 1:])      # C_o E_right
+        # each level frees what it no longer needs before allocating: the
+        # even blocks of W once E is formed, and its own temporaries
+        Wo = W[..., 1::2].copy()
+        del W
         W = _mul(Wo[:, 0:2], E[..., :Mo])               # A_o E_left
+        # C_o E_right enters B and W one part at a time, never whole
+        Co, Er = Wo[:, 2:4, :Me - 1], E[..., 1:]
         B = B[..., 1::2] - W[:, 2:4]
-        B[..., :Me - 1] -= Y[:, 0:2]
+        B[..., :Me - 1] -= _mul(Co, Er[:, 0:2])
         W[:, 2:4] = 0.0
-        W[:, 2:4, :Me - 1] = Y[:, 2:4]
+        W[:, 2:4, :Me - 1] = _mul(Co, Er[:, 2:4])
         W[:, 4:] += Wo[:, 4:]
-        W[:, 4:, :Me - 1] += Y[:, 4:]
+        W[:, 4:, :Me - 1] += _mul(Co, Er[:, 4:])
+        del Wo, Co
         M = Mo
     z = _mul(_inv(B), W[:, 4:])
     for E in reversed(levels):
@@ -284,7 +298,9 @@ def _cyclic_reduction(band, rhs):
         ze[..., :Mo] += _mul(E[:, 2:4, :Mo], z)
         full[..., 1::2] = z
         z = full
-    return z.transpose(1, 2, 0).reshape(m, -1)[:, :N]
+    out = np.empty((m, N))
+    out[:, 0::2], out[:, 1::2] = z[0], z[1, :, :N // 2]
+    return out
 
 
 def _solve_columns(A, B):
@@ -310,7 +326,8 @@ def _dot(a, b):
 def _mul(a, b):
     """Blockwise product of (2, 2, M) blocks a with (2, w, M) blocks b."""
     out = a[:, :1] * b[0]
-    out += a[:, 1:] * b[1]
+    for r in range(2):                   # a temporary of half the size of out
+        out[r] += a[r, 1] * b[1]
     return out
 
 

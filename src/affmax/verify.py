@@ -35,7 +35,11 @@ def _fit_nodes(profile: RadialProfile):
     return np.linspace(lo, r_hi, 9)
 
 
-# per sample, the verify stencil holds 2 N^2 + 1 points of N = 1 + n + m coordinates
+# the largest m_cylinder assemble and verify accept.  The stencil no longer
+# limits it: _residuals works in blocks of points, and at n = 2, m = 8
+# (N = 11, 243 stencil points a sample) 1000 samples take 5.7 MB traced
+# and verify peaks at 53 MB RSS.  The cap stays so that the same inputs
+# are accepted.
 MAX_CYLINDER = 8
 
 
@@ -132,15 +136,12 @@ def _hessian_from_stencil(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(P, N, N) central-difference Hessians from values f (P, S) on _stencil(N)."""
     P, N = h.shape
     H = np.empty((P, N, N))
-    f0 = f[:, 0]
-    for i in range(N):
-        H[:, i, i] = (f[:, 1 + 2 * i] - 2.0 * f0 + f[:, 2 + 2 * i]) / h[:, i] ** 2
-    k = 1 + 2 * N
-    for i in range(N):
-        for j in range(i):
-            H[:, i, j] = H[:, j, i] = (f[:, k] - f[:, k + 1] - f[:, k + 2]
-                                       + f[:, k + 3]) / (4 * h[:, i] * h[:, j])
-            k += 4
+    d = np.arange(N)
+    H[:, d, d] = (f[:, 1:2 * N:2] - 2.0 * f[:, :1] + f[:, 2:2 * N + 1:2]) / h ** 2
+    i, j = np.tril_indices(N, -1)            # the pairs j < i in stencil order
+    g = f[:, 1 + 2 * N:].reshape(P, -1, 4)
+    H[:, i, j] = H[:, j, i] = ((g[..., 0] - g[..., 1] - g[..., 2] + g[..., 3])
+                               / (4 * h[:, i] * h[:, j]))
     return H
 
 
@@ -169,25 +170,44 @@ def _points(sol: SeparableSolution, points) -> np.ndarray:
 
 
 _H_REL = 1e-3   # relative step of the verify stencil
+# bytes of w values in one block of points (8 S per point and step): the
+# block's other work arrays are small multiples of it (N for the stencil
+# coordinates), and its fixed cost, about a millisecond of factor
+# evaluations, stays small next to its work
+_BLOCK_BYTES = 1 << 17
 
 
 def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL) -> np.ndarray:
-    """u^{ij} D_ij w at each of the (P, N) points, from one batched stencil pass.
+    """u^{ij} D_ij w at each of the (P, N) points, by blocks of points.
 
     w is differentiated by central differences with steps h = h_rel *
     max(|p_i|, 1) and h/2, combined by Richardson extrapolation as
-    (4 H(h/2) - H(h)) / 3.  w is evaluated once over every stencil point.
+    (4 H(h/2) - H(h)) / 3.  Each step is one pass over the points in
+    blocks of _BLOCK_BYTES of w values, and w is evaluated once over every
+    stencil point of a block, so its work arrays do not grow with P.  Every
+    residual depends on its own point alone, and a NearSingular names the
+    first bad stencil point in (step, point, stencil) order, whatever the
+    block size.
     """
-    n = sol.psi.n
+    n, (P, N) = sol.psi.n, pts.shape
     h = h_rel * np.maximum(np.abs(pts), 1.0)
-    steps = [h, h / 2.0]
-    off = _stencil(pts.shape[1])
-    q = np.stack([pts[:, None, :] + off * hk[:, None, :] for hk in steps])
-    x, rho = q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)
-    wv = _w(sol, x, rho)
-    H = _hessian_from_stencil(wv[0], steps[0])
-    H = (4.0 * _hessian_from_stencil(wv[1], steps[1]) - H) / 3.0
-    return np.einsum("pij,pij->p", _inverse_hessian(sol, pts), H)
+    off = _stencil(N)
+    block = max(1, _BLOCK_BYTES // (8 * len(off)))
+    H = np.empty((P, N, N))
+    res = np.empty(P)
+    for step in (1.0, 2.0):                  # h, then h/2
+        for lo in range(0, P, block):
+            p, hk = pts[lo:lo + block], h[lo:lo + block] / step
+            q = p[:, None, :] + off * hk[:, None, :]
+            Hk = _hessian_from_stencil(
+                _w(sol, q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)), hk)
+            if step == 1.0:
+                H[lo:lo + block] = Hk
+            else:
+                Hk = (4.0 * Hk - H[lo:lo + block]) / 3.0
+                res[lo:lo + block] = np.einsum("pij,pij->p",
+                                               _inverse_hessian(sol, p), Hk)
+    return res
 
 
 def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from affmax.positive_pair import PositivePairConfig, _curvature_table
 from affmax.reconstruct import _tables
 from affmax.spline import Spline, interp_spline
 
+import full_size
 from conftest import THETA
 
 EPS = np.finfo(float).eps
@@ -231,3 +232,47 @@ def test_joint_fit_equals_per_column_fits(grid, data):
 def test_rejects_what_it_cannot_fit(x, y, k):
     with pytest.raises(ParameterError):
         interp_spline(x, y, k)
+
+
+# ---------------------------------------------------------------------------
+# the collocation solve against its full-size reference, bit for bit
+
+
+def collocation(x, k, y):
+    """interp_spline's collocation system on the sites x: (rows, start, Y)."""
+    n, e = len(x), (k + 1) // 2
+    t = np.concatenate([np.full(k + 1, x[0]), x[e:n - e], np.full(k + 1, x[-1])])
+    start = np.clip(np.arange(n) + e - k, 0, n - 1 - k)
+    return (spline._basis(t, k, x, start + k), start,
+            np.ascontiguousarray(y.reshape(n, -1).T))
+
+
+def assert_solve_and_fit_match_full_size(monkeypatch, x, y, k):
+    if len(x) >= spline._DENSE_BELOW:        # smaller systems are solved dense
+        rows, start, Y = collocation(x, k, y)
+        assert same_bits(spline._solve_banded(rows, start, Y, k),
+                         full_size.solve_banded(rows, start, Y, k))
+    fit = interp_spline(x, y, k)
+    with monkeypatch.context() as mp:
+        mp.setattr(spline, "_solve_banded", full_size.solve_banded)
+        assert same_bits(fit.c, interp_spline(x, y, k).c)
+
+
+@pytest.mark.parametrize("name, interior", [("phi", 15994), ("phase", 20929)])
+def test_fit_equals_full_size_solve_on_flagship_tables(monkeypatch, curve_1e5,
+                                                       name, interior):
+    # one interior size of each parity: an odd one gets an identity row
+    x, y = flagship_tables(curve_1e5)[name]
+    assert len(x) - 6 == interior
+    assert_solve_and_fit_match_full_size(monkeypatch, x, y, 5)
+
+
+@settings(max_examples=150)
+@given(grid=st.one_of(graded_grids(), wild_grids()), data=st.data())
+def test_fit_equals_full_size_solve(grid, data):
+    k, x = grid
+    y = columns(data.draw, len(x))
+    if data.draw(st.booleans()):
+        y[:, 0] = 0.0                  # exact zeros keep their signs too
+    with pytest.MonkeyPatch.context() as mp:
+        assert_solve_and_fit_match_full_size(mp, x, y, k)

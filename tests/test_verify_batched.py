@@ -24,10 +24,12 @@ from scipy.interpolate import make_interp_spline
 from affmax import build_phi, positive_pair, reconstruct, rebuild_profile
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular
+from affmax import verify
 from affmax.verify import (_det_parts, _eigenvalues, _inverse_hessian,
                            _residuals, _sample_points, _stencil, _w, assemble,
                            convexity_check, hessian_eigenvalues_at, residual_at)
 
+import full_size
 from conftest import THETA
 
 EPS = np.finfo(float).eps
@@ -285,3 +287,70 @@ def test_batched_path_raises_near_singular():
     assert np.isfinite(_residuals(sol, pts[[0, 2]])).all()
     with pytest.raises(NearSingular):
         _residuals(sol, pts)
+
+
+# ---------------------------------------------------------------------------
+# blocks of points against the full-size pass, bit for bit
+
+
+def block_bytes(sol, points):
+    """The _BLOCK_BYTES that makes blocks of the given number of points."""
+    return points * 8 * len(_stencil(sol.N))
+
+
+# (P, points per block): one block, a block of one point, P not a multiple
+# of the block, and blocks that start off a multiple of 4
+BLOCKINGS = [(1, 1), (2, 1), (5, 2), (9, 3), (65, 7), (129, 64), (256, 128),
+             (300, 250), (431, 13), (599, 128), (600, 250), (600, None)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_blocked_residuals_equal_full_size_pass(solutions, monkeypatch, m):
+    sol = solutions[m]
+    pts = _sample_points(sol, 600, 7)
+    for P, block in BLOCKINGS:
+        if block is not None:
+            monkeypatch.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
+        got = _residuals(sol, pts[:P])
+        assert got.tobytes() == full_size.residuals(sol, pts[:P]).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_blocked_residuals_equal_full_size_pass_drawn(solutions, m, data):
+    sol = solutions[m]
+    P = data.draw(st.integers(1, 600))
+    block = data.draw(st.integers(max(1, P // 16), 600))
+    pts = _sample_points(sol, P, data.draw(st.integers(0, 2**32 - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
+        got = _residuals(sol, pts)
+    assert got.tobytes() == full_size.residuals(sol, pts).tobytes()
+
+
+def test_near_singular_names_the_point_the_full_size_pass_names(monkeypatch):
+    # psi = |y|^2/2 gives det = 1 but at a stencil point on rho = 0 (NaN):
+    # with h = 1e-3, (x, 5e-4, 0) reaches it only at step h/2, in the first
+    # block, and (x, 1e-3, 0) at step h, in a later one; step h comes first
+    ev = AnalyticEvaluator(lambda r: r, [lambda r: 1.0, lambda r: 0.0,
+                                         lambda r: 0.0], u_fn=lambda r: r * r / 2)
+    r = np.linspace(0.0, 4.0, 41)
+
+    def factor(n):
+        return RadialProfile(r=r, v=r, u=r * r / 2, n=n, evaluator=ev)
+
+    sol = SeparableSolution(phi=factor(1), psi=factor(2), kappa=1.0,
+                            theta=0.75, R_inf=math.inf)
+    pts = np.array([[0.1, 0.5, 0.5], [0.25, 5e-4, 0.0], [0.2, 0.3, -0.4],
+                    [0.3, 0.6, 0.1], [0.4, 0.7, 0.2], [0.75, 1e-3, 0.0]])
+    with pytest.raises(NearSingular) as ref:
+        full_size.residuals(sol, pts)
+    assert "x=0.75" in str(ref.value)
+    for block in (1, 2, 4, 6):
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
+        with pytest.raises(NearSingular) as err:
+            _residuals(sol, pts)
+        assert str(err.value) == str(ref.value)
+    with pytest.raises(NearSingular, match="x=0.25"):
+        _residuals(sol, pts[:5])
