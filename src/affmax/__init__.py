@@ -7,6 +7,18 @@ u(x, y) = kappa*phi + psi on R x B_{R_inf}, and verifies the equation,
 convexity, growth bounds, blow-up radius and completeness numerically.
 """
 
+import os
+import sys
+
+# One BLAS thread, set before the first import that loads numpy: every
+# BLAS product here is a few dozen entries, and OpenBLAS's helper thread
+# costs tens of milliseconds at load and again after every fork (the
+# sweep workers).  Parallelism is `sweep --jobs`.  A value the caller set
+# is kept, and a program that loaded numpy first keeps its threads and
+# its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 SCHEMA_VERSION = 3
 

@@ -418,7 +418,9 @@ def _cmd_sweep(o) -> int:
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     jobs = int(o["jobs"])
     if jobs > 1:
-        # imported here: multiprocessing costs every other command ~15 ms
+        # imported here: multiprocessing costs every other command ~15 ms.
+        # The forked workers keep the one BLAS thread affmax/__init__.py
+        # sets, so the rows are the only parallelism.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_sweep_worker, tasks))

@@ -67,6 +67,11 @@ class ModelParams:
         """Extra hypotheses for the bounded-factor construction."""
         if not 2 <= self.n <= 5:
             raise ParameterError(f"negative-pair solve needs 2 <= n <= 5, got {self.n}")
+        # the closed-form Taylor data at eta = 1 are cubic in theta and
+        # leave the float range near theta = 1e102
+        if not self.theta <= 1e100:
+            raise ParameterError(
+                f"negative-pair solve needs a finite theta <= 1e100, got {self.theta}")
         if not self.theta > (self.n - 7) / self.n**2:
             raise ParameterError(
                 f"global extension needs theta > (n-7)/n^2 = {(self.n - 7) / self.n ** 2}")

@@ -209,8 +209,8 @@ def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
     and carries an evaluator with the exact derivative chain, valid on
     radii covered by the curve.
     """
-    if v0 <= 0:
-        raise ParameterError("v0 must be positive")
+    if not 0 < v0 < math.inf:
+        raise ParameterError(f"v0 must be positive and finite, got {v0}")
     tab = _tables(curve, v0=v0)
     ev = PhaseProfileEvaluator(tab)
     r_all = np.exp(tab["t"])

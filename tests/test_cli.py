@@ -307,14 +307,22 @@ class TestConfigAndErrors:
         ["verify", "--points", "0"], ["sweep", "--steps", "0"],
         ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
         ["bernstein-radial", "--samples", "0"], ["solve-positive", "--nodes", "0"],
-        ["solve-positive", "--nodes", "1"], ["solve-positive", "--nodes", "1000001"]],
+        ["solve-positive", "--nodes", "1"], ["solve-positive", "--nodes", "1000001"],
+        # theta = 1e300 overflowed the Taylor closed form with a traceback;
+        # v0 = inf wrote psi.csv rows of inf and nan and exited 0
+        ["solve-negative", "--theta", "1e300"], ["solve-negative", "--theta", "inf"],
+        ["reconstruct", "--v0", "inf"], ["reconstruct", "--v0", "nan"]],
         ids=" ".join)
     def test_bad_count_or_tolerance_is_one_line_usage_error(
             self, workdir, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         if argv[0] == "verify":
             argv = argv + ["--solution", str(workdir / "solution.json")]
-        assert run(argv) == 1
+        if argv[0] == "reconstruct":
+            argv = argv + ["--curve", str(workdir / "curve.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
