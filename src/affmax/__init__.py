@@ -28,24 +28,22 @@ from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
 from .negative_pair import (LocalSolve, blowup_time, calibrate_lambda,
                             extend_global, fixed_point_solve,
                             growth_bounds_check, taylor_coeffs)
-from .phase_plane import (bernstein_radial_check, phase_rhs,
-                          power_solution_residual, stationary_eta)
+from .phase_plane import bernstein_radial_check, power_solution_residual
 from .positive_pair import PositivePairConfig, build_phi
-from .reconstruct import etabar_of_r, large_condition_check, rebuild_profile, t_of_eta
+from .reconstruct import large_condition_check, rebuild_profile, t_of_eta
 from .verify import (assemble, bernstein_1d_check, completeness_check,
-                     convexity_check, full_residual)
+                     full_residual)
 
 __all__ = [
     "__version__", "SCHEMA_VERSION",
     "ModelParams", "TaylorData", "PhaseCurve", "RadialProfile",
     "SeparableSolution", "VerificationReport",
     "radial_residual", "profile_to_phase", "effective_lambda_fit",
-    "phase_rhs", "stationary_eta", "bernstein_radial_check",
-    "power_solution_residual",
+    "bernstein_radial_check", "power_solution_residual",
     "PositivePairConfig", "build_phi",
     "taylor_coeffs", "calibrate_lambda", "fixed_point_solve", "LocalSolve",
     "extend_global", "growth_bounds_check", "blowup_time",
-    "t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",
-    "assemble", "full_residual", "convexity_check", "completeness_check",
+    "t_of_eta", "rebuild_profile", "large_condition_check",
+    "assemble", "full_residual", "completeness_check",
     "bernstein_1d_check",
 ]

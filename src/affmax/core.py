@@ -244,13 +244,6 @@ class PhaseCurve:
     def eta_max(self) -> float:
         return float(self.eta[-1])
 
-    def limit_check(self) -> bool:
-        """zeta -> 0 and zeta/(eta-1) -> d1 as eta -> 1+, to 1e-2 on the first samples."""
-        k = min(8, len(self.eta))
-        ratio = self.zeta[:k] / (self.eta[:k] - 1.0)
-        return bool(self.zeta[0] < 1e-2 and np.all(np.abs(ratio - self.taylor.d1)
-                                                   < 1e-2 * max(1.0, self.taylor.d1)))
-
     def to_csv(self, path):
         write_columns(path, ["eta", "zeta", "I"], [self.eta, self.zeta, self.I])
 

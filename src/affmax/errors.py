@@ -37,10 +37,6 @@ class SingularityMismatch(AffmaxError):
     """Candidate slope at the singular endpoint is not the required value 2."""
 
 
-class BlowupInsideWindow(AffmaxError):
-    """Mapped curve left the admissible band [0, 1] inside the local window."""
-
-
 class NoConvergence(AffmaxError):
     """An iteration (fixed point or bisection) did not converge within its cap."""
 

@@ -28,14 +28,14 @@ from .core import (X_SWITCH, ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                    cumulative_simpson, measure_taylor, upper_bound_claimed,
                    x_over_zeta)
 from .dop853 import DOP853, brentq
-from .errors import (BlowupInsideWindow, MembershipViolation, NoConvergence,
-                     ParameterError, PositivityLoss, SingularityMismatch,
-                     StepFailure, TailUnbounded)
+from .errors import (MembershipViolation, NoConvergence, ParameterError,
+                     PositivityLoss, SingularityMismatch, StepFailure,
+                     TailUnbounded)
 from .phase_plane import coef_linear, coef_q, phase_field
 
 __all__ = [
     "taylor_coeffs", "calibration_target", "GammaSetSpec", "LocalSolve",
-    "calibrate_lambda", "apply_T", "fixed_point_solve", "extend_global",
+    "calibrate_lambda", "fixed_point_solve", "extend_global",
     "growth_bounds_check", "blowup_time", "local_derivatives",
 ]
 
@@ -163,24 +163,18 @@ def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
             f"({at}, eta0 = {eta0})") from None
 
 
-def _candidate(eta, phi, eta0: float, taylor: TaylorData | None):
-    """_prepare_grid, and SingularityMismatch unless the slope phi'(1) is
-    about 2: the regular part of (s+1)/phi is bounded only for the slope 2."""
-    eta, x, phi, taylor = _prepare_grid(eta, phi, eta0, taylor)
-    if abs(taylor.d1 - 2.0) > 2e-2:
-        raise SingularityMismatch(
-            f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
-    return eta, x, phi, taylor
-
-
 def calibrate_lambda(eta, phi, n: int, eta0: float) -> float:
     """Calibration constant lam(phi, eta0) of a sampled candidate.
 
     lam = 2 * target(n) * (eta0 - 1) * exp(int_1^eta0 g), where g is the
     regular part of (s+1)/phi, with the Taylor data measured from the
-    samples.
+    samples.  SingularityMismatch unless the slope phi'(1) is about 2:
+    the regular part of (s+1)/phi is bounded only for the slope 2.
     """
-    eta, x, phi, taylor = _candidate(eta, phi, eta0, None)
+    eta, x, phi, taylor = _prepare_grid(eta, phi, eta0, None)
+    if abs(taylor.d1 - 2.0) > 2e-2:
+        raise SingularityMismatch(
+            f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
     return _calibration(x, eta, phi, taylor, n, eta0)[1]
 
 
@@ -195,20 +189,6 @@ def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float
          + n * eta * q * ratio + lam * eta**2 * exp_I_over_phi)
     zeta = cumulative_simpson(F, eta)
     return zeta, lam, F
-
-
-def apply_T(eta, phi, n: int, theta: float, eta0: float,
-            taylor: TaylorData | None = None):
-    """Apply the calibrated mapping to a sampled candidate.
-
-    Returns (zeta samples on the same grid, lam).  Raises
-    BlowupInsideWindow if the image leaves the admissible band [0, 1].
-    """
-    eta, x, phi, taylor = _candidate(eta, phi, eta0, taylor)
-    zeta, lam, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
-    if np.any(zeta < -1e-12) or np.any(zeta > 1.0 + 1e-9):
-        raise BlowupInsideWindow("mapped curve left [0, 1] on the local window")
-    return zeta, lam
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +265,6 @@ class LocalSolve:
     taylor_formula: TaylorData
     membership: dict = field(default_factory=dict)
 
-    def lambda_bounds(self, sigma: float = 0.5) -> tuple:
-        """Two-sided a-priori bounds on lambda_cal (evaluated at alpha + sigma)."""
-        n = self.curve.params.n
-        eta0 = self.curve.params.eta0
-        aps = self.taylor_formula.alpha + sigma
-        lo = (32 + 4 * n * (n - 2)) / aps * (eta0 - 1) / (eta0 - 1 + 4 / aps)
-        hi = ((eta0 - 1) * calibration_target(n) * (2 + aps / 2 * (eta0 - 1))
-              * math.exp((eta0 - 1) / 2))
-        return lo, hi
-
 
 def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
                       tol: float = 1e-10, max_iter: int = 200,
@@ -302,7 +272,8 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     """Damped Picard iteration phi <- (1-d) phi + d T(phi) from the cubic seed.
 
     Converges when the sup-norm change drops below tol (> 0) within
-    max_iter (>= 1) sweeps; the final iterate must satisfy the band
+    max_iter (>= 1) sweeps, and stops with NoConvergence at the first
+    sweep whose image is not finite; the final iterate must satisfy the band
     conditions of GammaSetSpec (MembershipViolation otherwise, e.g. for
     n >= 3 where the calibrated slope at 1+ is 6 - 2n rather than 2).
     """
@@ -327,6 +298,10 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     for its in range(1, max_iter + 1):
         zeta, lam, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
         change = float(np.max(np.abs(zeta - phi)))
+        if not math.isfinite(change):      # a NaN or inf anywhere in zeta
+            raise NoConvergence(
+                f"sweep {its} gave a non-finite iterate (n = {n}, theta = {theta}, "
+                f"eta0 = {eta0})")
         history.append(change)
         phi = (1.0 - damping) * phi + damping * zeta
         taylor = meter(phi)

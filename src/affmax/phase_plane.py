@@ -19,12 +19,11 @@ import math
 import numpy as np
 
 from .core import ModelParams, RadialProfile, AnalyticEvaluator, radial_residual
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
-    "coef_linear", "coef_q", "coef_zero", "phase_field", "phase_rhs",
-    "phase_residual", "stationary_eta", "bernstein_radial_check",
-    "power_solution_residual",
+    "coef_linear", "coef_q", "coef_zero", "phase_field", "phase_residual",
+    "bernstein_radial_check", "power_solution_residual",
 ]
 
 
@@ -57,16 +56,6 @@ def phase_field(eta: float, zeta: float, I: float, params: ModelParams):
             (eta + 1) / zeta)
 
 
-def phase_rhs(eta: float, zeta: float, I: float, params: ModelParams):
-    """phase_field at a point of eta > 1, zeta > 0 (DomainError elsewhere)."""
-    if zeta <= 0:
-        raise DomainError(f"zeta must be positive, got {zeta}")
-    if eta <= 1:
-        raise DomainError(f"eta must exceed 1, got {eta}")
-    dzeta, dI = phase_field(eta, zeta, I, params)
-    return float(dzeta), dI
-
-
 def phase_residual(eta, zeta, dzeta, I, params: ModelParams):
     """Residual of the phase equation given samples of zeta' and I."""
     n, theta = params.n, params.theta
@@ -74,21 +63,6 @@ def phase_residual(eta, zeta, dzeta, I, params: ModelParams):
     return (-zeta * dzeta + (theta + 1) * zeta**2 / eta
             + zeta * coef_linear(eta, n, theta) + coef_zero(eta, n, theta)
             - params.lambda3 * eta**2 * np.exp(I))
-
-
-def stationary_eta(n: int, theta: float) -> set:
-    """Stationary values of eta: always 1, plus the root of coef_q.
-
-    The second value (n th - 1)/(n th - (n-1)) corresponds to the power
-    profile u ~ r^(eta*+1); it is returned when defined and positive.
-    """
-    out = {1.0}
-    den = n * theta - (n - 1)
-    if den != 0:
-        root = (n * theta - 1) / den
-        if root > 0:
-            out.add(float(root))
-    return out
 
 
 def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50) -> dict:
@@ -101,16 +75,21 @@ def bernstein_radial_check(n: int, theta: float, eta_window, samples: int = 50) 
     negated on the zeta < 0 branch (eta < 1).  Near eta = 1 both
     coefficients are negative (resp. force phi' > 0 below 1), which
     contradicts phi >= 0 vanishing at the window edge; any non-trivial
-    solution family is therefore excluded.  The forced sign is checked at
+    solution family is therefore excluded.  theta and the window ends
+    must be finite, theta positive.  The forced sign is checked at
     the trial values phi = 0, 1e-6, 1e-3 and 0.1 on each of samples (>= 1)
     points.  Samples where the zero-order coefficient changes sign (a
     stationary crossing) are reported separately, not as failures.
     """
     if n < 3:
         raise ParameterError(f"radial uniqueness check requires n >= 3, got {n}")
+    if not 0 < theta < math.inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     if not samples >= 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
     lo, hi = float(eta_window[0]), float(eta_window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"window ends must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ParameterError("empty window")
     if lo < 1.0 < hi:

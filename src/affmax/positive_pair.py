@@ -24,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
-                   cumulative_simpson)
+from .core import ProfileEvaluator, RadialProfile, cumulative_simpson
 from .errors import ParameterError
 from .spline import interp_spline
 
-__all__ = [
-    "PositivePairConfig", "phi_grid", "build_phi", "lower_bound_v",
-    "negative_pair_blowup_1d",
-]
+__all__ = ["PositivePairConfig", "phi_grid", "build_phi"]
 
 # a phi grid resamples the 16,000-row curvature table
 MAX_NODES = 10**6
@@ -174,7 +170,10 @@ def _curvature_table(config: PositivePairConfig, r_max: float):
 
 
 def phi_grid(r_max: float, nodes: int) -> np.ndarray:
-    """nodes radii evenly spaced over [0, r_max], nodes in [2, MAX_NODES]."""
+    """nodes radii evenly spaced over [0, r_max], 0 < r_max < inf and
+    nodes in [2, MAX_NODES]."""
+    if not 0 < r_max < math.inf:
+        raise ParameterError(f"rmax must be positive and finite, got {r_max}")
     if not 2 <= nodes <= MAX_NODES:
         raise ParameterError(f"nodes must be in [2, {MAX_NODES}], got {nodes}")
     return np.linspace(0.0, r_max, nodes)
@@ -211,57 +210,3 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
                              f"{config.v0:g}, lambda = {config.lam:g}")
     ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
     return RadialProfile(r=grid, v=ev.v(grid), u=ev.u(grid), n=1, evaluator=ev)
-
-
-def lower_bound_v(r, config: PositivePairConfig):
-    """Curvature lower bound 4 / (2/sqrt(v0) + sqrt(a) r)^2."""
-    r = np.asarray(r, dtype=float)
-    return 4.0 / (2.0 / math.sqrt(config.v0) + math.sqrt(config.a) * r) ** 2
-
-
-def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
-                            vmax_factor: float = 1e8,
-                            return_profile: bool = False) -> dict:
-    """The 1-D factor with the opposite eigenvalue sign: curvature blows up
-    at a finite radius R, but u stays bounded there (no large condition).
-    The v-integrals run over 60,000 nodes.
-
-    Returns {"R", "u_at_R", "tail_r", "tail_u"}; the tails are analytic
-    bounds for the truncated v-integrals beyond vmax_factor * v0.  With
-    return_profile, a RadialProfile of (r, u', u) on [0, r_trunc] is
-    attached under "profile".
-    """
-    if not theta > 0.5:
-        raise ParameterError("construction needs theta > 1/2")
-    a = 2.0 * lam / (2.0 * theta - 1.0)
-    t_max = math.sqrt(vmax_factor - 1.0)
-    t = np.concatenate([[0.0], np.geomspace(1e-8, t_max, 59999)])
-    vv = v0 * (1.0 + t * t)
-    with np.errstate(divide="ignore"):
-        h = np.where(t > 0,
-                     np.expm1((2 * theta - 1.0) * np.log1p(t * t)) / np.maximum(t * t, 1e-300),
-                     2 * theta - 1.0)
-    # dr/dt = 2 v0 t / sqrt(a * v0^3 (1+t^2)^3 * h * t^2)
-    drdt = 2.0 / (math.sqrt(a * v0) * (1.0 + t * t) ** 1.5 * np.sqrt(h))
-    r = cumulative_simpson(drdt, t)
-    c = v0 ** (theta - 0.5) / math.sqrt(a)
-    vmax = v0 * vmax_factor
-    tail_r = c * vmax ** (-theta) / theta
-    R = float(r[-1]) + tail_r
-    # u(R) = int (R - r(v)) v dr
-    integ = (R - r) * vv * drdt
-    u_main = float(np.trapezoid(integ, t))
-    tail_u = (c * c / (theta * (2 * theta - 1.0))) * vmax ** (1.0 - 2 * theta)
-    out = {"R": R, "u_at_R": u_main + tail_u, "tail_r": tail_r, "tail_u": tail_u}
-    if return_profile:
-        u_prime = cumulative_simpson(vv * drdt, t)
-        u = cumulative_simpson(u_prime * drdt, t)
-        keep = np.concatenate([[True], np.diff(r) > 1e-13])
-        rr, up, uu = r[keep], u_prime[keep], u[keep]
-        cols = interp_spline(np.log1p(rr), np.stack([up, uu]).T, 3)
-        ev = AnalyticEvaluator(lambda a: cols(np.log1p(a), 0),
-                               u_fn=lambda a: cols(np.log1p(a), 1))
-        sub = slice(None, None, max(1, len(rr) // 2000))
-        out["profile"] = RadialProfile(r=rr[sub], v=up[sub], u=uu[sub], n=1,
-                                       evaluator=ev)
-    return out

@@ -27,14 +27,13 @@ import math
 
 import numpy as np
 
-from .core import (X_SWITCH, AnalyticEvaluator, PhaseCurve, ProfileEvaluator,
-                   RadialProfile, cumulative_simpson, x_over_zeta)
-from .errors import ParameterError, PositivityLoss
-from .negative_pair import local_derivatives
+from .core import (X_SWITCH, PhaseCurve, ProfileEvaluator, RadialProfile,
+                   cumulative_simpson, x_over_zeta)
+from .errors import ParameterError
 from .spline import interp_spline
 
-__all__ = ["t_of_eta", "etabar_of_r", "rebuild_profile", "large_condition_check",
-           "paraboloid_profile", "origin_compatibility", "PhaseProfileEvaluator"]
+__all__ = ["t_of_eta", "rebuild_profile", "large_condition_check",
+           "PhaseProfileEvaluator"]
 
 U_CEILING = 1e6   # the value of u whose radius the completeness checks report
 
@@ -165,42 +164,6 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         return np.where(a < self.r_min, below, out)
 
 
-def etabar_of_r(curve: PhaseCurve, r_grid):
-    """etabar(r) with etabar(1) = eta0, plus near-origin bound witnesses.
-
-    The flow d etabar/dr = zeta(etabar)/r is integrated via the
-    monotone time change t = log r (both directions from r0 = 1).
-    Asserts 0 < etabar - 1.  On the radii r <= 0.1 it reports the
-    scan-extracted constants of etabar - 1 <= C r^2 and of the weaker
-    etabar - 1 <= C_a r^(2a), a < 1, and whether (etabar - 1)/r^(2a) is
-    smaller at the window's smallest radius than at its largest.
-    """
-    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    tab = _tables(curve, v0=1.0)
-    ev = PhaseProfileEvaluator(tab)
-    if np.any(r_grid < ev.r_min) or np.any(r_grid > ev.r_max):
-        raise ParameterError(
-            f"r grid must lie in [{ev.r_min:.3g}, {ev.r_max:.3g}] covered by the curve")
-    etab = ev.etabar(r_grid)
-    if np.any(etab <= 1.0):
-        raise PositivityLoss("etabar dropped to 1 at positive radius")
-    small = r_grid <= 0.1
-    report = {}
-    if np.any(small):
-        r_s = r_grid[small]
-        ratio2 = (etab[small] - 1.0) / r_s ** 2
-        alpha_p = 0.9
-        ratio_a = (etab[small] - 1.0) / r_s ** (2 * alpha_p)
-        report = {
-            "C_quadratic": float(np.max(ratio2)),
-            "C_alpha": float(np.max(ratio_a)),
-            "alpha_prime": alpha_p,
-            "ratio_vanishes_at_0": bool(ratio_a[np.argmin(r_s)]
-                                        < ratio_a[np.argmax(r_s)]),
-        }
-    return etab, report
-
-
 def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
     """RadialProfile of the factor whose phase curve is given.
 
@@ -219,44 +182,6 @@ def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
                                     [tab["i0"], len(r_all) - 1]]))
     return RadialProfile(r=r_all[idx], v=np.exp(tab["logv"])[idx], u=tab["u"][idx],
                          n=curve.params.n, evaluator=ev)
-
-
-def paraboloid_profile(v0: float, r0: float, grid, n: int = 2) -> RadialProfile:
-    """The degenerate branch eta == 1, zeta == 0: v = (v0/r0) r, u = v0 r^2/(2 r0)."""
-    grid = np.asarray(grid, dtype=float)
-    c = v0 / r0
-    ev = AnalyticEvaluator(lambda r: c * r,
-                           [lambda r: c + 0.0 * r, lambda r: 0.0 * r,
-                            lambda r: 0.0 * r],
-                           u_fn=lambda r: 0.5 * c * r * r)
-    return RadialProfile(r=grid, v=c * grid, u=0.5 * c * grid**2, n=n, evaluator=ev)
-
-
-def origin_compatibility(curve: PhaseCurve) -> dict:
-    """Both origin-regularity hypothesis sets, checked on [1, eta0].
-
-    The first requires zeta' monotone non-decreasing (zeta'' >= 0 on the
-    window); the stronger one asks zeta'' > 0 with the fourth derivative
-    in its band (its original sign list is garbled, so the sign of
-    zeta''' is recorded rather than asserted).  Which set is binding for
-    the fixed point is left open; both are reported.
-    """
-    eta0 = curve.params.eta0
-    sel = curve.eta <= eta0 * (1 + 1e-12)
-    x = curve.eta[sel] - 1.0
-    z = curve.zeta[sel]
-    span = eta0 - 1.0
-    centers = np.linspace(0.12 * span, 0.88 * span, 16)
-    _, d2, d3 = local_derivatives(x, z, centers, window=0.2 * span)
-    tay = curve.taylor
-    return {
-        "zeta_dd_min": float(min(np.min(d2), tay.alpha)),
-        "first_condition_monotone_slope": bool(min(np.min(d2), tay.alpha) >= 0),
-        "second_condition_dd_positive": bool(min(np.min(d2), tay.alpha) > 0),
-        "zeta_ddd_sign": float(np.sign(np.median(d3))),
-        "zeta_d4_band_center": tay.gamma,
-        "ambiguous_sign_set": True,
-    }
 
 
 def large_condition_check(profile: RadialProfile, R_inf: float) -> dict:

@@ -21,9 +21,8 @@ from .errors import NearSingular, ParameterError, SignError
 from .reconstruct import U_CEILING, large_condition_check
 
 __all__ = [
-    "assemble", "check_assembly", "full_residual", "convexity_check",
-    "completeness_check", "bernstein_1d_check", "residual_at",
-    "hessian_eigenvalues_at", "factor_residual_phi", "factor_residual_psi",
+    "assemble", "check_assembly", "full_residual", "completeness_check",
+    "bernstein_1d_check", "residual_at",
 ]
 
 
@@ -161,14 +160,6 @@ def _inverse_hessian(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _points(sol: SeparableSolution, points) -> np.ndarray:
-    """points as a (P, N) float array; ParameterError for any other shape."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != sol.N:
-        raise ParameterError(f"point must have {sol.N} coordinates")
-    return pts
-
-
 _H_REL = 1e-3   # relative step of the verify stencil
 # bytes of w values in one block of points (8 S per point and step): the
 # block's other work arrays are small multiples of it (N for the stencil
@@ -225,13 +216,12 @@ def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
 
 
 def residual_at(sol: SeparableSolution, point: np.ndarray) -> float:
-    """u^{ij} D_ij w at one point, with w differentiated by nested FD."""
-    return float(_residuals(sol, _points(sol, [point]))[0])
-
-
-def hessian_eigenvalues_at(sol: SeparableSolution, point: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the assembled D^2 u at one point, ascending."""
-    return _eigenvalues(sol, _points(sol, [point]))[0]
+    """u^{ij} D_ij w at one point, with w differentiated by nested FD;
+    ParameterError unless the point has N coordinates."""
+    pts = np.asarray([point], dtype=float)
+    if pts.shape != (1, sol.N):
+        raise ParameterError(f"point must have {sol.N} coordinates")
+    return float(_residuals(sol, pts)[0])
 
 
 def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
@@ -271,40 +261,6 @@ def full_residual(sol: SeparableSolution, n_points: int = 1000,
                           "lambda_psi": sol.lambda_psi, "kappa": sol.kappa},
         residuals=res.tolist(),
     )
-
-
-def convexity_check(sol: SeparableSolution, points=None, n_points: int = 200,
-                    seed: int = 1) -> float:
-    """Minimum eigenvalue of D^2 u over the sampled points."""
-    if points is None:
-        points = _sample_points(sol, n_points, seed)
-    return float(_eigenvalues(sol, _points(sol, points))[:, 0].min())
-
-
-def factor_residual_phi(sol: SeparableSolution, xq: float) -> float:
-    """phi^{ij} D_ij w_phi = w_phi''/phi'' at a 1-D factor point."""
-    h = 1e-4
-
-    def w_phi(x):
-        return sol.phi.v_deriv_at(x, 1) ** (-sol.theta)
-    d2 = (w_phi(xq + h) - 2 * w_phi(xq) + w_phi(xq - h)) / h**2
-    return d2 / sol.phi.v_deriv_at(xq, 1)
-
-
-def factor_residual_psi(sol: SeparableSolution, rho: float) -> float:
-    """psi^{ij} D_ij w_psi via the radial operator (r/v)[(v/(r v')) d2 + (n-1)/r d1]."""
-    n, h = sol.psi.n, 1e-4
-
-    def w_psi(r):
-        v1 = sol.psi.v_at(r)
-        v2 = sol.psi.v_deriv_at(r, 1)
-        return (v2 * (v1 / r) ** (n - 1)) ** (-sol.theta)
-
-    d1 = (w_psi(rho + h) - w_psi(rho - h)) / (2 * h)
-    d2 = (w_psi(rho + h) - 2 * w_psi(rho) + w_psi(rho - h)) / h**2
-    v1 = sol.psi.v_at(rho)
-    v2 = sol.psi.v_deriv_at(rho, 1)
-    return (rho / v1) * ((v1 / (rho * v2)) * d2 + (n - 1) / rho * d1)
 
 
 def completeness_check(sol: SeparableSolution) -> dict:
@@ -348,8 +304,8 @@ def bernstein_1d_check(theta: float,
     largeness (u -> inf at every finite boundary point) cannot both
     hold; only C2 = 0 (the quadratic) survives on the line.
     """
-    if theta <= 0:
-        raise ParameterError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     cases = []
 
     def boundary_large(pb: float) -> bool:

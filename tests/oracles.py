@@ -1,4 +1,4 @@
-"""Reference computations of the 1-D factor that the test suite checks against.
+"""Reference computations and model factors that more than one test module uses.
 
 The curvature v = u'' of the entire 1-D factor is computed three
 independent ways here, with scipy: adaptive quadrature of r(v) and its
@@ -7,6 +7,12 @@ integration of the curvature ODE (integrate_direct).  _integrand_factory
 is the scalar integrand that positive_pair._integrand_nodes evaluates on
 arrays.  Note the convention of positive_pair: v here is u'', while
 RadialProfile.v stores u'.
+
+The model factors are the 1-D factor with the opposite eigenvalue sign
+(negative_pair_blowup_1d), whose curvature blows up at a finite radius
+while u stays bounded, and the degenerate paraboloid branch
+(paraboloid_profile).  origin_compatibility reports the
+origin-regularity hypotheses of a phase curve.
 """
 
 import math
@@ -14,9 +20,12 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from affmax.core import AnalyticEvaluator, RadialProfile, cumulative_simpson
+from affmax import negative_pair
+from affmax.core import (AnalyticEvaluator, PhaseCurve, RadialProfile,
+                         cumulative_simpson)
 from affmax.errors import DomainError, NoConvergence, ParameterError, StepFailure
 from affmax.positive_pair import PositivePairConfig
+from affmax.spline import interp_spline
 
 
 def _integrand_factory(config: PositivePairConfig):
@@ -128,3 +137,90 @@ def integrate_direct(config: PositivePairConfig, r_max: float):
     ev = AnalyticEvaluator(lambda x: np.sign(x) * np.interp(np.abs(x), r, v_up),
                            [curvature], u_fn=lambda x: np.interp(np.abs(x), r, u))
     return RadialProfile(r=r, v=v_up, u=u, n=1, evaluator=ev), vpp
+
+
+def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
+                            vmax_factor: float = 1e8,
+                            return_profile: bool = False) -> dict:
+    """The 1-D factor with the opposite eigenvalue sign: curvature blows up
+    at a finite radius R, but u stays bounded there (no large condition).
+    The v-integrals run over 60,000 nodes.
+
+    Returns {"R", "u_at_R", "tail_r", "tail_u"}; the tails are analytic
+    bounds for the truncated v-integrals beyond vmax_factor * v0.  With
+    return_profile, a RadialProfile of (r, u', u) on [0, r_trunc] is
+    attached under "profile".
+    """
+    if not theta > 0.5:
+        raise ParameterError("construction needs theta > 1/2")
+    a = 2.0 * lam / (2.0 * theta - 1.0)
+    t_max = math.sqrt(vmax_factor - 1.0)
+    t = np.concatenate([[0.0], np.geomspace(1e-8, t_max, 59999)])
+    vv = v0 * (1.0 + t * t)
+    with np.errstate(divide="ignore"):
+        h = np.where(t > 0,
+                     np.expm1((2 * theta - 1.0) * np.log1p(t * t)) / np.maximum(t * t, 1e-300),
+                     2 * theta - 1.0)
+    # dr/dt = 2 v0 t / sqrt(a * v0^3 (1+t^2)^3 * h * t^2)
+    drdt = 2.0 / (math.sqrt(a * v0) * (1.0 + t * t) ** 1.5 * np.sqrt(h))
+    r = cumulative_simpson(drdt, t)
+    c = v0 ** (theta - 0.5) / math.sqrt(a)
+    vmax = v0 * vmax_factor
+    tail_r = c * vmax ** (-theta) / theta
+    R = float(r[-1]) + tail_r
+    # u(R) = int (R - r(v)) v dr
+    integ = (R - r) * vv * drdt
+    u_main = float(np.trapezoid(integ, t))
+    tail_u = (c * c / (theta * (2 * theta - 1.0))) * vmax ** (1.0 - 2 * theta)
+    out = {"R": R, "u_at_R": u_main + tail_u, "tail_r": tail_r, "tail_u": tail_u}
+    if return_profile:
+        u_prime = cumulative_simpson(vv * drdt, t)
+        u = cumulative_simpson(u_prime * drdt, t)
+        keep = np.concatenate([[True], np.diff(r) > 1e-13])
+        rr, up, uu = r[keep], u_prime[keep], u[keep]
+        cols = interp_spline(np.log1p(rr), np.stack([up, uu]).T, 3)
+        ev = AnalyticEvaluator(lambda a: cols(np.log1p(a), 0),
+                               u_fn=lambda a: cols(np.log1p(a), 1))
+        sub = slice(None, None, max(1, len(rr) // 2000))
+        out["profile"] = RadialProfile(r=rr[sub], v=up[sub], u=uu[sub], n=1,
+                                       evaluator=ev)
+    return out
+
+
+def paraboloid_profile(v0: float, r0: float, grid, n: int = 2) -> RadialProfile:
+    """The degenerate branch eta == 1, zeta == 0: v = (v0/r0) r, u = v0 r^2/(2 r0)."""
+    grid = np.asarray(grid, dtype=float)
+    c = v0 / r0
+    ev = AnalyticEvaluator(lambda r: c * r,
+                           [lambda r: c + 0.0 * r, lambda r: 0.0 * r,
+                            lambda r: 0.0 * r],
+                           u_fn=lambda r: 0.5 * c * r * r)
+    return RadialProfile(r=grid, v=c * grid, u=0.5 * c * grid**2, n=n, evaluator=ev)
+
+
+def origin_compatibility(curve: PhaseCurve) -> dict:
+    """Both origin-regularity hypothesis sets, checked on [1, eta0].
+
+    The first requires zeta' monotone non-decreasing (zeta'' >= 0 on the
+    window); the stronger one asks zeta'' > 0 with the fourth derivative
+    in its band (its original sign list is garbled, so the sign of
+    zeta''' is recorded rather than asserted).  Which set is binding for
+    the fixed point is left open; both are reported.  The windowed fits
+    are looked up on negative_pair at each call, so a test can patch them.
+    """
+    eta0 = curve.params.eta0
+    sel = curve.eta <= eta0 * (1 + 1e-12)
+    x = curve.eta[sel] - 1.0
+    z = curve.zeta[sel]
+    span = eta0 - 1.0
+    centers = np.linspace(0.12 * span, 0.88 * span, 16)
+    _, d2, d3 = negative_pair.local_derivatives(x, z, centers, window=0.2 * span)
+    tay = curve.taylor
+    return {
+        "zeta_dd_min": float(min(np.min(d2), tay.alpha)),
+        "first_condition_monotone_slope": bool(min(np.min(d2), tay.alpha) >= 0),
+        "second_condition_dd_positive": bool(min(np.min(d2), tay.alpha) > 0),
+        "zeta_ddd_sign": float(np.sign(np.median(d3))),
+        "zeta_d4_band_center": tay.gamma,
+        "ambiguous_sign_set": True,
+    }

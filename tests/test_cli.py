@@ -311,7 +311,12 @@ class TestConfigAndErrors:
         # theta = 1e300 overflowed the Taylor closed form with a traceback;
         # v0 = inf wrote psi.csv rows of inf and nan and exited 0
         ["solve-negative", "--theta", "1e300"], ["solve-negative", "--theta", "inf"],
-        ["reconstruct", "--v0", "inf"], ["reconstruct", "--v0", "nan"]],
+        ["reconstruct", "--v0", "inf"], ["reconstruct", "--v0", "nan"],
+        # bernstein-1d passed NaN and inf; bernstein-radial failed with
+        # warnings; rmax's errors did not name it, after a warning
+        ["bernstein-1d", "--theta", "nan"], ["bernstein-1d", "--theta", "inf"],
+        ["bernstein-radial", "--theta", "inf"], ["bernstein-radial", "--hi", "inf"],
+        ["solve-positive", "--rmax", "inf"], ["solve-positive", "--rmax", "-1"]],
         ids=" ".join)
     def test_bad_count_or_tolerance_is_one_line_usage_error(
             self, workdir, tmp_path, monkeypatch, capsys, argv):

@@ -1,18 +1,41 @@
-"""Two `ast` lints that keep the package's contracts in one place.
+"""Three `ast` lints that keep the package's contracts in one place.
 
 No subclass of ProfileEvaluator defines v, u or deriv: the base class
 alone checks the shape, the derivative order, the table edge and the
 parity, and subclasses give only their rules on radii 0 <= a <= r_max.
 No module imports an underscore name from another module of the package:
-what a second module needs is public.
+what a second module needs is public.  And every public name of the
+package is used by the package itself: a helper that only tests call
+lives in tests/, unless a frozen acceptance criterion imports it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import affmax
 
 PACKAGE = Path(affmax.__file__).resolve().parent
+
+# module.qualname -> why it stays public though no code of the package uses it
+CRITERION_PINNED = {
+    "core.profile_to_phase":
+        "acceptance criterion 9 maps a values-only profile back to its phase curve",
+    "fd.one_sided_derivative":
+        "acceptance criterion 6 takes u'''(0) of the 1-D factor with it",
+    "negative_pair.calibrate_lambda":
+        "acceptance criterion 2 checks the calibration constant and its limit",
+    "phase_plane.phase_residual":
+        "acceptance criterion 3 checks the phase equation along the fixed point",
+    "phase_plane.power_solution_residual":
+        "acceptance criterion 8 checks the power solutions with it",
+    "reconstruct.t_of_eta":
+        "acceptance criterion 9 places its round-trip radii with it",
+    "reconstruct.PhaseProfileEvaluator.etabar":
+        "acceptance criterion 9 checks that etabar is unchanged by v0 -> 2 v0",
+    "verify.residual_at":
+        "acceptance criterion 9 checks cylinder invariance at single points",
+}
 
 
 def trees(paths):
@@ -53,12 +76,61 @@ def private_imports(modules):
     return sorted(found)
 
 
+def _library_override(tree, cls, name):
+    """Whether a base of cls written module.Class, for a module that tree
+    imports, defines name: the library may call such an override."""
+    imported = {alias.asname or alias.name: alias.name for node in tree.body
+                if isinstance(node, ast.Import) for alias in node.names}
+    return any(isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+               and base.value.id in imported
+               and hasattr(getattr(importlib.import_module(imported[base.value.id]),
+                                   base.attr, None), name)
+               for base in cls.bases)
+
+
+def unused_public(modules):
+    """module.qualname of each public top-level function or class, and of
+    each public method, that no code of the modules names outside its own
+    definition.  A name counts where it is read (x or obj.x); the strings
+    of __all__ and the names an import binds do not count, so neither do
+    the re-exports of __init__.py.  Overrides of a library base are exempt."""
+    defs = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, f"{node.name}.{item.name}", item)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not item.name.startswith("_")
+                         and not _library_override(tree, node, item.name)]
+    uses = [(module, getattr(node, "id", None) or node.attr, node.lineno)
+            for module, tree in modules.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for module, qual, node in defs:
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        name = qual.split(".")[-1]
+        if not any(used == name and (m != module or not first <= line <= node.end_lineno)
+                   for m, used, line in uses):
+            found.append(f"{module.removesuffix('.py')}.{qual}")
+    return sorted(found)
+
+
 def test_no_evaluator_subclass_redefines_the_contract():
     assert contract_overrides(trees(PACKAGE.glob("*.py"))) == []
 
 
 def test_no_module_imports_a_private_name_of_another():
     assert private_imports(trees(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_public_name_is_used_by_the_package_or_a_criterion():
+    assert unused_public(trees(PACKAGE.glob("*.py"))) == sorted(CRITERION_PINNED)
+    assert all(reason.strip() for reason in CRITERION_PINNED.values())
 
 
 def test_the_lints_see_what_they_forbid(tmp_path):
@@ -70,7 +142,22 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     (tmp_path / "b.py").write_text(
         "from affmax.negative_pair import _X\nimport numpy\n"
         "class Other:\n    def u(self, r): pass\n")
+    # only_tested is exported and re-exported, as a function only tests
+    # call would be; recursive calls only itself; error overrides a
+    # method that argparse calls
+    (tmp_path / "c.py").write_text(
+        "import argparse\n__all__ = ['only_tested', 'recursive', 'used']\n"
+        "def only_tested(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def used(): pass\nVALUE = used()\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n    def extra(self): pass\n"
+        "PARSER = P()\n")
+    (tmp_path / "__init__.py").write_text("from .c import only_tested, used\n")
     modules = trees(sorted(tmp_path.glob("*.py")))
     assert contract_overrides(modules) == [("a.py", "Scaled", "deriv"),
                                            ("a.py", "Scaled", "v")]
     assert private_imports(modules) == [("a.py", "_helper"), ("b.py", "_X")]
+    assert unused_public(modules) == [
+        "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
+        "c.P.extra", "c.only_tested", "c.recursive"]

@@ -23,12 +23,13 @@ from affmax.cli import main
 from affmax.core import AnalyticEvaluator, profile_to_phase
 from affmax.errors import DomainError, ParameterError
 from affmax.positive_pair import (PositivePairConfig, PositivePairEvaluator,
-                                  _curvature_table, negative_pair_blowup_1d)
-from affmax.reconstruct import PhaseProfileEvaluator, _tables, paraboloid_profile
+                                  _curvature_table)
+from affmax.reconstruct import PhaseProfileEvaluator, _tables
 from affmax.spline import interp_spline
 
 from conftest import THETA
-from oracles import _integrand_factory
+from oracles import (_integrand_factory, negative_pair_blowup_1d,
+                     paraboloid_profile)
 
 
 # ---------------------------------------------------------------------------

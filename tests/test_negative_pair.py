@@ -4,18 +4,40 @@ import mpmath
 import numpy as np
 import pytest
 
-from affmax import negative_pair, reconstruct
+from affmax import negative_pair
 from affmax.core import ModelParams, PhaseCurve, TaylorData
-from affmax.errors import (AffmaxError, ParameterError, PositivityLoss,
-                           SingularityMismatch, TailUnbounded)
-from affmax.negative_pair import (GammaSetSpec, apply_T, blowup_time,
+from affmax.errors import (AffmaxError, NoConvergence, ParameterError,
+                           PositivityLoss, SingularityMismatch, TailUnbounded)
+from affmax.negative_pair import (GammaSetSpec, blowup_time,
                                   calibrate_lambda, calibration_target,
                                   extend_global, fixed_point_solve,
                                   growth_bounds_check, taylor_coeffs)
 from affmax.phase_plane import phase_residual
-from affmax.reconstruct import origin_compatibility
 
 from conftest import ETA0, N, THETA, restrict
+from oracles import origin_compatibility
+
+
+def apply_T(eta, phi, n, theta, eta0, taylor=None):
+    """One application of the calibrated mapping to a sampled candidate.
+
+    Returns (zeta samples on the same grid, lam); the Taylor data is
+    measured from the samples unless given.
+    """
+    eta, x, phi, taylor = negative_pair._prepare_grid(eta, phi, eta0, taylor)
+    zeta, lam, _ = negative_pair._map_once(x, eta, phi, taylor, n, theta, eta0)
+    return zeta, lam
+
+
+def lambda_bounds(local, sigma=0.5):
+    """Two-sided a-priori bounds on local.lambda_cal (evaluated at alpha + sigma)."""
+    n = local.curve.params.n
+    eta0 = local.curve.params.eta0
+    aps = local.taylor_formula.alpha + sigma
+    lo = (32 + 4 * n * (n - 2)) / aps * (eta0 - 1) / (eta0 - 1 + 4 / aps)
+    hi = ((eta0 - 1) * calibration_target(n) * (2 + aps / 2 * (eta0 - 1))
+          * math.exp((eta0 - 1) / 2))
+    return lo, hi
 
 
 class TestTaylorCoeffs:
@@ -98,10 +120,10 @@ class TestApplyT:
         assert meas.alpha == pytest.approx(td.alpha, abs=5e-2 * (ETA0 - 1))
 
     def test_blowup_inside_window(self):
-        from affmax.errors import BlowupInsideWindow
+        # over a wide window the image leaves the admissible band [0, 1]
         eta = np.linspace(1.0, 2.0, 4001)
-        with pytest.raises(BlowupInsideWindow):
-            apply_T(eta, 2.0 * (eta - 1.0), 2, 0.55, 2.0)
+        zeta, _ = apply_T(eta, 2.0 * (eta - 1.0), 2, 0.55, 2.0)
+        assert np.any(zeta < -1e-12) or np.any(zeta > 1.0 + 1e-9)
 
 
 class TestFixedPoint:
@@ -123,7 +145,7 @@ class TestFixedPoint:
         assert np.max(rel) < 1e-6
 
     def test_lambda_within_two_sided_bounds(self, local_solve):
-        lo, hi = local_solve.lambda_bounds(sigma=0.5)
+        lo, hi = lambda_bounds(local_solve, sigma=0.5)
         assert lo <= local_solve.lambda_cal <= hi
 
     def test_membership(self, local_solve):
@@ -163,6 +185,18 @@ class TestFixedPoint:
         # so no admissible fixed point exists for n >= 3
         with pytest.raises(AffmaxError):
             fixed_point_solve(3, 1.0, 1.05)
+
+    @pytest.mark.parametrize("theta, eta0", [(1000.0, 1.05), (0.55, 1e300)])
+    def test_non_finite_sweep_stops_the_iteration(self, theta, eta0):
+        # theta = 1000 diverges until sweep 43 turns NaN; eta0 = 1e300
+        # overflows on sweep 1.  Neither runs on to max_iter = 200.
+        with np.errstate(all="ignore"):
+            with pytest.raises(NoConvergence) as info:
+                fixed_point_solve(2, theta, eta0)
+        msg = str(info.value)
+        assert int(msg.split("sweep ")[1].split()[0]) < 50
+        for name in ("n = 2", f"theta = {theta}", f"eta0 = {eta0}"):
+            assert name in msg
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterError):
@@ -325,7 +359,6 @@ def test_batched_local_derivatives_match_lstsq_loop(monkeypatch, theta):
     verdicts = []
     for impl in (compared, lstsq_local_derivatives):
         monkeypatch.setattr(negative_pair, "local_derivatives", impl)
-        monkeypatch.setattr(reconstruct, "local_derivatives", impl)
         origin = origin_compatibility(sol.curve)
         verdicts.append((spec.check(eta, phi, sol.taylor_measured)["conditions"],
                          {k: v for k, v in origin.items() if isinstance(v, bool)},

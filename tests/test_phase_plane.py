@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmax.core import AnalyticEvaluator, ModelParams, RadialProfile, radial_residual
-from affmax.errors import DomainError, ParameterError
+from affmax.errors import ParameterError
 from affmax.phase_plane import (bernstein_radial_check, coef_linear, coef_zero,
-                                phase_rhs, phase_residual,
-                                power_solution_residual, stationary_eta)
+                                phase_field, phase_residual,
+                                power_solution_residual)
 
 
 def brute_force_field(eta, zeta, n, theta):
@@ -17,11 +17,26 @@ def brute_force_field(eta, zeta, n, theta):
     return ((theta + 1) * zeta**2 / eta + zeta * A + B) / zeta
 
 
+def stationary_eta(n: int, theta: float) -> set:
+    """Stationary values of eta: always 1, plus the root of coef_q.
+
+    The second value (n th - 1)/(n th - (n-1)) corresponds to the power
+    profile u ~ r^(eta*+1); it is returned when defined and positive.
+    """
+    out = {1.0}
+    den = n * theta - (n - 1)
+    if den != 0:
+        root = (n * theta - 1) / den
+        if root > 0:
+            out.add(float(root))
+    return out
+
+
 class TestPhaseRHS:
     def test_frozen_value(self):
         # n = 2, theta = 3/4 at (eta, zeta) = (2, 1): dzeta/deta = 7/8
         p = ModelParams(n=2, theta=0.75, lambda3=0.0)
-        dz, dI = phase_rhs(2.0, 1.0, 0.0, p)
+        dz, dI = phase_field(2.0, 1.0, 0.0, p)
         assert dz == pytest.approx(7.0 / 8.0, abs=1e-14)
         assert dI == pytest.approx(3.0, abs=1e-14)
 
@@ -34,7 +49,7 @@ class TestPhaseRHS:
                 for _ in range(20):
                     eta = 1.0 + 3.0 * rng.random()
                     zeta = 0.05 + 2.0 * rng.random()
-                    dz, _ = phase_rhs(eta, zeta, rng.normal(), p)
+                    dz, _ = phase_field(eta, zeta, rng.normal(), p)
                     assert dz == pytest.approx(
                         brute_force_field(eta, zeta, n, theta), rel=1e-14)
 
@@ -47,16 +62,9 @@ class TestPhaseRHS:
         # negative lambda3 pushes the field up by |lambda3| eta^2 e^I / zeta
         base = ModelParams(n=2, theta=0.55, lambda3=0.0)
         forced = ModelParams(n=2, theta=0.55, lambda3=-0.5)
-        dz0, _ = phase_rhs(1.5, 0.8, 0.2, base)
-        dz1, _ = phase_rhs(1.5, 0.8, 0.2, forced)
+        dz0, _ = phase_field(1.5, 0.8, 0.2, base)
+        dz1, _ = phase_field(1.5, 0.8, 0.2, forced)
         assert dz1 - dz0 == pytest.approx(0.5 * 1.5**2 * np.exp(0.2) / 0.8, rel=1e-14)
-
-    def test_domain_errors(self):
-        p = ModelParams(n=2, theta=0.55)
-        with pytest.raises(DomainError):
-            phase_rhs(2.0, 0.0, 0.0, p)
-        with pytest.raises(DomainError):
-            phase_rhs(1.0, 0.5, 0.0, p)
 
     @settings(max_examples=200)
     @given(eta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 5),
@@ -71,7 +79,7 @@ class TestPhaseRHS:
 
     def test_residual_form_consistency(self):
         p = ModelParams(n=2, theta=0.55, lambda3=-0.4)
-        dz, _ = phase_rhs(1.7, 0.6, -0.3, p)
+        dz, _ = phase_field(1.7, 0.6, -0.3, p)
         assert phase_residual(1.7, 0.6, dz, -0.3, p) == pytest.approx(0.0, abs=1e-13)
 
 

@@ -6,12 +6,18 @@ import pytest
 from affmax.core import effective_lambda_fit
 from affmax.errors import DomainError, NoConvergence, ParameterError
 from affmax.fd import one_sided_derivative
-from affmax.positive_pair import (PositivePairConfig, build_phi, lower_bound_v,
-                                  negative_pair_blowup_1d)
+from affmax.positive_pair import PositivePairConfig, build_phi, phi_grid
 
-from oracles import integrate_direct, quadrature_r_of_v, v_of_r
+from oracles import (integrate_direct, negative_pair_blowup_1d,
+                     quadrature_r_of_v, v_of_r)
 
 CFG = PositivePairConfig(v0=1.0, lam=0.05, theta=0.55)  # a = 1
+
+
+def lower_bound_v(r, config: PositivePairConfig):
+    """Curvature lower bound 4 / (2/sqrt(v0) + sqrt(a) r)^2."""
+    r = np.asarray(r, dtype=float)
+    return 4.0 / (2.0 / math.sqrt(config.v0) + math.sqrt(config.a) * r) ** 2
 
 
 def midpoint_oracle_r_of_v(v, cfg, panels=10**6):
@@ -145,6 +151,11 @@ class TestBuildPhi:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ParameterError):
             build_phi(CFG, np.linspace(0.1, 5.0, 50))
+
+    @pytest.mark.parametrize("rmax", [math.inf, -1.0, 0.0, math.nan])
+    def test_rmax_must_be_positive_and_finite(self, rmax):
+        with pytest.raises(ParameterError, match="rmax"):
+            phi_grid(rmax, 11)
 
 
 class TestNegativePair1D:

@@ -5,13 +5,47 @@ import pytest
 
 from affmax.core import (AnalyticEvaluator, ModelParams, PhaseCurve,
                          RadialProfile, TaylorData, profile_to_phase)
-from affmax.errors import ParameterError
+from affmax.errors import ParameterError, PositivityLoss
 from affmax.fd import one_sided_derivative
-from affmax.reconstruct import (etabar_of_r, large_condition_check,
-                                origin_compatibility, paraboloid_profile,
-                                rebuild_profile, t_of_eta)
+from affmax.reconstruct import large_condition_check, rebuild_profile, t_of_eta
 
 from conftest import ETA0
+from oracles import origin_compatibility, paraboloid_profile
+
+
+def etabar_of_r(curve: PhaseCurve, r_grid):
+    """etabar(r) with etabar(1) = eta0, plus near-origin bound witnesses.
+
+    The flow d etabar/dr = zeta(etabar)/r is integrated via the
+    monotone time change t = log r (both directions from r0 = 1).
+    Asserts 0 < etabar - 1.  On the radii r <= 0.1 it reports the
+    scan-extracted constants of etabar - 1 <= C r^2 and of the weaker
+    etabar - 1 <= C_a r^(2a), a < 1, and whether (etabar - 1)/r^(2a) is
+    smaller at the window's smallest radius than at its largest.
+    """
+    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    ev = rebuild_profile(curve, v0=1.0).evaluator
+    if np.any(r_grid < ev.r_min) or np.any(r_grid > ev.r_max):
+        raise ParameterError(
+            f"r grid must lie in [{ev.r_min:.3g}, {ev.r_max:.3g}] covered by the curve")
+    etab = ev.etabar(r_grid)
+    if np.any(etab <= 1.0):
+        raise PositivityLoss("etabar dropped to 1 at positive radius")
+    small = r_grid <= 0.1
+    report = {}
+    if np.any(small):
+        r_s = r_grid[small]
+        ratio2 = (etab[small] - 1.0) / r_s ** 2
+        alpha_p = 0.9
+        ratio_a = (etab[small] - 1.0) / r_s ** (2 * alpha_p)
+        report = {
+            "C_quadratic": float(np.max(ratio2)),
+            "C_alpha": float(np.max(ratio_a)),
+            "alpha_prime": alpha_p,
+            "ratio_vanishes_at_0": bool(ratio_a[np.argmin(r_s)]
+                                        < ratio_a[np.argmax(r_s)]),
+        }
+    return etab, report
 
 
 def linear_curve(eta0=1.2, lo=1.0 + 1e-9, hi=3.0, m=6000, d1=2.0):

@@ -20,8 +20,6 @@ ALLOWED = {
         "ROADMAP item 5 varies it to measure the local solve's convergence order",
     "verify._residuals.h_rel":
         "ROADMAP item 5 varies it to measure the verify stencil's convergence order",
-    "reconstruct.paraboloid_profile.n":
-        "a model dimension, not a tuning setting",
     "spline.Spline.__call__.columns":
         "called through the attribute that stores the spline",
 }

@@ -5,12 +5,38 @@ import pytest
 
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
-from affmax.verify import (MAX_CYLINDER, assemble, bernstein_1d_check,
-                           completeness_check, convexity_check, factor_residual_phi,
-                           factor_residual_psi, full_residual,
-                           hessian_eigenvalues_at, residual_at)
+from affmax.verify import (MAX_CYLINDER, _eigenvalues, _sample_points, assemble,
+                           bernstein_1d_check, completeness_check, full_residual,
+                           residual_at)
 
 from conftest import THETA
+from oracles import negative_pair_blowup_1d
+
+
+def factor_residual_phi(sol: SeparableSolution, xq: float) -> float:
+    """phi^{ij} D_ij w_phi = w_phi''/phi'' at a 1-D factor point."""
+    h = 1e-4
+
+    def w_phi(x):
+        return sol.phi.v_deriv_at(x, 1) ** (-sol.theta)
+    d2 = (w_phi(xq + h) - 2 * w_phi(xq) + w_phi(xq - h)) / h**2
+    return d2 / sol.phi.v_deriv_at(xq, 1)
+
+
+def factor_residual_psi(sol: SeparableSolution, rho: float) -> float:
+    """psi^{ij} D_ij w_psi via the radial operator (r/v)[(v/(r v')) d2 + (n-1)/r d1]."""
+    n, h = sol.psi.n, 1e-4
+
+    def w_psi(r):
+        v1 = sol.psi.v_at(r)
+        v2 = sol.psi.v_deriv_at(r, 1)
+        return (v2 * (v1 / r) ** (n - 1)) ** (-sol.theta)
+
+    d1 = (w_psi(rho + h) - w_psi(rho - h)) / (2 * h)
+    d2 = (w_psi(rho + h) - 2 * w_psi(rho) + w_psi(rho - h)) / h**2
+    v1 = sol.psi.v_at(rho)
+    v2 = sol.psi.v_deriv_at(rho, 1)
+    return (rho / v1) * ((v1 / (rho * v2)) * d2 + (n - 1) / rho * d1)
 
 
 def quadratic_factor(n, rmax=4.0, C=0.5):
@@ -145,11 +171,11 @@ class TestFullResidual:
 class TestConvexity:
     def test_paraboloid_unit_eigenvalues(self):
         sol = paraboloid_solution()
-        eigs = hessian_eigenvalues_at(sol, np.array([1.0, 0.5, 0.5]))
+        eigs = _eigenvalues(sol, np.array([[1.0, 0.5, 0.5]]))
         assert np.allclose(eigs, 1.0)
 
     def test_flagship_positive(self, solution):
-        assert convexity_check(solution, n_points=150, seed=2) > 0
+        assert _eigenvalues(solution, _sample_points(solution, 150, 2)).min() > 0
 
     def test_power_solution_degenerate_at_origin(self):
         p = 8
@@ -165,7 +191,7 @@ class TestConvexity:
         power = RadialProfile(r=r, v=mono(0)(r), u=r**p, n=2, evaluator=ev)
         sol = SeparableSolution(phi=quadratic_factor(1), psi=power, kappa=1.0,
                                 theta=5.0 / 6.0, R_inf=math.inf)
-        eigs = hessian_eigenvalues_at(sol, np.array([1.0, 1e-4, 1e-4]))
+        eigs = _eigenvalues(sol, np.array([[1.0, 1e-4, 1e-4]]))
         assert eigs.min() < 1e-12  # convexity degenerates at the origin
 
 
@@ -179,7 +205,6 @@ class TestCompleteness:
     def test_one_dimensional_bounded_factor_fails(self):
         # the opposite-sign 1-D construction: curvature blows up at finite
         # R but u stays bounded, so no large condition
-        from affmax.positive_pair import negative_pair_blowup_1d
         out = negative_pair_blowup_1d(1.0, 0.55, 1.0, return_profile=True)
         prof = out["profile"]
         from affmax.reconstruct import large_condition_check
