@@ -117,12 +117,18 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
     cfg, own = {}, set()
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
-            raise FileNotFoundError(f"config file {args.config} not found")
-        if parser.has_section(command):
-            cfg = dict(parser.items(command))
-            own = set(cfg) - set(parser.defaults())     # [DEFAULT] serves every section
+        try:
+            if not parser.read(args.config):
+                raise FileNotFoundError(f"config file {args.config} not found")
+            if parser.has_section(command):
+                cfg = dict(parser.items(command))
+                own = set(cfg) - set(parser.defaults())     # [DEFAULT] serves every section
+        except configparser.Error as exc:
+            # a file configparser refuses: one line naming it, and the key if any
+            key = getattr(exc, "option", None)
+            at = f" [{exc.section}] {key}:" if key else ""
+            raise ParameterError(f"config file {args.config}:{at} "
+                                 f"{' '.join(str(exc).split())}") from None
     unknown = sorted(own - {key for key, *_ in _options(command)})
     if unknown:
         raise ParameterError(f"config file {args.config}: [{command}] has no "
@@ -133,7 +139,11 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
         if cli_val is not None:
             out[key] = cli_val
         elif key in cfg:
-            out[key] = typ(cfg[key])
+            try:
+                out[key] = typ(cfg[key])
+            except ValueError as exc:
+                raise ParameterError(f"config file {args.config}: [{command}] "
+                                     f"{key}: {exc}") from None
         else:
             out[key] = default
     return out
@@ -289,17 +299,23 @@ def _get(obj, key, where):
     return obj[key]
 
 
+def _finite(val) -> bool:
+    """Whether val is a finite JSON number: not a bool, NaN, an infinity
+    or an int beyond the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _number(obj, key, where, integer=False, positive=False, nullable=False):
-    """obj[key]: an integer if asked, else a finite JSON number (a bool is
-    neither), positive if asked, or null if nullable; else ParameterError."""
+    """obj[key]: an integer if asked, else a finite JSON number, positive
+    if asked, or null if nullable; else ParameterError."""
     val = _get(obj, key, where)
     if val is None and nullable:
         return None
-    ok = (isinstance(val, int if integer else (int, float))
-          and not isinstance(val, bool))
-    if ok and not integer:
-        # False for NaN, infinities and ints beyond the float range
-        ok = abs(val) <= sys.float_info.max and (val > 0 or not positive)
+    if integer:
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    else:
+        ok = _finite(val) and (val > 0 or not positive)
     if not ok:
         need = ("an integer" if integer else
                 f"a {'positive ' if positive else ''}finite number")
@@ -435,23 +451,25 @@ def _cmd_sweep(o) -> int:
 
 
 def _cmd_emit_plot_data(o) -> int:
-    kind = o["kind"]
+    kind, path = o["kind"], o["artifact"]
+    if path is None:
+        raise ParameterError("emit-plot-data needs an --artifact")
     if kind == "phase":
-        _, cols = read_columns(o["artifact"])
+        _, cols = read_columns(path, header=["eta", "zeta", "I"])
         names, cols = ["eta", "zeta"], cols[:2]
     elif kind == "profile":
-        _, cols = read_columns(o["artifact"])
-        names, cols = ["r", "v", "u"], cols[:3]
+        names, cols = read_columns(path, header=["r", "v", "u"])
     elif kind == "bounds":
-        curve = PhaseCurve.from_csv(o["artifact"])
+        curve = PhaseCurve.from_csv(path)
         rep = growth_bounds_check(curve)
         names = ["eta", "zeta", "rho*(eta-1)", "eps0*eta^2"]
         cols = [curve.eta, curve.zeta, rep["rho"] * (curve.eta - 1.0),
                 rep["eps0"] * curve.eta**2]
     elif kind == "residual-hist":
-        with open(o["artifact"]) as fh:
-            data = json.load(fh)
-        res = np.abs(np.array(data["residuals"]))
+        res = _get(_load_json(path), "residuals", path)
+        if not (isinstance(res, list) and all(map(_finite, res))):
+            raise ParameterError(f"{path}: residuals must be a list of finite numbers")
+        res = np.abs(np.array(res, dtype=float))
         hist, edges = np.histogram(np.log10(np.maximum(res, 1e-300)), bins=40)
         names = ["log10_abs_residual", "count"]
         cols = [0.5 * (edges[:-1] + edges[1:]), hist]

@@ -60,8 +60,8 @@ class ModelParams:
         self.n = int(self.n)
         if not self.theta > 0:
             raise ParameterError(f"theta must be positive, got {self.theta}")
-        if not self.eta0 > 1:
-            raise ParameterError(f"eta0 must exceed 1, got {self.eta0}")
+        if not 1 < self.eta0 < math.inf:
+            raise ParameterError(f"eta0 must exceed 1 and be finite, got {self.eta0}")
 
     def require_negative_pair(self):
         """Extra hypotheses for the bounded-factor construction."""

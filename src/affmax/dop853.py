@@ -1,4 +1,4 @@
-"""The DOP853 integrator and Brent's root finder, ported from scipy.
+"""The DOP853 integrator that extend_global steps, ported from scipy.
 
 DOP853 is the explicit Runge-Kutta method of order 8(5, 3) with a
 7th-order dense output (Hairer, Norsett and Wanner, *Solving Ordinary
@@ -9,31 +9,23 @@ coefficients F, computed with the same numpy operations (``np.dot``
 included, whose summation order differs from a plain sum), so every
 accepted step and every dense output is bit-equal to scipy's.
 
-brentq is scipy's C ``brentq`` (Brent's method with inverse quadratic
-extrapolation) in Python; its floating-point operations are the C ones
-in the same order, so it returns the same root after the same number of
-iterations.
+The module holds what extend_global uses: forward steps from finite
+data, and one evaluator of the dense outputs, dense_values, which reads
+many samples at once exactly as scipy's OdeSolution does.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 
-from .errors import NoConvergence
+__all__ = ["DOP853", "dense_values"]
 
-__all__ = ["DOP853", "brentq"]
-
-_EPS = np.finfo(float).eps
 SAFETY = 0.9         # multiplies the step size the error estimate asks for
 MIN_FACTOR = 0.2     # the smallest step-size decrease
 MAX_FACTOR = 10.0    # the largest step-size increase
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
 INTERPOLATOR_POWER = 7
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # the tableau: nodes C, stages A (row i holds A[i, :i]), error weights E3
 # and E5, and the dense-output weights D of stages 0..15
@@ -125,11 +117,9 @@ def _rms(x):
 
 
 class DenseStep:
-    """The degree-7 interpolant of one accepted step on [t_old, t].
-
-    y(t_old + x h) is the polynomial in x with the coefficient rows F,
-    evaluated from the highest row down, alternately times x and 1 - x.
-    """
+    """The degree-7 interpolant of one accepted step on [t_old, t]: the
+    coefficient rows F of the polynomial in x = (t - t_old)/h that
+    dense_values evaluates, and its value y_old at x = 0."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.t = t_old, t
@@ -137,50 +127,49 @@ class DenseStep:
         self.y_old = y_old
         self.F = F
 
-    def __call__(self, t):
-        """y at the scalar t."""
-        x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
+
+def dense_values(steps, ee):
+    """The piecewise dense output of consecutive steps at the increasing
+    samples ee, one row per component.
+
+    Bit for bit what scipy's OdeSolution returns at ee: the step of each
+    sample is searchsorted(ts, ee, "left") - 1 over the step ends ts,
+    clipped to the valid range, and its polynomial in x = (e - t_old)/h
+    is evaluated from the highest row of F down, alternately times x and
+    1 - x, for every sample at once, one coefficient row F[seg, k] at a
+    time (a (P, 7, 2) block gather would be a 1.6 MB temporary).
+    """
+    ts = np.array([s.t_old for s in steps] + [steps[-1].t])
+    seg = np.clip(np.searchsorted(ts, ee, "left") - 1, 0, len(steps) - 1)
+    F = np.array([s.F for s in steps])
+    x = ((ee - ts[seg]) / np.array([s.h for s in steps])[seg])[:, None]
+    y = np.zeros((len(ee), F.shape[2]))
+    for i, k in enumerate(reversed(range(F.shape[1]))):
+        y += F[seg, k]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += np.array([s.y_old for s in steps])[seg]
+    return y.T
 
 
 class DOP853:
     """Adaptive DOP853 steps of y' = fun(t, y) from t0 up to t_bound > t0.
 
-    step() takes one accepted step, or sets status to "failed" and
-    returns the message; status becomes "finished" at t_bound.
-    dense_output() is the interpolant of the last accepted step.
+    step() takes one accepted step while status is "running", or sets it
+    to "failed" and returns the message; status becomes "finished" at
+    t_bound.  dense_output() is the interpolant of the last accepted step.
+    The caller passes a finite y0, rtol >= 100 eps and a scalar atol >= 0.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
-        if not t_bound > t0:
-            raise ValueError("DOP853 integrates forward: t_bound must exceed t0")
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y0 = np.asarray(y0).astype(float, copy=False)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        if np.any(rtol < 100 * _EPS):
-            warnings.warn("At least one element of `rtol` is too small. "
-                          f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
-                          stacklevel=2)
-            rtol = np.maximum(rtol, 100 * _EPS)
-        atol = np.asarray(atol)
-        if atol.ndim > 0 and atol.shape != y0.shape:
-            raise ValueError("`atol` has wrong shape.")
-        if np.any(atol < 0):
-            raise ValueError("`atol` must be positive.")
         self._fun = fun
-        self.t_old, self.t, self.y = None, t0, y0
+        self.t, self.y = t0, y0
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
         self.status = "running"
-        self.y_old = None
         self.f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step()
         self.K_extended = K = np.empty((N_STAGES_EXTENDED, y0.size))
@@ -188,7 +177,6 @@ class DOP853:
         # stage s reads K[:s].T @ A[s, :s]; the views are made once
         self._stages = [(s, K[:s].T, _A[s, :s], _C[s])
                         for s in range(1, N_STAGES_EXTENDED)]
-        self.h_previous = None
 
     def fun(self, t, y):
         return np.asarray(self._fun(t, y), dtype=float)
@@ -235,8 +223,6 @@ class DOP853:
 
     def step(self):
         """One accepted step; the failure message, or None."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished solver.")
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -244,7 +230,7 @@ class DOP853:
         while True:
             if h_abs < min_step:
                 self.status = "failed"
-                return TOO_SMALL_STEP
+                return "Required step size is less than spacing between numbers."
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -261,7 +247,6 @@ class DOP853:
             factor = min(MAX_FACTOR, SAFETY * error_norm ** (-1 / 8))
         if step_rejected:
             factor = min(1, factor)
-        self.h_previous = h
         self.y_old = y
         self.t_old, self.t = t, t_new
         self.y = y_new
@@ -274,7 +259,7 @@ class DOP853:
     def dense_output(self) -> DenseStep:
         """The interpolant of the last accepted step (three more stages)."""
         K = self.K_extended
-        h = self.h_previous
+        h = self.t - self.t_old
         for s, Ks, a, c in self._stages[N_STAGES:]:
             K[s] = self.fun(self.t_old + c * h, self.y_old + np.dot(Ks, a) * h)
         F = np.empty((INTERPOLATOR_POWER, len(self.y)))
@@ -285,64 +270,3 @@ class DOP853:
         F[2] = 2 * delta_y - h * (self.f + f_old)
         F[3:] = h * np.dot(_D, K)
         return DenseStep(self.t_old, self.t, self.y_old, F)
-
-
-def brentq(f, xa, xb, xtol, rtol):
-    """(root, iterations): a zero of f in [xa, xb] by Brent's method.
-
-    f(xa) and f(xb) must differ in sign (ValueError otherwise, and for a
-    NaN value of f).  Converged when the bracket is below
-    xtol + rtol |x|; NoConvergence after 100 iterations, scipy's default.
-    """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x:f} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(value(xpre)), float(value(xcur))
-    if fpre == 0:
-        return xpre, 0
-    if fcur == 0:
-        return xcur, 0
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, 101):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, i
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry          # a good short step
-            else:
-                spre = scur = sbis               # bisect
-        else:
-            spre = scur = sbis                   # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(value(xcur))
-    raise NoConvergence(f"brentq did not converge after 100 iterations; "
-                        f"value is {xcur}")

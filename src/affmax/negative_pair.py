@@ -27,7 +27,7 @@ import numpy as np
 from .core import (X_SWITCH, ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                    cumulative_simpson, measure_taylor, upper_bound_claimed,
                    x_over_zeta)
-from .dop853 import DOP853, brentq
+from .dop853 import DOP853, dense_values
 from .errors import (MembershipViolation, NoConvergence, ParameterError,
                      PositivityLoss, SingularityMismatch, StepFailure,
                      TailUnbounded)
@@ -39,7 +39,6 @@ __all__ = [
     "growth_bounds_check", "blowup_time", "local_derivatives",
 ]
 
-_EPS = np.finfo(float).eps
 # the quadratic lower bound eps0 eta^2 keeps this fraction of the scanned minimum
 _SAFETY = 0.9
 _FD_SLACK = 5e-3   # allowed error of the windowed-fit derivatives in the bands
@@ -343,7 +342,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
 
 def extend_global(local: LocalSolve, eta_max: float = 1e3,
                   rtol: float = 1e-11, atol: float = 1e-13) -> PhaseCurve:
-    """Continue (zeta, I) from eta0 to eta_max with an adaptive integrator.
+    """Continue (zeta, I) from eta0 to a finite eta_max > eta0.
 
     Positivity of zeta is monitored; hitting zero raises PositivityLoss
     (reported, never clamped).  The samples added are geometric in eta,
@@ -351,20 +350,21 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
 
     The DOP853 solver (affmax.dop853, bit-equal to scipy's) is stepped
     here, with solve_ivp's terminal event rule: g = zeta - 1e-12 is
-    checked at eta0 and after every accepted step, a step with
-    g_old >= 0 >= g_new is a hit, and the root is the brentq zero of g on
-    that step's dense output.  The samples are then read from the dense
-    outputs in one pass (_gather_dense).
+    checked at eta0 and after every accepted step, and a step with
+    g_old >= 0 >= g_new is a hit, reported by its ends (no root is
+    sought inside it).  The samples are then read from the dense outputs
+    in one pass (dense_values).
     """
     params = local.curve.params
     params.require_negative_pair()
-    if not eta_max > params.eta0:
-        raise ParameterError(f"eta_max = {eta_max} must exceed eta0 = {params.eta0}")
+    if not params.eta0 < eta_max < math.inf:
+        raise ParameterError(
+            f"eta_max = {eta_max} must exceed eta0 = {params.eta0} and be finite")
     eta0 = params.eta0
     z0 = float(local.curve.zeta[-1])
     solver = DOP853(lambda e, y: phase_field(e, *y.tolist(), params), float(eta0),
                     [z0, 0.0], float(eta_max), rtol=rtol, atol=atol)
-    ts, steps = [solver.t], []
+    steps = []
     g = z0 - 1e-12
     while solver.status == "running":
         message = solver.step()
@@ -375,46 +375,20 @@ def extend_global(local: LocalSolve, eta_max: float = 1e3,
                 raise PositivityLoss(
                     f"zeta collapsed to {solver.y[0]:.3e} near eta = {solver.t:.6g}")
             raise StepFailure(f"extension failed: {message}")
-        dense = solver.dense_output()
         g_new = solver.y[0] - 1e-12
         if g >= 0 and g_new <= 0:
-            root, _ = brentq(lambda e: dense(e)[0] - 1e-12, solver.t_old,
-                             solver.t, xtol=4 * _EPS, rtol=4 * _EPS)
-            raise PositivityLoss(f"zeta reached 0 near eta = {root:.6g}")
+            raise PositivityLoss(f"zeta reached 0 between eta = "
+                                 f"{float(solver.t_old)} and {float(solver.t)}")
         g = g_new
-        ts.append(solver.t)
-        steps.append(dense)
+        steps.append(solver.dense_output())
     n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
     ee = np.geomspace(eta0, eta_max, n_samples)[1:]
-    zz, II = _gather_dense(np.array(ts), steps, ee)
+    zz, II = dense_values(steps, ee)
     eta = np.concatenate([local.curve.eta, ee])
     zeta = np.concatenate([local.curve.zeta, zz])
     I = np.concatenate([local.curve.I, II])
     return PhaseCurve(params=params, taylor=local.curve.taylor,
                       eta=eta, zeta=zeta, I=I)
-
-
-def _gather_dense(ts, steps, ee):
-    """The piecewise DOP853 dense output at the increasing samples ee.
-
-    Bit for bit what OdeSolution(ts, steps)(ee) returns: the segment of
-    each sample is searchsorted(ts, ee, "left") - 1, clipped to the valid
-    range, and the DenseStep polynomial in x = (e - t_old)/h is
-    evaluated for every sample at once, one coefficient row F[seg, k] at
-    a time (a (P, 7, 2) block gather would be a 1.6 MB temporary).
-    """
-    seg = np.clip(np.searchsorted(ts, ee, "left") - 1, 0, len(steps) - 1)
-    F = np.array([s.F for s in steps])
-    x = ((ee - ts[seg]) / np.array([s.h for s in steps])[seg])[:, None]
-    y = np.zeros((len(ee), F.shape[2]))
-    for i, k in enumerate(reversed(range(F.shape[1]))):
-        y += F[seg, k]
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y += np.array([s.y_old for s in steps])[seg]
-    return y.T
 
 
 def growth_bounds_check(curve: PhaseCurve) -> dict:

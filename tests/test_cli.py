@@ -278,6 +278,51 @@ class TestConfigAndErrors:
         assert key.split()[0] in err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("nodes = 3\n", None),
+        ("[solve-positive]\nnodes = 3\nnodes = 4\n", "nodes"),
+        ("[solve-positive]\nout = 50%.csv\n", "out"),
+        ("[solve-positive]\nnodes = abc\n", "nodes")],
+        ids=["no-section-header", "duplicate-key", "percent-sign", "bad-value"])
+    def test_malformed_config_is_one_line_usage_error(self, tmp_path, monkeypatch,
+                                                      capsys, text, key):
+        # the first three were configparser tracebacks; the bad value named
+        # neither the file nor the key
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert run(["solve-positive", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParameterError: config file {cfg}: ")
+        assert err.count("\n") == 1
+        if key:
+            assert f": [solve-positive] {key}: " in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("kind, text", [
+        ("phase", None), ("residual-hist", "[0.1, 0.2]"),
+        ("residual-hist", '{"residuals": [0.1, "a"]}'),
+        ("residual-hist", '{"residuals": "0.1"}'),
+        ("residual-hist", '{"residuals": [0.1, NaN]}'),
+        ("residual-hist", '{"pass": true}'),
+        ("phase", "eta\n1.1\n1.2\n"), ("profile", "r\n0.0\n1.0\n")],
+        ids=["no-artifact", "json-list", "string-residual", "string-residuals",
+             "nan-residual", "no-residuals", "one-column-phase",
+             "one-column-profile"])
+    def test_bad_plot_artifact_is_one_line_usage_error(self, tmp_path, monkeypatch,
+                                                       capsys, kind, text):
+        # these were tracebacks, a bare 'residuals', or (the one-column CSVs)
+        # exit 0 with a header naming more columns than the rows hold
+        monkeypatch.chdir(tmp_path)
+        argv = ["emit-plot-data", "--kind", kind]
+        if text is not None:
+            (tmp_path / "artifact").write_text(text)
+            argv += ["--artifact", "artifact"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        assert not (tmp_path / "plot.dat").exists()
+
     def test_default_section_keys_need_not_be_options(self, tmp_path):
         # [DEFAULT] reaches every section, bernstein-1d's too, which has no n
         cfg = tmp_path / "run.ini"
@@ -316,7 +361,10 @@ class TestConfigAndErrors:
         # warnings; rmax's errors did not name it, after a warning
         ["bernstein-1d", "--theta", "nan"], ["bernstein-1d", "--theta", "inf"],
         ["bernstein-radial", "--theta", "inf"], ["bernstein-radial", "--hi", "inf"],
-        ["solve-positive", "--rmax", "inf"], ["solve-positive", "--rmax", "-1"]],
+        ["solve-positive", "--rmax", "inf"], ["solve-positive", "--rmax", "-1"],
+        # eta0 = inf exited 2 (GridTooCoarse) and eta_max = inf exited 2
+        # (StepFailure), each after a numpy warning
+        ["solve-negative", "--eta0", "inf"], ["solve-negative", "--eta-max", "inf"]],
         ids=" ".join)
     def test_bad_count_or_tolerance_is_one_line_usage_error(
             self, workdir, tmp_path, monkeypatch, capsys, argv):
@@ -542,6 +590,15 @@ class TestSweep:
                 (row,) = json.loads((outdir / "sweep.json").read_text())["rows"]
                 assert row["theta"] == theta
                 assert row["upper_bound_claimed"] is claimed
+
+    def test_infinite_eta_max_fails_the_row(self, tmp_path):
+        assert run(["sweep", "--steps", "1", "--theta-min", "0.55",
+                    "--theta-max", "0.55", "--eta-max", "inf",
+                    "--outdir", str(tmp_path / "sw")]) == 2
+        (row,) = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+        assert row["status"] == "failed"
+        assert row["error"] == ("ParameterError: eta_max = inf must exceed "
+                                "eta0 = 1.05 and be finite")
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",

@@ -1,11 +1,11 @@
-"""The stepped DOP853 extension, the DOP853 and brentq ports, the
-cumulative-Simpson port and the Taylor meter against the scipy calls and
-formulas they replaced.
+"""The stepped DOP853 extension, the DOP853 port, the cumulative-Simpson
+port and the Taylor meter against the scipy calls and formulas they
+replaced.
 
 extend_global steps affmax.dop853.DOP853, a port of scipy's class, and
-reads its dense output in one gather; the reference below is the
-solve_ivp version it replaced, so every quantity the gather reads (the
-step ends, each step's F, y_old and h) is checked against OdeSolution,
+reads its dense output in one gather, dop853.dense_values; the reference
+below is the solve_ivp version it replaced, so every quantity the gather
+reads (each step's ends, F, y_old and h) is checked against OdeSolution,
 and the port is checked step by step against scipy's class.  Every
 operation is meant to be the same, so every comparison is bit for bit:
 no tolerance.
@@ -22,14 +22,12 @@ from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.optimize import brentq as scipy_brentq
 
 from affmax import dop853, negative_pair
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                          cumulative_simpson, measure_taylor)
 from affmax.errors import ParameterError, PositivityLoss, StepFailure
-from affmax.negative_pair import (LocalSolve, _gather_dense, extend_global,
-                                  fixed_point_solve)
+from affmax.negative_pair import LocalSolve, extend_global, fixed_point_solve
 from affmax.phase_plane import coef_linear, coef_zero
 
 from conftest import ETA0, N, THETA
@@ -66,7 +64,11 @@ def ref_extend_global(local, eta_max=1e3, rtol=1e-11, atol=1e-13):
     sol = solve_ivp(rhs, (eta0, eta_max), [z0, 0.0], method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True, events=hit_zero)
     if sol.status == 1:
-        raise PositivityLoss(f"zeta reached 0 near eta = {sol.t_events[0][0]:.6g}")
+        # the event root lies in the last step, which extend_global names
+        step = sol.sol.interpolants[-1]
+        assert step.t_old <= sol.t_events[0][0] <= step.t
+        raise PositivityLoss(f"zeta reached 0 between eta = "
+                             f"{float(step.t_old)} and {float(step.t)}")
     if not sol.success:
         if len(sol.y[0]) and sol.y[0][-1] < 1e-3 * z0:
             raise PositivityLoss(
@@ -126,7 +128,7 @@ def test_gather_matches_ode_solution_at_step_ends():
     ts = sol.sol.ts
     ee = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
                                  np.geomspace(ETA0, 40.0, 301)]))
-    assert same_bits(_gather_dense(ts, sol.sol.interpolants, ee), sol.sol(ee))
+    assert same_bits(dop853.dense_values(sol.sol.interpolants, ee), sol.sol(ee))
 
 
 def stub_local(n, theta, lambda3, z):
@@ -146,9 +148,9 @@ def stub_local(n, theta, lambda3, z):
     ((3, 0.4, -1e-6, 0.1), {}, PositivityLoss, "zeta collapsed to "),
     # coarse tolerances: zeta steps through zero, the terminal event fires
     ((3, 0.4, -1e-6, 0.1), {"rtol": 1e-3, "atol": 1e-6}, PositivityLoss,
-     "zeta reached 0 near "),
+     "zeta reached 0 between "),
     ((2, 0.55, 1.0, 0.05), {"rtol": 1e-2, "atol": 1e-4}, PositivityLoss,
-     "zeta reached 0 near "),
+     "zeta reached 0 between "),
     # an overflowing forcing term: the step size underflows, zeta stays up
     ((2, 0.55, -1e308, 0.1), {}, StepFailure, "extension failed: "),
 ], ids=["collapse", "event", "event-coarse", "step-failure"])
@@ -165,13 +167,13 @@ def test_failures_match_solve_ivp(stub, tols, kind, start):
 
 
 def test_extension_needs_eta_max_above_eta0(local_solve):
-    for eta_max in (ETA0, 1.0):
+    for eta_max in (ETA0, 1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="must exceed eta0"):
             extend_global(local_solve, eta_max=eta_max)
 
 
 # ---------------------------------------------------------------------------
-# the DOP853 and brentq ports against scipy's
+# the DOP853 port against scipy's
 
 
 def test_tableau_equals_scipy():
@@ -203,46 +205,9 @@ def test_dop853_steps_equal_scipy_bitwise(theta, eta_max):
         for name in ("t_old", "t", "h", "y_old", "F"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
         mid = 0.5 * (ref.t_old + ref.t)
-        assert same_bits(got(mid), want(mid))
+        assert same_bits(dop853.dense_values([got], np.array([mid]))[:, 0], want(mid))
         steps += 1
     assert ours.status == "finished" and steps > 50
-
-
-@st.composite
-def brackets(draw):
-    """(f, a, b): a smooth f with one sign change between a and b."""
-    r = draw(st.floats(-10.0, 10.0))
-    scale = draw(st.floats(1e-3, 1e3))
-    a = r - scale * draw(st.floats(1e-6, 1.0))
-    b = r + scale * draw(st.floats(1e-6, 1.0))
-    c = draw(st.floats(0.0, 10.0))
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    kind = draw(st.sampled_from(["cubic", "exp", "tanh", "log"]))
-    f = {"cubic": lambda x: sign * ((x - r) + c * (x - r) ** 3),
-         "exp": lambda x: sign * math.expm1((c + 0.1) * (x - r) / scale),
-         "tanh": lambda x: sign * math.tanh((1.0 + c) * (x - r) / scale),
-         "log": lambda x: sign * (math.log((x - a + 1.0) / (r - a + 1.0)))}[kind]
-    return f, a, b
-
-
-@settings(max_examples=300)
-@given(bracket=brackets())
-def test_brentq_equals_scipy_bitwise(bracket):
-    f, a, b = bracket
-    tol = 4 * np.finfo(float).eps            # extend_global's xtol and rtol
-    root, iterations = dop853.brentq(f, a, b, xtol=tol, rtol=tol)
-    want, result = scipy_brentq(f, a, b, xtol=tol, rtol=tol, full_output=True)
-    assert float.hex(root) == float.hex(want)
-    assert iterations == result.iterations
-
-
-def test_brentq_rejects_like_scipy():
-    with pytest.raises(ValueError, match="different signs"):
-        dop853.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
-    with pytest.raises(ValueError, match="NaN"):
-        dop853.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-12, 1e-12)
-    with pytest.raises(ValueError):
-        scipy_brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
