@@ -118,8 +118,8 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
         try:
-            if not parser.read(args.config):
-                raise FileNotFoundError(f"config file {args.config} not found")
+            with open(args.config) as fh:
+                parser.read_file(fh)
             if parser.has_section(command):
                 cfg = dict(parser.items(command))
                 own = set(cfg) - set(parser.defaults())     # [DEFAULT] serves every section
@@ -129,6 +129,10 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             at = f" [{exc.section}] {key}:" if key else ""
             raise ParameterError(f"config file {args.config}:{at} "
                                  f"{' '.join(str(exc).split())}") from None
+        except OSError as exc:      # missing, a directory, unreadable
+            raise ParameterError(f"config file {args.config}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"config file {args.config}: {exc}") from None
     unknown = sorted(own - {key for key, *_ in _options(command)})
     if unknown:
         raise ParameterError(f"config file {args.config}: [{command}] has no "
@@ -256,7 +260,7 @@ def _check_columns_match(r, v, rebuilt: RadialProfile, name: str):
     v_ref = rebuilt.v_at(r)
     scale = np.max(np.abs(v_ref))
     if np.max(np.abs(v_ref - v)) > 1e-6 * scale:
-        raise ValueError(
+        raise ParameterError(
             f"{name} profile columns disagree with the reconstruction; "
             "wrong curve/v0/lambda for this CSV?")
 
@@ -389,22 +393,24 @@ def _cmd_verify(o) -> int:
     return 0 if passed else FAILURE
 
 
+def _check_verdict(rep, out, label) -> int:
+    """Dump rep to out if given, print label with the verdict, return its exit code."""
+    if out:
+        _dump_json(rep, out)
+    print(f"{label}: {'pass' if rep['pass'] else 'FAIL'}")
+    return 0 if rep["pass"] else FAILURE
+
+
 def _cmd_bernstein_radial(o) -> int:
     rep = bernstein_radial_check(int(o["n"]), o["theta"], (o["lo"], o["hi"]),
                                  samples=int(o["samples"]))
-    if o["out"]:
-        _dump_json(rep, o["out"])
-    print(f"n={o['n']} theta={o['theta']} window=({o['lo']}, {o['hi']}): "
-          f"{'pass' if rep['pass'] else 'FAIL'}")
-    return 0 if rep["pass"] else FAILURE
+    return _check_verdict(rep, o["out"], f"n={o['n']} theta={o['theta']} "
+                                         f"window=({o['lo']}, {o['hi']})")
 
 
 def _cmd_bernstein_1d(o) -> int:
-    rep = bernstein_1d_check(o["theta"])
-    if o["out"]:
-        _dump_json(rep, o["out"])
-    print(f"theta={o['theta']}: {'pass' if rep['pass'] else 'FAIL'}")
-    return 0 if rep["pass"] else FAILURE
+    return _check_verdict(bernstein_1d_check(o["theta"]), o["out"],
+                          f"theta={o['theta']}")
 
 
 def _sweep_worker(task):

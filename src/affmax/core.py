@@ -257,9 +257,9 @@ class PhaseCurve:
                    taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
 
     @classmethod
-    def from_csv(cls, path, n: int = 2, theta: float = 0.55) -> "PhaseCurve":
+    def from_csv(cls, path) -> "PhaseCurve":
         _, cols = read_columns(path, header=["eta", "zeta", "I"])
-        return cls.from_columns(*cols, n=n, theta=theta)
+        return cls.from_columns(*cols)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +455,12 @@ def _profile_derivatives(profile: RadialProfile, nodes):
 
 
 def radial_residual(profile: RadialProfile, theta: float, n: int,
-                    lambda_prime: float, nodes=None):
-    """L[u] - lambda' (u'')^2 at the requested nodes (default: grid nodes r > 0).
+                    lambda_prime: float, nodes):
+    """L[u] - lambda' (u'')^2 at the given nodes.
 
     Zero (within the derivative-estimation error) exactly when the
     profile solves the radial eigenvalue ODE with that lambda'.
     """
-    if nodes is None:
-        nodes = profile.r[profile.r > 0]
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     u1, u2, u3, u4 = _profile_derivatives(profile, nodes)
     if np.any(u2 <= 0):
@@ -474,15 +472,13 @@ def radial_residual(profile: RadialProfile, theta: float, n: int,
 SPREAD_TOL = 1e-3   # the largest relative spread of an eigenprofile's lambda' ratios
 
 
-def effective_lambda_fit(profile: RadialProfile, theta: float, n: int, nodes=None):
+def effective_lambda_fit(profile: RadialProfile, theta: float, n: int, nodes):
     """Least-squares lambda' with L[u] = lambda' (u'')^2 across nodes.
 
     Returns (lambda_prime, fit_residual).  fit_residual is the relative
     spread of the per-node ratios; above SPREAD_TOL the profile is not
     an eigenprofile and InconsistentProfile is raised.
     """
-    if nodes is None:
-        nodes = profile.r[profile.r > 0]
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     u1, u2, u3, u4 = _profile_derivatives(profile, nodes)
     if np.any(u2 <= 0):
@@ -582,14 +578,18 @@ def read_columns(path, header=None):
     control character from \x0b to \x1f is parsed by numpy's C reader,
     which converts each field with the same strtod as float(); any other
     text, and any text that reader refuses, is read row by row.  Empty,
-    header-only, ragged or non-numeric input, and a header other than
-    the given list of names, raise ParameterError.
+    header-only, ragged or non-numeric input, undecodable text in the
+    file at path, and a header other than the given list of names, raise
+    ParameterError.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path) as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParameterError(f"{path}: {exc}") from None
     data = None
     if text.isascii() and not any(map(text.__contains__, _ROW_WALK_CHARS)):
         # the reader takes the lines as a list of str, one byte a character

@@ -41,6 +41,7 @@ __all__ = [
 
 # the quadratic lower bound eps0 eta^2 keeps this fraction of the scanned minimum
 _SAFETY = 0.9
+_SIGMA = 0.5       # half-width of the first- and second-derivative bands
 _FD_SLACK = 5e-3   # allowed error of the windowed-fit derivatives in the bands
 
 
@@ -199,9 +200,9 @@ class GammaSetSpec:
     """Band conditions defining the candidate family on [1, eta0].
 
     Membership requires phi(1) = 0, phi'(1) = 2, phi in [0, 1],
-    phi' in [2 -/+ sigma], phi'' in [alpha -/+ sigma], phi''' in a band
-    around beta, and the third-derivative difference quotient in
-    [gamma - 1, gamma + 1].  The quotient band forces
+    phi' in [2 -/+ sigma], phi'' in [alpha -/+ sigma] (sigma = _SIGMA),
+    phi''' in a band around beta, and the third-derivative difference
+    quotient in [gamma - 1, gamma + 1].  The quotient band forces
     |phi''' - beta| <= (|gamma| + 1)(eta0 - 1), so the effective
     third-derivative half-width must be at least that; sigma_d3 below
     widens sigma accordingly when eta0 - 1 is not small enough.
@@ -211,10 +212,9 @@ class GammaSetSpec:
     alpha: float
     beta: float
     gamma: float
-    sigma: float = 0.5
 
     def sigma_d3(self) -> float:
-        return max(self.sigma, 1.05 * (abs(self.gamma) + 1.0) * (self.eta0 - 1.0))
+        return max(_SIGMA, 1.05 * (abs(self.gamma) + 1.0) * (self.eta0 - 1.0))
 
     def check(self, eta, phi, taylor: TaylorData | None = None) -> dict:
         eta, x, phi, taylor = _prepare_grid(eta, phi, self.eta0, taylor)
@@ -233,15 +233,15 @@ class GammaSetSpec:
         conds = {
             "endpoint": abs(phi[0]) < 1e-12 and abs(taylor.d1 - 2.0) < 1e-3,
             "range_phi": bool(np.all(phi >= -1e-12) and np.all(phi <= 1.0 + 1e-9)),
-            "band_d1": bool(np.all(np.abs(d1 - 2.0) <= self.sigma + _FD_SLACK)),
-            "band_d2": bool(np.all(np.abs(d2 - self.alpha) <= self.sigma + _FD_SLACK)),
+            "band_d1": bool(np.all(np.abs(d1 - 2.0) <= _SIGMA + _FD_SLACK)),
+            "band_d2": bool(np.all(np.abs(d2 - self.alpha) <= _SIGMA + _FD_SLACK)),
             "band_d3": bool(np.all(np.abs(d3 - self.beta) <= s3 + _FD_SLACK)),
             "band_quotient": bool(np.all(np.abs(quot - self.gamma) <= 1.0 + _FD_SLACK)),
         }
         return {
             "conditions": conds,
             "pass": all(conds.values()),
-            "sigma": self.sigma,
+            "sigma": _SIGMA,
             "sigma_d3_effective": s3,
             "measured": {"d1": taylor.d1, "alpha": taylor.alpha,
                          "beta": taylor.beta, "gamma": taylor.gamma},
@@ -265,7 +265,7 @@ class LocalSolve:
     membership: dict = field(default_factory=dict)
 
 
-def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
+def fixed_point_solve(n: int, theta: float, eta0: float,
                       tol: float = 1e-10, max_iter: int = 200,
                       damping: float = 0.5, grid_points: int = 6000) -> LocalSolve:
     """Damped Picard iteration phi <- (1-d) phi + d T(phi) from the cubic seed.
@@ -291,11 +291,8 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
     phi = formula.seed(x)
     taylor = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
     history = []
-    lam = math.nan
-    converged = False
-    its = 0
     for its in range(1, max_iter + 1):
-        zeta, lam, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
+        zeta, _, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
         change = float(np.max(np.abs(zeta - phi)))
         if not math.isfinite(change):      # a NaN or inf anywhere in zeta
             raise NoConvergence(
@@ -305,9 +302,8 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
         phi = (1.0 - damping) * phi + damping * zeta
         taylor = meter(phi)
         if change < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergence(
             f"sup-norm change {history[-1]:.3e} after {max_iter} iterations (tol {tol})")
     if np.any(phi[1:] <= 0):
@@ -340,7 +336,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float = 1.05,
 # global extension, growth bounds, blow-up time
 
 
-def extend_global(local: LocalSolve, eta_max: float = 1e3,
+def extend_global(local: LocalSolve, eta_max: float,
                   rtol: float = 1e-11, atol: float = 1e-13) -> PhaseCurve:
     """Continue (zeta, I) from eta0 to a finite eta_max > eta0.
 
@@ -443,12 +439,12 @@ def growth_bounds_check(curve: PhaseCurve) -> dict:
     }
 
 
-def blowup_time(curve: PhaseCurve, safety: float = _SAFETY) -> tuple:
+def blowup_time(curve: PhaseCurve) -> tuple:
     """(T_inf, tail_bound): T_inf = int_{eta0}^{eta_max} ds/zeta + tail.
 
     The tail uses the certified quadratic lower bound on the last decade
     of the scan: int_{eta_max}^inf ds/(eps0 s^2) = 1/(eps0 eta_max), eps0
-    being safety times the least zeta/eta^2 there.  Raises TailUnbounded
+    being _SAFETY times the least zeta/eta^2 there.  Raises TailUnbounded
     when no such bound is certifiable (zeta/eta^2 decaying toward zero
     at the right end).
     """
@@ -465,7 +461,7 @@ def blowup_time(curve: PhaseCurve, safety: float = _SAFETY) -> tuple:
     if np.min(qtail) < 1e-6 or q_end < 0.7 * q_mid:
         raise TailUnbounded(
             "no quadratic lower bound on the tail; 1/zeta may not be integrable")
-    eps_tail = safety * float(np.min(qtail))
+    eps_tail = _SAFETY * float(np.min(qtail))
     main = float(cumulative_simpson(1.0 / zeta, eta)[-1])
     tail_bound = 1.0 / (eps_tail * eta_max)
     return main + tail_bound, tail_bound

@@ -51,7 +51,7 @@ def _tau_integrand(x, zeta, taylor):
 
 
 def _tables(curve: PhaseCurve, v0: float):
-    """Cumulative t, W, log v, u on the curve grid, anchored at eta0 (r = 1)."""
+    """Cumulative t, log v, u on the curve grid, anchored at eta0 (r = 1)."""
     eta, zeta = curve.eta, curve.zeta
     x = eta - 1.0
     x0 = curve.params.eta0 - 1.0
@@ -71,8 +71,8 @@ def _tables(curve: PhaseCurve, v0: float):
     u_int = np.exp(W + 2.0 * tau) * np.power(x / x0, 2.0 / d1) * ratio / x
     u = cumulative_simpson(u_int, eta) * v0
     u += v0 * u_int[0] * x[0] * (d1 / 2.0)           # analytic piece over (1, eta[0])
-    return {"eta": eta, "x": x, "zeta": zeta, "t": t, "W": W,
-            "logv": logv, "u": u, "i0": i0, "v0": v0, "d1": d1}
+    return {"eta": eta, "x": x, "zeta": zeta, "t": t,
+            "logv": logv, "u": u, "i0": i0, "d1": d1}
 
 
 def t_of_eta(curve: PhaseCurve):

@@ -244,8 +244,8 @@ def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
     return pts
 
 
-def full_residual(sol: SeparableSolution, n_points: int = 1000,
-                  seed: int = 0) -> VerificationReport:
+def full_residual(sol: SeparableSolution, n_points: int,
+                  seed: int) -> VerificationReport:
     """Residual statistics of the source equation at random interior points."""
     pts = _sample_points(sol, n_points, seed)
     res = _residuals(sol, pts)
@@ -307,45 +307,23 @@ def bernstein_1d_check(theta: float,
     if not 0 < theta < math.inf:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
     cases = []
-
-    def boundary_large(pb: float) -> bool:
-        # u'' ~ p^(-1/theta); at a boundary point with p(b) > 0 the
-        # integral is finite.  With p(b) = 0 it diverges only for
-        # theta <= 1/2 (u' ~ (b-x)^(1-1/theta) otherwise integrable).
-        if pb > 0:
-            return False
-        return theta <= 0.5
-
     for C2 in c2_values:
         for C3 in c3_values:
-            p0, p1 = C3, C3 - theta * C2
-
-            # the line: p must be positive everywhere
-            convex_line = C2 == 0 and C3 > 0
-            cases.append({"C2": C2, "C3": C3, "domain": "line",
-                          "convex": convex_line, "large": None,
-                          "excluded": not convex_line,
-                          "reason": "linear p changes sign on the line"})
-
-            # the unit interval [0, 1]
-            convex_int = (min(p0, p1) > 0) or (p0 == 0 and p1 > 0) or (p1 == 0 and p0 > 0)
-            large_int = convex_int and boundary_large(p0) and boundary_large(p1)
-            cases.append({"C2": C2, "C3": C3, "domain": "interval",
-                          "convex": bool(convex_int), "large": bool(large_int),
-                          "excluded": not (convex_int and large_int),
-                          "reason": "u finite at an endpoint with p > 0"})
-
-            # the half-line [0, inf)
-            slope = -theta * C2
-            convex_half = (slope > 0 and p0 >= 0 and (p0 > 0 or slope > 0)) or \
-                          (slope == 0 and p0 > 0) or (slope >= 0 and p0 > 0)
-            large_half = bool(convex_half) and boundary_large(p0)
-            cases.append({"C2": C2, "C3": C3, "domain": "halfline",
-                          "convex": bool(convex_half), "large": bool(large_half),
-                          "excluded": not (convex_half and large_half),
-                          "reason": "u finite at x = 0"})
-
-    nonquad = [c for c in cases if c["C2"] != 0]
-    all_excluded = all(c["excluded"] for c in nonquad)
-    quad_ok = True  # C2 = 0, C3 > 0 is convex and entire on the line
-    return {"theta": theta, "pass": bool(all_excluded and quad_ok), "cases": cases}
+            p0, p1, slope = C3, C3 - theta * C2, -theta * C2
+            line = C2 == 0 and C3 > 0           # p > 0 on the whole line
+            # u is finite at an end with p > 0 (u'' ~ p^(-1/theta)), and at one
+            # with p = 0 unless theta <= 1/2; [0, 1] is convex only with p > 0 at an end
+            half = bool(p0 == 0 and slope > 0 and theta <= 0.5)
+            cases += [{"C2": C2, "C3": C3, "domain": "line", "convex": line,
+                       "large": None, "excluded": not line,
+                       "reason": "linear p changes sign on the line"},
+                      {"C2": C2, "C3": C3, "domain": "interval",
+                       "convex": bool(min(p0, p1) >= 0 and max(p0, p1) > 0),
+                       "large": False, "excluded": True,
+                       "reason": "u finite at an endpoint with p > 0"},
+                      {"C2": C2, "C3": C3, "domain": "halfline",
+                       "convex": bool((slope > 0 and p0 >= 0) or (slope >= 0 and p0 > 0)),
+                       "large": half, "excluded": not half, "reason": "u finite at x = 0"}]
+    # C2 = 0, C3 > 0, the quadratic, is convex and entire on the line
+    return {"theta": theta, "pass": all(c["excluded"] for c in cases if c["C2"] != 0),
+            "cases": cases}

@@ -299,28 +299,65 @@ class TestConfigAndErrors:
             assert f": [solve-positive] {key}: " in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("name, text, reason", [
+        ("missing.ini", None, "No such file or directory"),
+        (".", None, "Is a directory"),
+        ("run.ini", b"[solve-positive]\nnodes = \xff\n", "can't decode byte 0xff")],
+        ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_one_line_usage_error(self, tmp_path, monkeypatch,
+                                                       capsys, name, text, reason):
+        # the undecodable file named neither the file nor the key, and the
+        # directory was reported as not found
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / name).write_bytes(text)
+        before = sorted(tmp_path.iterdir())
+        assert run(["solve-positive", "--config", name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParameterError: config file {name}: ")
+        assert reason in err and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_mismatched_factor_columns_are_one_line_usage_error(self, workdir, tmp_path,
+                                                                capsys):
+        # phi.csv was built with --v0 1.0; the constructor rebuilt at 2.0
+        # disagrees with its columns
+        out = tmp_path / "solution.json"
+        assert run(assemble_argv(workdir, out) + ["--phi-v0", "2.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterError: phi profile columns disagree")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, text", [
         ("phase", None), ("residual-hist", "[0.1, 0.2]"),
         ("residual-hist", '{"residuals": [0.1, "a"]}'),
         ("residual-hist", '{"residuals": "0.1"}'),
         ("residual-hist", '{"residuals": [0.1, NaN]}'),
         ("residual-hist", '{"pass": true}'),
-        ("phase", "eta\n1.1\n1.2\n"), ("profile", "r\n0.0\n1.0\n")],
+        ("phase", "eta\n1.1\n1.2\n"), ("profile", "r\n0.0\n1.0\n"),
+        ("profile", b"r,v,u\n0.0,\xff,0.0\n")],
         ids=["no-artifact", "json-list", "string-residual", "string-residuals",
              "nan-residual", "no-residuals", "one-column-phase",
-             "one-column-profile"])
+             "one-column-profile", "not-utf8-profile"])
     def test_bad_plot_artifact_is_one_line_usage_error(self, tmp_path, monkeypatch,
                                                        capsys, kind, text):
-        # these were tracebacks, a bare 'residuals', or (the one-column CSVs)
-        # exit 0 with a header naming more columns than the rows hold
+        # these were tracebacks, a bare 'residuals', (the one-column CSVs)
+        # exit 0 with a header naming more columns than the rows hold, or
+        # (the undecodable CSV) a codec message naming no file
         monkeypatch.chdir(tmp_path)
         argv = ["emit-plot-data", "--kind", kind]
-        if text is not None:
+        if isinstance(text, bytes):
+            (tmp_path / "artifact").write_bytes(text)
+        elif text is not None:
             (tmp_path / "artifact").write_text(text)
+        if text is not None:
             argv += ["--artifact", "artifact"]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+        if isinstance(text, bytes):
+            assert err.startswith("error: ParameterError: artifact: ")
         assert not (tmp_path / "plot.dat").exists()
 
     def test_default_section_keys_need_not_be_options(self, tmp_path):

@@ -200,7 +200,7 @@ class TestSerialization:
         curve_1e3.to_csv(buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == "eta,zeta,I"
-        back = PhaseCurve.from_csv(io.StringIO(text), n=2, theta=0.55)
+        back = PhaseCurve.from_csv(io.StringIO(text))
         assert np.array_equal(back.eta, curve_1e3.eta)
         assert np.array_equal(back.zeta, curve_1e3.zeta)
         assert back.params.eta0 == pytest.approx(1.05, abs=1e-12)

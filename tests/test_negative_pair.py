@@ -163,7 +163,7 @@ class TestFixedPoint:
         sol = fixed_point_solve(2, 0.55, 1.015)
         spec = GammaSetSpec(eta0=1.015, alpha=sol.taylor_formula.alpha,
                             beta=sol.taylor_formula.beta,
-                            gamma=sol.taylor_measured.gamma, sigma=0.5)
+                            gamma=sol.taylor_measured.gamma)
         assert spec.sigma_d3() == 0.5
         eta = np.concatenate([[1.0], sol.curve.eta])
         phi = np.concatenate([[0.0], sol.curve.zeta])
@@ -298,14 +298,15 @@ class TestGrowthBounds:
 
 class TestBlowupTime:
     def test_synthetic_quadratic(self):
-        # zeta = eta^2 from eta0 = 2: the integral to infinity is exactly 1/2
+        # zeta = eta^2 from eta0 = 2 to 1e4: the scanned integral is
+        # 1/2 - 1e-4, and the tail bound takes 0.9 of zeta/eta^2 = 1
         eta = np.geomspace(2.0, 1e4, 60000)
         curve = PhaseCurve(params=ModelParams(n=2, theta=0.55, eta0=2.0),
                            taylor=TaylorData(2.0, 0, 0, 0),
                            eta=eta, zeta=eta**2, I=np.zeros_like(eta))
-        T, tail = blowup_time(curve, safety=1.0)
-        assert T == pytest.approx(0.5, abs=1e-6)
-        assert tail == pytest.approx(1e-4, rel=1e-6)
+        T, tail = blowup_time(curve)
+        assert tail == pytest.approx(1.0 / (0.9 * 1e4), rel=1e-6)
+        assert T == pytest.approx(0.5 - 1e-4 + tail, abs=1e-6)
 
     def test_log_divergent_curve_raises(self):
         eta = np.geomspace(1.05, 1e4, 4000)

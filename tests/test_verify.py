@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -244,3 +245,71 @@ class TestBernstein1D:
         rep = bernstein_1d_check(0.6, c2_values=(0.5,), c3_values=(1.0,))
         line = [c for c in rep["cases"] if c["domain"] == "line"][0]
         assert not line["convex"] and line["excluded"]
+
+
+# ---------------------------------------------------------------------------
+# the case analysis before its constant branches were folded, kept as the
+# reference for every report
+
+
+def reference_bernstein_1d_check(theta: float,
+                                 c2_values=(-2.0, -0.5, 0.5, 2.0),
+                                 c3_values=(0.0, 0.7, 1.5)) -> dict:
+    if not 0 < theta < math.inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
+    cases = []
+
+    def boundary_large(pb: float) -> bool:
+        # u'' ~ p^(-1/theta); at a boundary point with p(b) > 0 the
+        # integral is finite.  With p(b) = 0 it diverges only for
+        # theta <= 1/2 (u' ~ (b-x)^(1-1/theta) otherwise integrable).
+        if pb > 0:
+            return False
+        return theta <= 0.5
+
+    for C2 in c2_values:
+        for C3 in c3_values:
+            p0, p1 = C3, C3 - theta * C2
+
+            # the line: p must be positive everywhere
+            convex_line = C2 == 0 and C3 > 0
+            cases.append({"C2": C2, "C3": C3, "domain": "line",
+                          "convex": convex_line, "large": None,
+                          "excluded": not convex_line,
+                          "reason": "linear p changes sign on the line"})
+
+            # the unit interval [0, 1]
+            convex_int = (min(p0, p1) > 0) or (p0 == 0 and p1 > 0) or (p1 == 0 and p0 > 0)
+            large_int = convex_int and boundary_large(p0) and boundary_large(p1)
+            cases.append({"C2": C2, "C3": C3, "domain": "interval",
+                          "convex": bool(convex_int), "large": bool(large_int),
+                          "excluded": not (convex_int and large_int),
+                          "reason": "u finite at an endpoint with p > 0"})
+
+            # the half-line [0, inf)
+            slope = -theta * C2
+            convex_half = (slope > 0 and p0 >= 0 and (p0 > 0 or slope > 0)) or \
+                          (slope == 0 and p0 > 0) or (slope >= 0 and p0 > 0)
+            large_half = bool(convex_half) and boundary_large(p0)
+            cases.append({"C2": C2, "C3": C3, "domain": "halfline",
+                          "convex": bool(convex_half), "large": bool(large_half),
+                          "excluded": not (convex_half and large_half),
+                          "reason": "u finite at x = 0"})
+
+    nonquad = [c for c in cases if c["C2"] != 0]
+    all_excluded = all(c["excluded"] for c in nonquad)
+    quad_ok = True  # C2 = 0, C3 > 0 is convex and entire on the line
+    return {"theta": theta, "pass": bool(all_excluded and quad_ok), "cases": cases}
+
+
+@pytest.mark.parametrize("c3_values", [None, (0.0, -1.0, 1.0, 2.0)], ids=["c3-grid", "c3-edges"])
+@pytest.mark.parametrize("c2_values", [None, (0.0, 1.0, -1.0, 0.5, -3.0)],
+                         ids=["c2-grid", "c2-edges"])
+@pytest.mark.parametrize("theta", [1e-9, 0.1, 0.3, 0.5, 0.50001, 0.55, 0.6, 1.0, 2.0,
+                                   7.5, 1e9])
+def test_bernstein_1d_matches_reference(theta, c2_values, c3_values):
+    grids = {k: v for k, v in (("c2_values", c2_values), ("c3_values", c3_values))
+             if v is not None}
+    got = bernstein_1d_check(theta, **grids)
+    assert (json.dumps(got, sort_keys=True)
+            == json.dumps(reference_bernstein_1d_check(theta, **grids), sort_keys=True))
