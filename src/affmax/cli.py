@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .core import (PhaseCurve, RadialProfile, check_radii, decode_column,
-                   encode_column, read_columns, upper_bound_claimed,
-                   write_columns)
+from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
+                   check_radii, decode_column, encode_column, read_columns,
+                   upper_bound_claimed, write_columns)
 from .errors import AffmaxError, ParameterError
 from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
                             growth_bounds_check)
@@ -72,7 +72,7 @@ _OPTIONS = [
     ("assemble", "m", int, 0, "cylinder factors"),
     ("assemble", "theta", float, 0.55, "exponent"),
     ("assemble", "n", int, 2, "psi dimension"),
-    ("assemble", "report", str, None, "solve-negative report (R_inf)"),
+    ("assemble", "report", str, None, "solve-negative report (R_inf), required"),
     ("assemble", "curve", str, "curve.csv",
      "phase-curve CSV the psi factor is rebuilt from"),
     ("assemble", "psi-v0", float, 1.0, "anchor v(1) of the psi factor"),
@@ -223,14 +223,15 @@ def _cmd_reconstruct(o) -> int:
 
 
 def _cmd_assemble(o) -> int:
+    if o["report"] is None:
+        raise ParameterError("assemble needs --report, the report that gives R_inf")
     n, theta = int(o["n"]), o["theta"]
     phi_r, phi_v, _ = read_columns(o["phi"], header=["r", "v", "u"])[1]
     check_radii(phi_r)
     psi_r, psi_v, _ = read_columns(o["psi"], header=["r", "v", "u"])[1]
     check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
-    R_inf = (_number(_load_json(o["report"]), "R_inf", o["report"],
-                     positive=True, nullable=True) if o["report"] else None)
+    R_inf = _number(_load_json(o["report"]), "R_inf", o["report"], positive=True)
     # both factors are built from their constructors, as verify builds
     # them; the CSV columns only cross-check them
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
@@ -242,12 +243,11 @@ def _cmd_assemble(o) -> int:
     _check_columns_match(phi_r, phi_v, phi, "phi")
     psi = _factor(psi_ctor, theta, n, "psi.constructor")
     _check_columns_match(psi_r, psi_v, psi, "psi")
-    sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta,
-                   R_inf=math.inf if R_inf is None else R_inf)
+    sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta, R_inf=R_inf)
     payload = {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
-        "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None,
+        "R_inf": sol.R_inf,
         "lambda_phi": sol.lambda_phi, "lambda_psi": sol.lambda_psi,
         "phi": {"constructor": phi_ctor}, "psi": {"constructor": psi_ctor},
     }
@@ -310,12 +310,10 @@ def _finite(val) -> bool:
             and abs(val) <= sys.float_info.max)
 
 
-def _number(obj, key, where, integer=False, positive=False, nullable=False):
+def _number(obj, key, where, integer=False, positive=False):
     """obj[key]: an integer if asked, else a finite JSON number, positive
-    if asked, or null if nullable; else ParameterError."""
+    if asked; else ParameterError."""
     val = _get(obj, key, where)
-    if val is None and nullable:
-        return None
     if integer:
         ok = isinstance(val, int) and not isinstance(val, bool)
     else:
@@ -323,8 +321,7 @@ def _number(obj, key, where, integer=False, positive=False, nullable=False):
     if not ok:
         need = ("an integer" if integer else
                 f"a {'positive ' if positive else ''}finite number")
-        raise ParameterError(f"{where}: {key} must be {need}"
-                             f"{' or null' if nullable else ''}, got {repr(val)[:40]}")
+        raise ParameterError(f"{where}: {key} must be {need}, got {repr(val)[:40]}")
     return val if integer else float(val)
 
 
@@ -335,7 +332,6 @@ def _solution_from_json(path):
     value of the wrong type or range, or a curve column that is not
     base64 float64 data raise a one-line ParameterError.
     """
-    from .core import ModelParams, SeparableSolution
     data = _load_json(path)
     if _get(data, "schema", path) != SCHEMA_VERSION:
         raise ParameterError(
@@ -354,13 +350,15 @@ def _solution_from_json(path):
         raise ParameterError(f"{path}: N is not 1 + n_psi + m_cylinder = {1 + n + m}")
     kappa, lam_phi, lam_psi = (_number(data, k, path)
                                for k in ("kappa", "lambda_phi", "lambda_psi"))
-    R_inf = _number(data, "R_inf", path, positive=True, nullable=True)
+    if _get(data, "R_inf", path) is None:
+        raise ParameterError(f"{path}: R_inf is null; rerun assemble with --report")
+    R_inf = _number(data, "R_inf", path, positive=True)
     phi, psi = (_factor(_get(_get(data, k, path), "constructor", f"{path}: {k}"),
                         theta, dim, f"{path}: {k}.constructor")
                 for k, dim in (("phi", 1), ("psi", n)))
     return SeparableSolution(
         phi=phi.scaled(kappa), psi=psi, kappa=kappa, theta=theta,
-        R_inf=math.inf if R_inf is None else R_inf, m_cylinder=m,
+        R_inf=R_inf, m_cylinder=m,
         lambda_phi=lam_phi, lambda_psi=lam_psi)
 
 
@@ -436,6 +434,7 @@ def _cmd_sweep(o) -> int:
         raise ParameterError(f"steps must be at least 1, got {o['steps']}")
     if not o["jobs"] >= 1:
         raise ParameterError(f"jobs must be at least 1, got {o['jobs']}")
+    ModelParams.require_negative_pair_n(o["n"])
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     jobs = int(o["jobs"])

@@ -63,10 +63,14 @@ class ModelParams:
         if not 1 < self.eta0 < math.inf:
             raise ParameterError(f"eta0 must exceed 1 and be finite, got {self.eta0}")
 
+    @staticmethod
+    def require_negative_pair_n(n):
+        if not 2 <= n <= 5:
+            raise ParameterError(f"negative-pair solve needs 2 <= n <= 5, got {n}")
+
     def require_negative_pair(self):
         """Extra hypotheses for the bounded-factor construction."""
-        if not 2 <= self.n <= 5:
-            raise ParameterError(f"negative-pair solve needs 2 <= n <= 5, got {self.n}")
+        self.require_negative_pair_n(self.n)
         # the closed-form Taylor data at eta = 1 are cubic in theta and
         # leave the float range near theta = 1e102
         if not self.theta <= 1e100:

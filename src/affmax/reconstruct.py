@@ -88,9 +88,9 @@ def t_of_eta(curve: PhaseCurve):
 class PhaseProfileEvaluator(ProfileEvaluator):
     """Evaluation of the rebuilt profile through quintic splines in t = log r.
 
-    Below the table (r < r_min) the profile continues with its origin
-    asymptotics v ~ vp0 r and etabar - 1 ~ r^d1; its last radius r_max is
-    the table edge.
+    Below the table (r < r_min) the profile and its derivatives continue
+    with the origin asymptotics v ~ vp0 r and etabar - 1 ~ r^d1; its last
+    radius r_max is the table edge.
     """
 
     def __init__(self, tab):
@@ -150,18 +150,19 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def _deriv(self, a, k):
         rs = np.maximum(a, self.r_min)
         t, etab, zeta, logv = self._state(rs)
-        vv = np.exp(logv)
+        vv, G = np.exp(logv), etab * etab + zeta - etab
         if k == 1:
-            out, below = vv * etab / rs, self.vp0
+            out = vv * etab / rs
+        elif k == 2:
+            out = vv * G / (rs * rs)
         else:
-            G = etab * etab + zeta - etab
-            if k == 2:
-                out = vv * G / (rs * rs)
-            else:
-                zp = self._dcols(t, 1)
-                out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
-            below = 0.0
-        return np.where(a < self.r_min, below, out)
+            zp = self._dcols(t, 1)
+            out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
+        # below the table, d^k/dr^k of v = vp0 (r + c r^(d1+1) / d1), etabar - 1 =
+        # c r^d1; d1 is 2 only up to rounding, so r^(d1-2) needs r > 0
+        d1, ra = self.d1, np.clip(a, np.finfo(float).tiny, self.r_min)
+        c = math.prod(d1 + 1 - i for i in range(k)) * self._x_min / self.r_min ** d1 / d1
+        return np.where(a < self.r_min, self.vp0 * ((k == 1) + c * ra ** (d1 + 1 - k)), out)
 
 
 def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:

@@ -34,11 +34,8 @@ def _fit_nodes(profile: RadialProfile):
     return np.linspace(lo, r_hi, 9)
 
 
-# the largest m_cylinder assemble and verify accept.  The stencil no longer
-# limits it: _residuals works in blocks of points, and at n = 2, m = 8
-# (N = 11, 243 stencil points a sample) 1000 samples take 5.7 MB traced
-# and verify peaks at 53 MB RSS.  The cap stays so that the same inputs
-# are accepted.
+# the largest m_cylinder assemble and verify accept, as input validation
+# only: the verify stencil does not grow with m_cylinder
 MAX_CYLINDER = 8
 
 
@@ -115,32 +112,36 @@ def _w(sol: SeparableSolution, x, rho) -> np.ndarray:
     return det ** (-sol.theta)
 
 
-def _stencil(N: int) -> np.ndarray:
-    """Unit offsets of the Hessian stencil, shape (S, N), S = 1 + 2N + 2N(N-1).
+def _stencil(n: int) -> np.ndarray:
+    """Unit offsets in (x, y) of the points the residual reads, shape
+    (S, 1 + n), S = 1 + 2(1 + n) + 2n(n - 1).
 
-    Rows: the centre; +e_i, -e_i for each i; then e_i+e_j, e_i-e_j,
-    -e_i+e_j, -e_i-e_j for each j < i.
+    Rows: the centre; +e_i, -e_i for x and each y_i; then e_i+e_j,
+    e_i-e_j, -e_i+e_j, -e_i-e_j for each y pair j < i.  w depends on x
+    and |y| alone, and u^{ij} is block diagonal, so the x-y and cylinder
+    entries of D^2 w meet exact zeros of u^{ij} and need no points.
     """
-    e = np.eye(N)
-    rows = [np.zeros(N)]
-    for i in range(N):
+    e = np.eye(1 + n)
+    rows = [np.zeros(1 + n)]
+    for i in range(1 + n):
         rows += [e[i], -e[i]]
-    for i in range(N):
-        for j in range(i):
-            rows += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
+    for i, j in zip(*np.add(np.tril_indices(n, -1), 1)):     # the y pairs j < i
+        rows += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
     return np.array(rows)
 
 
-def _hessian_from_stencil(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(P, N, N) central-difference Hessians from values f (P, S) on _stencil(N)."""
-    P, N = h.shape
-    H = np.empty((P, N, N))
-    d = np.arange(N)
-    H[:, d, d] = (f[:, 1:2 * N:2] - 2.0 * f[:, :1] + f[:, 2:2 * N + 1:2]) / h ** 2
-    i, j = np.tril_indices(N, -1)            # the pairs j < i in stencil order
-    g = f[:, 1 + 2 * N:].reshape(P, -1, 4)
-    H[:, i, j] = H[:, j, i] = ((g[..., 0] - g[..., 1] - g[..., 2] + g[..., 3])
-                               / (4 * h[:, i] * h[:, j]))
+def _hessian_from_stencil(f: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """(..., N, N) central-difference Hessians from values f (..., S) on
+    _stencil(n) with steps h (..., N); the entries _stencil has no points
+    for are exactly 0."""
+    H = np.zeros(h.shape + h.shape[-1:])
+    d = np.arange(1 + n)
+    H[..., d, d] = (f[..., 1:2 * n + 2:2] - 2.0 * f[..., :1]
+                    + f[..., 2:2 * n + 3:2]) / h[..., :1 + n] ** 2
+    i, j = np.add(np.tril_indices(n, -1), 1)     # the y pairs, in _stencil order
+    g = f[..., 2 * n + 3:].reshape(f.shape[:-1] + (-1, 4))
+    H[..., i, j] = H[..., j, i] = ((g[..., 0] - g[..., 1] - g[..., 2] + g[..., 3])
+                                   / (4 * h[..., i] * h[..., j]))
     return H
 
 
@@ -155,49 +156,43 @@ def _inverse_hessian(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
     c = ((rho * psi2 - psi1) / (rho**3 * psi2))[:, None, None]
     yy = y[:, :, None] * y[:, None, :]
     inv[:, 1:1 + n, 1:1 + n] = (rho / psi1)[:, None, None] * (np.eye(n) - c * yy)
-    for k in range(m):
-        inv[:, 1 + n + k, 1 + n + k] = 1.0
+    inv[:, 1 + n:, 1 + n:] = np.eye(m)
     return inv
 
 
 _H_REL = 1e-3   # relative step of the verify stencil
 # bytes of w values in one block of points (8 S per point and step): the
-# block's other work arrays are small multiples of it (N for the stencil
-# coordinates), and its fixed cost, about a millisecond of factor
-# evaluations, stays small next to its work
-_BLOCK_BYTES = 1 << 17
+# block's other work arrays are small multiples of it, and its fixed
+# cost, about a millisecond of factor evaluations, stays small next to
+# its work (blocks of 372 points at n = 2, whatever m_cylinder)
+_BLOCK_BYTES = 1 << 16
 
 
 def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL) -> np.ndarray:
-    """u^{ij} D_ij w at each of the (P, N) points, by blocks of points.
+    """u^{ij} D_ij w at each of the (P, N) points, in one pass over blocks.
 
     w is differentiated by central differences with steps h = h_rel *
     max(|p_i|, 1) and h/2, combined by Richardson extrapolation as
-    (4 H(h/2) - H(h)) / 3.  Each step is one pass over the points in
-    blocks of _BLOCK_BYTES of w values, and w is evaluated once over every
-    stencil point of a block, so its work arrays do not grow with P.  Every
-    residual depends on its own point alone, and a NearSingular names the
-    first bad stencil point in (step, point, stencil) order, whatever the
-    block size.
+    (4 H(h/2) - H(h)) / 3.  Each block of _BLOCK_BYTES of w values
+    evaluates w once over both steps' stencil points and writes its
+    residuals, so no work array grows with P.  Every residual depends on
+    its own point alone; a NearSingular names the first bad stencil point
+    of the first block that has one, in (step, point, stencil) order.
     """
-    n, (P, N) = sol.psi.n, pts.shape
+    n, P = sol.psi.n, len(pts)
     h = h_rel * np.maximum(np.abs(pts), 1.0)
-    off = _stencil(N)
-    block = max(1, _BLOCK_BYTES // (8 * len(off)))
-    H = np.empty((P, N, N))
+    off = _stencil(n)
+    steps = np.array([1.0, 2.0])[:, None, None]      # h, then h/2
+    block = max(1, _BLOCK_BYTES // (16 * len(off)))
     res = np.empty(P)
-    for step in (1.0, 2.0):                  # h, then h/2
-        for lo in range(0, P, block):
-            p, hk = pts[lo:lo + block], h[lo:lo + block] / step
-            q = p[:, None, :] + off * hk[:, None, :]
-            Hk = _hessian_from_stencil(
-                _w(sol, q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)), hk)
-            if step == 1.0:
-                H[lo:lo + block] = Hk
-            else:
-                Hk = (4.0 * Hk - H[lo:lo + block]) / 3.0
-                res[lo:lo + block] = np.einsum("pij,pij->p",
-                                               _inverse_hessian(sol, p), Hk)
+    for lo in range(0, P, block):
+        p, hk = pts[lo:lo + block], h[lo:lo + block] / steps
+        q = p[:, None, :1 + n] + off * hk[:, :, None, :1 + n]
+        H = _hessian_from_stencil(
+            _w(sol, q[..., 0], np.linalg.norm(q[..., 1:], axis=-1)), hk, n)
+        # over all (N, N) entries: a (1+n, 1+n) one rounds its sums differently
+        res[lo:lo + block] = np.einsum("pij,pij->p", _inverse_hessian(sol, p),
+                                       (4.0 * H[1] - H[0]) / 3.0)
     return res
 
 

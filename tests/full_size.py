@@ -4,14 +4,15 @@ solve_banded is the collocation solve that copies the whole right-hand
 side, concatenates an identity row onto the band and right-hand side of
 an odd interior, and allocates every temporary at full size.  residuals
 is the verify residual from one stencil pass over every point and both
-steps.  The kernels in src must return the same bits as these, whatever
-their block sizes.
+steps, on a stencil over every coordinate and every pair of coordinates.
+The kernels in src must return the same bits as these, whatever their
+block sizes.
 """
 
 import numpy as np
 
 from affmax.spline import _dot, _inv, _solve_columns
-from affmax.verify import _inverse_hessian, _stencil, _w
+from affmax.verify import _inverse_hessian, _w
 
 
 def solve_banded(rows, start, Y, k):
@@ -91,6 +92,22 @@ def _mul(a, b):
     out = a[:, :1] * b[0]
     out += a[:, 1:] * b[1]
     return out
+
+
+def _stencil(N):
+    """Unit offsets of the Hessian stencil, shape (S, N), S = 1 + 2N + 2N(N-1).
+
+    Rows: the centre; +e_i, -e_i for each i; then e_i+e_j, e_i-e_j,
+    -e_i+e_j, -e_i-e_j for each j < i.
+    """
+    e = np.eye(N)
+    rows = [np.zeros(N)]
+    for i in range(N):
+        rows += [e[i], -e[i]]
+    for i in range(N):
+        for j in range(i):
+            rows += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
+    return np.array(rows)
 
 
 def _hessian_from_stencil(f, h):

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -96,6 +97,18 @@ class TestPipeline:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "curve.csv" in err
+        assert not (tmp_path / "solution.json").exists()
+
+    def test_assemble_without_report_is_one_line_usage_error(self, workdir, tmp_path,
+                                                             capsys):
+        # it wrote "R_inf": null, and verify then passed a completeness
+        # check that checked no boundary
+        argv = assemble_argv(workdir, tmp_path / "solution.json")
+        i = argv.index("--report")
+        assert run(argv[:i] + argv[i + 2:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterError: assemble needs --report")
+        assert err.count("\n") == 1
         assert not (tmp_path / "solution.json").exists()
 
     @pytest.mark.parametrize("text", ["[1]", '{"R_inf": "big"}', '{"R_inf": NaN}',
@@ -218,6 +231,8 @@ _MALFORMED_SOLUTIONS = {
     "nodes-huge": {"phi.constructor.nodes": 2**63},
     "R_inf-string": {"R_inf": "big"},
     "R_inf-negative": {"R_inf": -4.7},
+    # what assemble wrote without --report
+    "R_inf-null": {"R_inf": None},
     "m_cylinder-list": {"m_cylinder": [1]},
     "m_cylinder-huge": {"m_cylinder": 2**63},
     "n_psi-float": {"n_psi": 2.5},
@@ -388,6 +403,8 @@ class TestConfigAndErrors:
         ["solve-negative", "--max-iter", "0"], ["solve-negative", "--tol", "-1"],
         ["verify", "--points", "0"], ["sweep", "--steps", "0"],
         ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
+        # n = 0 and -1 were a ZeroDivisionError traceback
+        ["sweep", "--n", "0"], ["sweep", "--n", "-1"],
         ["bernstein-radial", "--samples", "0"], ["solve-positive", "--nodes", "0"],
         ["solve-positive", "--nodes", "1"], ["solve-positive", "--nodes", "1000001"],
         # theta = 1e300 overflowed the Taylor closed form with a traceback;
@@ -497,6 +514,8 @@ class TestConfigAndErrors:
         err = self._assert_one_line_usage_error(bad, capsys)
         if data.get("schema") in (1, 2):
             assert "rerun assemble" in err
+        if data.get("R_inf", 1.0) is None:
+            assert "rerun assemble with --report" in err
 
     @staticmethod
     def _assert_one_line_usage_error(path, capsys):
@@ -590,6 +609,31 @@ class TestConfigAndErrors:
         out = tmp_path / "b1.json"
         assert run(["bernstein-1d", "--theta", "0.6", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pass"]
+
+
+_INT_OPTIONS = [(command, flag) for command, flag, typ, *_ in cli._OPTIONS
+                if typ is int]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", _INT_OPTIONS,
+                         ids=[f"{c} --{f}" for c, f in _INT_OPTIONS])
+def test_int_option_at_zero_or_minus_one_exits_cleanly(workdir, tmp_path, monkeypatch,
+                                                       capsys, command, flag, value):
+    # each command runs on copies of the flagship artifacts under their
+    # default names, assemble with its report.  No value here starts a
+    # process: sweep refuses a --jobs below 1 before it makes a pool
+    for name in ("phi.csv", "psi.csv", "curve.csv", "report.json", "solution.json"):
+        shutil.copy(workdir / name, tmp_path / name)
+    (tmp_path / "run.ini").write_text("[assemble]\nreport = report.json\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run([command, "--config", "run.ini", f"--{flag}", value])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert not caught
 
 
 class TestSweep:

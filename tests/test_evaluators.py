@@ -87,7 +87,7 @@ class RefPhaseProfileEvaluator:
         t, etab, zeta = self._state(rs)
         vv = np.exp(self._LV(t))
         if k == 1:
-            out, below = vv * etab / rs, self.vp0
+            out = vv * etab / rs
         else:
             G = etab * etab + zeta - etab
             if k == 2:
@@ -95,7 +95,10 @@ class RefPhaseProfileEvaluator:
             else:
                 zp = self._dLZ(t)
                 out = vv * ((etab - 2.0) * G + zeta * (2.0 * etab + zp - 1.0)) / rs**3
-            below = 0.0
+        # below the table: d^k/dr^k of v = vp0 (r + c r^(d1+1) / d1)
+        d1, ra = self.d1, np.clip(r, np.finfo(float).tiny, self.r_min)
+        c = math.prod(d1 + 1 - i for i in range(k)) * self._x_min / self.r_min ** d1 / d1
+        below = self.vp0 * ((k == 1) + c * ra ** (d1 + 1 - k))
         return shaped_like(r, np.where(r < self.r_min, below, out))
 
 

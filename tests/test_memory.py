@@ -20,8 +20,8 @@ from conftest import THETA
 from memtrace import traced_peak_mb
 
 PSI_FIT_MB = 5.0          # measured 4.36; full-size solve 9.55
-RESIDUAL_M8_MB = 6.5      # measured 5.67; one stencil pass over every point 85.82
-VERIFY_STAGE_MB = 9.0     # measured 8.11; full-size kernels 15.53
+RESIDUAL_M8_MB = 4.0      # measured 3.50; one stencil pass over every point 85.82
+VERIFY_STAGE_MB = 9.0     # measured 7.49; full-size kernels 15.53
 
 
 def test_psi_fit_peak(curve_1e5):

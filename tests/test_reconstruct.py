@@ -149,6 +149,15 @@ class TestRebuild:
         assert abs(v3) > 0.05          # genuinely non-quadratic
         assert abs(v4) < 1e-4
 
+    def test_derivatives_continue_across_the_table_start(self, psi_profile):
+        # below r_min the second and third derivatives were 0, not the
+        # values the exact chain tends to at r_min (6.4e-6 and 0.139 here)
+        ev = psi_profile.evaluator
+        below = np.nextafter(ev.r_min, 0.0)
+        for k in (1, 2, 3):
+            at = ev.deriv(ev.r_min, k)
+            assert abs(ev.deriv(below, k) - at) <= 1e-3 * abs(at)
+
     def test_cubic_profile_round_trip(self):
         # full analytic loop: v = 2r + r^3 -> phase curve -> rebuilt profile
         c = cubic_curve()

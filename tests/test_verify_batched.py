@@ -133,7 +133,7 @@ def scipy_fit(x, y, k):
 def solutions(solution, phi_profile, psi_profile, psi_R_inf):
     return {0: solution,
             **{m: assemble(phi_profile, psi_profile, m_cylinder=m, theta=THETA,
-                           R_inf=psi_R_inf) for m in (1, 2)}}
+                           R_inf=psi_R_inf) for m in (1, 2, 8)}}
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +202,12 @@ def test_batched_w_matches_scalar(solutions, m, raw):
 @given(raw=raw_points)
 def test_distinct_radius_parts_bitwise(solutions, m, raw):
     # one evaluation per distinct radius, gathered back, equals the
-    # direct evaluation on the (2, P, S) stencil arrays _residuals builds
+    # direct evaluation on (2, P, S) stencil arrays, here those of the
+    # full-size reference stencil (a superset of the points _residuals reads)
     sol = solutions[m]
     pts = interior_points(sol, raw)
     h = H_REL * np.maximum(np.abs(pts), 1.0)
-    off = _stencil(pts.shape[1])
+    off = full_size._stencil(pts.shape[1])
     q = np.stack([pts[:, None, :] + off * hk[:, None, :] for hk in (h, h / 2.0)])
     x, rho = q[..., 0].copy(), np.linalg.norm(q[..., 1:1 + sol.psi.n], axis=-1)
     x.flat[0], x.flat[x.size // 2], x.flat[-1] = 0.0, -0.0, -0.0   # signed zeros
@@ -293,7 +294,7 @@ def test_batched_path_raises_near_singular():
 
 def block_bytes(sol, points):
     """The _BLOCK_BYTES that makes blocks of the given number of points."""
-    return points * 8 * len(_stencil(sol.N))
+    return points * 16 * len(_stencil(sol.psi.n))
 
 
 # (P, points per block): one block, a block of one point, P not a multiple
@@ -302,7 +303,7 @@ BLOCKINGS = [(1, 1), (2, 1), (5, 2), (9, 3), (65, 7), (129, 64), (256, 128),
              (300, 250), (431, 13), (599, 128), (600, 250), (600, None)]
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 8])
 def test_blocked_residuals_equal_full_size_pass(solutions, monkeypatch, m):
     sol = solutions[m]
     pts = _sample_points(sol, 600, 7)
@@ -327,10 +328,12 @@ def test_blocked_residuals_equal_full_size_pass_drawn(solutions, m, data):
     assert got.tobytes() == full_size.residuals(sol, pts).tobytes()
 
 
-def test_near_singular_names_the_point_the_full_size_pass_names(monkeypatch):
+def test_near_singular_names_the_first_bad_point_of_the_first_bad_block(
+        monkeypatch):
     # psi = |y|^2/2 gives det = 1 but at a stencil point on rho = 0 (NaN):
-    # with h = 1e-3, (x, 5e-4, 0) reaches it only at step h/2, in the first
-    # block, and (x, 1e-3, 0) at step h, in a later one; step h comes first
+    # with h = 1e-3, (0.25, 5e-4, 0) reaches it only at step h/2 and
+    # (0.75, 1e-3, 0) at step h.  Within a block step h comes first, as in
+    # the full-size pass; blocks are checked in order
     ev = AnalyticEvaluator(lambda r: r, [lambda r: 1.0, lambda r: 0.0,
                                          lambda r: 0.0], u_fn=lambda r: r * r / 2)
     r = np.linspace(0.0, 4.0, 41)
@@ -342,13 +345,21 @@ def test_near_singular_names_the_point_the_full_size_pass_names(monkeypatch):
                             theta=0.75, R_inf=math.inf)
     pts = np.array([[0.1, 0.5, 0.5], [0.25, 5e-4, 0.0], [0.2, 0.3, -0.4],
                     [0.3, 0.6, 0.1], [0.4, 0.7, 0.2], [0.75, 1e-3, 0.0]])
-    with pytest.raises(NearSingular) as ref:
+    with pytest.raises(NearSingular, match="x=0.75") as ref:
         full_size.residuals(sol, pts)
-    assert "x=0.75" in str(ref.value)
-    for block in (1, 2, 4, 6):
+    for block, named in ((1, "x=0.25"), (6, "x=0.75")):
         monkeypatch.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
-        with pytest.raises(NearSingular) as err:
+        with pytest.raises(NearSingular, match=named) as err:
             _residuals(sol, pts)
-        assert str(err.value) == str(ref.value)
+    assert str(err.value) == str(ref.value)
     with pytest.raises(NearSingular, match="x=0.25"):
         _residuals(sol, pts[:5])
+
+
+def test_stencil_holds_only_the_points_the_residual_reads():
+    # 1 + 2(1+n) + 2n(n-1) rows in (x, y), whatever m_cylinder
+    for n in range(2, 6):
+        off = _stencil(n)
+        assert off.shape == (1 + 2 * (1 + n) + 2 * n * (n - 1), 1 + n)
+        assert len(np.unique(off, axis=0)) == len(off)
+        assert not np.any(off[:, 0] * np.abs(off[:, 1:]).sum(axis=1))   # no x-y corner
