@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import inspect
 import json
 import math
 import sys
@@ -42,9 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-# solve-negative keeps fixed_point_solve's defaults, as sweep does
-_SOLVER = inspect.signature(fixed_point_solve).parameters
-
 # every option of every subcommand: (command, flag, type, default, help).
 # The option's key, in the parsed options and in a config file, is the
 # flag with dashes as underscores.
@@ -58,9 +54,6 @@ _OPTIONS = [
     ("solve-negative", "n", int, 2, "factor dimension"),
     ("solve-negative", "theta", float, 0.55, "exponent"),
     ("solve-negative", "eta0", float, 1.05, "anchor eta0 > 1"),
-    ("solve-negative", "tol", float, _SOLVER["tol"].default, "sup-norm tolerance"),
-    ("solve-negative", "max-iter", int, _SOLVER["max_iter"].default, "iteration cap"),
-    ("solve-negative", "damping", float, _SOLVER["damping"].default, "Picard damping"),
     ("solve-negative", "eta-max", float, 1e5, "integration and bound-scan range"),
     ("solve-negative", "out", str, "curve.csv", "curve CSV"),
     ("solve-negative", "report", str, "report.json", "report JSON"),
@@ -172,8 +165,9 @@ def _cmd_solve_positive(o) -> int:
     return 0
 
 
-def _solve_negative_pipeline(local, eta_max):
+def _solve_negative_pipeline(n, theta, eta0, eta_max):
     """The local solve's curve extended to eta_max, and its report."""
+    local = fixed_point_solve(n, theta, eta0)
     curve = extend_global(local, eta_max=eta_max)
     bounds_rep = growth_bounds_check(curve)
     # the blow-up estimate uses the full integration range: the curve (and
@@ -200,9 +194,7 @@ def _solve_negative_pipeline(local, eta_max):
 
 
 def _cmd_solve_negative(o) -> int:
-    local = fixed_point_solve(int(o["n"]), o["theta"], o["eta0"], tol=o["tol"],
-                              max_iter=int(o["max_iter"]), damping=o["damping"])
-    curve, report = _solve_negative_pipeline(local, o["eta_max"])
+    curve, report = _solve_negative_pipeline(o["n"], o["theta"], o["eta0"], o["eta_max"])
     curve.to_csv(o["out"])
     _dump_json(report, o["report"])
     ok = (report["bounds_detail"]["rho_holds"]
@@ -417,8 +409,7 @@ def _sweep_worker(task):
     if not row["upper_bound_claimed"]:
         row["note"] = "upper-bound-not-claimed"
     try:
-        _, report = _solve_negative_pipeline(fixed_point_solve(n, theta, eta0),
-                                             eta_max)
+        _, report = _solve_negative_pipeline(n, theta, eta0, eta_max)
         row.update({"lambda_cal": report["lambda_cal"],
                     "iterations": report["iterations"],
                     "T_inf": report["T_inf"], "R_inf": report["R_inf"],
@@ -437,7 +428,7 @@ def _cmd_sweep(o) -> int:
     ModelParams.require_negative_pair_n(o["n"])
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
-    jobs = int(o["jobs"])
+    jobs = min(int(o["jobs"]), len(tasks))
     if jobs > 1:
         # imported here: multiprocessing costs every other command ~15 ms.
         # The forked workers keep the one BLAS thread affmax/__init__.py

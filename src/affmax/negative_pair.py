@@ -142,14 +142,13 @@ def _prepare_grid(eta, phi, eta0: float, taylor: TaylorData | None):
     return eta, x, phi, measure_taylor(1.0 + x, phi, eta0) if taylor is None else taylor
 
 
-def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
-                 theta: float | None = None):
+def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float):
     """(Jfull, lam): Jfull = int_1^eta g at each sample, with g the regular
     part of (s+1)/phi, and lam = 2 * target(n) * (eta0 - 1) * exp(J),
     J = Jfull[-1] = int_1^eta0 g.
 
     exp(J) beyond the float range means the candidate has no calibration
-    constant: NoConvergence, naming J and the parameters (theta if given).
+    constant: NoConvergence, naming J.
     """
     g = _g_integrand(x, eta, phi, taylor)
     Jfull = cumulative_simpson(g, eta)
@@ -157,10 +156,8 @@ def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float,
     try:
         return Jfull, 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(J)
     except OverflowError:
-        at = f"n = {n}" + ("" if theta is None else f", theta = {theta}")
         raise NoConvergence(
-            f"calibration constant overflows: exp(J) with J = {J:.6g} "
-            f"({at}, eta0 = {eta0})") from None
+            f"calibration constant overflows: exp(J) with J = {J:.6g}") from None
 
 
 def calibrate_lambda(eta, phi, n: int, eta0: float) -> float:
@@ -180,7 +177,7 @@ def calibrate_lambda(eta, phi, n: int, eta0: float) -> float:
 
 def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float):
     """One application of the mapping; returns (zeta, lam, F = zeta')."""
-    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0, theta)
+    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0)
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
     ratio = x_over_zeta(x, phi, taylor)         # (eta-1)/phi
     exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
@@ -254,7 +251,8 @@ class GammaSetSpec:
 
 @dataclass
 class LocalSolve:
-    """Converged local curve with its calibration constant."""
+    """Converged local curve with its calibration constant; iterations and
+    contraction_history count every sweep, those before restarts included."""
 
     curve: PhaseCurve
     lambda_cal: float
@@ -265,52 +263,61 @@ class LocalSolve:
     membership: dict = field(default_factory=dict)
 
 
+_TOL = 1e-10              # sup-norm change at which the iteration has converged
+_MAX_SWEEPS = 200         # sweeps of one solve, restarts included
+_DAMPING_FLOOR = 1 / 64   # the smallest damping a restart tries
+
+
 def fixed_point_solve(n: int, theta: float, eta0: float,
-                      tol: float = 1e-10, max_iter: int = 200,
-                      damping: float = 0.5, grid_points: int = 6000) -> LocalSolve:
+                      grid_points: int = 6000) -> LocalSolve:
     """Damped Picard iteration phi <- (1-d) phi + d T(phi) from the cubic seed.
 
-    Converges when the sup-norm change drops below tol (> 0) within
-    max_iter (>= 1) sweeps, and stops with NoConvergence at the first
-    sweep whose image is not finite; the final iterate must satisfy the band
-    conditions of GammaSetSpec (MembershipViolation otherwise, e.g. for
-    n >= 3 where the calibrated slope at 1+ is 6 - 2n rather than 2).
+    d starts at 1/2 and halves, the iteration restarting from the seed,
+    whenever the sup-norm change grows or an image after the first is not
+    finite (a calibration overflow included).  NoConvergence at a
+    non-finite first image (no d changes it), at growth at _DAMPING_FLOOR,
+    or with no change below _TOL in _MAX_SWEEPS sweeps in all;
+    MembershipViolation if the final iterate fails the band conditions of
+    GammaSetSpec (e.g. for n >= 3: the calibrated slope at 1+ is 6 - 2n).
     """
-    params = ModelParams(n=n, theta=theta, eta0=eta0)
-    params.require_negative_pair()
-    if not 0 < damping <= 1:
-        raise ParameterError("damping must lie in (0, 1]")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if not max_iter >= 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    ModelParams(n=n, theta=theta, eta0=eta0).require_negative_pair()
+    at = f"n = {n}, theta = {theta}, eta0 = {eta0}"
     formula = taylor_coeffs(n, theta)
     x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, grid_points)])
     eta = 1.0 + x
     meter = TaylorMeter(eta, eta0)      # measure_taylor on this grid
-    phi = formula.seed(x)
-    taylor = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
-    history = []
-    for its in range(1, max_iter + 1):
-        zeta, _, _ = _map_once(x, eta, phi, taylor, n, theta, eta0)
-        change = float(np.max(np.abs(zeta - phi)))
-        if not math.isfinite(change):      # a NaN or inf anywhere in zeta
-            raise NoConvergence(
-                f"sweep {its} gave a non-finite iterate (n = {n}, theta = {theta}, "
-                f"eta0 = {eta0})")
-        history.append(change)
-        phi = (1.0 - damping) * phi + damping * zeta
-        taylor = meter(phi)
-        if change < tol:
-            break
-    else:
-        raise NoConvergence(
-            f"sup-norm change {history[-1]:.3e} after {max_iter} iterations (tol {tol})")
-    if np.any(phi[1:] <= 0):
-        raise PositivityLoss("converged curve not positive on (1, eta0]")
-    # final lambda and exponential integral of the fixed point itself
-    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0, theta)
-    with np.errstate(divide="ignore"):
+    taylor0 = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
+    with np.errstate(all="ignore"):     # images are checked for finiteness; log(0) = -inf
+        phi = formula.seed(x)
+        taylor, last, damping, history = taylor0, math.inf, 0.5, []
+        for its in range(1, _MAX_SWEEPS + 1):
+            try:
+                zeta = _map_once(x, eta, phi, taylor, n, theta, eta0)[0]
+                change = float(np.max(np.abs(zeta - phi)))
+            except NoConvergence as exc:    # the calibration constant overflows
+                if last == math.inf:        # on the first image: final
+                    raise NoConvergence(f"{exc} (sweep 1, {at})") from None
+                change = math.inf
+            history.append(change)
+            if not (change < _TOL or math.isfinite(change) and change <= last):
+                # last is inf only at the first image, which no damping changes
+                if last == math.inf or damping <= _DAMPING_FLOOR:
+                    why = (f"grew the sup-norm change to {change:.3e}"
+                           if math.isfinite(change) else "gave a non-finite image")
+                    raise NoConvergence(f"sweep {its} {why} at damping {damping} ({at})")
+                phi, taylor, last, damping = formula.seed(x), taylor0, math.inf, damping / 2
+                continue
+            phi = (1.0 - damping) * phi + damping * zeta
+            taylor, last = meter(phi), change
+            if change < _TOL:
+                break
+        else:
+            raise NoConvergence(f"sup-norm change {change:.3e} after {_MAX_SWEEPS} "
+                                f"sweeps (tol {_TOL}; {at})")
+        if np.any(phi[1:] <= 0):
+            raise PositivityLoss("converged curve not positive on (1, eta0]")
+        # final lambda and exponential integral of the fixed point itself
+        Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0)
         I = (Jfull - Jfull[-1]) + np.where(x > 0, np.log(x / (eta0 - 1.0)), -np.inf)
     bands = GammaSetSpec(eta0=eta0, alpha=formula.alpha, beta=formula.beta,
                          gamma=taylor.gamma)

@@ -223,6 +223,8 @@ def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
     """n_points (>= 1) samples: |x| inside the phi table, rho away from 0 and R_inf."""
     if not n_points >= 1:
         raise ParameterError(f"the sample count must be at least 1, got {n_points}")
+    if not seed >= 0:
+        raise ParameterError(f"the sampling seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n, m = sol.psi.n, sol.m_cylinder
     x_max = 0.8 * float(sol.phi.r[-1])

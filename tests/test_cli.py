@@ -1,4 +1,5 @@
 import base64
+import concurrent.futures
 import json
 import math
 import shutil
@@ -280,8 +281,9 @@ class TestConfigAndErrors:
         assert run(["bernstein-radial", "--config", str(cfg),
                     "--theta", "1.5"]) == 0
 
-    @pytest.mark.parametrize("key", ["thetaa = 0.6", "eta_max_bounds = 200"],
-                             ids=["misspelt", "retired"])
+    @pytest.mark.parametrize("key", ["thetaa = 0.6", "eta_max_bounds = 200",
+                                     "damping = 0.25"],
+                             ids=["misspelt", "retired", "retired-damping"])
     def test_unknown_config_key_is_one_line_usage_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[solve-negative]\ntheta = 0.55\n{key}\n")
@@ -393,16 +395,20 @@ class TestConfigAndErrors:
         assert err == f"error: ParameterError: config file {cfg}: [reconstruct] has no option n\n"
         assert not (tmp_path / "psi.csv").exists()
 
-    def test_eta_max_bounds_is_an_unrecognised_argument(self, tmp_path, capsys):
-        assert run(["solve-negative", "--eta-max", "200", "--eta-max-bounds", "200",
+    @pytest.mark.parametrize("flag", ["--eta-max-bounds", "--damping", "--tol",
+                                      "--max-iter"])
+    def test_eta_max_bounds_is_an_unrecognised_argument(self, tmp_path, capsys, flag):
+        # the local solve picks its own damping, tolerance and sweep cap
+        assert run(["solve-negative", "--eta-max", "200", flag, "200",
                     "--out", str(tmp_path / "c.csv")]) == 1
-        assert "unrecognized arguments: --eta-max-bounds" in capsys.readouterr().err
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error: ")]
+        assert err == [f"error: unrecognized arguments: {flag} 200"]
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["solve-negative", "--max-iter", "0"], ["solve-negative", "--tol", "-1"],
-        ["verify", "--points", "0"], ["sweep", "--steps", "0"],
-        ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
+        ["verify", "--points", "0"], ["verify", "--seed", "-1"],
+        ["sweep", "--steps", "0"], ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
         # n = 0 and -1 were a ZeroDivisionError traceback
         ["sweep", "--n", "0"], ["sweep", "--n", "-1"],
         ["bernstein-radial", "--samples", "0"], ["solve-positive", "--nodes", "0"],
@@ -454,29 +460,32 @@ class TestConfigAndErrors:
         assert run(["bernstein-radial", "--n", "2", "--theta", "1.0"]) == 1
 
     def test_failed_construction_exits_2(self, tmp_path):
-        # n = 3 is accepted, but the converged curve loses positivity
+        # n = 3 is accepted, but its change grows at every damping
         assert run(["solve-negative", "--n", "3",
                     "--out", str(tmp_path / "c.csv"),
                     "--report", str(tmp_path / "r.json")]) == 2
 
+    # eta0 - 1 lies 2.4e-9 below the root of the cubic seed near 23.77, so
+    # exp(J) overflows on the first image, which no damping changes; a
+    # later overflow only restarts the solve at a smaller damping
     def test_calibration_overflow_is_one_line_failure(self, tmp_path, capsys):
-        # exp(J) of the calibration constant overflows on the first sweep
         assert run(["solve-negative", "--n", "3", "--theta", "0.6",
-                    "--eta0", "1.2", "--out", str(tmp_path / "c.csv"),
+                    "--eta0", "24.7683676", "--out", str(tmp_path / "c.csv"),
                     "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1
-        for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 1.2"):
+        for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 24.7683676"):
             assert name in err
 
     def test_calibration_overflow_fails_every_sweep_row(self, tmp_path, capsys):
-        assert run(["sweep", "--n", "4", "--steps", "3", "--theta-min", "0.55",
-                    "--theta-max", "0.72", "--outdir", str(tmp_path / "sw")]) == 2
+        assert run(["sweep", "--n", "3", "--steps", "1", "--theta-min", "0.6",
+                    "--theta-max", "0.6", "--eta0", "24.7683676",
+                    "--outdir", str(tmp_path / "sw")]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err + captured.out
         rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
-        assert len(rows) == 3
+        assert len(rows) == 1
         for row in rows:
             assert row["status"] == "failed"
             assert row["error"].startswith("NoConvergence: calibration constant overflows")
@@ -680,6 +689,35 @@ class TestSweep:
         assert row["status"] == "failed"
         assert row["error"] == ("ParameterError: eta_max = inf must exceed "
                                 "eta0 = 1.05 and be finite")
+
+    @pytest.mark.parametrize("steps, jobs, pools", [(2, 8, [2]), (3, 2, [2]),
+                                                     (1, 4, [])])
+    def test_sweep_forks_no_more_workers_than_rows(self, tmp_path, monkeypatch,
+                                                   steps, jobs, pools):
+        # a pool forks all its max_workers at the first submit; this one
+        # records max_workers and maps in this process
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert run(["sweep", "--n", "2", "--steps", str(steps), "--jobs", str(jobs),
+                    "--theta-min", "0.55", "--theta-max", "0.6", "--eta-max", "50",
+                    "--outdir", str(tmp_path / "sw")]) in (0, 2)
+        assert made == pools
+        rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+        assert len(rows) == steps
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -186,23 +187,74 @@ class TestFixedPoint:
         with pytest.raises(AffmaxError):
             fixed_point_solve(3, 1.0, 1.05)
 
-    @pytest.mark.parametrize("theta, eta0", [(1000.0, 1.05), (0.55, 1e300)])
-    def test_non_finite_sweep_stops_the_iteration(self, theta, eta0):
-        # theta = 1000 diverges until sweep 43 turns NaN; eta0 = 1e300
-        # overflows on sweep 1.  Neither runs on to max_iter = 200.
-        with np.errstate(all="ignore"):
+    @pytest.mark.parametrize("theta, eta0, sweeps", [(1000.0, 1.05, 49),
+                                                     (0.55, 1e300, 1)])
+    def test_non_finite_sweep_stops_the_iteration(self, theta, eta0, sweeps):
+        # theta = 1000 grows at every damping; eta0 = 1e300 overflows on
+        # sweep 1, which is final.  Neither runs on to the 200-sweep cap,
+        # nor warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NoConvergence) as info:
                 fixed_point_solve(2, theta, eta0)
         msg = str(info.value)
-        assert int(msg.split("sweep ")[1].split()[0]) < 50
+        assert int(msg.split("sweep ")[1].split()[0]) <= sweeps
         for name in ("n = 2", f"theta = {theta}", f"eta0 = {eta0}"):
             assert name in msg
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterError):
             fixed_point_solve(6, 0.55, 1.05)
-        with pytest.raises(ParameterError):
-            fixed_point_solve(2, 0.55, 1.05, damping=0.0)
+
+
+class TestDampingRule:
+    @pytest.mark.parametrize("eta0", [1.02, 1.05])
+    def test_change_falls_at_every_sweep_for_n2(self, eta0):
+        # the rule never fires at n = 2: one attempt at damping 1/2
+        for theta in np.linspace(0.505, 0.66, 35):
+            hist = fixed_point_solve(2, float(theta), eta0).contraction_history
+            assert all(b < a for a, b in zip(hist, hist[1:])), theta
+
+    def test_flagship_sweep_count(self, local_solve):
+        assert local_solve.iterations == len(local_solve.contraction_history) == 6
+
+    @pytest.mark.parametrize("n, theta", [(3, 0.70), (5, 0.80)])
+    def test_slope_consistent_limit_converges_with_no_setting(self, monkeypatch,
+                                                              n, theta):
+        # with the limit n(n+2)/2 that the slope 2 needs (ROADMAP item 1),
+        # n >= 3 converges only after restarts at a smaller damping
+        monkeypatch.setattr(negative_pair, "calibration_target",
+                            lambda n: n * (n + 2) / 2)
+        local = fixed_point_solve(n, theta, 1.02)
+        assert local.membership["pass"]
+        assert local.contraction_history[-1] < 1e-10
+        assert 6 < local.iterations == len(local.contraction_history) <= 200
+
+    @pytest.mark.parametrize("n, theta, eta0", [(3, 0.70, 1.02), (4, 0.55, 1.05)])
+    def test_growth_at_every_damping_stops_at_the_floor(self, monkeypatch,
+                                                        n, theta, eta0):
+        # with today's limit n >= 3 grows at every damping; at n = 4 the
+        # calibration overflows on sweep 2, which restarts the solve too
+        images, overflows = [], []
+        real = negative_pair._map_once
+
+        def counted(*args):
+            images.append(args)
+            try:
+                return real(*args)
+            except NoConvergence:
+                overflows.append(len(images))
+                raise
+
+        monkeypatch.setattr(negative_pair, "_map_once", counted)
+        with pytest.raises(NoConvergence) as info:
+            fixed_point_solve(n, theta, eta0)
+        assert overflows == ([2] if n == 4 else [])
+        msg = str(info.value)
+        assert msg.startswith(f"sweep {len(images)} ")
+        assert f"damping {1 / 64}" in msg
+        for name in (f"n = {n}", f"theta = {theta}", f"eta0 = {eta0}"):
+            assert name in msg
 
 
 class TestExtension:
