@@ -3,11 +3,25 @@
 DOP853 is the explicit Runge-Kutta method of order 8(5, 3) with a
 7th-order dense output (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, sec. II.10; the tableau is Hairer's).  The
-class below is scipy's ``scipy.integrate.DOP853`` stepped by hand: the
-same tableau, initial step, step control, error norm and dense-output
-coefficients F, computed with the same numpy operations (``np.dot``
-included, whose summation order differs from a plain sum), so every
-accepted step and every dense output is bit-equal to scipy's.
+class below is scipy's ``scipy.integrate.DOP853`` stepped by hand for a
+two-component system (zeta, I): the same tableau, initial step, step
+control, error norm and dense-output coefficients F, so every accepted
+step and every dense output is bit-equal to scipy's.
+
+The sums of products stay numpy's BLAS calls, as in scipy: each stage's
+``np.dot(K[:s].T, A[s, :s])``, the ``B``, ``E5`` and ``E3`` products,
+the ``x.dot(x)`` inside ``np.linalg.norm`` and ``np.dot(D, K)``.  BLAS
+sums in its own order (and may fuse a multiply and an add), so a plain
+Python sum would round differently.  Everything between those products
+is elementwise: ``y + dy * h``, the error scale, the divisions of the
+error norm and the step-size factors.  Each of those is one correctly
+rounded IEEE operation per component, the same on a Python float as on
+a numpy array entry, so it is done on the two components as Python
+floats, which costs a fraction of a numpy call on a 2-element array.
+The squares of the error norm stay ``** 2``: numpy's scalar power and
+Python's both call the C library's ``pow``, which differs from
+``x * x`` in the last bit for some inputs (337 of 400,000 random square
+roots with glibc 2.36).
 
 The module holds what extend_global uses: forward steps from finite
 data, and one evaluator of the dense outputs, dense_values, which reads
@@ -15,6 +29,8 @@ many samples at once exactly as scipy's OdeSolution does.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -112,8 +128,7 @@ _B = _A[N_STAGES, :N_STAGES]
 del _i, _row
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+_RMS_DIV = 2 ** 0.5   # sqrt of the component count, as scipy's rms norm forms it
 
 
 class DenseStep:
@@ -136,95 +151,111 @@ def dense_values(steps, ee):
     sample is searchsorted(ts, ee, "left") - 1 over the step ends ts,
     clipped to the valid range, and its polynomial in x = (e - t_old)/h
     is evaluated from the highest row of F down, alternately times x and
-    1 - x, for every sample at once, one coefficient row F[seg, k] at a
-    time (a (P, 7, 2) block gather would be a 1.6 MB temporary).
+    1 - x, for every sample at once, one coefficient row at a time: row
+    k of every step is stacked contiguously and gathered with take (a
+    (P, 7, 2) block gather would be a 1.6 MB temporary).
     """
     ts = np.array([s.t_old for s in steps] + [steps[-1].t])
     seg = np.clip(np.searchsorted(ts, ee, "left") - 1, 0, len(steps) - 1)
-    F = np.array([s.F for s in steps])
+    rows = np.stack([s.F for s in steps], axis=1)   # rows[k] is F[k] of every step
     x = ((ee - ts[seg]) / np.array([s.h for s in steps])[seg])[:, None]
-    y = np.zeros((len(ee), F.shape[2]))
-    for i, k in enumerate(reversed(range(F.shape[1]))):
-        y += F[seg, k]
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y += np.array([s.y_old for s in steps])[seg]
+    one_minus_x = 1 - x
+    y = np.zeros((len(ee), rows.shape[2]))
+    for i, row in enumerate(rows[::-1]):
+        y += row.take(seg, axis=0)
+        y *= x if i % 2 == 0 else one_minus_x
+    y += np.array([s.y_old for s in steps]).take(seg, axis=0)
     return y.T
 
 
 class DOP853:
-    """Adaptive DOP853 steps of y' = fun(t, y) from t0 up to t_bound > t0.
+    """Adaptive DOP853 steps of (zeta, I)' = fun(t, zeta, I) from t0 up
+    to t_bound > t0.
 
-    step() takes one accepted step while status is "running", or sets it
-    to "failed" and returns the message; status becomes "finished" at
-    t_bound.  dense_output() is the interpolant of the last accepted step.
-    The caller passes a finite y0, rtol >= 100 eps and a scalar atol >= 0.
+    fun returns the two derivatives as a pair of floats; y and f are
+    pairs of floats too.  step() takes one accepted step while status is
+    "running", or sets it to "failed" and returns the message; status
+    becomes "finished" at t_bound.  dense_output() is the interpolant of
+    the last accepted step.  The caller passes a finite pair y0,
+    rtol >= 100 eps and a scalar atol > 0.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        y0 = np.asarray(y0).astype(float, copy=False)
-        self._fun = fun
-        self.t, self.y = t0, y0
+        self.fun = fun
+        self.t, self.y = t0, tuple(y0)
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
         self.status = "running"
-        self.f = self.fun(self.t, self.y)
+        self._sq = np.empty(2)          # the vector whose BLAS x.dot(x) _norm takes
+        self.f = fun(t0, *self.y)
         self.h_abs = self._initial_step()
-        self.K_extended = K = np.empty((N_STAGES_EXTENDED, y0.size))
+        self.K_extended = K = np.empty((N_STAGES_EXTENDED, 2))
         self.K = K[:N_STAGES + 1]
-        # stage s reads K[:s].T @ A[s, :s]; the views are made once
-        self._stages = [(s, K[:s].T, _A[s, :s], _C[s])
+        # stage s reads K[:s].T @ A[s, :s], the new y K[:-1].T @ B and the
+        # error estimates K.T @ E5 and K.T @ E3; the views are made once
+        self._stages = [(s, K[:s].T, _A[s, :s], float(_C[s]))
                         for s in range(1, N_STAGES_EXTENDED)]
+        self._KB, self._KE = K[:N_STAGES].T, self.K.T
 
-    def fun(self, t, y):
-        return np.asarray(self._fun(t, y), dtype=float)
+    def _norm(self, a, b):
+        """The 2-norm of (a, b) as np.linalg.norm forms it: the square
+        root of BLAS's x.dot(x)."""
+        x = self._sq
+        x[0] = a
+        x[1] = b
+        return math.sqrt(x.dot(x))
 
     def _initial_step(self):
         """Hairer, Norsett and Wanner's starting step (sec. II.4), as scipy's."""
-        t0, y0, f0 = self.t, self.y, self.f
+        t0, (z0, I0), (fz0, fI0) = self.t, self.y, self.f
+        rtol, atol = self.rtol, self.atol
         interval_length = self.t_bound - t0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
+        sz, sI = atol + abs(z0) * rtol, atol + abs(I0) * rtol
+        d0 = self._norm(z0 / sz, I0 / sI) / _RMS_DIV
+        d1 = self._norm(fz0 / sz, fI0 / sI) / _RMS_DIV
         if d0 < 1e-5 or d1 < 1e-5:
             h0 = 1e-6
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        if h0 == 0:     # f0 infinite or huge: scipy's min(100 * h0, ...) is 0
+            return 0.0
+        fz1, fI1 = self.fun(t0 + h0, z0 + h0 * fz0, I0 + h0 * fI0)
+        d2 = self._norm((fz1 - fz0) / sz, (fI1 - fI0) / sI) / _RMS_DIV / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
 
-    def _rk_step(self, t, y, h):
-        K, fun = self.K, self._fun
+    def _rk_step(self, t, z, I, h):
+        """The new (zeta, I) and its f after a step h, with the stages in K."""
+        K, fun = self.K, self.fun
         K[0] = self.f
         for s, Ks, a, c in self._stages[:N_STAGES - 1]:
-            K[s] = np.asarray(fun(t + c * h, y + np.dot(Ks, a) * h), dtype=float)
-        y_new = y + h * np.dot(K[:-1].T, _B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
+            dz, dI = np.dot(Ks, a).tolist()
+            K[s] = fun(t + c * h, z + dz * h, I + dI * h)
+        dz, dI = np.dot(self._KB, _B).tolist()
+        z_new, I_new = z + h * dz, I + h * dI
+        f_new = K[-1] = fun(t + h, z_new, I_new)
+        return z_new, I_new, f_new
 
-    def _error_norm(self, h, scale):
-        err5 = np.dot(self.K.T, _E5) / scale
-        err3 = np.dot(self.K.T, _E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+    def _error_norm(self, h, sz, sI):
+        KE = self._KE
+        ez, eI = np.dot(KE, _E5).tolist()
+        err5_norm_2 = self._norm(ez / sz, eI / sI) ** 2
+        ez, eI = np.dot(KE, _E3).tolist()
+        err3_norm_2 = self._norm(ez / sz, eI / sI) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * 2)
 
     def step(self):
         """One accepted step; the failure message, or None."""
-        t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        t, (z, I) = self.t, self.y
+        rtol, atol = self.rtol, self.atol
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         step_rejected = False
         while True:
@@ -233,10 +264,13 @@ class DOP853:
                 return "Required step size is less than spacing between numbers."
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._error_norm(h, scale)
+            h_abs = abs(h)
+            z_new, I_new, f_new = self._rk_step(t, z, I, h)
+            # the new value first: a NaN there gives a NaN scale, as
+            # np.maximum would (the accepted y is never NaN)
+            sz = atol + max(abs(z_new), abs(z)) * rtol
+            sI = atol + max(abs(I_new), abs(I)) * rtol
+            error_norm = self._error_norm(h, sz, sI)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** (-1 / 8))
@@ -247,9 +281,9 @@ class DOP853:
             factor = min(MAX_FACTOR, SAFETY * error_norm ** (-1 / 8))
         if step_rejected:
             factor = min(1, factor)
-        self.y_old = y
+        self.y_old = self.y
         self.t_old, self.t = t, t_new
-        self.y = y_new
+        self.y = (z_new, I_new)
         self.h_abs = h_abs * factor
         self.f = f_new
         if self.t >= self.t_bound:
@@ -258,15 +292,18 @@ class DOP853:
 
     def dense_output(self) -> DenseStep:
         """The interpolant of the last accepted step (three more stages)."""
-        K = self.K_extended
-        h = self.t - self.t_old
+        K, fun = self.K_extended, self.fun
+        t_old, (z_old, I_old) = self.t_old, self.y_old
+        h = self.t - t_old
         for s, Ks, a, c in self._stages[N_STAGES:]:
-            K[s] = self.fun(self.t_old + c * h, self.y_old + np.dot(Ks, a) * h)
-        F = np.empty((INTERPOLATOR_POWER, len(self.y)))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
+            dz, dI = np.dot(Ks, a).tolist()
+            K[s] = fun(t_old + c * h, z_old + dz * h, I_old + dI * h)
+        (fz_old, fI_old), (fz, fI) = K[0].tolist(), self.f
+        z, I = self.y
+        dz, dI = z - z_old, I - I_old
+        F = np.empty((INTERPOLATOR_POWER, 2))
+        F[0] = dz, dI
+        F[1] = h * fz_old - dz, h * fI_old - dI
+        F[2] = 2 * dz - h * (fz + fz_old), 2 * dI - h * (fI + fI_old)
         F[3:] = h * np.dot(_D, K)
-        return DenseStep(self.t_old, self.t, self.y_old, F)
+        return DenseStep(t_old, self.t, self.y_old, F)

@@ -288,16 +288,24 @@ def fixed_point_solve(n: int, theta: float, eta0: float,
     meter = TaylorMeter(eta, eta0)      # measure_taylor on this grid
     taylor0 = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
     with np.errstate(all="ignore"):     # images are checked for finiteness; log(0) = -inf
-        phi = formula.seed(x)
-        taylor, last, damping, history = taylor0, math.inf, 0.5, []
+        # the first image does not depend on the damping: made once, it
+        # opens every restart, counted as a sweep each time
+        seed = formula.seed(x)
+        try:
+            first = _map_once(x, eta, seed, taylor0, n, theta, eta0)[0]
+        except NoConvergence as exc:        # the calibration constant overflows: final
+            raise NoConvergence(f"{exc} (sweep 1, {at})") from None
+        first_change = float(np.max(np.abs(first - seed)))
+        phi, last, damping, history = seed, math.inf, 0.5, []
         for its in range(1, _MAX_SWEEPS + 1):
-            try:
-                zeta = _map_once(x, eta, phi, taylor, n, theta, eta0)[0]
-                change = float(np.max(np.abs(zeta - phi)))
-            except NoConvergence as exc:    # the calibration constant overflows
-                if last == math.inf:        # on the first image: final
-                    raise NoConvergence(f"{exc} (sweep 1, {at})") from None
-                change = math.inf
+            if last == math.inf:
+                zeta, change = first, first_change
+            else:
+                try:
+                    zeta = _map_once(x, eta, phi, taylor, n, theta, eta0)[0]
+                    change = float(np.max(np.abs(zeta - phi)))
+                except NoConvergence:       # the calibration constant overflows
+                    change = math.inf
             history.append(change)
             if not (change < _TOL or math.isfinite(change) and change <= last):
                 # last is inf only at the first image, which no damping changes
@@ -305,7 +313,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float,
                     why = (f"grew the sup-norm change to {change:.3e}"
                            if math.isfinite(change) else "gave a non-finite image")
                     raise NoConvergence(f"sweep {its} {why} at damping {damping} ({at})")
-                phi, taylor, last, damping = formula.seed(x), taylor0, math.inf, damping / 2
+                phi, last, damping = seed, math.inf, damping / 2
                 continue
             phi = (1.0 - damping) * phi + damping * zeta
             taylor, last = meter(phi), change
@@ -351,12 +359,12 @@ def extend_global(local: LocalSolve, eta_max: float,
     (reported, never clamped).  The samples added are geometric in eta,
     max(4000, 3000 log10(eta_max/eta0 + 1)) of them counting eta0.
 
-    The DOP853 solver (affmax.dop853, bit-equal to scipy's) is stepped
-    here, with solve_ivp's terminal event rule: g = zeta - 1e-12 is
-    checked at eta0 and after every accepted step, and a step with
-    g_old >= 0 >= g_new is a hit, reported by its ends (no root is
-    sought inside it).  The samples are then read from the dense outputs
-    in one pass (dense_values).
+    The DOP853 solver (affmax.dop853, bit-equal to scipy's) steps the
+    field phase_field(params) here, with solve_ivp's terminal event
+    rule: g = zeta - 1e-12 is checked at eta0 and after every accepted
+    step, and a step with g_old >= 0 >= g_new is a hit, reported by its
+    ends (no root is sought inside it).  The samples are then read from
+    the dense outputs in one pass (dense_values).
     """
     params = local.curve.params
     params.require_negative_pair()
@@ -365,25 +373,28 @@ def extend_global(local: LocalSolve, eta_max: float,
             f"eta_max = {eta_max} must exceed eta0 = {params.eta0} and be finite")
     eta0 = params.eta0
     z0 = float(local.curve.zeta[-1])
-    solver = DOP853(lambda e, y: phase_field(e, *y.tolist(), params), float(eta0),
-                    [z0, 0.0], float(eta_max), rtol=rtol, atol=atol)
     steps = []
     g = z0 - 1e-12
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            # a step-size collapse with zeta near zero is the same failure:
-            # the forcing terms are singular at zeta = 0
-            if solver.y[0] < 1e-3 * z0:
-                raise PositivityLoss(
-                    f"zeta collapsed to {solver.y[0]:.3e} near eta = {solver.t:.6g}")
-            raise StepFailure(f"extension failed: {message}")
-        g_new = solver.y[0] - 1e-12
-        if g >= 0 and g_new <= 0:
-            raise PositivityLoss(f"zeta reached 0 between eta = "
-                                 f"{float(solver.t_old)} and {float(solver.t)}")
-        g = g_new
-        steps.append(solver.dense_output())
+    # an overflowing field ends in the failures below; numpy's warnings
+    # on the rejected non-finite stages on the way add nothing to them
+    with np.errstate(all="ignore"):
+        solver = DOP853(phase_field(params), float(eta0), (z0, 0.0), float(eta_max),
+                        rtol=rtol, atol=atol)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                # a step-size collapse with zeta near zero is the same failure:
+                # the forcing terms are singular at zeta = 0
+                if solver.y[0] < 1e-3 * z0:
+                    raise PositivityLoss(
+                        f"zeta collapsed to {solver.y[0]:.3e} near eta = {solver.t:.6g}")
+                raise StepFailure(f"extension failed: {message}")
+            g_new = solver.y[0] - 1e-12
+            if g >= 0 and g_new <= 0:
+                raise PositivityLoss(f"zeta reached 0 between eta = "
+                                     f"{float(solver.t_old)} and {float(solver.t)}")
+            g = g_new
+            steps.append(solver.dense_output())
     n_samples = max(4000, int(3000 * math.log10(eta_max / eta0 + 1)))
     ee = np.geomspace(eta0, eta_max, n_samples)[1:]
     zz, II = dense_values(steps, ee)

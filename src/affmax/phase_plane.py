@@ -42,18 +42,28 @@ def coef_zero(eta, n: int, theta: float):
     return n * eta * (eta - 1) * coef_q(eta, n, theta)
 
 
-def phase_field(eta: float, zeta: float, I: float, params: ModelParams):
-    """(dzeta/deta, dI/deta) at a phase point, with no domain checks.
+def phase_field(params: ModelParams):
+    """The field of params: (eta, zeta, I) -> (dzeta/deta, dI/deta) on
+    floats, with no domain checks.
 
     Solving the phase equation for zeta' places the exponential term at
     -lambda3 * eta^2 * e^I / zeta, so a negative lambda3 pushes the
-    curve upward.
+    curve upward.  The coefficients of A(eta) and q(eta) and theta + 1
+    are formed once; each call then makes the operations of
+    coef_linear and coef_zero in their order.
     """
-    n, theta = params.n, params.theta
-    return ((theta + 1) * zeta / eta + coef_linear(eta, n, theta)
-            + coef_zero(eta, n, theta) / zeta
-            - params.lambda3 * eta * eta * math.exp(I) / zeta,
-            (eta + 1) / zeta)
+    n, theta, lambda3 = params.n, params.theta, params.lambda3
+    theta1 = theta + 1
+    a1, a0 = 2 * n * theta - (2 * n - 1), 2 * n * theta - 1     # A = a1 eta - a0
+    q1, q0 = n * theta - (n - 1), n * theta - 1                 # q = q1 eta - q0
+    exp = math.exp
+
+    def field(eta, zeta, I):
+        return (theta1 * zeta / eta + (a1 * eta - a0)
+                + n * eta * (eta - 1) * (q1 * eta - q0) / zeta
+                - lambda3 * eta * eta * exp(I) / zeta,
+                (eta + 1) / zeta)
+    return field
 
 
 def phase_residual(eta, zeta, dzeta, I, params: ModelParams):

@@ -478,6 +478,18 @@ class TestConfigAndErrors:
         for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 24.7683676"):
             assert name in err
 
+    # the field overflows far out and the stages go non-finite until the
+    # step size collapses: one line, and none of numpy's warnings on the way
+    def test_overflowing_extension_is_one_line_failure(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve-negative", "--eta-max", "1e300",
+                        "--out", str(tmp_path / "c.csv"),
+                        "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: StepFailure: extension failed: Required step size is less "
+            "than spacing between numbers.\n")
+
     def test_calibration_overflow_fails_every_sweep_row(self, tmp_path, capsys):
         assert run(["sweep", "--n", "3", "--steps", "1", "--theta-min", "0.6",
                     "--theta-max", "0.6", "--eta0", "24.7683676",

@@ -251,10 +251,29 @@ class TestDampingRule:
             fixed_point_solve(n, theta, eta0)
         assert overflows == ([2] if n == 4 else [])
         msg = str(info.value)
-        assert msg.startswith(f"sweep {len(images)} ")
+        # each of the five restarts (dampings 1/4 to 1/64) opens with the
+        # first image, counted as a sweep but not made again
+        assert msg.startswith(f"sweep {len(images) + 5} ")
         assert f"damping {1 / 64}" in msg
         for name in (f"n = {n}", f"theta = {theta}", f"eta0 = {eta0}"):
             assert name in msg
+
+    def test_restarts_reuse_the_first_image(self, monkeypatch):
+        # 17 sweeps, 5 of them restarts opening with the first image: 12
+        # images made, and the message counts every sweep as before
+        images = []
+        real = negative_pair._map_once
+
+        def counted(*args):
+            images.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(negative_pair, "_map_once", counted)
+        with pytest.raises(NoConvergence) as info:
+            fixed_point_solve(3, 0.6, 1.2)
+        assert len(images) == 12
+        assert str(info.value) == ("sweep 17 grew the sup-norm change to 9.543e-02 "
+                                   "at damping 0.015625 (n = 3, theta = 0.6, eta0 = 1.2)")
 
 
 class TestExtension:

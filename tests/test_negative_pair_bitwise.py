@@ -28,7 +28,7 @@ from affmax.core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
                          cumulative_simpson, measure_taylor)
 from affmax.errors import ParameterError, PositivityLoss, StepFailure
 from affmax.negative_pair import LocalSolve, extend_global, fixed_point_solve
-from affmax.phase_plane import coef_linear, coef_zero
+from affmax.phase_plane import coef_linear, coef_zero, phase_field
 
 from conftest import ETA0, N, THETA
 
@@ -185,15 +185,17 @@ def test_tableau_equals_scipy():
 
 
 @pytest.mark.parametrize("theta, eta_max", [(THETA, 1e5), (0.52, 1e3), (0.58, 1e3),
-                                            (0.64, 1e3)])
+                                            (0.64, 1e3), (0.51, 1e5), (0.655, 1e5)])
 def test_dop853_steps_equal_scipy_bitwise(theta, eta_max):
-    # the flagship and a theta grid in (1/2, 2/3): every accepted step and
-    # every dense output of the port equals scipy's class
+    # the flagship, a theta grid in (1/2, 2/3) and the ends of the sweep
+    # benchmark's grid: every accepted step and every dense output of the
+    # port equals scipy's class stepping a (t, y) wrapper of the same field
     local = fixed_point_solve(N, theta, ETA0)
-    rhs = extension_rhs(local)
-    y0 = [float(local.curve.zeta[-1]), 0.0]
-    ours = dop853.DOP853(rhs, ETA0, y0, eta_max, rtol=1e-11, atol=1e-13)
-    ref = ScipyDOP853(rhs, ETA0, y0, eta_max, rtol=1e-11, atol=1e-13)
+    field = phase_field(local.curve.params)
+    y0 = (float(local.curve.zeta[-1]), 0.0)
+    ours = dop853.DOP853(field, ETA0, y0, eta_max, rtol=1e-11, atol=1e-13)
+    ref = ScipyDOP853(lambda e, y: field(e, *y.tolist()), ETA0, y0, eta_max,
+                      rtol=1e-11, atol=1e-13)
     assert same_bits(ours.h_abs, ref.h_abs)
     steps = 0
     while ref.status == "running":
@@ -208,6 +210,22 @@ def test_dop853_steps_equal_scipy_bitwise(theta, eta_max):
         assert same_bits(dop853.dense_values([got], np.array([mid]))[:, 0], want(mid))
         steps += 1
     assert ours.status == "finished" and steps > 50
+
+
+def test_error_norm_equals_scipy_bitwise():
+    # random stages, scales and steps: the norms' squares are the C
+    # library's pow, as numpy's scalar power is, which x * x is not always
+    ours = dop853.DOP853(lambda e, z, I: (z, I), 1.0, (1.0, 1.0), 2.0,
+                         rtol=1e-11, atol=1e-13)
+    ref = ScipyDOP853(lambda e, y: y, 1.0, [1.0, 1.0], 2.0, rtol=1e-11, atol=1e-13)
+    rng = np.random.default_rng(0)
+    for _ in range(10000):
+        K = rng.standard_normal((13, 2)) * 10.0 ** rng.uniform(-8.0, 8.0, (13, 1))
+        scale = 10.0 ** rng.uniform(-13.0, 0.0, 2)
+        h = 10.0 ** rng.uniform(-6.0, 0.0)
+        ours.K[:] = K
+        want = ref._estimate_error_norm(K, h, scale)
+        assert same_bits(ours._error_norm(h, *scale.tolist()), want)
 
 
 # ---------------------------------------------------------------------------

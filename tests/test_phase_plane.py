@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,16 @@ def brute_force_field(eta, zeta, n, theta):
     A = (2 * n * theta - (2 * n - 1)) * eta - (2 * n * theta - 1)
     B = n * eta * (eta - 1) * ((n * theta - (n - 1)) * eta - (n * theta - 1))
     return ((theta + 1) * zeta**2 / eta + zeta * A + B) / zeta
+
+
+def ref_phase_field(eta, zeta, I, params):
+    """The field as one expression of the coefficient functions, the
+    form the closure phase_field(params) replaced."""
+    n, theta = params.n, params.theta
+    return ((theta + 1) * zeta / eta + coef_linear(eta, n, theta)
+            + coef_zero(eta, n, theta) / zeta
+            - params.lambda3 * eta * eta * math.exp(I) / zeta,
+            (eta + 1) / zeta)
 
 
 def stationary_eta(n: int, theta: float) -> set:
@@ -36,7 +48,7 @@ class TestPhaseRHS:
     def test_frozen_value(self):
         # n = 2, theta = 3/4 at (eta, zeta) = (2, 1): dzeta/deta = 7/8
         p = ModelParams(n=2, theta=0.75, lambda3=0.0)
-        dz, dI = phase_field(2.0, 1.0, 0.0, p)
+        dz, dI = phase_field(p)(2.0, 1.0, 0.0)
         assert dz == pytest.approx(7.0 / 8.0, abs=1e-14)
         assert dI == pytest.approx(3.0, abs=1e-14)
 
@@ -45,11 +57,11 @@ class TestPhaseRHS:
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5):
             for theta in (0.55, 0.75, 1.0, 1.6):
-                p = ModelParams(n=n, theta=theta, lambda3=0.0)
+                field = phase_field(ModelParams(n=n, theta=theta, lambda3=0.0))
                 for _ in range(20):
                     eta = 1.0 + 3.0 * rng.random()
                     zeta = 0.05 + 2.0 * rng.random()
-                    dz, _ = phase_field(eta, zeta, rng.normal(), p)
+                    dz, _ = field(eta, zeta, rng.normal())
                     assert dz == pytest.approx(
                         brute_force_field(eta, zeta, n, theta), rel=1e-14)
 
@@ -62,24 +74,43 @@ class TestPhaseRHS:
         # negative lambda3 pushes the field up by |lambda3| eta^2 e^I / zeta
         base = ModelParams(n=2, theta=0.55, lambda3=0.0)
         forced = ModelParams(n=2, theta=0.55, lambda3=-0.5)
-        dz0, _ = phase_field(1.5, 0.8, 0.2, base)
-        dz1, _ = phase_field(1.5, 0.8, 0.2, forced)
+        dz0, _ = phase_field(base)(1.5, 0.8, 0.2)
+        dz1, _ = phase_field(forced)(1.5, 0.8, 0.2)
         assert dz1 - dz0 == pytest.approx(0.5 * 1.5**2 * np.exp(0.2) / 0.8, rel=1e-14)
 
     @settings(max_examples=200)
     @given(eta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 5),
            theta=st.floats(0.5, 1.6, exclude_min=True, exclude_max=True))
     def test_scalar_coefficients_match_array_ones(self, eta, n, theta):
-        # the ODE right-hand side calls these on floats; the fixed-point
-        # map calls them on arrays: the two must agree bit for bit
+        # the Bernstein check calls these on floats; the fixed-point map
+        # and phase_residual call them on arrays: the two must agree bit
+        # for bit
         arr = np.array([eta])
         for coef in (coef_linear, coef_zero):
             got, want = coef(eta, n, theta), coef(arr, n, theta)[0]
             assert np.float64(got).tobytes() == want.tobytes()
 
+    @settings(max_examples=300)
+    @given(n=st.integers(1, 7),
+           theta=st.floats(0.5, 1.6, exclude_min=True, exclude_max=True),
+           lambda3=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closure_equals_reference_bitwise(self, n, theta, lambda3, seed):
+        # the closure forms A's and q's coefficients and theta + 1 once;
+        # every value must still be the reference expression's, bit for bit
+        p = ModelParams(n=n, theta=theta, lambda3=lambda3)
+        field = phase_field(p)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            eta = 10.0 ** rng.uniform(-3.0, 6.0)
+            zeta = (1.0 if rng.random() < 0.5 else -1.0) * 10.0 ** rng.uniform(-8.0, 12.0)
+            I = rng.uniform(-30.0, 30.0)
+            got, want = field(eta, zeta, I), ref_phase_field(eta, zeta, I, p)
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
     def test_residual_form_consistency(self):
         p = ModelParams(n=2, theta=0.55, lambda3=-0.4)
-        dz, _ = phase_field(1.7, 0.6, -0.3, p)
+        dz, _ = phase_field(p)(1.7, 0.6, -0.3)
         assert phase_residual(1.7, 0.6, dz, -0.3, p) == pytest.approx(0.0, abs=1e-13)
 
 
