@@ -103,46 +103,43 @@ class TaylorData:
         """Cubic model d1*x + alpha/2 x^2 + beta/6 x^3 (x = eta - 1)."""
         return x * (self.d1 + x * (self.alpha / 2 + x * self.beta / 6))
 
-    def series(self, x, d: float):
-        """1 + alpha x/(2d) + beta x^2/(6d) + gamma x^3/(24d); zeta/(d1 x) at d = d1."""
-        return (1 + (self.alpha / (2 * d)) * x + (self.beta / (6 * d)) * x**2
-                + (self.gamma / (24 * d)) * x**3)
-
 
 X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
 
 
-def x_over_zeta(x, zeta, taylor: TaylorData):
-    """(eta-1)/zeta, from the Taylor series of zeta below X_SWITCH."""
-    out = np.empty_like(x)
-    small = x < X_SWITCH
-    out[small] = 1.0 / (taylor.d1 * taylor.series(x[small], taylor.d1))
-    out[~small] = x[~small] / zeta[~small]
-    return out
+class SwitchSplit:
+    """A non-decreasing x = eta - 1 split at X_SWITCH: the samples x[:k]
+    below it (xs) take series forms, the rest (xl) ratio forms.  The
+    powers of xs the series reads are formed once."""
+
+    def __init__(self, x):
+        self.x = x
+        self.k = int(np.searchsorted(x, X_SWITCH))
+        self.xs, self.xl = x[:self.k], x[self.k:]
+        self.xs2, self.xs3 = self.xs**2, self.xs**3
+
+    def series(self, taylor: TaylorData, d: float):
+        """1 + alpha x/(2d) + beta x^2/(6d) + gamma x^3/(24d) on xs;
+        zeta/(d1 x) at d = d1."""
+        return (1 + (taylor.alpha / (2 * d)) * self.xs
+                + (taylor.beta / (6 * d)) * self.xs2
+                + (taylor.gamma / (24 * d)) * self.xs3)
+
+    def x_over_zeta(self, zeta, taylor: TaylorData):
+        """(eta-1)/zeta, from the Taylor series of zeta below X_SWITCH."""
+        out = np.empty_like(self.x)
+        out[:self.k] = 1.0 / (taylor.d1 * self.series(taylor, taylor.d1))
+        np.divide(self.xl, zeta[self.k:], out=out[self.k:])
+        return out
 
 
 # ---------------------------------------------------------------------------
 # cumulative quadrature
 
 
-def _simpson_half(y0, y1, y2, x21, x32):
-    """Simpson integrals over [x1, x2] of the samples y0, y1, y2 at x1, x2, x3.
-
-    x21 = x2 - x1 and x32 = x3 - x2.  For the half next to x3, pass the
-    triple reversed: y2, y1, y0 with x32, x21.
-    """
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y0 + coeff2 * y1 + coeff3 * y2)
-
-
-def cumulative_simpson(y, x) -> np.ndarray:
-    """int_{x[0]}^{x[i]} y for every i, by Simpson's rule on unequal intervals.
+class CumulativeSimpson:
+    """int_{x[0]}^{x[i]} y for every i, by Simpson's rule on unequal
+    intervals, on one grid x whose weights are formed once.
 
     Bit for bit scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
     for 1-D input: intervals 0, 2, 4, ... take the first half of the
@@ -151,27 +148,59 @@ def cumulative_simpson(y, x) -> np.ndarray:
     are computed.  x must be strictly increasing and hold at least 3
     samples.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("y and x must be 1-D arrays of one length")
-    if len(y) < 3:
-        raise ValueError("cumulative Simpson needs at least 3 samples")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("x must be strictly increasing")
-    # the triples starting at even samples: (y0, y1, y2) with (dx0, dx1)
-    y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
-    dx0, dx1 = dx[:-1:2], dx[1::2]
-    sub = np.empty(len(dx))
-    sub[:-1:2] = _simpson_half(y0, y1, y2, dx0, dx1)
-    sub[1::2] = _simpson_half(y2, y1, y0, dx1, dx0)
-    sub[-1:] = _simpson_half(y[-1:], y[-2:-1], y[-3:-2], dx[-1:], dx[-2:-1])
-    out = np.empty(len(y))
-    out[0] = 0.0
-    np.cumsum(sub, out=out[1:])
-    out[1:] += 0.0                  # as scipy's initial=0.0: -0.0 becomes 0.0
-    return out
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("x must be a 1-D array")
+        if len(x) < 3:
+            raise ValueError("cumulative Simpson needs at least 3 samples")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("x must be strictly increasing")
+        self.size = len(x)
+        # the triples starting at even samples span (dx0, dx1): the weights
+        # of their first halves, of their second halves (the triple
+        # reversed) and of the last interval's second half
+        dx0, dx1 = dx[:-1:2], dx[1::2]
+        self._first = self._weights(dx0, dx1)
+        self._second = self._weights(dx1, dx0)
+        self._last = self._weights(dx[-1:], dx[-2:-1])
+
+    @staticmethod
+    def _weights(x21, x32):
+        """(x21/6, c1, c2, c3) of the Simpson integral over [x1, x2] of the
+        samples y0, y1, y2 at x1, x2, x3 = x2 + x32."""
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21_x32 = x21 / x32
+        x21x21_x31x32 = x21_x31 * x21_x32
+        return (x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31, -x21x21_x31x32)
+
+    @staticmethod
+    def _half(weights, y0, y1, y2):
+        s, c1, c2, c3 = weights
+        return s * (c1 * y0 + c2 * y1 + c3 * y2)
+
+    def __call__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.size,):
+            raise ValueError("y and x must be 1-D arrays of one length")
+        y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
+        sub = np.empty(self.size - 1)
+        sub[:-1:2] = self._half(self._first, y0, y1, y2)
+        sub[1::2] = self._half(self._second, y2, y1, y0)
+        sub[-1:] = self._half(self._last, y[-1:], y[-2:-1], y[-3:-2])
+        out = np.empty(self.size)
+        out[0] = 0.0
+        np.cumsum(sub, out=out[1:])
+        out[1:] += 0.0                  # as scipy's initial=0.0: -0.0 becomes 0.0
+        return out
+
+
+def cumulative_simpson(y, x) -> np.ndarray:
+    """int_{x[0]}^{x[i]} y for every i: CumulativeSimpson(x)(y)."""
+    return CumulativeSimpson(x)(y)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (X_SWITCH, ModelParams, PhaseCurve, TaylorData, TaylorMeter,
-                   cumulative_simpson, measure_taylor, upper_bound_claimed,
-                   x_over_zeta)
+from .core import (CumulativeSimpson, ModelParams, PhaseCurve, SwitchSplit,
+                   TaylorData, TaylorMeter, cumulative_simpson, measure_taylor,
+                   upper_bound_claimed)
 from .dop853 import DOP853, dense_values
-from .errors import (MembershipViolation, NoConvergence, ParameterError,
-                     PositivityLoss, SingularityMismatch, StepFailure,
-                     TailUnbounded)
+from .errors import (GridTooCoarse, MembershipViolation, NoConvergence,
+                     ParameterError, PositivityLoss, SingularityMismatch,
+                     StepFailure, TailUnbounded)
 from .phase_plane import coef_linear, coef_q, phase_field
 
 __all__ = [
@@ -77,19 +77,42 @@ def taylor_coeffs(n: int, theta: float) -> TaylorData:
 
 
 # ---------------------------------------------------------------------------
-# stable integrand helpers (x = eta - 1)
+# the sample grid, stable integrand helpers (x = eta - 1)
 
 
-def _g_integrand(x, eta, phi, taylor: TaylorData):
+class _Grid(SwitchSplit):
+    """The samples x and eta = 1 + x of a candidate on [1, eta0] and what
+    depends on them alone: the X_SWITCH split, eta^2 - 1 above it and the
+    Simpson weights."""
+
+    def __init__(self, x, eta, eta0: float):
+        self.simpson = CumulativeSimpson(eta)     # first: the split needs eta increasing
+        super().__init__(x)
+        self.eta, self.eta0 = eta, eta0
+        self.eta2m1 = eta[self.k:] ** 2 - 1.0
+
+
+class _MapGrid(_Grid):
+    """A _Grid with the mapping's coefficient arrays of (n, theta):
+    A(eta), n eta q(eta) and eta^2."""
+
+    def __init__(self, x, eta, eta0: float, n: int, theta: float):
+        super().__init__(x, eta, eta0)
+        self.n, self.theta = n, theta
+        self.A = coef_linear(eta, n, theta)
+        self.neq = n * eta * coef_q(eta, n, theta)
+        self.eta_sq = eta**2
+
+
+def _g_integrand(grid: _Grid, phi, taylor: TaylorData):
     """(s+1)/phi - 1/(s-1); requires phi'(1) = 2 for regularity."""
     a, b, g = taylor.alpha, taylor.beta, taylor.gamma
-    out = np.empty_like(x)
-    small = x < X_SWITCH
-    xs = x[small]
+    k, xs = grid.k, grid.xs
+    out = np.empty_like(grid.x)
     num = (1 - a / 2) - (b / 6) * xs - (g / 24) * xs * xs
-    out[small] = num / (2.0 * taylor.series(xs, 2.0))
-    xl = x[~small]
-    out[~small] = ((eta[~small] ** 2 - 1.0) - phi[~small]) / (phi[~small] * xl)
+    out[:k] = num / (2.0 * grid.series(taylor, 2.0))
+    pl = phi[k:]
+    out[k:] = (grid.eta2m1 - pl) / (pl * grid.xl)
     return out
 
 
@@ -98,29 +121,47 @@ def local_derivatives(x, y, centers, window: float):
 
     Each center c gets the least-squares quartic in x - c through the
     samples with |x - c| <= window/2 (x increasing), its design columns
-    scaled to unit norm.  All windows are solved at once, each zero-padded
-    to the longest (a zero row leaves a least-squares problem unchanged),
+    scaled to unit norm.  The windows are laid end to end and each
+    window's moments summed with np.add.reduceat; all are solved at once
     by the normal equations with one step of iterative refinement.
+    GridTooCoarse, naming the center, if a window holds fewer than the
+    5 samples a quartic needs.
     """
     h = window / 2
+    centers = np.asarray(centers, dtype=float)
     # fl(x - c) is non-decreasing in x, so |x - c| <= h holds on one run
     runs = np.array([(np.searchsorted(d, -h), np.searchsorted(d, h, side="right"))
                      for d in (x - c for c in centers)])
-    count = runs[:, 1:] - runs[:, :1]
-    keep = np.arange(count.max()) < count
-    idx = np.minimum(runs[:, :1] + np.arange(keep.shape[1]), len(x) - 1)
-    c = np.asarray(centers, dtype=float)[:, None]
-    xs = np.where(keep, x[idx] - c, 0.0)
-    ys = np.where(keep, y[idx], 0.0)[..., None]
+    count = runs[:, 1] - runs[:, 0]
+    if np.any(count < 5):
+        i = int(np.argmax(count < 5))
+        raise GridTooCoarse(f"the fit window centred at x = {float(centers[i])!r} "
+                            f"holds {count[i]} of the 5 samples a quartic fit needs")
+    starts = np.concatenate([[0], np.cumsum(count[:-1])])
+    idx = np.arange(count.sum()) + np.repeat(runs[:, 0] - starts, count)
+    xs = x[idx] - np.repeat(centers, count)
+    ys = y[idx]
+
+    def sums(v):
+        return np.add.reduceat(v, starts)
+
     x2 = xs * xs
-    A = np.stack([keep * 1.0, xs, x2, x2 * xs, x2 * x2], axis=-1)
-    norm = np.sqrt(np.einsum("ckj,ckj->cj", A, A))[:, None, :]
-    A /= norm
-    At = A.transpose(0, 2, 1)
-    G = At @ A
-    coef = np.linalg.solve(G, At @ ys)
-    coef += np.linalg.solve(G, At @ (ys - A @ coef))
-    coef = coef[..., 0] / norm[:, 0]
+    cols = (np.ones_like(xs), xs, x2, x2 * xs, x2 * x2)
+    norm = np.sqrt([sums(p * p) for p in cols])             # (5, windows)
+    A = [p / np.repeat(nj, count) for p, nj in zip(cols, norm)]
+    G = np.empty((len(centers), 5, 5))
+    for j in range(5):
+        for k in range(j, 5):
+            G[:, j, k] = G[:, k, j] = sums(A[j] * A[k])
+
+    def At(v):
+        """A^T v of each window, as (windows, 5, 1)."""
+        return np.stack([sums(a * v) for a in A], axis=-1)[..., None]
+
+    coef = np.linalg.solve(G, At(ys))
+    fit = sum(a * np.repeat(coef[:, j, 0], count) for j, a in enumerate(A))
+    coef += np.linalg.solve(G, At(ys - fit))
+    coef = coef[..., 0] / norm.T
     return coef[:, 1], 2.0 * coef[:, 2], 6.0 * coef[:, 3]
 
 
@@ -142,7 +183,7 @@ def _prepare_grid(eta, phi, eta0: float, taylor: TaylorData | None):
     return eta, x, phi, measure_taylor(1.0 + x, phi, eta0) if taylor is None else taylor
 
 
-def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float):
+def _calibration(grid: _Grid, phi, taylor: TaylorData, n: int):
     """(Jfull, lam): Jfull = int_1^eta g at each sample, with g the regular
     part of (s+1)/phi, and lam = 2 * target(n) * (eta0 - 1) * exp(J),
     J = Jfull[-1] = int_1^eta0 g.
@@ -150,11 +191,10 @@ def _calibration(x, eta, phi, taylor: TaylorData, n: int, eta0: float):
     exp(J) beyond the float range means the candidate has no calibration
     constant: NoConvergence, naming J.
     """
-    g = _g_integrand(x, eta, phi, taylor)
-    Jfull = cumulative_simpson(g, eta)
+    Jfull = grid.simpson(_g_integrand(grid, phi, taylor))
     J = float(Jfull[-1])
     try:
-        return Jfull, 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(J)
+        return Jfull, 2.0 * calibration_target(n) * (grid.eta0 - 1.0) * math.exp(J)
     except OverflowError:
         raise NoConvergence(
             f"calibration constant overflows: exp(J) with J = {J:.6g}") from None
@@ -172,20 +212,18 @@ def calibrate_lambda(eta, phi, n: int, eta0: float) -> float:
     if abs(taylor.d1 - 2.0) > 2e-2:
         raise SingularityMismatch(
             f"phi'(1) = {taylor.d1:.6f} != 2; the regular remainder is unbounded")
-    return _calibration(x, eta, phi, taylor, n, eta0)[1]
+    return _calibration(_Grid(x, eta, eta0), phi, taylor, n)[1]
 
 
-def _map_once(x, eta, phi, taylor: TaylorData, n: int, theta: float, eta0: float):
+def _map_once(grid: _MapGrid, phi, taylor: TaylorData):
     """One application of the mapping; returns (zeta, lam, F = zeta')."""
-    Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0)
+    Jfull, lam = _calibration(grid, phi, taylor, grid.n)
     J = Jfull - Jfull[-1]                       # int_{eta0}^eta g
-    ratio = x_over_zeta(x, phi, taylor)         # (eta-1)/phi
-    exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
-    q = coef_q(eta, n, theta)
-    F = ((theta + 1) * phi / eta + coef_linear(eta, n, theta)
-         + n * eta * q * ratio + lam * eta**2 * exp_I_over_phi)
-    zeta = cumulative_simpson(F, eta)
-    return zeta, lam, F
+    ratio = grid.x_over_zeta(phi, taylor)       # (eta-1)/phi
+    exp_I_over_phi = ratio * np.exp(J) / (grid.eta0 - 1.0)
+    F = ((grid.theta + 1) * phi / grid.eta + grid.A
+         + grid.neq * ratio + (lam * grid.eta_sq) * exp_I_over_phi)
+    return grid.simpson(F), lam, F
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +326,12 @@ def fixed_point_solve(n: int, theta: float, eta0: float,
     meter = TaylorMeter(eta, eta0)      # measure_taylor on this grid
     taylor0 = TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0)
     with np.errstate(all="ignore"):     # images are checked for finiteness; log(0) = -inf
+        grid = _MapGrid(x, eta, eta0, n, theta)
         # the first image does not depend on the damping: made once, it
         # opens every restart, counted as a sweep each time
         seed = formula.seed(x)
         try:
-            first = _map_once(x, eta, seed, taylor0, n, theta, eta0)[0]
+            first = _map_once(grid, seed, taylor0)[0]
         except NoConvergence as exc:        # the calibration constant overflows: final
             raise NoConvergence(f"{exc} (sweep 1, {at})") from None
         first_change = float(np.max(np.abs(first - seed)))
@@ -302,7 +341,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float,
                 zeta, change = first, first_change
             else:
                 try:
-                    zeta = _map_once(x, eta, phi, taylor, n, theta, eta0)[0]
+                    zeta = _map_once(grid, phi, taylor)[0]
                     change = float(np.max(np.abs(zeta - phi)))
                 except NoConvergence:       # the calibration constant overflows
                     change = math.inf
@@ -325,7 +364,7 @@ def fixed_point_solve(n: int, theta: float, eta0: float,
         if np.any(phi[1:] <= 0):
             raise PositivityLoss("converged curve not positive on (1, eta0]")
         # final lambda and exponential integral of the fixed point itself
-        Jfull, lam = _calibration(x, eta, phi, taylor, n, eta0)
+        Jfull, lam = _calibration(grid, phi, taylor, n)
         I = (Jfull - Jfull[-1]) + np.where(x > 0, np.log(x / (eta0 - 1.0)), -np.inf)
     bands = GammaSetSpec(eta0=eta0, alpha=formula.alpha, beta=formula.beta,
                          gamma=taylor.gamma)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProfileEvaluator, RadialProfile, cumulative_simpson
+from .core import (CumulativeSimpson, ProfileEvaluator, RadialProfile,
+                   cumulative_simpson)
 from .errors import ParameterError
 from .spline import interp_spline
 
@@ -202,9 +203,11 @@ def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     step = 1e-11 * scale * (_table_range(config, r_max)[0] / 1e-8)
     keep = np.concatenate([[True], np.diff(r_q) > step])
     r_tab, vpp = r_q[keep], v_q[keep]
-    v_up = cumulative_simpson(vpp, r_tab)
+    simpson = CumulativeSimpson(r_tab)
+    v_up = simpson(vpp)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = cumulative_simpson(v_up, r_tab)
+        u = simpson(v_up)
+    del simpson                 # its weights would sit under the spline fit's peak
     if not np.isfinite(u[-1]):
         raise ParameterError(f"u overflows before r_max = {r_max:g} at v0 = "
                              f"{config.v0:g}, lambda = {config.lam:g}")

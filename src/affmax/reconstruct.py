@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .core import (X_SWITCH, PhaseCurve, ProfileEvaluator, RadialProfile,
-                   cumulative_simpson, x_over_zeta)
+from .core import (CumulativeSimpson, PhaseCurve, ProfileEvaluator,
+                   RadialProfile, SwitchSplit)
 from .errors import ParameterError
 from .spline import interp_spline
 
@@ -38,15 +38,14 @@ __all__ = ["t_of_eta", "rebuild_profile", "large_condition_check",
 U_CEILING = 1e6   # the value of u whose radius the completeness checks report
 
 
-def _tau_integrand(x, zeta, taylor):
+def _tau_integrand(split: SwitchSplit, zeta, taylor):
     """1/zeta - 1/(d1 x), regular at x = 0."""
     d, a, b, g = taylor.d1, taylor.alpha, taylor.beta, taylor.gamma
-    out = np.empty_like(x)
-    small = x < X_SWITCH
-    xs = x[small]
-    out[small] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
-        d * taylor.series(xs, d))
-    out[~small] = 1.0 / zeta[~small] - 1.0 / (d * x[~small])
+    k, xs = split.k, split.xs
+    out = np.empty_like(split.x)
+    out[:k] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
+        d * split.series(taylor, d))
+    out[k:] = 1.0 / zeta[k:] - 1.0 / (d * split.xl)
     return out
 
 
@@ -60,16 +59,17 @@ def _tables(curve: PhaseCurve, v0: float):
         raise ParameterError("curve grid must contain eta0 (the anchor)")
     tay = curve.taylor
     d1 = tay.d1
-    tau_i = _tau_integrand(x, zeta, tay)
-    ratio = x_over_zeta(x, zeta, tay)                # x/zeta, stable
-    ctau = cumulative_simpson(tau_i, eta)
+    simpson, split = CumulativeSimpson(eta), SwitchSplit(x)
+    tau_i = _tau_integrand(split, zeta, tay)
+    ratio = split.x_over_zeta(zeta, tay)             # x/zeta, stable
+    ctau = simpson(tau_i)
     tau = ctau - ctau[i0]
-    cW = cumulative_simpson(ratio, eta)
+    cW = simpson(ratio)
     W = cW - cW[i0]
     t = tau + np.log(x / x0) / d1
     logv = math.log(v0) + W + t
     u_int = np.exp(W + 2.0 * tau) * np.power(x / x0, 2.0 / d1) * ratio / x
-    u = cumulative_simpson(u_int, eta) * v0
+    u = simpson(u_int) * v0
     u += v0 * u_int[0] * x[0] * (d1 / 2.0)           # analytic piece over (1, eta[0])
     return {"eta": eta, "x": x, "zeta": zeta, "t": t,
             "logv": logv, "u": u, "i0": i0, "d1": d1}

@@ -7,8 +7,9 @@ import pytest
 
 from affmax import negative_pair
 from affmax.core import ModelParams, PhaseCurve, TaylorData
-from affmax.errors import (AffmaxError, NoConvergence, ParameterError,
-                           PositivityLoss, SingularityMismatch, TailUnbounded)
+from affmax.errors import (AffmaxError, GridTooCoarse, NoConvergence,
+                           ParameterError, PositivityLoss, SingularityMismatch,
+                           TailUnbounded)
 from affmax.negative_pair import (GammaSetSpec, blowup_time,
                                   calibrate_lambda, calibration_target,
                                   extend_global, fixed_point_solve,
@@ -26,7 +27,8 @@ def apply_T(eta, phi, n, theta, eta0, taylor=None):
     measured from the samples unless given.
     """
     eta, x, phi, taylor = negative_pair._prepare_grid(eta, phi, eta0, taylor)
-    zeta, lam, _ = negative_pair._map_once(x, eta, phi, taylor, n, theta, eta0)
+    grid = negative_pair._MapGrid(x, eta, eta0, n, theta)
+    zeta, lam, _ = negative_pair._map_once(grid, phi, taylor)
     return zeta, lam
 
 
@@ -411,6 +413,31 @@ def lstsq_local_derivatives(x, y, centers, window):
         coef /= norm
         d1[i], d2[i], d3[i] = coef[1], 2.0 * coef[2], 6.0 * coef[3]
     return d1, d2, d3
+
+
+def test_sparse_window_is_grid_too_coarse():
+    # 41 samples over [0, 0.05]: the windows of width 0.01 hold 7 to 9,
+    # except the one at 0.03 in the gap cut below, which holds none
+    x = np.linspace(0.0, 0.05, 41)
+    x = x[(x < 0.0249) | (x > 0.0351)]
+    centers = [0.01, 0.02, 0.03, 0.04]
+    with pytest.raises(GridTooCoarse, match=r"window centred at x = 0\.03 holds 0 of"):
+        negative_pair.local_derivatives(x, x**2, centers, window=0.01)
+    # three samples a window are two short of a quartic, five are enough
+    x = np.linspace(0.0, 0.05, 21)
+    with pytest.raises(GridTooCoarse, match=r"window centred at x = 0\.01 holds 3 of"):
+        negative_pair.local_derivatives(x, x**2, centers, window=0.006)
+    d1, d2, d3 = negative_pair.local_derivatives(x, x**2, centers, window=0.012)
+    assert np.allclose(d1, 2 * np.array(centers)) and np.allclose(d2, 2.0)
+
+
+def test_band_check_on_a_sparse_grid_is_grid_too_coarse(local_solve):
+    # every 100th sample: the Taylor fit has its samples, the outer windows not
+    eta = np.concatenate([[1.0], local_solve.curve.eta])[::100]
+    phi = np.concatenate([[0.0], local_solve.curve.zeta])[::100]
+    spec = GammaSetSpec(eta0=ETA0, alpha=1.0, beta=0.0, gamma=0.0)
+    with pytest.raises(GridTooCoarse, match="window centred at x = "):
+        spec.check(eta, phi, local_solve.taylor_measured)
 
 
 @pytest.mark.parametrize("theta", [THETA] + np.linspace(0.51, 0.65, 16).tolist())

@@ -1,6 +1,6 @@
 """The stepped DOP853 extension, the DOP853 port, the cumulative-Simpson
-port and the Taylor meter against the scipy calls and formulas they
-replaced.
+port, the local solve's mapping and the Taylor meter against the scipy
+calls and formulas they replaced.
 
 extend_global steps affmax.dop853.DOP853, a port of scipy's class, and
 reads its dense output in one gather, dop853.dense_values; the reference
@@ -23,12 +23,14 @@ from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
-from affmax import dop853, negative_pair
-from affmax.core import (ModelParams, PhaseCurve, TaylorData, TaylorMeter,
-                         cumulative_simpson, measure_taylor)
+from affmax import dop853, negative_pair, reconstruct
+from affmax.core import (X_SWITCH, CumulativeSimpson, ModelParams, PhaseCurve,
+                         TaylorData, TaylorMeter, cumulative_simpson,
+                         measure_taylor)
 from affmax.errors import ParameterError, PositivityLoss, StepFailure
-from affmax.negative_pair import LocalSolve, extend_global, fixed_point_solve
-from affmax.phase_plane import coef_linear, coef_zero, phase_field
+from affmax.negative_pair import (LocalSolve, calibration_target, extend_global,
+                                  fixed_point_solve, taylor_coeffs)
+from affmax.phase_plane import coef_linear, coef_q, coef_zero, phase_field
 
 from conftest import ETA0, N, THETA
 
@@ -276,6 +278,116 @@ def test_cumulative_simpson_signed_zero():
 def test_cumulative_simpson_rejects(x):
     with pytest.raises(ValueError):
         cumulative_simpson(np.ones(len(x)), np.array(x))
+
+
+def test_one_grid_integrates_many_integrands_as_scipy():
+    # the weights formed once serve every integrand on the grid
+    x, _ = simpson_inputs(6001, 7)
+    simpson = CumulativeSimpson(x)
+    rng = np.random.default_rng(8)
+    for y in [np.sin(x), -np.zeros_like(x)] + [
+            rng.standard_normal(len(x)) * 10.0 ** rng.uniform(-10.0, 10.0)
+            for _ in range(5)]:
+        assert same_bits(simpson(y), scipy_cumulative_simpson(y, x=x, initial=0.0))
+
+
+def test_one_grid_rejects_another_length():
+    with pytest.raises(ValueError):
+        CumulativeSimpson(np.arange(5.0))(np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# the mapping of the local solve, its grid arrays formed once, against the
+# per-call expression it replaced
+
+
+def ref_series(taylor, x, d):
+    return (1 + (taylor.alpha / (2 * d)) * x + (taylor.beta / (6 * d)) * x**2
+            + (taylor.gamma / (24 * d)) * x**3)
+
+
+def ref_x_over_zeta(x, zeta, taylor):
+    out = np.empty_like(x)
+    small = x < X_SWITCH
+    out[small] = 1.0 / (taylor.d1 * ref_series(taylor, x[small], taylor.d1))
+    out[~small] = x[~small] / zeta[~small]
+    return out
+
+
+def ref_g_integrand(x, eta, phi, taylor):
+    a, b, g = taylor.alpha, taylor.beta, taylor.gamma
+    out = np.empty_like(x)
+    small = x < X_SWITCH
+    xs = x[small]
+    num = (1 - a / 2) - (b / 6) * xs - (g / 24) * xs * xs
+    out[small] = num / (2.0 * ref_series(taylor, xs, 2.0))
+    xl = x[~small]
+    out[~small] = ((eta[~small] ** 2 - 1.0) - phi[~small]) / (phi[~small] * xl)
+    return out
+
+
+def ref_map_once(x, eta, phi, taylor, n, theta, eta0):
+    g = ref_g_integrand(x, eta, phi, taylor)
+    Jfull = scipy_cumulative_simpson(g, x=eta, initial=0.0)
+    lam = 2.0 * calibration_target(n) * (eta0 - 1.0) * math.exp(float(Jfull[-1]))
+    J = Jfull - Jfull[-1]
+    ratio = ref_x_over_zeta(x, phi, taylor)
+    exp_I_over_phi = ratio * np.exp(J) / (eta0 - 1.0)
+    q = coef_q(eta, n, theta)
+    F = ((theta + 1) * phi / eta + coef_linear(eta, n, theta)
+         + n * eta * q * ratio + lam * eta**2 * exp_I_over_phi)
+    zeta = scipy_cumulative_simpson(F, x=eta, initial=0.0)
+    return zeta, lam, F
+
+
+@settings(max_examples=12)
+@given(theta=st.floats(0.51, 0.655), eta0=st.sampled_from([1.02, 1.05]))
+def test_map_once_matches_per_call_expression(theta, eta0):
+    # the cubic seed, as in the first sweep, and the converged iterate
+    local = fixed_point_solve(N, theta, eta0)
+    x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, 6000)])
+    eta = 1.0 + x
+    formula = taylor_coeffs(N, theta)
+    seed = (formula.seed(x),
+            TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0))
+    fixed = (np.concatenate([[0.0], local.curve.zeta]), local.taylor_measured)
+    grid = negative_pair._MapGrid(x, eta, eta0, N, theta)
+    for phi, taylor in (seed, fixed):
+        got = negative_pair._map_once(grid, phi, taylor)
+        want = ref_map_once(x, eta, phi, taylor, N, theta, eta0)
+        assert same_bits(got[0], want[0]) and same_bits(got[2], want[2])
+        assert float.hex(got[1]) == float.hex(want[1])
+
+
+def ref_tables(curve, v0):
+    """reconstruct._tables with a per-call split and scipy's quadrature."""
+    eta, zeta, tay = curve.eta, curve.zeta, curve.taylor
+    x = eta - 1.0
+    x0 = curve.params.eta0 - 1.0
+    i0 = int(np.argmin(np.abs(eta - curve.params.eta0)))
+    d, a, b, g = tay.d1, tay.alpha, tay.beta, tay.gamma
+    tau_i = np.empty_like(x)
+    small = x < X_SWITCH
+    xs = x[small]
+    tau_i[small] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
+        d * ref_series(tay, xs, d))
+    tau_i[~small] = 1.0 / zeta[~small] - 1.0 / (d * x[~small])
+    ratio = ref_x_over_zeta(x, zeta, tay)
+    ctau = scipy_cumulative_simpson(tau_i, x=eta, initial=0.0)
+    tau = ctau - ctau[i0]
+    cW = scipy_cumulative_simpson(ratio, x=eta, initial=0.0)
+    W = cW - cW[i0]
+    t = tau + np.log(x / x0) / d
+    u_int = np.exp(W + 2.0 * tau) * np.power(x / x0, 2.0 / d) * ratio / x
+    u = scipy_cumulative_simpson(u_int, x=eta, initial=0.0) * v0
+    u += v0 * u_int[0] * x[0] * (d / 2.0)
+    return {"t": t, "logv": math.log(v0) + W + t, "u": u}
+
+
+def test_reconstruct_tables_match_per_call_expression(curve_1e3):
+    got = reconstruct._tables(curve_1e3, 2.0)
+    for key, want in ref_tables(curve_1e3, 2.0).items():
+        assert same_bits(got[key], want), key
 
 
 # ---------------------------------------------------------------------------
