@@ -89,7 +89,7 @@ _OPTIONS = [
     ("sweep", "theta-min", float, 0.51, "first theta"),
     ("sweep", "theta-max", float, 0.65, "last theta"),
     ("sweep", "steps", int, 4, "grid size"),
-    ("sweep", "jobs", int, 1, "parallel workers"),
+    ("sweep", "jobs", int, 1, "processes computing rows, this one included"),
     ("sweep", "eta0", float, 1.05, "anchor"),
     ("sweep", "eta-max", float, 1e3, "integration range"),
     ("sweep", "outdir", str, "sweep_out", "output directory"),
@@ -419,6 +419,67 @@ def _sweep_worker(task):
     return row
 
 
+def _sweep_share(tasks, conn):
+    """Body of a forked sweep process: send its rows, or the exception
+    that stopped them, back once."""
+    try:
+        out = [_sweep_worker(t) for t in tasks]
+    except Exception as exc:  # the caller re-raises it, as --jobs 1 would
+        out = exc
+    conn.send(out)
+    conn.close()
+
+
+def _sweep_rows(tasks, procs):
+    """The rows of tasks, in order, computed by procs processes in all.
+
+    Row i goes to process i mod procs.  Process 0 is this one; the others
+    are forked children, each sending its list back once over a pipe.  An
+    exception raised in a child is raised here.  A child that ends without
+    sending its rows is an AffmaxError naming them.  No child outlives the
+    call, whatever it raises.
+    """
+    if procs == 1:
+        return [_sweep_worker(t) for t in tasks]
+    # imported here: multiprocessing costs every other command ~6 ms.
+    # The forked children keep the one BLAS thread affmax/__init__.py
+    # sets, so the rows are the only parallelism.  Fork, not spawn: a
+    # child starts with numpy and affmax loaded instead of importing them.
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(1, procs):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_sweep_share, args=(tasks[k::procs], send))
+            child.start()
+            children.append((child, recv))
+            send.close()  # so that recv sees EOF once the child ends
+        shares = [[_sweep_worker(t) for t in tasks[::procs]]]
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                share = recv.recv()
+            except EOFError:
+                child.join()
+                which = ", ".join(map(str, range(k, len(tasks), procs)))
+                raise AffmaxError(f"the process computing rows {which} ended with "
+                                  f"exit code {child.exitcode} before sending "
+                                  f"them") from None
+            child.join()
+            if isinstance(share, Exception):
+                raise share
+            shares.append(share)
+    finally:
+        for child, recv in children:
+            child.terminate()  # no-op for a child already joined
+            child.join()
+            recv.close()
+    rows = [None] * len(tasks)
+    for k, share in enumerate(shares):
+        rows[k::procs] = share
+    return rows
+
+
 def _cmd_sweep(o) -> int:
     import os
     if not o["steps"] >= 1:
@@ -428,16 +489,8 @@ def _cmd_sweep(o) -> int:
     ModelParams.require_negative_pair_n(o["n"])
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
-    jobs = min(int(o["jobs"]), len(tasks))
-    if jobs > 1:
-        # imported here: multiprocessing costs every other command ~15 ms.
-        # The forked workers keep the one BLAS thread affmax/__init__.py
-        # sets, so the rows are the only parallelism.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_sweep_worker, tasks))
-    else:
-        rows = [_sweep_worker(t) for t in tasks]
+    rows = _sweep_rows(tasks, min(int(o["jobs"]), len(tasks),
+                                  len(os.sched_getaffinity(0))))
     os.makedirs(o["outdir"], exist_ok=True)
     out = os.path.join(o["outdir"], "sweep.json")
     _dump_json({"n": int(o["n"]), "rows": rows}, out)

@@ -1,5 +1,7 @@
 """Shared fixtures: the flagship (n, theta) = (2, 0.55) construction."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,13 @@ N, THETA, ETA0 = 2, 0.55, 1.05
 # per-example deadline (some examples run a whole negative-pair solve)
 settings.register_profile("affmax", deadline=None, derandomize=True)
 settings.load_profile("affmax")
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    # a sweep joins every process it forks, whatever it raises
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

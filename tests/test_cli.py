@@ -1,8 +1,10 @@
 import base64
-import concurrent.futures
 import json
 import math
+import multiprocessing
+import os
 import shutil
+import time
 import warnings
 
 import numpy as np
@@ -643,7 +645,7 @@ def test_int_option_at_zero_or_minus_one_exits_cleanly(workdir, tmp_path, monkey
                                                        capsys, command, flag, value):
     # each command runs on copies of the flagship artifacts under their
     # default names, assemble with its report.  No value here starts a
-    # process: sweep refuses a --jobs below 1 before it makes a pool
+    # process: sweep refuses a --jobs below 1 before it forks
     for name in ("phi.csv", "psi.csv", "curve.csv", "report.json", "solution.json"):
         shutil.copy(workdir / name, tmp_path / name)
     (tmp_path / "run.ini").write_text("[assemble]\nreport = report.json\n")
@@ -702,39 +704,96 @@ class TestSweep:
         assert row["error"] == ("ParameterError: eta_max = inf must exceed "
                                 "eta0 = 1.05 and be finite")
 
-    @pytest.mark.parametrize("steps, jobs, pools", [(2, 8, [2]), (3, 2, [2]),
-                                                     (1, 4, [])])
+    @pytest.mark.parametrize("steps, jobs, cpus, children", [
+        (2, 8, 8, 1), (3, 2, 8, 1), (1, 4, 8, 0), (4, 4, 1, 0)])
     def test_sweep_forks_no_more_workers_than_rows(self, tmp_path, monkeypatch,
-                                                   steps, jobs, pools):
-        # a pool forks all its max_workers at the first submit; this one
-        # records max_workers and maps in this process
-        made = []
+                                                   steps, jobs, cpus, children):
+        # min(jobs, rows, usable CPUs) processes compute rows, this one
+        # included, so it forks one child fewer; the rows are the same
+        started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
+        def counting_start(proc):
+            started.append(proc)
+            start(proc)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        assert run(["sweep", "--n", "2", "--steps", str(steps), "--jobs", str(jobs),
-                    "--theta-min", "0.55", "--theta-max", "0.6", "--eta-max", "50",
-                    "--outdir", str(tmp_path / "sw")]) in (0, 2)
-        assert made == pools
-        rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
-        assert len(rows) == steps
-
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",
-                "0.58", "--steps", "2", "--eta-max", "150"]
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        args = ["sweep", "--n", "2", "--steps", str(steps), "--theta-min", "0.55",
+                "--theta-max", "0.6", "--eta-max", "50"]
+        assert run(args + ["--jobs", str(jobs), "--outdir", str(tmp_path / "sw")]) in (0, 2)
+        assert len(started) == children
         run(args + ["--jobs", "1", "--outdir", str(tmp_path / "s1")])
-        run(args + ["--jobs", "2", "--outdir", str(tmp_path / "s2")])
+        assert (tmp_path / "sw" / "sweep.json").read_bytes() == \
+            (tmp_path / "s1" / "sweep.json").read_bytes()
+
+    @pytest.mark.parametrize("steps, jobs, eta_max", [
+        (2, 2, "150"), (5, 3, "150"), (5, 3, "inf")])
+    def test_sweep_parallel_matches_serial(self, tmp_path, monkeypatch,
+                                           steps, jobs, eta_max):
+        # 5 rows in 3 processes are shares of 2, 2 and 1 rows; at eta_max
+        # inf every row fails, and its error string crosses the pipe
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)))
+        args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",
+                "0.58", "--steps", str(steps), "--eta-max", eta_max]
+        rc = run(args + ["--jobs", "1", "--outdir", str(tmp_path / "s1")])
+        assert run(args + ["--jobs", str(jobs), "--outdir", str(tmp_path / "s2")]) == rc
         assert (tmp_path / "s1" / "sweep.json").read_bytes() == \
             (tmp_path / "s2" / "sweep.json").read_bytes()
+
+
+class TestSweepFailures:
+    """A fault outside the rows' own AffmaxErrors, in a forked process.
+
+    Five rows in three processes: this one computes rows 0 and 3, the
+    children rows 1 and 4, and row 2.
+    """
+
+    THETAS = [float(t) for t in np.linspace(0.55, 0.6, 5)]
+
+    def sweep(self, tmp_path, monkeypatch, faults, jobs):
+        real, caller = cli._sweep_worker, os.getpid()
+
+        def worker(task):
+            fault = faults.get(self.THETAS.index(task[1]))
+            if fault == "raise":
+                raise ValueError(f"no row at theta {task[1]!r}")
+            if fault in ("exit", "hang") and os.getpid() == caller:
+                raise AssertionError(f"{fault} fault in the caller's share")
+            if fault == "exit":
+                os._exit(3)
+            if fault == "hang":
+                time.sleep(60)
+            return real(task)
+
+        monkeypatch.setattr(cli, "_sweep_worker", worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        start = time.perf_counter()
+        rc = run(["sweep", "--n", "2", "--steps", "5", "--theta-min", "0.55",
+                  "--theta-max", "0.6", "--eta-max", "50", "--jobs", str(jobs),
+                  "--outdir", str(tmp_path / "sw")])
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+        return rc
+
+    def test_exception_in_a_child_matches_jobs_1(self, tmp_path, monkeypatch, capsys):
+        faults = {1: "raise"}
+        serial = self.sweep(tmp_path, monkeypatch, faults, 1), capsys.readouterr().err
+        forked = self.sweep(tmp_path, monkeypatch, faults, 3), capsys.readouterr().err
+        assert forked == serial == (1, f"error: no row at theta {self.THETAS[1]!r}\n")
+
+    def test_child_ending_without_its_rows(self, tmp_path, monkeypatch, capsys):
+        assert self.sweep(tmp_path, monkeypatch, {2: "exit"}, 3) == 2
+        assert capsys.readouterr().err == (
+            "error: AffmaxError: the process computing rows 2 ended with exit "
+            "code 3 before sending them\n")
+        assert not (tmp_path / "sw").exists()
+
+    def test_error_in_own_share_stops_the_children(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # the children would sleep for a minute; they are terminated
+        faults = {0: "raise", 1: "hang", 2: "hang"}
+        assert self.sweep(tmp_path, monkeypatch, faults, 3) == 1
+        assert capsys.readouterr().err == \
+            f"error: no row at theta {self.THETAS[0]!r}\n"
