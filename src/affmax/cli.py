@@ -11,7 +11,6 @@ identical configuration yields byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
@@ -109,6 +108,7 @@ def _options(command):
 def _merge(args: argparse.Namespace, command: str) -> dict:
     cfg, own = {}, set()
     if getattr(args, "config", None):
+        import configparser     # about 1 ms, paid only by a run with --config
         parser = configparser.ConfigParser()
         try:
             with open(args.config) as fh:
@@ -224,8 +224,10 @@ def _cmd_assemble(o) -> int:
     check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
     R_inf = _number(_load_json(o["report"]), "R_inf", o["report"], positive=True)
-    # both factors are built from their constructors, as verify builds
-    # them; the CSV columns only cross-check them
+    # both factors are built as verify builds them from their constructors,
+    # psi from the curve columns read here rather than decoded again; the
+    # CSV columns only cross-check them
+    curve = [np.ascontiguousarray(c) for c in curve]
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
                 "lambda": o["phi_lambda"], "rmax": float(phi_r[-1]),
                 "nodes": len(phi_r)}
@@ -233,7 +235,8 @@ def _cmd_assemble(o) -> int:
                 **{k: encode_column(c) for k, c in zip(("eta", "zeta", "I"), curve)}}
     phi = _factor(phi_ctor, theta, 1, "phi.constructor")
     _check_columns_match(phi_r, phi_v, phi, "phi")
-    psi = _factor(psi_ctor, theta, n, "psi.constructor")
+    psi_v0 = _number(psi_ctor, "v0", "psi.constructor", positive=True)
+    psi = _phase_factor(*curve, psi_v0, theta, n)
     _check_columns_match(psi_r, psi_v, psi, "psi")
     sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta, R_inf=R_inf)
     payload = {
@@ -260,8 +263,8 @@ def _check_columns_match(r, v, rebuilt: RadialProfile, name: str):
 def _factor(ctor, theta, n, where):
     """The factor a solution.json constructor block describes (phi unscaled).
 
-    assemble and verify both build their factors here.  A missing key or
-    a value of the wrong type or range raises a one-line ParameterError.
+    verify builds both factors here, assemble phi.  A missing key or a
+    value of the wrong type or range raises a one-line ParameterError.
     """
     kind = _get(ctor, "kind", where)
     if kind not in ("positive-pair", "phase-reconstruction"):
@@ -271,8 +274,17 @@ def _factor(ctor, theta, n, where):
         lam, rmax = (_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
         grid = phi_grid(rmax, _number(ctor, "nodes", where, integer=True))
         return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
-    eta, zeta, I = (decode_column(_get(ctor, k, where), f"{where}: {k}")
-                    for k in ("eta", "zeta", "I"))
+    return _phase_factor(*(decode_column(_get(ctor, k, where), f"{where}: {k}")
+                           for k in ("eta", "zeta", "I")), v0, theta, n)
+
+
+def _phase_factor(eta, zeta, I, v0, theta, n):
+    """psi: the profile rebuilt from the phase curve of these columns.
+
+    Give it contiguous columns, as decode_column returns them, so that
+    assemble and verify reduce over the same memory layout: a reduction
+    over a strided view of the same values may round differently.
+    """
     return rebuild_profile(PhaseCurve.from_columns(eta, zeta, I, n=n, theta=theta),
                            v0=v0)
 
@@ -419,14 +431,20 @@ def _sweep_worker(task):
     return row
 
 
-def _sweep_share(tasks, conn):
-    """Body of a forked sweep process: send its rows, or the exception
-    that stopped them, back once."""
+def _sweep_share_rows(tasks):
+    """The rows of tasks, or (i, exc) if task i raised exc and stopped them."""
+    rows = []
     try:
-        out = [_sweep_worker(t) for t in tasks]
-    except Exception as exc:  # the caller re-raises it, as --jobs 1 would
-        out = exc
-    conn.send(out)
+        for t in tasks:
+            rows.append(_sweep_worker(t))
+    except Exception as exc:  # re-raised by _sweep_rows, as --jobs 1 would
+        return len(rows), exc
+    return rows
+
+
+def _sweep_share(tasks, conn):
+    """Body of a forked sweep process: send _sweep_share_rows back once."""
+    conn.send(_sweep_share_rows(tasks))
     conn.close()
 
 
@@ -435,9 +453,10 @@ def _sweep_rows(tasks, procs):
 
     Row i goes to process i mod procs.  Process 0 is this one; the others
     are forked children, each sending its list back once over a pipe.  An
-    exception raised in a child is raised here.  A child that ends without
-    sending its rows is an AffmaxError naming them.  No child outlives the
-    call, whatever it raises.
+    exception raised for a row, here or in a child, is raised here: that
+    of the lowest such row, as --jobs 1 raises it.  A child that ends
+    without sending its rows is an AffmaxError naming them.  No child
+    outlives the call, whatever it raises.
     """
     if procs == 1:
         return [_sweep_worker(t) for t in tasks]
@@ -455,8 +474,14 @@ def _sweep_rows(tasks, procs):
             child.start()
             children.append((child, recv))
             send.close()  # so that recv sees EOF once the child ends
-        shares = [[_sweep_worker(t) for t in tasks[::procs]]]
+        shares = [_sweep_share_rows(tasks[::procs])]
+        failed = {}     # row -> the exception raised for it
+        if isinstance(shares[0], tuple):
+            i, exc = shares[0]
+            failed[i * procs] = exc
         for k, (child, recv) in enumerate(children, 1):
+            if failed and min(failed) < k:
+                break   # no row of this share or a later one is lower
             try:
                 share = recv.recv()
             except EOFError:
@@ -466,9 +491,12 @@ def _sweep_rows(tasks, procs):
                                   f"exit code {child.exitcode} before sending "
                                   f"them") from None
             child.join()
-            if isinstance(share, Exception):
-                raise share
+            if isinstance(share, tuple):
+                i, exc = share
+                failed[k + i * procs] = exc
             shares.append(share)
+        if failed:
+            raise failed[min(failed)]
     finally:
         for child, recv in children:
             child.terminate()  # no-op for a child already joined
@@ -533,16 +561,44 @@ def _cmd_emit_plot_data(o) -> int:
 # argument wiring
 
 
+def _add_options(p, command):
+    """Give the parser p the options of command, --config among them."""
+    p.add_argument("--config", default=None, help="INI config file")
+    for key, flag, typ, _, hlp in _options(command):
+        p.add_argument(f"--{flag}", type=typ, default=None, help=hlp, dest=key)
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog="affmax", description=__doc__)
     ap.add_argument("--version", action="store_true", help="print version and exit")
     sub = ap.add_subparsers(dest="command")
     for command in _COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="INI config file")
-        for key, flag, typ, _, hlp in _options(command):
-            p.add_argument(f"--{flag}", type=typ, default=None, help=hlp, dest=key)
+        _add_options(sub.add_parser(command), command)
     return ap
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed argv, or SystemExit with the exit code of a usage error
+    or of a request for help or the version.
+
+    A known command's own parser, the one build_parser gives it, parses
+    it.  Only what that parser leaves undecided goes to the full parser
+    of every command, whose text is the same: no command or an unknown
+    one, top-level help or --version, and arguments the command lacks.
+    """
+    if argv and argv[0] in _COMMANDS:
+        ap = _Parser(prog=f"affmax {argv[0]}")
+        _add_options(ap, argv[0])
+        args, rest = ap.parse_known_args(argv[1:])
+        if not rest:
+            args.command, args.version = argv[0], False
+            return args
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command is None and not args.version:
+        ap.print_usage(sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    return args
 
 
 _COMMANDS = {
@@ -559,17 +615,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     if args.version:
         print(f"affmax {__version__} (schema {SCHEMA_VERSION})")
         return 0
-    if args.command is None:
-        ap.print_usage(sys.stderr)
-        return USAGE_ERROR
     try:
         opts = _merge(args, args.command)
         return _COMMANDS[args.command](opts)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -464,7 +464,8 @@ class VerificationReport:
             raise ParameterError("residual statistics must be nonnegative")
 
     def as_dict(self):
-        return asdict(self)
+        """The fields by name; the values are shared, not copied."""
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import affmax
 from affmax import cli, verify
 from affmax.cli import main
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
@@ -167,8 +170,12 @@ class TestSchema3:
         assert back.kappa == sol.kappa
         phi_csv_r = read_columns(str(workdir / "phi.csv"))[1][0]
         assert back.phi.r.tobytes() == sol.phi.r.tobytes() == phi_csv_r.tobytes()
-        for made, read in ((sol.phi, back.phi), (sol.psi, back.psi)):
-            r = np.geomspace(max(made.r[0], 1e-6), made.r[-1], 257)
+        # assemble rebuilds psi from the curve.csv columns it read, verify
+        # from the constructor's base64 columns: same bits at psi.csv's radii
+        psi_csv_r = read_columns(str(workdir / "psi.csv"))[1][0]
+        for made, read, at in ((sol.phi, back.phi, []),
+                               (sol.psi, back.psi, psi_csv_r[psi_csv_r > 0])):
+            r = np.concatenate([np.geomspace(max(made.r[0], 1e-6), made.r[-1], 257), at])
             a, b = made.evaluator, read.evaluator
             assert a.v(r).tobytes() == b.v(r).tobytes()
             assert a.u(r).tobytes() == b.u(r).tobytes()
@@ -634,6 +641,90 @@ class TestConfigAndErrors:
         assert json.loads(out.read_text())["pass"]
 
 
+def full_parser_main(argv):
+    """main on the parser of every command: the reference for its text."""
+    ap = cli.build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else cli.USAGE_ERROR
+    if args.version:
+        print(f"affmax {affmax.__version__} (schema {affmax.SCHEMA_VERSION})")
+        return 0
+    if args.command is None:
+        ap.print_usage(sys.stderr)
+        return cli.USAGE_ERROR
+    return cli._COMMANDS[args.command](cli._merge(args, args.command))
+
+
+class TestParsing:
+    """A command's own parser answers as the parser of every command does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["--version"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        ["reconstruct", "--n", "2"], ["solve-positive", "--nodes", "x"],
+        ["solve-positive", "--node", "5"], ["solve-positive", "--version"],
+        ["solve-positive", "--nodes", "x", "--bogus"], ["verify", "--", "x"]],
+        ids=lambda argv: " ".join(argv) or "no-command")
+    def test_text_and_exit_code_match_the_full_parser(self, tmp_path, monkeypatch,
+                                                      capsys, argv):
+        # --node 5 is an abbreviation of --nodes: both write profile.csv
+        results = []
+        for tag, fn in (("own", main), ("full", full_parser_main)):
+            (tmp_path / tag).mkdir()
+            monkeypatch.chdir(tmp_path / tag)
+            rc = fn(list(argv))
+            written = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
+            results.append((rc, capsys.readouterr(), written))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("command, flag, typ", [row[:3] for row in cli._OPTIONS],
+                             ids=[f"{row[0]} --{row[1]}" for row in cli._OPTIONS])
+    def test_options_match_the_full_parser(self, command, flag, typ):
+        value = {int: "3", float: "0.5", str: "x.out"}[typ]
+        for argv in ([command], [command, f"--{flag}", value]):
+            own = cli._merge(cli._parse_args(argv), command)
+            assert own == cli._merge(cli.build_parser().parse_args(argv), command)
+        assert own[flag.replace("-", "_")] == typ(value)
+
+    def test_a_stage_builds_one_parser(self, workdir, tmp_path, monkeypatch):
+        # the parser of every command is ten parsers
+        made = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        stages = [
+            ["solve-positive", "--nodes", "201", "--out", str(tmp_path / "phi.csv")],
+            ["solve-negative", "--eta-max", "200", "--out", str(tmp_path / "c.csv"),
+             "--report", str(tmp_path / "r.json")],
+            ["reconstruct", "--curve", str(workdir / "curve.csv"),
+             "--out", str(tmp_path / "psi.csv")],
+            assemble_argv(workdir, tmp_path / "solution.json"),
+            ["verify", "--solution", str(tmp_path / "solution.json"), "--points", "20",
+             "--report", str(tmp_path / "verify.json")]]
+        for argv in stages:
+            made.clear()
+            assert run(argv) in (0, 2)
+            assert made == [f"affmax {argv[0]}"]
+
+
+def test_import_leaves_configparser_unloaded(tmp_path):
+    # its import costs about 1 ms, which only a run with --config needs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, affmax.cli\n"
+         "print('configparser' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 _INT_OPTIONS = [(command, flag) for command, flag, typ, *_ in cli._OPTIONS
                 if typ is int]
 
@@ -782,6 +873,17 @@ class TestSweepFailures:
         serial = self.sweep(tmp_path, monkeypatch, faults, 1), capsys.readouterr().err
         forked = self.sweep(tmp_path, monkeypatch, faults, 3), capsys.readouterr().err
         assert forked == serial == (1, f"error: no row at theta {self.THETAS[1]!r}\n")
+
+    @pytest.mark.parametrize("rows", [(1, 3), (2, 4)],
+                             ids=["child-below-own", "child-below-child"])
+    def test_lowest_failing_row_matches_jobs_1(self, tmp_path, monkeypatch, capsys,
+                                               rows):
+        # rows 1 and 3: a child's row lies below this process's; rows 2 and
+        # 4: the second child's row lies below the first child's
+        faults = dict.fromkeys(rows, "raise")
+        serial = self.sweep(tmp_path, monkeypatch, faults, 1), capsys.readouterr().err
+        forked = self.sweep(tmp_path, monkeypatch, faults, 3), capsys.readouterr().err
+        assert forked == serial == (1, f"error: no row at theta {self.THETAS[rows[0]]!r}\n")
 
     def test_child_ending_without_its_rows(self, tmp_path, monkeypatch, capsys):
         assert self.sweep(tmp_path, monkeypatch, {2: "exit"}, 3) == 2
