@@ -22,13 +22,13 @@ from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
                    check_radii, decode_column, encode_column, read_columns,
                    upper_bound_claimed, write_columns)
 from .errors import AffmaxError, ParameterError
-from .negative_pair import (blowup_time, extend_global, fixed_point_solve,
-                            growth_bounds_check)
+from .negative_pair import growth_bounds_check, solve_negative
 from .phase_plane import bernstein_radial_check
 from .positive_pair import PositivePairConfig, build_phi, phi_grid
 from .reconstruct import rebuild_profile
 from .verify import (assemble, bernstein_1d_check, check_assembly,
-                     completeness_check, full_residual)
+                     verify_solution)
+from .verify import full_residual  # noqa: F401  perfbench/selftest.py reads cli's binding
 
 USAGE_ERROR, FAILURE = 1, 2
 
@@ -62,9 +62,7 @@ _OPTIONS = [
     ("assemble", "phi", str, "phi.csv", "1-D factor CSV"),
     ("assemble", "psi", str, "psi.csv", "n-D factor CSV"),
     ("assemble", "m", int, 0, "cylinder factors"),
-    ("assemble", "theta", float, 0.55, "exponent"),
-    ("assemble", "n", int, 2, "psi dimension"),
-    ("assemble", "report", str, None, "solve-negative report (R_inf), required"),
+    ("assemble", "report", str, None, "solve-negative report (n, theta, R_inf), required"),
     ("assemble", "curve", str, "curve.csv",
      "phase-curve CSV the psi factor is rebuilt from"),
     ("assemble", "psi-v0", float, 1.0, "anchor v(1) of the psi factor"),
@@ -74,7 +72,6 @@ _OPTIONS = [
     ("verify", "solution", str, "solution.json", "solution JSON"),
     ("verify", "points", int, 1000, "sample count"),
     ("verify", "seed", int, 0, "sampling seed"),
-    ("verify", "tol", float, 1e-4, "residual tolerance"),
     ("verify", "report", str, "verify.json", "report JSON"),
     ("bernstein-radial", "n", int, 3, "dimension (>= 3)"),
     ("bernstein-radial", "theta", float, 1.0, "exponent"),
@@ -165,45 +162,13 @@ def _cmd_solve_positive(o) -> int:
     return 0
 
 
-def _solve_negative_pipeline(n, theta, eta0, eta_max):
-    """The local solve's curve extended to eta_max, and its report."""
-    local = fixed_point_solve(n, theta, eta0)
-    curve = extend_global(local, eta_max=eta_max)
-    bounds_rep = growth_bounds_check(curve)
-    # the blow-up estimate uses the full integration range: the curve (and
-    # any profile rebuilt from it) reaches within ~1/(q eta_max) of the
-    # boundary, so T_inf must be at least that accurate
-    T_inf, tail = blowup_time(curve)
-    report = {
-        "n": curve.params.n, "theta": curve.params.theta, "eta0": curve.params.eta0,
-        "taylor": {"alpha": local.taylor_formula.alpha,
-                   "beta": local.taylor_formula.beta,
-                   "gamma": local.taylor_formula.gamma},
-        "taylor_measured": {"alpha": local.taylor_measured.alpha,
-                            "beta": local.taylor_measured.beta,
-                            "gamma": local.taylor_measured.gamma},
-        "lambda_cal": local.lambda_cal,
-        "iterations": local.iterations,
-        "bounds": {"rho": bounds_rep["rho"], "eps0": bounds_rep["eps0"],
-                   "eta1": bounds_rep["eta1"], "eta2": bounds_rep["eta2"]},
-        "bounds_detail": bounds_rep,
-        "T_inf": T_inf, "tail_bound": tail, "R_inf": math.exp(T_inf),
-        "upper_bound_claimed": bounds_rep["upper_claimed"],
-    }
-    return curve, report
-
-
 def _cmd_solve_negative(o) -> int:
-    curve, report = _solve_negative_pipeline(o["n"], o["theta"], o["eta0"], o["eta_max"])
+    curve, report, failed = solve_negative(o["n"], o["theta"], o["eta0"], o["eta_max"])
     curve.to_csv(o["out"])
     _dump_json(report, o["report"])
-    ok = (report["bounds_detail"]["rho_holds"]
-          and report["bounds_detail"]["lower_quadratic_holds"]
-          and (not report["upper_bound_claimed"]
-               or report["bounds_detail"]["upper_holds"]))
     print(f"wrote {o['out']} and {o['report']}; lambda_cal = "
           f"{report['lambda_cal']:.6g}, T_inf = {report['T_inf']:.6g}")
-    return 0 if ok else FAILURE
+    return FAILURE if failed else 0
 
 
 def _cmd_reconstruct(o) -> int:
@@ -216,14 +181,19 @@ def _cmd_reconstruct(o) -> int:
 
 def _cmd_assemble(o) -> int:
     if o["report"] is None:
-        raise ParameterError("assemble needs --report, the report that gives R_inf")
-    n, theta = int(o["n"]), o["theta"]
+        raise ParameterError("assemble needs --report, which gives n, theta and R_inf")
     phi_r, phi_v, _ = read_columns(o["phi"], header=["r", "v", "u"])[1]
     check_radii(phi_r)
     psi_r, psi_v, _ = read_columns(o["psi"], header=["r", "v", "u"])[1]
     check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
-    R_inf = _number(_load_json(o["report"]), "R_inf", o["report"], positive=True)
+    report = _load_json(o["report"])
+    R_inf = _number(report, "R_inf", o["report"], positive=True)
+    n = _number(report, "n", o["report"], integer=True)
+    theta = _number(report, "theta", o["report"])
+    # checked before the factors are built, whose fits would only fail on them
+    ModelParams(n=n, theta=theta).require_negative_pair()
+    check_assembly(theta, n, int(o["m"]))
     # both factors are built as verify builds them from their constructors,
     # psi from the curve columns read here rather than decoded again; the
     # CSV columns only cross-check them
@@ -367,32 +337,13 @@ def _solution_from_json(path):
 
 
 def _cmd_verify(o) -> int:
-    sol = _solution_from_json(o["solution"])
-    rep = full_residual(sol, n_points=int(o["points"]), seed=int(o["seed"]))
-    comp = completeness_check(sol)
-    passed = (rep.residual_max < o["tol"] and rep.convexity_margin > 0
-              and comp["pass"])
-    payload = rep.as_dict()
-    payload["completeness"] = comp
-    payload["bounds"] = [
-        {"bound_id": "hessian-positive-definite",
-         "holds": bool(rep.convexity_margin > 0),
-         "witness": {"min_eigenvalue": rep.convexity_margin}},
-        {"bound_id": "u-diverges-at-boundary",
-         "holds": bool(comp["psi"]["pass"]),
-         "witness": {k: comp["psi"].get(k) for k in
-                     ("u_log_slope", "u_fit_residual")}},
-        {"bound_id": "u-diverges-at-infinity",
-         "holds": bool(comp["phi"]["increasing"] and comp["phi"]["slope"] > 0),
-         "witness": comp["phi"]},
-    ]
-    payload["tolerance"] = o["tol"]
-    payload["pass"] = bool(passed)
-    _dump_json(payload, o["report"])
-    print(f"residual max {rep.residual_max:.3e} (tol {o['tol']:.1e}), "
-          f"convexity margin {rep.convexity_margin:.3e}, "
-          f"completeness {'pass' if comp['pass'] else 'FAIL'}")
-    return 0 if passed else FAILURE
+    rep = verify_solution(_solution_from_json(o["solution"]), int(o["points"]),
+                          int(o["seed"]))
+    _dump_json(rep, o["report"])
+    print(f"residual max {rep['residual_max']:.3e} (tol {rep['tolerance']:.1e}), "
+          f"convexity margin {rep['convexity_margin']:.3e}, "
+          f"completeness {'pass' if rep['completeness']['pass'] else 'FAIL'}")
+    return 0 if rep["pass"] else FAILURE
 
 
 def _check_verdict(rep, out, label) -> int:
@@ -421,7 +372,7 @@ def _sweep_worker(task):
     if not row["upper_bound_claimed"]:
         row["note"] = "upper-bound-not-claimed"
     try:
-        _, report = _solve_negative_pipeline(n, theta, eta0, eta_max)
+        _, report, _ = solve_negative(n, theta, eta0, eta_max)
         row.update({"lambda_cal": report["lambda_cal"],
                     "iterations": report["iterations"],
                     "T_inf": report["T_inf"], "R_inf": report["R_inf"],

@@ -463,10 +463,6 @@ class VerificationReport:
         if self.residual_max < 0 or self.residual_mean < 0:
             raise ParameterError("residual statistics must be nonnegative")
 
-    def as_dict(self):
-        """The fields by name; the values are shared, not copied."""
-        return dict(vars(self))
-
 
 # ---------------------------------------------------------------------------
 # the radial operator

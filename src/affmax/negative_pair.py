@@ -36,7 +36,7 @@ from .phase_plane import coef_linear, coef_q, phase_field
 __all__ = [
     "taylor_coeffs", "calibration_target", "GammaSetSpec", "LocalSolve",
     "calibrate_lambda", "fixed_point_solve", "extend_global",
-    "growth_bounds_check", "blowup_time", "local_derivatives",
+    "growth_bounds_check", "blowup_time", "local_derivatives", "solve_negative",
 ]
 
 # the quadratic lower bound eps0 eta^2 keeps this fraction of the scanned minimum
@@ -522,3 +522,32 @@ def blowup_time(curve: PhaseCurve) -> tuple:
     main = float(cumulative_simpson(1.0 / zeta, eta)[-1])
     tail_bound = 1.0 / (eps_tail * eta_max)
     return main + tail_bound, tail_bound
+
+
+def solve_negative(n: int, theta: float, eta0: float, eta_max: float) -> tuple:
+    """(curve, report, failed): the local solve's curve extended to
+    eta_max, its solve-negative report, and the keys of the growth bounds
+    it fails: rho_holds, lower_quadratic_holds, and upper_holds where the
+    upper bound is claimed.  An empty list certifies the construction."""
+    local = fixed_point_solve(n, theta, eta0)
+    curve = extend_global(local, eta_max=eta_max)
+    bounds_rep = growth_bounds_check(curve)
+    # the blow-up estimate uses the full integration range: the curve (and
+    # any profile rebuilt from it) reaches within ~1/(q eta_max) of the
+    # boundary, so T_inf must be at least that accurate
+    T_inf, tail = blowup_time(curve)
+    report = {
+        "n": curve.params.n, "theta": curve.params.theta, "eta0": curve.params.eta0,
+        **{key: {c: getattr(taylor, c) for c in ("alpha", "beta", "gamma")}
+           for key, taylor in (("taylor", local.taylor_formula),
+                               ("taylor_measured", local.taylor_measured))},
+        "lambda_cal": local.lambda_cal,
+        "iterations": local.iterations,
+        "bounds": {k: bounds_rep[k] for k in ("rho", "eps0", "eta1", "eta2")},
+        "bounds_detail": bounds_rep,
+        "T_inf": T_inf, "tail_bound": tail, "R_inf": math.exp(T_inf),
+        "upper_bound_claimed": bounds_rep["upper_claimed"],
+    }
+    upper = ["upper_holds"] if bounds_rep["upper_claimed"] else []
+    checked = ["rho_holds", "lower_quadratic_holds", *upper]
+    return curve, report, [key for key in checked if not bounds_rep[key]]

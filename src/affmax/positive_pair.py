@@ -107,7 +107,7 @@ class PositivePairEvaluator(ProfileEvaluator):
         self.r_max = float(r[-1])
         # one spline with the columns (log u'', u', u) on s = log(1 + r)
         self._cols = interp_spline(
-            np.log1p(r), np.stack([np.log(vpp), v_up, u]).T, 5)
+            np.log1p(r), np.stack([np.log(vpp), v_up, u]).T)
 
     def _v(self, a):
         return self._cols(np.log1p(a), 1)

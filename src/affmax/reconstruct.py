@@ -115,7 +115,7 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         """
         t, x, zeta, logv, u = self._table
         cols = interp_spline(
-            t, np.stack([np.log(x), np.log(zeta), logv, u]).T, 5)
+            t, np.stack([np.log(x), np.log(zeta), logv, u]).T)
         del self._table
         return cols
 

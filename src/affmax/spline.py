@@ -1,8 +1,8 @@
-"""Not-a-knot interpolating B-splines of degree 3 and 5, in numpy alone.
+"""Not-a-knot interpolating quintic B-splines, in numpy alone.
 
-interp_spline(x, y, k) fits one spline per column of y through the sites
-x with de Boor's not-a-knot knots (the sites are the interior knots, less
-(k+1)/2 at each end), and Spline evaluates it and its derivative.
+interp_spline(x, y) fits one quintic (k = 5) per column of y through the
+sites x with de Boor's not-a-knot knots (the sites are the interior
+knots, less 3 at each end), and Spline evaluates a spline of any degree.
 
 The basis is de Boor's recurrence in the order of scipy's ``_deBoor_D``
 and a spline's value is the sum over its k+1 nonzero terms in order, so
@@ -13,14 +13,14 @@ their last bits.
 
 The collocation matrix is totally positive (de Boor, *A Practical Guide
 to Splines*, ch. XIII), and because the sites are the knots, interior row
-i is nonzero only in columns i-(k-1)/2 .. i+(k-1)/2: tridiagonal for
-k = 3, pentadiagonal for k = 5.  Only the (k+1)/2 rows at each end are
-wider.  The unknowns of those end rows are eliminated with a small dense
-solve, and the pentadiagonal interior is solved by cyclic reduction on
-2x2 blocks, without pivoting.  Total positivity makes elimination in the
-natural order stable, not the odd-even order of cyclic reduction: on
-grids whose neighbouring spacings differ by 1e3 or more its backward
-error grows, and iterative refinement brings it back to a few eps.
+i is nonzero only in columns i-2 .. i+2, and only the three rows at
+each end are wider.  The unknowns of those end rows are eliminated with
+a small dense solve, and the pentadiagonal interior is solved by cyclic
+reduction on 2x2 blocks, without pivoting.  Total positivity makes
+elimination in the natural order stable, not the odd-even order of
+cyclic reduction: on grids whose neighbouring spacings differ by 1e3 or
+more its backward error grows, and iterative refinement brings it back
+to a few eps.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import DomainError, ParameterError
 
 __all__ = ["Spline", "interp_spline"]
 
+_K = 5                # the degree interp_spline fits
+_E = (_K + 1) // 2    # end rows wider than the band, at each end
 _DENSE_BELOW = 24     # systems of fewer rows are solved dense
 _BLOCK = 4096         # points per block of the basis recurrence
 _REFINE_ABOVE = 4 * np.finfo(float).eps    # normwise backward error that gets refined
@@ -90,16 +92,15 @@ class Spline:
         return Spline(t[1:-1], (c[1:] - c[:-1]) * k / dt, k - 1)
 
 
-def interp_spline(x, y, k: int) -> Spline:
-    """The not-a-knot spline of degree k (3 or 5) through (x[i], y[i]).
+def interp_spline(x, y) -> Spline:
+    """The not-a-knot quintic spline through (x[i], y[i]).
 
     x is strictly increasing; y has shape (len(x),) or (len(x), m), and
     every column is fitted on the one collocation matrix.  The fit works on
     the columns as rows, so a y whose columns are contiguous, such as
     np.stack(columns).T, is not copied.
     """
-    if k not in (3, 5):
-        raise ParameterError(f"interp_spline fits degree 3 or 5, got {k}")
+    k, e = _K, _E
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -109,7 +110,6 @@ def interp_spline(x, y, k: int) -> Spline:
         raise ParameterError(f"y must have shape ({n},) or ({n}, m)")
     if not np.all(x[1:] > x[:-1]):
         raise ParameterError("sites must be strictly increasing")
-    e = (k + 1) // 2
     t = np.concatenate([np.full(k + 1, x[0]), x[e:n - e], np.full(k + 1, x[-1])])
     # site i lies in [t[ell], t[ell+1]), ell = start + k: the sites are the knots t[i+e]
     start = np.clip(np.arange(n) + e - k, 0, n - 1 - k)
@@ -120,7 +120,7 @@ def interp_spline(x, y, k: int) -> Spline:
         A[np.arange(n)[:, None], start[:, None] + np.arange(k + 1)] = rows.T
         C = _solve_columns(A, Y)
     else:
-        C = _solve_banded(rows, start, Y, k)
+        C = _solve_banded(rows, start, Y)
         # A column whose normwise backward error max|r| / (max|c| + max|y|)
         # exceeds _REFINE_ABOVE gets a step of iterative refinement (at most
         # two); the rows are nonnegative and sum to 1, so ||A||_inf = 1 and
@@ -135,7 +135,7 @@ def interp_spline(x, y, k: int) -> Spline:
                                                     + y_max[bad])]
             if not len(bad):
                 break
-            C[bad] += _solve_banded(rows, start, R[bad], k)
+            C[bad] += _solve_banded(rows, start, R[bad])
     return Spline(t, C.T.reshape(y.shape), k)
 
 
@@ -174,8 +174,7 @@ def _matvec(rows, start, C):
     entry is zero, so its terms are slices of C; the e rows at each end
     are summed one by one.
     """
-    n, k = C.shape[1], len(rows) - 1
-    e = (k + 1) // 2
+    n, k, e = C.shape[1], _K, _E
     out = np.empty_like(C)
     inner = slice(e, n - e)
     out[:, inner] = rows[0, inner] * C[:, 1:n - 2 * e + 1]
@@ -186,7 +185,7 @@ def _matvec(rows, start, C):
     return out
 
 
-def _solve_banded(rows, start, Y, k):
+def _solve_banded(rows, start, Y):
     """Solve the collocation system whose row i is rows[:, i] at columns
     start[i] .. start[i]+k, for each row of Y.
 
@@ -195,13 +194,12 @@ def _solve_banded(rows, start, Y, k):
     them); the remaining pentadiagonal system is solved by cyclic
     reduction.  Y is not written to.
     """
-    n = len(start)
-    e = (k + 1) // 2
-    G, g, head = _eliminate_end(rows, start, Y, e, k)
+    n, k, e = len(start), _K, _E
+    G, g, head = _eliminate_end(rows, start, Y)
     # the last rows are the first of the reversed system
     Gb, gb, tail = _eliminate_end(rows[::-1, ::-1], (n - 1 - k - start)[::-1],
-                                  Y[:, ::-1], e, k)
-    # interior row i holds offsets -(e-1)..e in rows[0..k]; offset e is zero
+                                  Y[:, ::-1])
+    # interior row i holds offsets -2..3 in rows[0..5]; offset 3 is zero
     inner = _cyclic_reduction(rows[:2 * e - 1, e:n - e], Y[:, e:n - e], head, tail)
     C = np.empty_like(Y)                     # not held through the reduction
     C[:, e:n - e] = inner
@@ -211,7 +209,7 @@ def _solve_banded(rows, start, Y, k):
     return C
 
 
-def _eliminate_end(rows, start, Y, e, k):
+def _eliminate_end(rows, start, Y):
     """Eliminate unknowns 0..e-1 with rows 0..e-1 (columns 0..k).
 
     Returns (G, g, (band, d)) with C[:, :e] = g - C[:, e:k+1] G^T.  The
@@ -220,6 +218,7 @@ def _eliminate_end(rows, start, Y, e, k):
     and lose those columns: band holds their diagonals -2..2, and d their
     updated right-hand sides, in place of Y[:, e:2e-1].
     """
+    k, e = _K, _E
     r = 2 * e - 1
     cols = start[:r, None] + np.arange(k + 1)
     corner = np.zeros((r, max(cols.max(), r + 1) + 1))   # through column r+1
@@ -235,11 +234,11 @@ def _eliminate_end(rows, start, Y, e, k):
 
 
 def _cyclic_reduction(diags, rhs, head, tail):
-    """Solve the pentadiagonal system with diagonals -h..h (h = 1 or 2)
-    diags (2h+1, N), for each row of rhs (m, N), but for its first and
-    last h rows: head = (band (5, h), d (m, h)) gives their diagonals -2..2
-    and right-hand sides, and tail those of the last rows, reversed in
-    both axes.  Entries outside the matrix are zero.
+    """Solve the pentadiagonal system with diagonals -2..2 diags (5, N),
+    for each row of rhs (m, N), but for its first and last two rows:
+    head = (band (5, 2), d (m, 2)) gives their diagonals and right-hand
+    sides, and tail those of the last rows, reversed in both axes.
+    Entries outside the matrix are zero.
 
     Pairs of unknowns form 2x2 blocks z_b of a block-tridiagonal system,
     written B_b z_b = d_b + A_b z_{b-1} + C_b z_{b+1}; an odd N gets one
@@ -249,10 +248,9 @@ def _cyclic_reduction(diags, rhs, head, tail):
     level by level.  Blocks are (2, w, M) arrays, so each 2x2 operation
     is a few whole-array operations over the last axis.
     """
-    h, (m, N) = len(diags) // 2, rhs.shape
-    band = np.zeros((5, N))                  # diagonals -2..2
-    band[2 - h:3 + h] = diags
-    band[:, :h], band[::-1, ::-1][:, :h] = head[0], tail[0]
+    m, N = rhs.shape
+    band = diags.copy()
+    band[:, :2], band[::-1, ::-1][:, :2] = head[0], tail[0]
     M, Mo = (N + 1) // 2, N // 2             # blocks, and rows 2p+1
     ev, od = band[:, 0::2], band[:, 1::2]    # rows 2p and 2p+1
     B = np.zeros((2, 2, M))
@@ -265,7 +263,7 @@ def _cyclic_reduction(diags, rhs, head, tail):
     W[1, 0] = W[0, 3] = 0.0
     del band, ev, od                         # B and W hold all of it
     W[0, 4:], W[1, 4:, :Mo], W[1, 4:, Mo:] = rhs[:, 0::2], rhs[:, 1::2], 0.0
-    ends = (*range(h), *range(N - 1, N - 1 - h, -1))
+    ends = (0, 1, N - 1, N - 2)
     for i, d in zip(ends, (*head[1].T, *tail[1].T)):
         W[i % 2, 4:, i // 2] = d
     levels = []

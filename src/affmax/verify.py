@@ -22,7 +22,7 @@ from .reconstruct import U_CEILING, large_condition_check
 
 __all__ = [
     "assemble", "check_assembly", "full_residual", "completeness_check",
-    "bernstein_1d_check", "residual_at",
+    "verify_solution", "RESIDUAL_TOL", "bernstein_1d_check", "residual_at",
 ]
 
 
@@ -268,21 +268,47 @@ def completeness_check(sol: SeparableSolution) -> dict:
     reported |x|.  The psi side delegates to the boundary blow-up check.
     A phi evaluator with no rule for u raises ParameterError.
     """
-    phi = sol.phi
-    xs = phi.r[-1] * np.array([0.25, 0.5, 1.0])
-    u_vals = phi.evaluator.u(xs)
-    increasing = bool(u_vals[0] < u_vals[1] < u_vals[2])
+    xs = sol.phi.r[-1] * np.array([0.25, 0.5, 1.0])
+    u_vals = sol.phi.evaluator.u(xs)
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
     x_ceiling = xs[2] + max(U_CEILING - u_vals[2], 0.0) / slope if slope > 0 else math.inf
-    phi_ok = increasing and slope > 0
+    phi_rep = {"increasing": bool(u_vals[0] < u_vals[1] < u_vals[2]),
+               "slope": float(slope), "u_reaches_ceiling_at": float(x_ceiling)}
     psi_rep = large_condition_check(sol.psi, sol.R_inf)
     return {
-        "pass": bool(phi_ok and psi_rep["pass"]),
-        "phi": {"increasing": increasing, "slope": float(slope),
-                "u_reaches_ceiling_at": float(x_ceiling)},
-        "psi": psi_rep,
+        "pass": _diverges_at_infinity(phi_rep) and psi_rep["pass"],
+        "phi": phi_rep, "psi": psi_rep,
         "backs": "u -> inf as |x| -> inf and as |y| -> R_inf",
     }
+
+
+def _diverges_at_infinity(phi_rep) -> bool:
+    """u -> inf as |x| -> inf, by completeness_check's phi report."""
+    return phi_rep["increasing"] and phi_rep["slope"] > 0
+
+
+RESIDUAL_TOL = 1e-4     # the acceptance tolerance of the residual maximum
+
+
+def verify_solution(sol: SeparableSolution, n_points: int, seed: int) -> dict:
+    """The verify.json payload: full_residual's statistics at n_points
+    points drawn with seed, completeness_check's report, the named bounds,
+    the tolerance, and "pass": the residual maximum is below RESIDUAL_TOL
+    and every bound holds."""
+    rep = full_residual(sol, n_points=n_points, seed=seed)
+    comp = completeness_check(sol)
+    phi, psi = comp["phi"], comp["psi"]
+    bounds = [
+        {"bound_id": "hessian-positive-definite", "holds": rep.convexity_margin > 0,
+         "witness": {"min_eigenvalue": rep.convexity_margin}},
+        {"bound_id": "u-diverges-at-boundary", "holds": psi["pass"],
+         "witness": {k: psi.get(k) for k in ("u_log_slope", "u_fit_residual")}},
+        {"bound_id": "u-diverges-at-infinity", "holds": _diverges_at_infinity(phi),
+         "witness": phi},
+    ]
+    return {**vars(rep), "completeness": comp, "bounds": bounds,
+            "tolerance": RESIDUAL_TOL,
+            "pass": rep.residual_max < RESIDUAL_TOL and all(b["holds"] for b in bounds)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from affmax.spline import _dot, _inv, _solve_columns
 from affmax.verify import _inverse_hessian, _w
 
 
-def solve_banded(rows, start, Y, k):
-    n = len(start)
-    e = (k + 1) // 2
-    band = np.zeros((5, n - 2 * e))
-    band[3 - e:2 + e] = rows[:2 * e - 1, e:n - e]
+def solve_banded(rows, start, Y):
+    n, k, e = len(start), 5, 3
+    band = rows[:5, e:n - e].copy()
     Y = Y.copy()
     G, g, band[:, :e - 1] = _eliminate_end(rows, start, Y, e, k)
     Gb, gb, band[::-1, ::-1][:, :e - 1] = _eliminate_end(

@@ -19,13 +19,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import make_interp_spline
 
 from affmax import negative_pair
 from affmax.core import (AnalyticEvaluator, PhaseCurve, RadialProfile,
                          cumulative_simpson)
 from affmax.errors import DomainError, NoConvergence, ParameterError, StepFailure
 from affmax.positive_pair import PositivePairConfig
-from affmax.spline import interp_spline
 
 
 def _integrand_factory(config: PositivePairConfig):
@@ -178,9 +178,9 @@ def negative_pair_blowup_1d(v0: float, theta: float, lam: float,
         u = cumulative_simpson(u_prime * drdt, t)
         keep = np.concatenate([[True], np.diff(r) > 1e-13])
         rr, up, uu = r[keep], u_prime[keep], u[keep]
-        cols = interp_spline(np.log1p(rr), np.stack([up, uu]).T, 3)
-        ev = AnalyticEvaluator(lambda a: cols(np.log1p(a), 0),
-                               u_fn=lambda a: cols(np.log1p(a), 1))
+        cols = make_interp_spline(np.log1p(rr), np.stack([up, uu]).T, k=3)
+        ev = AnalyticEvaluator(lambda a: cols(np.log1p(a))[..., 0],
+                               u_fn=lambda a: cols(np.log1p(a))[..., 1])
         sub = slice(None, None, max(1, len(rr) // 2000))
         out["profile"] = RadialProfile(r=rr[sub], v=up[sub], u=uu[sub], n=1,
                                        evaluator=ev)

@@ -19,7 +19,7 @@ from affmax import cli, verify
 from affmax.cli import main
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
                          read_columns, upper_bound_claimed)
-from affmax.negative_pair import growth_bounds_check
+from affmax.negative_pair import growth_bounds_check, solve_negative
 
 
 def run(argv):
@@ -29,9 +29,8 @@ def run(argv):
 def assemble_argv(d, out, report=None):
     """assemble on the artifacts in d, as the README runs it."""
     return ["assemble", "--phi", str(d / "phi.csv"), "--psi", str(d / "psi.csv"),
-            "--curve", str(d / "curve.csv"), "--m", "0", "--theta", "0.55",
-            "--n", "2", "--report", str(report or d / "report.json"),
-            "--out", str(out)]
+            "--curve", str(d / "curve.csv"), "--m", "0",
+            "--report", str(report or d / "report.json"), "--out", str(out)]
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +116,21 @@ class TestPipeline:
         assert err.count("\n") == 1
         assert not (tmp_path / "solution.json").exists()
 
-    @pytest.mark.parametrize("text", ["[1]", '{"R_inf": "big"}', '{"R_inf": NaN}',
-                                      '{"T_inf": 1.5}', '{"R_inf": 4.6'],
-                             ids=["array", "string-R_inf", "nan-R_inf",
-                                  "no-R_inf", "invalid-json"])
+    @pytest.mark.parametrize("text", [
+        "[1]", '{"R_inf": "big"}', '{"R_inf": NaN}', '{"T_inf": 1.5}', '{"R_inf": 4.6',
+        # n and theta, which assemble reads from the report alone
+        '{"R_inf": 4.6, "theta": 0.55}', '{"R_inf": 4.6, "n": "2", "theta": 0.55}',
+        '{"R_inf": 4.6, "n": 2.0, "theta": 0.55}', '{"R_inf": 4.6, "n": 7, "theta": 0.55}',
+        '{"R_inf": 4.6, "n": 1, "theta": 0.55}', '{"R_inf": 4.6, "n": 2}',
+        '{"R_inf": 4.6, "n": 2, "theta": "0.55"}', '{"R_inf": 4.6, "n": 2, "theta": 0.7}',
+        '{"R_inf": 4.6, "n": 2, "theta": 0.3}'],
+        ids=["array", "string-R_inf", "nan-R_inf", "no-R_inf", "invalid-json",
+             "no-n", "string-n", "float-n", "n-above-range", "n-below-range",
+             "no-theta", "string-theta", "theta-above-range", "theta-below-range"])
     def test_malformed_report_is_one_line_usage_error(self, workdir, tmp_path,
                                                       capsys, text):
+        # with the retired --n and --theta, an n the curve was not solved
+        # at was a failed construction (exit 2), a theta blamed the columns
         bad = tmp_path / "report.json"
         bad.write_text(text)
         assert run(assemble_argv(workdir, tmp_path / "solution.json", bad)) == 1
@@ -344,14 +352,16 @@ class TestConfigAndErrors:
         assert reason in err and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("flag, factor", [("--phi-v0", "phi"), ("--phi-lambda", "phi"),
+                                              ("--psi-v0", "psi")])
     def test_mismatched_factor_columns_are_one_line_usage_error(self, workdir, tmp_path,
-                                                                capsys):
-        # phi.csv was built with --v0 1.0; the constructor rebuilt at 2.0
-        # disagrees with its columns
+                                                                capsys, flag, factor):
+        # the factor CSVs were built at 1.0; the constructor rebuilt at 2.0
+        # disagrees with their columns
         out = tmp_path / "solution.json"
-        assert run(assemble_argv(workdir, out) + ["--phi-v0", "2.0"]) == 1
+        assert run(assemble_argv(workdir, out) + [flag, "2.0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ParameterError: phi profile columns disagree")
+        assert err.startswith(f"error: ParameterError: {factor} profile columns disagree")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -392,17 +402,24 @@ class TestConfigAndErrors:
         cfg.write_text("[DEFAULT]\nn = 3\n[bernstein-1d]\ntheta = 0.6\n")
         assert run(["bernstein-1d", "--config", str(cfg)]) == 0
 
-    def test_reconstruct_takes_no_dimension(self, tmp_path, capsys):
-        # the rebuilt profile does not depend on n, so reconstruct has no --n
-        out = ["--out", str(tmp_path / "psi.csv")]
-        assert run(["reconstruct", "--n", "2"] + out) == 1
-        assert "unrecognized arguments: --n" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, key, value", [
+        ("reconstruct", "n", "2"), ("assemble", "n", "2"), ("assemble", "theta", "0.55")])
+    def test_option_with_one_right_value_is_refused(self, tmp_path, capsys,
+                                                    command, key, value):
+        # the rebuilt profile does not depend on n, so reconstruct has no
+        # --n; assemble reads n and theta from its --report
+        out = ["--out", str(tmp_path / "out")]
+        assert run([command, f"--{key}", value] + out) == 1
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error: ")]
+        assert err == [f"error: unrecognized arguments: --{key} {value}"]
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[reconstruct]\nn = 2\n")
-        assert run(["reconstruct", "--config", str(cfg)] + out) == 1
+        cfg.write_text(f"[{command}]\n{key} = {value}\n")
+        assert run([command, "--config", str(cfg)] + out) == 1
         err = capsys.readouterr().err
-        assert err == f"error: ParameterError: config file {cfg}: [reconstruct] has no option n\n"
-        assert not (tmp_path / "psi.csv").exists()
+        assert err == (f"error: ParameterError: config file {cfg}: [{command}] "
+                       f"has no option {key}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("flag", ["--eta-max-bounds", "--damping", "--tol",
                                       "--max-iter"])
@@ -639,6 +656,33 @@ class TestConfigAndErrors:
         out = tmp_path / "b1.json"
         assert run(["bernstein-1d", "--theta", "0.6", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pass"]
+
+
+class TestVerdicts:
+    """Each stage's exit code maps its library verdict."""
+
+    @pytest.mark.parametrize("eta_max, failed", [(1e5, []), (1e6, ["upper_holds"])],
+                             ids=["1e5", "1e6"])
+    def test_solve_negative(self, tmp_path, eta_max, failed):
+        # the scan to 1e6 ends above eta^2, past the up-crossing near
+        # 5.7e5, so no window certifies zeta <= eta^2 to its end
+        assert solve_negative(2, 0.55, 1.05, eta_max)[2] == failed
+        assert run(["solve-negative", "--eta-max", repr(eta_max),
+                    "--out", str(tmp_path / "c.csv"),
+                    "--report", str(tmp_path / "r.json")]) == (2 if failed else 0)
+
+    def test_verify_fails_above_the_residual_tolerance(self, workdir, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--solution", str(workdir / "solution.json"),
+                "--points", "60", "--seed", "1", "--report", str(out)]
+        assert run(argv) == 0
+        residual_max = json.loads(out.read_text())["residual_max"]
+        monkeypatch.setattr(verify, "RESIDUAL_TOL", residual_max / 2)
+        assert run(argv) == 2
+        rep = json.loads(out.read_text())
+        assert rep["pass"] is False and rep["tolerance"] == residual_max / 2
+        assert all(b["holds"] for b in rep["bounds"])
 
 
 def full_parser_main(argv):

@@ -1,4 +1,4 @@
-"""Three `ast` lints that keep the package's contracts in one place.
+"""Four `ast` lints that keep the package's contracts in one place.
 
 No subclass of ProfileEvaluator defines v, u or deriv: the base class
 alone checks the shape, the derivative order, the table edge and the
@@ -6,7 +6,10 @@ parity, and subclasses give only their rules on radii 0 <= a <= r_max.
 No module imports an underscore name from another module of the package:
 what a second module needs is public.  And every public name of the
 package is used by the package itself: a helper that only tests call
-lives in tests/, unless a frozen acceptance criterion imports it.
+lives in tests/, unless a frozen acceptance criterion imports it.  And
+cli.py names no growth-bound verdict key (a name or string ending in
+_holds, or upper_claimed): the library function of each stage decides
+its verdict, and cli.py only maps it to an exit code.
 """
 
 import ast
@@ -120,6 +123,22 @@ def unused_public(modules):
     return sorted(found)
 
 
+def verdict_keys(tree):
+    """(line, text) of each string, name or attribute in the tree that ends
+    in _holds or is upper_claimed."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            text = getattr(node, "id", None) or node.attr
+        else:
+            continue
+        if text.endswith("_holds") or text == "upper_claimed":
+            found.append((node.lineno, text))
+    return sorted(found)
+
+
 def test_no_evaluator_subclass_redefines_the_contract():
     assert contract_overrides(trees(PACKAGE.glob("*.py"))) == []
 
@@ -131,6 +150,10 @@ def test_no_module_imports_a_private_name_of_another():
 def test_every_public_name_is_used_by_the_package_or_a_criterion():
     assert unused_public(trees(PACKAGE.glob("*.py"))) == sorted(CRITERION_PINNED)
     assert all(reason.strip() for reason in CRITERION_PINNED.values())
+
+
+def test_cli_decides_no_verdict():
+    assert verdict_keys(trees([PACKAGE / "cli.py"])["cli.py"]) == []
 
 
 def test_the_lints_see_what_they_forbid(tmp_path):
@@ -153,6 +176,11 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "class P(argparse.ArgumentParser):\n"
         "    def error(self, message): pass\n    def extra(self): pass\n"
         "PARSER = P()\n")
+    # the rule solve-negative's exit code had in cli.py; the sweep row's
+    # upper_bound_claimed key is no verdict
+    (tmp_path / "d.py").write_text(
+        "ok = rep['rho_holds'] and (not rep['upper_claimed'] or b.upper_holds)\n"
+        "row = {'upper_bound_claimed': upper_claimed}\n")
     (tmp_path / "__init__.py").write_text("from .c import only_tested, used\n")
     modules = trees(sorted(tmp_path.glob("*.py")))
     assert contract_overrides(modules) == [("a.py", "Scaled", "deriv"),
@@ -161,3 +189,5 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     assert unused_public(modules) == [
         "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
         "c.P.extra", "c.only_tested", "c.recursive"]
+    assert verdict_keys(modules["d.py"]) == [(1, "rho_holds"), (1, "upper_claimed"),
+                                             (1, "upper_holds"), (2, "upper_claimed")]

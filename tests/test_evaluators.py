@@ -50,10 +50,10 @@ class RefPhaseProfileEvaluator:
         self.t_min, self.t_max = float(t[0]), float(t[-1])
         self.r_min, self.r_max = math.exp(self.t_min), math.exp(self.t_max)
         self.d1 = tab["d1"]
-        self._LX = interp_spline(t, np.log(tab["x"]), 5)
-        self._LZ = interp_spline(t, np.log(tab["zeta"]), 5)
-        self._LV = interp_spline(t, tab["logv"], 5)
-        self._U = interp_spline(t, tab["u"], 5)
+        self._LX = interp_spline(t, np.log(tab["x"]))
+        self._LZ = interp_spline(t, np.log(tab["zeta"]))
+        self._LV = interp_spline(t, tab["logv"])
+        self._U = interp_spline(t, tab["u"])
         self._dLZ = self._LZ.derivative()
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)
         self._x_min = float(tab["x"][0])
@@ -107,9 +107,9 @@ class RefPositivePairEvaluator:
         self.config = config
         self.r_max = float(r[-1])
         s = np.log1p(r)
-        self._logvpp = interp_spline(s, np.log(vpp), 5)
-        self._vup = interp_spline(s, v_up, 5)
-        self._u = interp_spline(s, u, 5)
+        self._logvpp = interp_spline(s, np.log(vpp))
+        self._vup = interp_spline(s, v_up)
+        self._u = interp_spline(s, u)
 
     def _s(self, r):
         return np.log1p(np.minimum(np.abs(r), self.r_max))

@@ -37,8 +37,8 @@ commands = [
     "solve-positive --v0 1.0 --theta 0.55 --lambda 1.0 --rmax 10 --out phi.csv",
     "solve-negative --n 2 --theta 0.55 --eta0 1.05 --out curve.csv --report report.json",
     "reconstruct --curve curve.csv --v0 1.0 --out psi.csv",
-    "assemble --phi phi.csv --psi psi.csv --curve curve.csv --theta 0.55 --n 2 "
-    "--report report.json --out solution.json",
+    "assemble --phi phi.csv --psi psi.csv --curve curve.csv --report report.json "
+    "--out solution.json",
     "verify --solution solution.json --points 1000 --report verify.json",
 ]
 for command in commands:

@@ -1,16 +1,17 @@
 """The numpy spline against scipy's make_interp_spline and BSpline.
 
-interp_spline replaces make_interp_spline(x, y, k) (not-a-knot, k = 3 and
-5).  Its basis and its sum over the nonzero terms follow scipy's B-spline
-evaluation operation for operation, so on the same knots and coefficients
-every value and derivative is bit-equal to BSpline's.  The fit is not:
-make_interp_spline solves the collocation system with LAPACK's pivoted
-band LU, interp_spline by cyclic reduction, so the coefficients agree to
-a bound in ulps of each column's largest coefficient.  That bound is
-measured on the flagship tables and on graded random grids and pinned
-below.  On wild grids the interpolation problem itself is ill
-conditioned, so no two solvers agree in ulps; there the fit is held to
-what LAPACK's solve guarantees, a normwise backward error of a few eps.
+interp_spline replaces make_interp_spline(x, y, k=5) (not-a-knot
+quintics).  Its basis and its sum over the nonzero terms follow scipy's
+B-spline evaluation operation for operation, so on the same knots and
+coefficients every value and derivative is bit-equal to BSpline's.  The
+fit is not: make_interp_spline solves the collocation system with
+LAPACK's pivoted band LU, interp_spline by cyclic reduction, so the
+coefficients agree to a bound in ulps of each column's largest
+coefficient.  That bound is measured on the flagship tables and on
+graded random grids and pinned below.  On wild grids the interpolation
+problem itself is ill conditioned, so no two solvers agree in ulps;
+there the fit is held to what LAPACK's solve guarantees, a normwise
+backward error of a few eps.
 """
 
 import math
@@ -54,10 +55,10 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def backward_error(x, y, k, c):
+def backward_error(x, y, c):
     """Normwise ||A c - y|| / (||A|| ||c|| + ||y||) per column, in eps."""
-    t = make_interp_spline(x, np.zeros(len(x)), k=k).t   # only its knots
-    A = BSpline.design_matrix(x, t, k)                    # sparse
+    t = make_interp_spline(x, np.zeros(len(x)), k=5).t   # only its knots
+    A = BSpline.design_matrix(x, t, 5)                    # sparse
     c, y = c.reshape(len(x), -1), y.reshape(len(x), -1)
     r = np.max(np.abs(A @ c - y), axis=0)
     return r / (np.max(abs(A).sum(axis=1)) * np.max(np.abs(c), axis=0)
@@ -71,25 +72,22 @@ def backward_error(x, y, k, c):
 @st.composite
 def graded_grids(draw, max_n=300):
     """Sites whose neighbouring spacings differ by at most a factor 2."""
-    k = draw(st.sampled_from([3, 5]))
-    n = draw(st.integers(k + 1, max_n))
+    n = draw(st.integers(6, max_n))
     steps = draw(st.lists(st.floats(-math.log(2), math.log(2)),
                           min_size=n - 1, max_size=n - 1))
     h = np.exp(np.clip(np.cumsum(steps), -math.log(100), math.log(100)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     x0 = draw(st.floats(-10.0, 10.0))
-    return k, x0 + scale * np.concatenate([[0.0], np.cumsum(h)])
+    return x0 + scale * np.concatenate([[0.0], np.cumsum(h)])
 
 
 @st.composite
 def wild_grids(draw):
     """Sites whose neighbouring spacings differ by up to e^10."""
-    k = draw(st.sampled_from([3, 5]))
     n = draw(st.integers(24, 300))
     s = draw(st.floats(0.0, 5.0))
     logh = draw(st.lists(st.floats(-s, s), min_size=n - 1, max_size=n - 1))
-    x = np.concatenate([[0.0], np.cumsum(np.exp(logh))])
-    return k, x
+    return np.concatenate([[0.0], np.cumsum(np.exp(logh))])
 
 
 def columns(draw, n):
@@ -103,9 +101,9 @@ def columns(draw, n):
 
 
 @settings(max_examples=60)
-@given(grid=graded_grids(max_n=80), data=st.data())
-def test_evaluation_equals_bspline_bitwise(grid, data):
-    k, x = grid
+@given(x=graded_grids(max_n=80), data=st.data())
+def test_evaluation_equals_bspline_bitwise(x, data):
+    k = 5
     c = columns(data.draw, len(x))
     t = make_interp_spline(x, c, k=k).t
     ours, ref = Spline(t, c, k), BSpline(t, c, k)
@@ -125,7 +123,7 @@ def test_evaluation_equals_bspline_bitwise(grid, data):
 
 def test_evaluation_outside_the_base_interval_raises():
     x = np.linspace(0.0, 1.0, 30)
-    sp = interp_spline(x, np.sin(x), 5)
+    sp = interp_spline(x, np.sin(x))
     assert sp.domain == (0.0, 1.0)
     sp(np.array([0.0, 1.0]))
     for bad in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -3.0, 7.0):
@@ -139,11 +137,11 @@ def test_evaluation_outside_the_base_interval_raises():
 def test_repeated_points_reuse_the_basis():
     x = np.linspace(0.0, 1.0, 40)
     y = np.stack([np.sin(x), np.cos(x)], axis=-1)
-    sp = interp_spline(x, y, 5)
+    sp = interp_spline(x, y)
     q = np.linspace(0.1, 0.9, 17)
     first = sp(q, 0)
     q[3] = 0.5                       # the caller's array changes in place
-    assert same_bits(sp(q, 1), interp_spline(x, y, 5)(q, 1))
+    assert same_bits(sp(q, 1), interp_spline(x, y)(q, 1))
     assert not same_bits(sp(q, 0), first)
 
 
@@ -167,21 +165,20 @@ def flagship_tables(curve):
 @pytest.mark.parametrize("name", ["phi", "phase"])
 def test_fit_matches_scipy_on_flagship_tables(curve_1e5, name):
     x, y = flagship_tables(curve_1e5)[name]
-    ours, ref = interp_spline(x, y, 5), make_interp_spline(x, y, k=5)
+    ours, ref = interp_spline(x, y), make_interp_spline(x, y, k=5)
     assert same_bits(ours.t, ref.t)
     q = np.sort(np.random.default_rng(0).uniform(x[0], x[-1], 5000))
     assert ulps(ours.c, ref.c) <= FLAGSHIP_ULPS["c"]
     assert ulps(ours(q), ref(q)) <= FLAGSHIP_ULPS["v"]
     assert ulps(ours.derivative()(q), ref.derivative()(q)) <= FLAGSHIP_ULPS["d"]
-    assert np.all(backward_error(x, y, 5, ours.c) <= 4)
+    assert np.all(backward_error(x, y, ours.c) <= 4)
 
 
 @settings(max_examples=150)
-@given(grid=graded_grids(), data=st.data())
-def test_fit_matches_scipy_on_graded_grids(grid, data):
-    k, x = grid
+@given(x=graded_grids(), data=st.data())
+def test_fit_matches_scipy_on_graded_grids(x, data):
     y = columns(data.draw, len(x))
-    ours, ref = interp_spline(x, y, k), make_interp_spline(x, y, k=k)
+    ours, ref = interp_spline(x, y), make_interp_spline(x, y, k=5)
     assert same_bits(ours.t, ref.t)
     q = np.concatenate([x, np.random.default_rng(1).uniform(x[0], x[-1], 50)])
     assert ulps(ours.c, ref.c) <= GRADED_ULPS["c"]
@@ -190,11 +187,10 @@ def test_fit_matches_scipy_on_graded_grids(grid, data):
 
 
 @settings(max_examples=150)
-@given(grid=wild_grids(), data=st.data())
-def test_fit_is_backward_stable_on_wild_grids(grid, data):
-    k, x = grid
+@given(x=wild_grids(), data=st.data())
+def test_fit_is_backward_stable_on_wild_grids(x, data):
     y = columns(data.draw, len(x))
-    assert np.all(backward_error(x, y, k, interp_spline(x, y, k).c) <= 4)
+    assert np.all(backward_error(x, y, interp_spline(x, y).c) <= 4)
 
 
 def test_refinement_restores_backward_stability():
@@ -207,55 +203,53 @@ def test_refinement_restores_backward_stability():
     start = np.clip(np.arange(n) + 3, k, n - 1) - k
     rows = BSpline.design_matrix(x, t, k).toarray()[np.arange(n)[:, None],
                                                     start[:, None] + np.arange(k + 1)].T
-    unrefined = spline._solve_banded(rows, start, np.ascontiguousarray(y.T), k).T
-    assert np.all(backward_error(x, y, k, unrefined) > 30)
-    assert np.all(backward_error(x, y, k, interp_spline(x, y, k).c) <= 4)
+    unrefined = spline._solve_banded(rows, start, np.ascontiguousarray(y.T)).T
+    assert np.all(backward_error(x, y, unrefined) > 30)
+    assert np.all(backward_error(x, y, interp_spline(x, y).c) <= 4)
 
 
 @settings(max_examples=80)
-@given(grid=st.one_of(graded_grids(), wild_grids()), data=st.data())
-def test_joint_fit_equals_per_column_fits(grid, data):
-    k, x = grid
+@given(x=st.one_of(graded_grids(), wild_grids()), data=st.data())
+def test_joint_fit_equals_per_column_fits(x, data):
     y = columns(data.draw, len(x))
-    joint = interp_spline(x, y, k)
+    joint = interp_spline(x, y)
     for j in range(y.shape[1]):
-        assert same_bits(joint.c[:, j], interp_spline(x, y[:, j], k).c)
+        assert same_bits(joint.c[:, j], interp_spline(x, y[:, j]).c)
 
 
-@pytest.mark.parametrize("x, y, k", [
-    (np.linspace(0, 1, 10), np.zeros(10), 4),
-    (np.linspace(0, 1, 5), np.zeros(5), 5),
-    (np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros(7), 3),
-    (np.linspace(0, 1, 10), np.zeros(9), 3),
-    (np.linspace(0, 1, 10), np.zeros((10, 2, 2)), 3),
-])
-def test_rejects_what_it_cannot_fit(x, y, k):
+@pytest.mark.parametrize("x, y", [
+    (np.linspace(0, 1, 5), np.zeros(5)),
+    (np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros(7)),
+    (np.linspace(0, 1, 10), np.zeros(9)),
+    (np.linspace(0, 1, 10), np.zeros((10, 2, 2))),
+], ids=["five-sites", "repeated-site", "short-y", "3-d-y"])
+def test_rejects_what_it_cannot_fit(x, y):
     with pytest.raises(ParameterError):
-        interp_spline(x, y, k)
+        interp_spline(x, y)
 
 
 # ---------------------------------------------------------------------------
 # the collocation solve against its full-size reference, bit for bit
 
 
-def collocation(x, k, y):
+def collocation(x, y):
     """interp_spline's collocation system on the sites x: (rows, start, Y)."""
-    n, e = len(x), (k + 1) // 2
+    n, k, e = len(x), 5, 3
     t = np.concatenate([np.full(k + 1, x[0]), x[e:n - e], np.full(k + 1, x[-1])])
     start = np.clip(np.arange(n) + e - k, 0, n - 1 - k)
     return (spline._basis(t, k, x, start + k), start,
             np.ascontiguousarray(y.reshape(n, -1).T))
 
 
-def assert_solve_and_fit_match_full_size(monkeypatch, x, y, k):
+def assert_solve_and_fit_match_full_size(monkeypatch, x, y):
     if len(x) >= spline._DENSE_BELOW:        # smaller systems are solved dense
-        rows, start, Y = collocation(x, k, y)
-        assert same_bits(spline._solve_banded(rows, start, Y, k),
-                         full_size.solve_banded(rows, start, Y, k))
-    fit = interp_spline(x, y, k)
+        rows, start, Y = collocation(x, y)
+        assert same_bits(spline._solve_banded(rows, start, Y),
+                         full_size.solve_banded(rows, start, Y))
+    fit = interp_spline(x, y)
     with monkeypatch.context() as mp:
         mp.setattr(spline, "_solve_banded", full_size.solve_banded)
-        assert same_bits(fit.c, interp_spline(x, y, k).c)
+        assert same_bits(fit.c, interp_spline(x, y).c)
 
 
 @pytest.mark.parametrize("name, interior", [("phi", 15994), ("phase", 20929)])
@@ -264,15 +258,14 @@ def test_fit_equals_full_size_solve_on_flagship_tables(monkeypatch, curve_1e5,
     # one interior size of each parity: an odd one gets an identity row
     x, y = flagship_tables(curve_1e5)[name]
     assert len(x) - 6 == interior
-    assert_solve_and_fit_match_full_size(monkeypatch, x, y, 5)
+    assert_solve_and_fit_match_full_size(monkeypatch, x, y)
 
 
 @settings(max_examples=150)
-@given(grid=st.one_of(graded_grids(), wild_grids()), data=st.data())
-def test_fit_equals_full_size_solve(grid, data):
-    k, x = grid
+@given(x=st.one_of(graded_grids(), wild_grids()), data=st.data())
+def test_fit_equals_full_size_solve(x, data):
     y = columns(data.draw, len(x))
     if data.draw(st.booleans()):
         y[:, 0] = 0.0                  # exact zeros keep their signs too
     with pytest.MonkeyPatch.context() as mp:
-        assert_solve_and_fit_match_full_size(mp, x, y, k)
+        assert_solve_and_fit_match_full_size(mp, x, y)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
-from affmax.verify import (MAX_CYLINDER, _eigenvalues, _sample_points, assemble,
-                           bernstein_1d_check, completeness_check, full_residual,
-                           residual_at)
+from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _eigenvalues, _sample_points,
+                           assemble, bernstein_1d_check, completeness_check,
+                           full_residual, residual_at, verify_solution)
 
 from conftest import THETA
 from oracles import negative_pair_blowup_1d
@@ -222,6 +223,29 @@ class TestCompleteness:
         sol.phi.evaluator = AnalyticEvaluator(sol.phi.evaluator.v)
         with pytest.raises(ParameterError):
             completeness_check(sol)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("case", ["flagship", "R_inf-beyond-the-profile",
+                                      "phi-u-decreasing"])
+    def test_each_bound_holds_as_its_check_says(self, solution, case):
+        sol = solution
+        if case == "R_inf-beyond-the-profile":   # u stays bounded short of R_inf
+            sol = dataclasses.replace(solution, R_inf=2.0 * solution.R_inf)
+        elif case == "phi-u-decreasing":
+            sol = paraboloid_solution()
+            ev = sol.phi.evaluator
+            sol.phi.evaluator = AnalyticEvaluator(
+                ev.v, [lambda a, k=k: ev.deriv(a, k) for k in (1, 2, 3)],
+                u_fn=lambda a: -ev.u(a))
+        payload = verify_solution(sol, n_points=40, seed=0)
+        rep, comp = full_residual(sol, n_points=40, seed=0), completeness_check(sol)
+        holds = [rep.convexity_margin > 0, comp["psi"]["pass"],
+                 comp["phi"]["increasing"] and comp["phi"]["slope"] > 0]
+        assert [b["holds"] for b in payload["bounds"]] == holds
+        assert payload["residual_max"] == rep.residual_max < RESIDUAL_TOL
+        assert payload["pass"] is (holds[0] and comp["pass"])
+        assert payload["pass"] is (case == "flagship")
 
 
 class TestBernstein1D:

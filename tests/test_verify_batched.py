@@ -121,8 +121,8 @@ class ScipySpline:
         return ScipySpline(self.spl.derivative())
 
 
-def scipy_fit(x, y, k):
-    return ScipySpline(make_interp_spline(x, y, k=k))
+def scipy_fit(x, y):
+    return ScipySpline(make_interp_spline(x, y, k=5))
 
 
 # ---------------------------------------------------------------------------
