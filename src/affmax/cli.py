@@ -196,8 +196,12 @@ def _cmd_assemble(o) -> int:
     check_assembly(theta, n, int(o["m"]))
     # both factors are built as verify builds them from their constructors,
     # psi from the curve columns read here rather than decoded again; the
-    # CSV columns only cross-check them
+    # CSV columns only cross-check them.  The columns are made contiguous,
+    # as decode_column gives them to verify: a reduction over a strided
+    # view of the same values may round differently
     curve = [np.ascontiguousarray(c) for c in curve]
+    phase = PhaseCurve.from_columns(*curve, n=n, theta=theta)
+    _check_same_run(report, o["report"], phase, o["curve"])
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
                 "lambda": o["phi_lambda"], "rmax": float(phi_r[-1]),
                 "nodes": len(phi_r)}
@@ -206,7 +210,7 @@ def _cmd_assemble(o) -> int:
     phi = _factor(phi_ctor, theta, 1, "phi.constructor")
     _check_columns_match(phi_r, phi_v, phi, "phi")
     psi_v0 = _number(psi_ctor, "v0", "psi.constructor", positive=True)
-    psi = _phase_factor(*curve, psi_v0, theta, n)
+    psi = rebuild_profile(phase, v0=psi_v0)
     _check_columns_match(psi_r, psi_v, psi, "psi")
     sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta, R_inf=R_inf)
     payload = {
@@ -219,6 +223,23 @@ def _cmd_assemble(o) -> int:
     _dump_json(payload, o["out"])
     print(f"wrote {o['out']} (kappa = {sol.kappa:.6g}, N = {sol.N})")
     return 0
+
+
+def _check_same_run(report, report_path, curve: PhaseCurve, curve_path):
+    """ParameterError unless the report records the eta0, eta range and
+    measured Taylor data of curve, as one solve-negative run writes them."""
+    recorded = {"eta0": _get(report, "eta0", report_path),
+                "scan_range": _get(_get(report, "bounds_detail", report_path),
+                                   "scan_range", f"{report_path}: bounds_detail"),
+                "taylor_measured": _get(report, "taylor_measured", report_path)}
+    measured = {"eta0": curve.params.eta0,
+                "scan_range": [float(curve.eta[0]), float(curve.eta[-1])],
+                "taylor_measured": {c: getattr(curve.taylor, c)
+                                    for c in ("alpha", "beta", "gamma")}}
+    differ = [key for key in measured if recorded[key] != measured[key]]
+    if differ:
+        raise ParameterError(f"{report_path} and {curve_path} are not from one "
+                             f"solve-negative run: {', '.join(differ)} differ")
 
 
 def _check_columns_match(r, v, rebuilt: RadialProfile, name: str):
@@ -244,19 +265,9 @@ def _factor(ctor, theta, n, where):
         lam, rmax = (_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
         grid = phi_grid(rmax, _number(ctor, "nodes", where, integer=True))
         return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
-    return _phase_factor(*(decode_column(_get(ctor, k, where), f"{where}: {k}")
-                           for k in ("eta", "zeta", "I")), v0, theta, n)
-
-
-def _phase_factor(eta, zeta, I, v0, theta, n):
-    """psi: the profile rebuilt from the phase curve of these columns.
-
-    Give it contiguous columns, as decode_column returns them, so that
-    assemble and verify reduce over the same memory layout: a reduction
-    over a strided view of the same values may round differently.
-    """
-    return rebuild_profile(PhaseCurve.from_columns(eta, zeta, I, n=n, theta=theta),
-                           v0=v0)
+    cols = (decode_column(_get(ctor, k, where), f"{where}: {k}")
+            for k in ("eta", "zeta", "I"))
+    return rebuild_profile(PhaseCurve.from_columns(*cols, n=n, theta=theta), v0=v0)
 
 
 def _load_json(path):
@@ -382,20 +393,14 @@ def _sweep_worker(task):
     return row
 
 
-def _sweep_share_rows(tasks):
-    """The rows of tasks, or (i, exc) if task i raised exc and stopped them."""
-    rows = []
+def _sweep_share(tasks, conn):
+    """Body of a forked sweep process: send each row of tasks as soon as
+    it is made, or the exception that stopped them."""
     try:
         for t in tasks:
-            rows.append(_sweep_worker(t))
-    except Exception as exc:  # re-raised by _sweep_rows, as --jobs 1 would
-        return len(rows), exc
-    return rows
-
-
-def _sweep_share(tasks, conn):
-    """Body of a forked sweep process: send _sweep_share_rows back once."""
-    conn.send(_sweep_share_rows(tasks))
+            conn.send(_sweep_worker(t))
+    except Exception as exc:  # raised by _sweep_rows at its row, as --jobs 1 would
+        conn.send(exc)
     conn.close()
 
 
@@ -403,59 +408,50 @@ def _sweep_rows(tasks, procs):
     """The rows of tasks, in order, computed by procs processes in all.
 
     Row i goes to process i mod procs.  Process 0 is this one; the others
-    are forked children, each sending its list back once over a pipe.  An
-    exception raised for a row, here or in a child, is raised here: that
-    of the lowest such row, as --jobs 1 raises it.  A child that ends
-    without sending its rows is an AffmaxError naming them.  No child
-    outlives the call, whatever it raises.
+    are forked children, each sending its rows over a pipe as it makes
+    them.  The rows are taken in grid order, row i made here or received
+    from its child, so the first exception met, here or sent by a child,
+    is that of the lowest failing row, as --jobs 1 raises it.  A child
+    that ends before sending row i is an AffmaxError naming the rows it
+    still held.  No child outlives the call, whatever it raises.
     """
-    if procs == 1:
-        return [_sweep_worker(t) for t in tasks]
-    # imported here: multiprocessing costs every other command ~6 ms.
-    # The forked children keep the one BLAS thread affmax/__init__.py
-    # sets, so the rows are the only parallelism.  Fork, not spawn: a
-    # child starts with numpy and affmax loaded instead of importing them.
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    children = []
+    children = []   # [k - 1]: (process, pipe end) of the child making rows k::procs
     try:
-        for k in range(1, procs):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_sweep_share, args=(tasks[k::procs], send))
-            child.start()
-            children.append((child, recv))
-            send.close()  # so that recv sees EOF once the child ends
-        shares = [_sweep_share_rows(tasks[::procs])]
-        failed = {}     # row -> the exception raised for it
-        if isinstance(shares[0], tuple):
-            i, exc = shares[0]
-            failed[i * procs] = exc
-        for k, (child, recv) in enumerate(children, 1):
-            if failed and min(failed) < k:
-                break   # no row of this share or a later one is lower
+        if procs > 1:
+            # imported here: multiprocessing costs every other command ~6 ms.
+            # The forked children keep the one BLAS thread affmax/__init__.py
+            # sets, so the rows are the only parallelism.  Fork, not spawn: a
+            # child starts with numpy and affmax loaded instead of importing them.
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            for k in range(1, procs):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_sweep_share, args=(tasks[k::procs], send))
+                child.start()
+                children.append((child, recv))
+                send.close()  # so that recv sees EOF once the child ends
+        rows = []
+        for i, task in enumerate(tasks):
+            if i % procs == 0:
+                rows.append(_sweep_worker(task))
+                continue
+            child, recv = children[i % procs - 1]
             try:
-                share = recv.recv()
+                row = recv.recv()
             except EOFError:
                 child.join()
-                which = ", ".join(map(str, range(k, len(tasks), procs)))
+                which = ", ".join(map(str, range(i, len(tasks), procs)))
                 raise AffmaxError(f"the process computing rows {which} ended with "
                                   f"exit code {child.exitcode} before sending "
                                   f"them") from None
-            child.join()
-            if isinstance(share, tuple):
-                i, exc = share
-                failed[k + i * procs] = exc
-            shares.append(share)
-        if failed:
-            raise failed[min(failed)]
+            if isinstance(row, Exception):
+                raise row
+            rows.append(row)
     finally:
         for child, recv in children:
-            child.terminate()  # no-op for a child already joined
+            child.terminate()  # a child that sent all its rows has no work left
             child.join()
             recv.close()
-    rows = [None] * len(tasks)
-    for k, share in enumerate(shares):
-        rows[k::procs] = share
     return rows
 
 

@@ -139,6 +139,26 @@ class TestPipeline:
         assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("flag, value, differ", [
+        ("--eta-max", "1e5", "scan_range"), ("--theta", "0.6", "taylor_measured")],
+        ids=["eta-max", "theta"])
+    def test_report_of_another_run_is_one_line_usage_error(self, workdir, tmp_path,
+                                                           capsys, flag, value, differ):
+        # the curve is solved at theta 0.55 to eta_max 5e4.  A report of
+        # another eta_max assembled with its own R_inf, and one of another
+        # theta blamed the phi columns
+        opts = {"--theta": "0.55", "--eta-max": "50000", flag: value}
+        report = tmp_path / "report.json"
+        assert run(["solve-negative", *(a for kv in opts.items() for a in kv),
+                    "--out", str(tmp_path / "curve.csv"),
+                    "--report", str(report)]) in (0, 2)
+        capsys.readouterr()
+        assert run(assemble_argv(workdir, tmp_path / "solution.json", report)) == 1
+        assert capsys.readouterr().err == (
+            f"error: ParameterError: {report} and {workdir / 'curve.csv'} are not "
+            f"from one solve-negative run: {differ} differ\n")
+        assert not (tmp_path / "solution.json").exists()
+
     @pytest.mark.parametrize("name", ["phi.csv", "psi.csv"])
     def test_unordered_profile_rows_are_one_line_usage_error(self, workdir, tmp_path,
                                                              capsys, name):
@@ -769,6 +789,23 @@ def test_import_leaves_configparser_unloaded(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["sweep", "--jobs", "1", "--steps", "2", "--eta-max", "50", "--outdir", "sw"]],
+    ids=["version", "sweep --jobs 1"])
+def test_no_fork_leaves_multiprocessing_unloaded(tmp_path, argv):
+    # its import costs about 6 ms, which only a sweep that forks needs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, affmax.cli\n"
+         f"rc = affmax.cli.main({argv!r})\n"
+         "print(rc, 'multiprocessing' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 _INT_OPTIONS = [(command, flag) for command, flag, typ, *_ in cli._OPTIONS
                 if typ is int]
 
@@ -943,3 +980,13 @@ class TestSweepFailures:
         assert self.sweep(tmp_path, monkeypatch, faults, 3) == 1
         assert capsys.readouterr().err == \
             f"error: no row at theta {self.THETAS[0]!r}\n"
+
+    def test_failing_row_stops_the_sweep_before_a_later_row(self, tmp_path,
+                                                            monkeypatch, capsys):
+        # rows are taken in grid order: row 3, this process's, raises
+        # before row 4 is awaited from the child that hangs on it
+        start = time.perf_counter()
+        assert self.sweep(tmp_path, monkeypatch, {3: "raise", 4: "hang"}, 3) == 1
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == \
+            f"error: no row at theta {self.THETAS[3]!r}\n"
