@@ -36,6 +36,9 @@ __all__ = ["t_of_eta", "rebuild_profile", "large_condition_check",
            "PhaseProfileEvaluator"]
 
 U_CEILING = 1e6   # the value of u whose radius the completeness checks report
+# rows a rebuilt profile keeps, as many as phi's at solve-positive's default
+# --nodes; only its first, last and anchor rows reach the certificate
+PROFILE_ROWS = 2001
 
 
 def _tau_integrand(split: SwitchSplit, zeta, taylor):
@@ -165,22 +168,33 @@ class PhaseProfileEvaluator(ProfileEvaluator):
         return np.where(a < self.r_min, self.vp0 * ((k == 1) + c * ra ** (d1 + 1 - k)), out)
 
 
+def _kept_rows(rows: int, i0: int) -> np.ndarray:
+    """Ascending indices of the table rows a profile keeps: min(rows,
+    PROFILE_ROWS) of them evenly spaced from 0 to rows - 1, and i0."""
+    k = min(rows, PROFILE_ROWS)
+    idx = np.arange(k) * (rows - 1) // (k - 1)      # k >= 3: _tables needs 3 rows
+    j = int(np.searchsorted(idx, i0))
+    if idx[j] == i0:
+        return idx
+    return np.concatenate([idx[:j], [i0], idx[j:]])
+
+
 def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
     """RadialProfile of the factor whose phase curve is given.
 
     v0 = v(1) at the anchor r = 1 sets the one free scale; u(0) = 0.
-    The returned profile holds about 6000 of the table's rows at most
-    and carries an evaluator with the exact derivative chain, valid on
-    radii covered by the curve.
+    The returned profile holds PROFILE_ROWS rows of the table, evenly
+    spaced in curve index from the first row to the last, plus the
+    anchor row (r = 1) when it falls between them; a shorter table is
+    kept whole.  It carries an evaluator with the exact derivative
+    chain, fitted on every row and valid on radii covered by the curve.
     """
     if not 0 < v0 < math.inf:
         raise ParameterError(f"v0 must be positive and finite, got {v0}")
     tab = _tables(curve, v0=v0)
     ev = PhaseProfileEvaluator(tab)
     r_all = np.exp(tab["t"])
-    step = max(1, len(r_all) // 6000)
-    idx = np.unique(np.concatenate([np.arange(0, len(r_all), step),
-                                    [tab["i0"], len(r_all) - 1]]))
+    idx = _kept_rows(len(r_all), tab["i0"])
     return RadialProfile(r=r_all[idx], v=np.exp(tab["logv"])[idx], u=tab["u"][idx],
                          n=curve.params.n, evaluator=ev)
 

@@ -18,8 +18,9 @@ import affmax
 from affmax import cli, verify
 from affmax.cli import main
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
-                         read_columns, upper_bound_claimed)
+                         read_columns, upper_bound_claimed, write_columns)
 from affmax.negative_pair import growth_bounds_check, solve_negative
+from affmax.reconstruct import _tables
 
 
 def run(argv):
@@ -172,6 +173,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == "error: ParameterError: r grid must be strictly increasing\n"
         assert not (tmp_path / "solution.json").exists()
+
+    def test_psi_rows_do_not_reach_the_solution(self, workdir, tmp_path):
+        # a psi.csv of every reconstruction table row assembles to the same
+        # bytes as reconstruct's PROFILE_ROWS-row file: the certificate is
+        # built from the curve, and the CSV only cross-checks it
+        curve = PhaseCurve.from_csv(workdir / "curve.csv")
+        tab = _tables(curve, v0=1.0)
+        full = [np.exp(tab["t"]), np.exp(tab["logv"]), tab["u"]]
+        assert len(full[0]) > len(read_columns(workdir / "psi.csv")[1][0]) + 2000
+        for f in ("phi.csv", "curve.csv", "report.json"):
+            shutil.copy(workdir / f, tmp_path / f)
+        write_columns(tmp_path / "psi.csv", ["r", "v", "u"], full)
+        assert run(assemble_argv(tmp_path, tmp_path / "solution.json")) == 0
+        assert ((tmp_path / "solution.json").read_bytes()
+                == (workdir / "solution.json").read_bytes())
 
 
 class TestSchema3:
@@ -804,6 +820,26 @@ def test_no_fork_leaves_multiprocessing_unloaded(tmp_path, argv):
         text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_flagship_stages_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_inverse imports it, about 6 ms of each process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    stages = [["solve-positive", "--out", "phi.csv"],
+              ["solve-negative", "--out", "curve.csv", "--report", "report.json"],
+              ["reconstruct", "--curve", "curve.csv", "--out", "psi.csv"],
+              assemble_argv(tmp_path, "solution.json"),
+              ["verify", "--solution", "solution.json", "--points", "20"]]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, affmax.cli\n"
+         f"for argv in {stages!r}:\n"
+         "    rc = affmax.cli.main(argv)\n"
+         "    print('after', argv[0], rc, 'numpy.ma' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert [line for line in out.stdout.splitlines() if line.startswith("after ")] == [
+        f"after {argv[0]} 0 False" for argv in stages]
 
 
 _INT_OPTIONS = [(command, flag) for command, flag, typ, *_ in cli._OPTIONS

@@ -1,4 +1,4 @@
-"""Four `ast` lints that keep the package's contracts in one place.
+"""Five `ast` lints that keep the package's contracts in one place.
 
 No subclass of ProfileEvaluator defines v, u or deriv: the base class
 alone checks the shape, the derivative order, the table edge and the
@@ -9,7 +9,10 @@ package is used by the package itself: a helper that only tests call
 lives in tests/, unless a frozen acceptance criterion imports it.  And
 cli.py names no growth-bound verdict key (a name or string ending in
 _holds, or upper_claimed): the library function of each stage decides
-its verdict, and cli.py only maps it to an exit code.
+its verdict, and cli.py only maps it to an exit code.  And no module
+calls np.unique, np.union1d or np.isin: each imports numpy.ma on some
+path (np.unique without return_inverse, np.isin on large inputs), about
+6 ms of a fresh process.
 """
 
 import ast
@@ -139,6 +142,23 @@ def verdict_keys(tree):
     return sorted(found)
 
 
+MA_LOADERS = {"unique", "union1d", "isin"}
+
+
+def ma_loaders(tree):
+    """(line, name) of each np.<name> or numpy.<name> in the tree, and each
+    name imported from numpy, that is in MA_LOADERS."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in MA_LOADERS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in MA_LOADERS]
+    return sorted(found)
+
+
 def test_no_evaluator_subclass_redefines_the_contract():
     assert contract_overrides(trees(PACKAGE.glob("*.py"))) == []
 
@@ -154,6 +174,11 @@ def test_every_public_name_is_used_by_the_package_or_a_criterion():
 
 def test_cli_decides_no_verdict():
     assert verdict_keys(trees([PACKAGE / "cli.py"])["cli.py"]) == []
+
+
+def test_no_module_loads_numpy_ma():
+    assert {module: ma_loaders(tree) for module, tree in
+            trees(PACKAGE.glob("*.py")).items() if ma_loaders(tree)} == {}
 
 
 def test_the_lints_see_what_they_forbid(tmp_path):
@@ -181,6 +206,12 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     (tmp_path / "d.py").write_text(
         "ok = rep['rho_holds'] and (not rep['upper_claimed'] or b.upper_holds)\n"
         "row = {'upper_bound_claimed': upper_claimed}\n")
+    # the profile row rule of rebuild_profile before PROFILE_ROWS; the
+    # unique of a string or another module is no numpy call
+    (tmp_path / "e.py").write_text(
+        "from numpy import isin, sort\n"
+        "idx = np.unique(np.concatenate([np.arange(0, n, step), [i0, n - 1]]))\n"
+        "both = numpy.union1d(a, b)\nnames = sorted(set(x).unique)\nnote = 'np.unique'\n")
     (tmp_path / "__init__.py").write_text("from .c import only_tested, used\n")
     modules = trees(sorted(tmp_path.glob("*.py")))
     assert contract_overrides(modules) == [("a.py", "Scaled", "deriv"),
@@ -189,5 +220,6 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     assert unused_public(modules) == [
         "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
         "c.P.extra", "c.only_tested", "c.recursive"]
+    assert ma_loaders(modules["e.py"]) == [(1, "isin"), (2, "unique"), (3, "union1d")]
     assert verdict_keys(modules["d.py"]) == [(1, "rho_holds"), (1, "upper_claimed"),
                                              (1, "upper_holds"), (2, "upper_claimed")]

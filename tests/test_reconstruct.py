@@ -7,7 +7,8 @@ from affmax.core import (AnalyticEvaluator, ModelParams, PhaseCurve,
                          RadialProfile, TaylorData, profile_to_phase)
 from affmax.errors import ParameterError, PositivityLoss
 from affmax.fd import one_sided_derivative
-from affmax.reconstruct import large_condition_check, rebuild_profile, t_of_eta
+from affmax.reconstruct import (PROFILE_ROWS, _tables, large_condition_check,
+                                rebuild_profile, t_of_eta)
 
 from conftest import ETA0
 from oracles import origin_compatibility, paraboloid_profile
@@ -74,6 +75,20 @@ def cubic_curve(m=6000):
     return PhaseCurve(params=ModelParams(n=1, theta=0.75, eta0=eta0),
                       taylor=TaylorData(2.0, -2.0, 0.0, 0.0),
                       eta=eta, zeta=zeta, I=I)
+
+
+def curve_of_rows(rows, anchor):
+    """A zeta = 2 (eta - 1) curve of exactly rows points, eta0 on point anchor."""
+    eta = 1.0 + np.geomspace(1e-9, 2.0, rows)
+    return PhaseCurve(params=ModelParams(n=2, theta=0.55, eta0=float(eta[anchor])),
+                      taylor=TaylorData(2.0, 0.0, 0.0, 0.0),
+                      eta=eta, zeta=2.0 * (eta - 1.0), I=np.zeros(rows))
+
+
+def full_table(curve):
+    """(r, v, u) of every row of the v0 = 1 reconstruction table, and the anchor row."""
+    tab = _tables(curve, v0=1.0)
+    return np.exp(tab["t"]), np.exp(tab["logv"]), tab["u"], tab["i0"]
 
 
 class TestTOfEta:
@@ -242,6 +257,37 @@ class TestRebuild:
         assert spread < 1e-6
         assert lam == pytest.approx(curve_1e3.params.lambda3, rel=1e-6)
         assert lam < 0
+
+
+class TestProfileRows:
+    # off: whether the anchor falls between the evenly spaced rows.  A
+    # stride of rows // 6000 kept 11999 rows of 11999 and 6000 of 12000
+    @pytest.mark.parametrize("rows, anchor, off", [
+        (2000, 700, False), (2001, 2000, False), (2002, 667, False),
+        (11999, 3999, True), (12000, 5999, False), (20935, 5999, True)])
+    def test_rows_are_kept_evenly_with_the_anchor(self, rows, anchor, off):
+        curve = curve_of_rows(rows, anchor)
+        prof = rebuild_profile(curve, v0=1.0)
+        r, v, u, i0 = full_table(curve)
+        assert i0 == anchor
+        assert np.all(np.diff(prof.r) > 0)
+        idx = np.searchsorted(r, prof.r)
+        # every kept row is the full table's row, bit for bit
+        for kept, full in ((prof.r, r), (prof.v, v), (prof.u, u)):
+            assert kept.tobytes() == full[idx].tobytes()
+        assert idx[0] == 0 and idx[-1] == rows - 1 and anchor in idx
+        assert prof.r[idx == anchor][0] == 1.0
+        k = min(rows, PROFILE_ROWS)
+        lattice = idx[idx != anchor] if off else idx
+        assert len(lattice) == k and len(idx) == k + off
+        assert np.ptp(np.diff(lattice)) <= 1         # evenly spaced, no stride jump
+
+    def test_flagship_profile_ends_and_anchor(self, curve_1e3, psi_profile):
+        r, v, _, i0 = full_table(curve_1e3)
+        assert len(r) > PROFILE_ROWS
+        assert len(psi_profile.r) in (PROFILE_ROWS, PROFILE_ROWS + 1)
+        assert (psi_profile.r[0], psi_profile.r[-1]) == (r[0], r[-1])
+        assert r[i0] == 1.0 and np.interp(1.0, psi_profile.r, psi_profile.v) == v[i0]
 
 
 class TestOriginCompatibility:

@@ -7,6 +7,7 @@ import pytest
 
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
+from affmax.reconstruct import PROFILE_ROWS, _tables
 from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _eigenvalues, _sample_points,
                            assemble, bernstein_1d_check, completeness_check,
                            full_residual, residual_at, verify_solution)
@@ -168,6 +169,21 @@ class TestFullResidual:
                                 theta=5.0 / 6.0, R_inf=math.inf)
         with pytest.raises(NearSingular):
             residual_at(sol, np.array([0.5, 1e-3, 1e-3]))
+
+
+    def test_psi_rows_do_not_reach_the_payload(self, phi_profile, psi_profile,
+                                                psi_R_inf, solution, curve_1e3):
+        # psi with every reconstruction table row, against the PROFILE_ROWS
+        # rows rebuild_profile keeps: only the first, last and anchor rows
+        # reach the certificate, and both profiles hold them
+        tab = _tables(curve_1e3, v0=1.0)
+        full = RadialProfile(r=np.exp(tab["t"]), v=np.exp(tab["logv"]), u=tab["u"],
+                             n=psi_profile.n, evaluator=psi_profile.evaluator)
+        assert len(psi_profile.r) <= PROFILE_ROWS + 1 < len(full.r)
+        sol_full = assemble(phi_profile, full, m_cylinder=0, theta=THETA,
+                            R_inf=psi_R_inf)
+        assert (json.dumps(verify_solution(sol_full, 200, 3), sort_keys=True)
+                == json.dumps(verify_solution(solution, 200, 3), sort_keys=True))
 
 
 class TestConvexity:

@@ -25,7 +25,7 @@ from affmax import build_phi, positive_pair, reconstruct, rebuild_profile
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular
 from affmax import verify
-from affmax.verify import (_det_parts, _eigenvalues, _inverse_hessian,
+from affmax.verify import (_det_parts, _distinct, _eigenvalues, _inverse_hessian,
                            _residuals, _sample_points, _stencil, _w, assemble,
                            residual_at)
 
@@ -216,6 +216,21 @@ def test_distinct_radius_parts_bitwise(solutions, m, raw):
     for g, w in zip(got, want):
         assert g.shape == w.shape == x.shape
         assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
+
+
+@settings(max_examples=50)
+@given(vals=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-3, 0.5, 1.0, 2.5, 7.0]),
+                     min_size=0, max_size=60),
+       shape=st.sampled_from([None, (2, -1)]))
+def test_distinct_is_np_unique_bitwise(vals, shape):
+    # the same values, the same signed zero among them, and the same inverse
+    r = np.array(vals)
+    if shape and len(vals) % 2 == 0:
+        r = r.reshape(shape)
+    got, inv = _distinct(r)
+    want, want_inv = np.unique(r, return_inverse=True)
+    assert got.tobytes() == want.tobytes()
+    assert inv.shape == r.shape and np.array_equal(inv, want_inv.reshape(r.shape))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
