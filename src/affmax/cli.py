@@ -182,9 +182,9 @@ def _cmd_reconstruct(o) -> int:
 def _cmd_assemble(o) -> int:
     if o["report"] is None:
         raise ParameterError("assemble needs --report, which gives n, theta and R_inf")
-    phi_r, phi_v, _ = read_columns(o["phi"], header=["r", "v", "u"])[1]
+    phi_r, phi_v, phi_u = read_columns(o["phi"], header=["r", "v", "u"])[1]
     check_radii(phi_r)
-    psi_r, psi_v, _ = read_columns(o["psi"], header=["r", "v", "u"])[1]
+    psi_r, psi_v, psi_u = read_columns(o["psi"], header=["r", "v", "u"])[1]
     check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
     report = _load_json(o["report"])
@@ -208,10 +208,10 @@ def _cmd_assemble(o) -> int:
     psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
                 **{k: encode_column(c) for k, c in zip(("eta", "zeta", "I"), curve)}}
     phi = _factor(phi_ctor, theta, 1, "phi.constructor")
-    _check_columns_match(phi_r, phi_v, phi, "phi")
+    _check_columns_match(phi_r, phi_v, phi_u, phi, "phi")
     psi_v0 = _number(psi_ctor, "v0", "psi.constructor", positive=True)
     psi = rebuild_profile(phase, v0=psi_v0)
-    _check_columns_match(psi_r, psi_v, psi, "psi")
+    _check_columns_match(psi_r, psi_v, psi_u, psi, "psi")
     sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta, R_inf=R_inf)
     payload = {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
@@ -242,17 +242,19 @@ def _check_same_run(report, report_path, curve: PhaseCurve, curve_path):
                              f"solve-negative run: {', '.join(differ)} differ")
 
 
-def _check_columns_match(r, v, rebuilt: RadialProfile, name: str):
-    v_ref = rebuilt.v_at(r)
-    scale = np.max(np.abs(v_ref))
-    if np.max(np.abs(v_ref - v)) > 1e-6 * scale:
-        raise ParameterError(
-            f"{name} profile columns disagree with the reconstruction; "
-            "wrong curve/v0/lambda for this CSV?")
+def _check_columns_match(r, v, u, rebuilt: RadialProfile, name: str):
+    """ParameterError unless the v and u columns of a profile file agree
+    with the rebuilt factor at its radii r, each to 1e-6 of its largest
+    value; a NaN agrees with nothing."""
+    for col, ref in ((v, rebuilt.v_at(r)), (u, rebuilt.evaluator.u(r))):
+        if not np.max(np.abs(ref - col)) <= 1e-6 * np.max(np.abs(ref)):
+            raise ParameterError(
+                f"{name} profile columns disagree with the reconstruction; "
+                "wrong curve/v0/lambda for this CSV?")
 
 
 def _factor(ctor, theta, n, where):
-    """The factor a solution.json constructor block describes (phi unscaled).
+    """The factor a solution.json constructor block describes, as built.
 
     verify builds both factors here, assemble phi.  A missing key or a
     value of the wrong type or range raises a one-line ParameterError.
@@ -342,7 +344,7 @@ def _solution_from_json(path):
                         theta, dim, f"{path}: {k}.constructor")
                 for k, dim in (("phi", 1), ("psi", n)))
     return SeparableSolution(
-        phi=phi.scaled(kappa), psi=psi, kappa=kappa, theta=theta,
+        phi=phi, psi=psi, kappa=kappa, theta=theta,
         R_inf=R_inf, m_cylinder=m,
         lambda_phi=lam_phi, lambda_psi=lam_psi)
 

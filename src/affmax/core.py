@@ -364,22 +364,6 @@ class AnalyticEvaluator(ProfileEvaluator):
         return super()._deriv(a, k) if k > len(self.derivs) else self.derivs[k - 1](a)
 
 
-class ScaledEvaluator(ProfileEvaluator):
-    """The evaluator of kappa * u, given the evaluator of u."""
-
-    def __init__(self, base: ProfileEvaluator, kappa: float):
-        self.base, self.kappa, self.r_max = base, kappa, base.r_max
-
-    def _v(self, a):
-        return self.kappa * self.base._v(a)
-
-    def _u(self, a):
-        return self.kappa * self.base._u(a)
-
-    def _deriv(self, a, k):
-        return self.kappa * self.base._deriv(a, k)
-
-
 def check_radii(r):
     """ParameterError unless r is a strictly increasing grid of radii >= 0."""
     if not np.all(np.diff(r) > 0):
@@ -416,11 +400,6 @@ class RadialProfile:
         """d^k v/dr^k (k = 1, 2, 3) at the radii r, by the evaluator's rule."""
         return self.evaluator.deriv(r, k)
 
-    def scaled(self, kappa: float) -> "RadialProfile":
-        """The profile of kappa * u (v and u scale linearly)."""
-        return RadialProfile(r=self.r.copy(), v=kappa * self.v, u=kappa * self.u,
-                             n=self.n, evaluator=ScaledEvaluator(self.evaluator, kappa))
-
     def to_csv(self, path):
         write_columns(path, ["r", "v", "u"], [self.r, self.v, self.u])
 
@@ -431,18 +410,19 @@ class RadialProfile:
 
 @dataclass
 class SeparableSolution:
-    """u(x, y, z) = phi(|x|) + psi(|y|) + |z|^2/2 on R x B_{R_inf} x R^m.
+    """u(x, y, z) = kappa phi(|x|) + psi(|y|) + |z|^2/2 on R x B_{R_inf} x R^m.
 
-    R_inf is infinite when psi is entire (no finite boundary).
+    phi and psi are the factors as their constructors built them; R_inf
+    is infinite when psi is entire (no finite boundary).
     """
 
-    phi: RadialProfile           # 1-D factor, already rescaled by kappa
+    phi: RadialProfile           # 1-D factor, as built
     psi: RadialProfile           # n-D factor on the ball of radius R_inf
     kappa: float
     theta: float
     R_inf: float = math.inf
     m_cylinder: int = 0
-    lambda_phi: float = 0.0      # eigenvalues of the scaled factors
+    lambda_phi: float = 0.0      # eigenvalues of kappa phi and psi
     lambda_psi: float = 0.0
 
     @property

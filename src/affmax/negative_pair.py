@@ -121,7 +121,7 @@ def local_derivatives(x, y, centers, window: float):
 
     Each center c gets the least-squares quartic in x - c through the
     samples with |x - c| <= window/2 (x increasing), its design columns
-    scaled to unit norm.  The windows are laid end to end and each
+    normalised to unit length.  The windows are laid end to end and each
     window's moments summed with np.add.reduceat; all are solved at once
     by the normal equations with one step of iterative refinement.
     GridTooCoarse, naming the center, if a window holds fewer than the

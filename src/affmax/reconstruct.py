@@ -99,8 +99,8 @@ class PhaseProfileEvaluator(ProfileEvaluator):
     def __init__(self, tab):
         t = tab["t"]
         self.t_min, self.t_max = float(t[0]), float(t[-1])
-        # r_max as np.exp gives the profile's last radius (math.exp may differ)
-        self.r_min, self.r_max = math.exp(self.t_min), float(np.exp(t[-1]))
+        # np.exp gives the profile's first and last radii (math.exp may differ)
+        self.r_min, self.r_max = float(np.exp(t[0])), float(np.exp(t[-1]))
         self.d1 = tab["d1"]
         # slope of v at the origin: v ~ vp0 * r below the grid
         self.vp0 = math.exp(float(tab["logv"][0]) - self.t_min)

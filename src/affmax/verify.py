@@ -52,7 +52,8 @@ def check_assembly(theta: float, n: int, m_cylinder: int):
 
 def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
              m_cylinder: int = 0, R_inf: float = math.inf) -> SeparableSolution:
-    """Scale phi so the factor eigenvalues are opposite and combine.
+    """Choose kappa so the eigenvalues of kappa phi and psi are opposite
+    and combine; the solution keeps phi and psi as they are.
 
     R_inf is the boundary radius of the psi factor (infinite for an
     entire one).  Requires the fitted eigenvalues to have strictly opposite signs
@@ -72,7 +73,7 @@ def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
     if lam_phi < 0:
         raise SignError("expected the 1-D factor to carry the positive eigenvalue")
     kappa = lam_phi / (-lam_psi)
-    return SeparableSolution(phi=phi.scaled(kappa), psi=psi, kappa=kappa,
+    return SeparableSolution(phi=phi, psi=psi, kappa=kappa,
                              theta=theta, R_inf=R_inf, m_cylinder=int(m_cylinder),
                              lambda_phi=lam_phi / kappa, lambda_psi=lam_psi)
 
@@ -102,10 +103,11 @@ def _distinct(r):
 
 
 def _det_parts(sol: SeparableSolution, x, rho):
-    """(phi'', psi', psi'') at the radii |x| and rho (arrays of one shape)."""
+    """(kappa phi'', psi', psi'') at the radii |x| and rho (arrays of one shape)."""
     xs, ix = _distinct(x)
     rs, ir = _distinct(rho)
-    return (sol.phi.v_deriv_at(xs, 1)[ix], sol.psi.v_at(rs)[ir],
+    # kappa multiplies the distinct values, before the gather
+    return ((sol.kappa * sol.phi.v_deriv_at(xs, 1))[ix], sol.psi.v_at(rs)[ir],
             sol.psi.v_deriv_at(rs, 1)[ir])
 
 
@@ -156,7 +158,7 @@ def _hessian_from_stencil(f: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 
 
 def _inverse_hessian(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
-    """(P, N, N) block-diagonal u^{ij}: 1/phi'' + radial inverse + identity."""
+    """(P, N, N) block-diagonal u^{ij}: 1/(kappa phi'') + radial inverse + identity."""
     n, m = sol.psi.n, sol.m_cylinder
     y = pts[:, 1:1 + n]
     rho = np.linalg.norm(y, axis=1)
@@ -209,7 +211,7 @@ def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL) -
 def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
     """(P, N) sorted eigenvalues of D^2 u, in closed form.
 
-    D^2 u is block diagonal: phi'' on x; on y the radial block with
+    D^2 u is block diagonal: kappa phi'' on x; on y the radial block with
     eigenvalues psi'/rho (multiplicity n-1, tangential) and psi''
     (radial); 1 on each cylinder coordinate.
     """
@@ -273,13 +275,13 @@ def full_residual(sol: SeparableSolution, n_points: int,
 def completeness_check(sol: SeparableSolution) -> dict:
     """u -> infinity toward every boundary direction of R x B_{R_inf} x R^m.
 
-    The phi side grows at least linearly for large |x| (its curvature is
+    The kappa phi side grows at least linearly for large |x| (its curvature is
     positive and u' increasing), so u exceeds U_CEILING at a finite,
     reported |x|.  The psi side delegates to the boundary blow-up check.
     A phi evaluator with no rule for u raises ParameterError.
     """
     xs = sol.phi.r[-1] * np.array([0.25, 0.5, 1.0])
-    u_vals = sol.phi.evaluator.u(xs)
+    u_vals = sol.kappa * sol.phi.evaluator.u(xs)
     slope = (u_vals[2] - u_vals[1]) / (xs[2] - xs[1])
     x_ceiling = xs[2] + max(U_CEILING - u_vals[2], 0.0) / slope if slope > 0 else math.inf
     phi_rep = {"increasing": bool(u_vals[0] < u_vals[1] < u_vals[2]),

@@ -174,6 +174,23 @@ class TestPipeline:
         assert err == "error: ParameterError: r grid must be strictly increasing\n"
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("col, value", [(2, 12345.0), (2, math.nan), (1, math.nan)],
+                             ids=["u", "u-nan", "v-nan"])
+    @pytest.mark.parametrize("name", ["phi.csv", "psi.csv"])
+    def test_wrong_column_is_one_line_usage_error(self, workdir, tmp_path, capsys,
+                                                  name, col, value):
+        # the u column is cross-checked as v is, and a NaN fails the check
+        for f in ("phi.csv", "psi.csv", "curve.csv", "report.json"):
+            shutil.copy(workdir / f, tmp_path / f)
+        cols = list(read_columns(tmp_path / name)[1])
+        cols[col] = np.full_like(cols[col], value)
+        write_columns(tmp_path / name, ["r", "v", "u"], cols)
+        assert run(assemble_argv(tmp_path, tmp_path / "solution.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParameterError: {name[:3]} profile columns disagree")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "solution.json").exists()
+
     def test_psi_rows_do_not_reach_the_solution(self, workdir, tmp_path):
         # a psi.csv of every reconstruction table row assembles to the same
         # bytes as reconstruct's PROFILE_ROWS-row file: the certificate is

@@ -25,6 +25,8 @@ PACKAGE = Path(affmax.__file__).resolve().parent
 
 # module.qualname -> why it stays public though no code of the package uses it
 CRITERION_PINNED = {
+    "core.PhaseCurve.eta_max":
+        "acceptance criterion 9 reads curve_1e3.eta_max",
     "core.profile_to_phase":
         "acceptance criterion 9 maps a values-only profile back to its phase curve",
     "fd.one_sided_derivative":
@@ -97,9 +99,11 @@ def _library_override(tree, cls, name):
 def unused_public(modules):
     """module.qualname of each public top-level function or class, and of
     each public method, that no code of the modules names outside its own
-    definition.  A name counts where it is read (x or obj.x); the strings
-    of __all__ and the names an import binds do not count, so neither do
-    the re-exports of __init__.py.  Overrides of a library base are exempt."""
+    definition.  A function or class counts where it is read (x or obj.x),
+    a method or property only where it is read as an attribute (obj.x): a
+    local variable of the same name is no use of it.  The strings of
+    __all__ and the names an import binds do not count, so neither do the
+    re-exports of __init__.py.  Overrides of a library base are exempt."""
     defs = []
     for module, tree in modules.items():
         for node in tree.body:
@@ -113,15 +117,17 @@ def unused_public(modules):
                          if isinstance(item, ast.FunctionDef)
                          and not item.name.startswith("_")
                          and not _library_override(tree, node, item.name)]
-    uses = [(module, getattr(node, "id", None) or node.attr, node.lineno)
+    uses = [(module, getattr(node, "id", None) or node.attr, node.lineno,
+             isinstance(node, ast.Attribute))
             for module, tree in modules.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     found = []
     for module, qual, node in defs:
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        name = qual.split(".")[-1]
-        if not any(used == name and (m != module or not first <= line <= node.end_lineno)
-                   for m, used, line in uses):
+        name, method = qual.split(".")[-1], "." in qual
+        if not any(used == name and (attr or not method)
+                   and (m != module or not first <= line <= node.end_lineno)
+                   for m, used, line, attr in uses):
             found.append(f"{module.removesuffix('.py')}.{qual}")
     return sorted(found)
 
@@ -192,7 +198,8 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "class Other:\n    def u(self, r): pass\n")
     # only_tested is exported and re-exported, as a function only tests
     # call would be; recursive calls only itself; error overrides a
-    # method that argparse calls
+    # method that argparse calls; the property span is named only by a
+    # local variable of d.py
     (tmp_path / "c.py").write_text(
         "import argparse\n__all__ = ['only_tested', 'recursive', 'used']\n"
         "def only_tested(): pass\n"
@@ -200,12 +207,15 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "def used(): pass\nVALUE = used()\n"
         "class P(argparse.ArgumentParser):\n"
         "    def error(self, message): pass\n    def extra(self): pass\n"
-        "PARSER = P()\n")
+        "PARSER = P()\n"
+        "class Curve:\n    @property\n    def span(self): return 1.0\n"
+        "CURVE = Curve()\n")
     # the rule solve-negative's exit code had in cli.py; the sweep row's
     # upper_bound_claimed key is no verdict
     (tmp_path / "d.py").write_text(
         "ok = rep['rho_holds'] and (not rep['upper_claimed'] or b.upper_holds)\n"
-        "row = {'upper_bound_claimed': upper_claimed}\n")
+        "row = {'upper_bound_claimed': upper_claimed}\n"
+        "def _scan(curve):\n    span = curve\n    return span\n")
     # the profile row rule of rebuild_profile before PROFILE_ROWS; the
     # unique of a string or another module is no numpy call
     (tmp_path / "e.py").write_text(
@@ -219,7 +229,7 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     assert private_imports(modules) == [("a.py", "_helper"), ("b.py", "_X")]
     assert unused_public(modules) == [
         "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
-        "c.P.extra", "c.only_tested", "c.recursive"]
+        "c.Curve.span", "c.P.extra", "c.only_tested", "c.recursive"]
     assert ma_loaders(modules["e.py"]) == [(1, "isin"), (2, "unique"), (3, "union1d")]
     assert verdict_keys(modules["d.py"]) == [(1, "rho_holds"), (1, "upper_claimed"),
                                              (1, "upper_holds"), (2, "upper_claimed")]

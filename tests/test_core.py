@@ -236,10 +236,3 @@ class TestPhaseCurveType:
                        taylor=TaylorData(2, 0, 0, 0),
                        eta=np.array([1.2, 1.1]), zeta=np.array([1.0, 1.0]),
                        I=np.zeros(2))
-
-    def test_round_trip_scaling(self):
-        prof = quadratic_profile(C=1.0)
-        scaled = prof.scaled(2.5)
-        assert np.allclose(scaled.v, 2.5 * prof.v)
-        assert np.allclose(scaled.u, 2.5 * prof.u)
-        assert scaled.v_deriv_at(1.0, 1) == pytest.approx(5.0)

@@ -316,15 +316,14 @@ def built(phi_profile, psi_profile):
         "build_phi": (phi_profile.evaluator, 0.0, float(phi_profile.r[-1])),
         "rebuild_profile": (psi_profile.evaluator, float(psi_profile.r[0]),
                             float(psi_profile.r[-1])),
-        "scaled": (phi_profile.scaled(2.5).evaluator, 0.0, float(phi_profile.r[-1])),
         "paraboloid": (paraboloid_profile(2.0, 1.0, grid).evaluator, 0.0, 3.0),
         "blowup_1d": (blowup.evaluator, 0.0, float(blowup.r[-1])),
         "analytic": (power_evaluator(), 0.25, 4.0),
     }
 
 
-@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled",
-                                  "paraboloid", "analytic"])
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "paraboloid",
+                                  "analytic"])
 def test_every_evaluator_keeps_the_contract(built, name):
     ev, lo, hi = built[name]
     rng = np.random.default_rng(7)
@@ -340,8 +339,8 @@ def test_every_evaluator_keeps_the_contract(built, name):
             ev.deriv(1.0, k)
 
 
-@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled",
-                                  "paraboloid", "blowup_1d", "analytic"])
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "paraboloid",
+                                  "blowup_1d", "analytic"])
 def test_every_evaluator_has_the_parity_of_an_even_u(built, name):
     """v and v'' odd; u, v' and v''' even: bit for bit at -r and r."""
     ev, lo, hi = built[name]
@@ -354,7 +353,7 @@ def test_every_evaluator_has_the_parity_of_an_even_u(built, name):
         assert rule(-r).tobytes() == (-at_r if odd else at_r).tobytes()
 
 
-@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile", "scaled"])
+@pytest.mark.parametrize("name", ["build_phi", "rebuild_profile"])
 def test_table_backed_evaluators_raise_beyond_the_table(built, name):
     ev = built[name][0]
     edge = ev.r_max

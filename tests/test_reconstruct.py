@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from affmax import extend_global, fixed_point_solve
 from affmax.core import (AnalyticEvaluator, ModelParams, PhaseCurve,
                          RadialProfile, TaylorData, profile_to_phase)
 from affmax.errors import ParameterError, PositivityLoss
@@ -288,6 +289,14 @@ class TestProfileRows:
         assert len(psi_profile.r) in (PROFILE_ROWS, PROFILE_ROWS + 1)
         assert (psi_profile.r[0], psi_profile.r[-1]) == (r[0], r[-1])
         assert r[i0] == 1.0 and np.interp(1.0, psi_profile.r, psi_profile.v) == v[i0]
+
+    @pytest.mark.parametrize("i", [13, 15])
+    def test_first_row_is_the_table_start(self, i):
+        # at these grid theta math.exp(t[0]) is 1 ulp above r[0]: with it,
+        # the first row would take the origin model and the others the table
+        theta = float(np.linspace(0.51, 0.65, 16)[i])
+        p = rebuild_profile(extend_global(fixed_point_solve(2, theta, ETA0), 1e3), v0=1.0)
+        assert p.r[0] == p.evaluator.r_min
 
 
 class TestOriginCompatibility:

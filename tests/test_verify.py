@@ -17,13 +17,13 @@ from oracles import negative_pair_blowup_1d
 
 
 def factor_residual_phi(sol: SeparableSolution, xq: float) -> float:
-    """phi^{ij} D_ij w_phi = w_phi''/phi'' at a 1-D factor point."""
+    """phi^{ij} D_ij w_phi = w_phi''/(kappa phi'') at a 1-D factor point."""
     h = 1e-4
 
     def w_phi(x):
-        return sol.phi.v_deriv_at(x, 1) ** (-sol.theta)
+        return (sol.kappa * sol.phi.v_deriv_at(x, 1)) ** (-sol.theta)
     d2 = (w_phi(xq + h) - 2 * w_phi(xq) + w_phi(xq - h)) / h**2
-    return d2 / sol.phi.v_deriv_at(xq, 1)
+    return d2 / (sol.kappa * sol.phi.v_deriv_at(xq, 1))
 
 
 def factor_residual_psi(sol: SeparableSolution, rho: float) -> float:
@@ -64,13 +64,20 @@ class TestAssemble:
         assert solution.lambda_phi > 0 > solution.lambda_psi
         assert solution.N == 3
 
+    def test_keeps_its_factors(self, phi_profile, psi_profile, solution):
+        # kappa is held as a number; verify applies it where it forms u
+        assert solution.phi is phi_profile and solution.psi is psi_profile
+
     def test_scaling_law(self, phi_profile):
         # rescaling u by kappa = 2 halves the fitted eigenvalue
         from affmax.core import effective_lambda_fit
         nodes = np.linspace(0.5, 6.0, 9)
         lam1, _ = effective_lambda_fit(phi_profile, THETA, 1, nodes=nodes)
-        lam2, _ = effective_lambda_fit(phi_profile.scaled(2.0), THETA, 1,
-                                       nodes=nodes)
+        ev = phi_profile.evaluator
+        doubled = AnalyticEvaluator(lambda a: 2.0 * ev.v(a),
+                                    [lambda a, k=k: 2.0 * ev.deriv(a, k) for k in (1, 2, 3)])
+        lam2, _ = effective_lambda_fit(
+            dataclasses.replace(phi_profile, evaluator=doubled), THETA, 1, nodes=nodes)
         assert lam2 == pytest.approx(lam1 / 2.0, rel=1e-10)
         assert lam1 == pytest.approx(1.0, abs=1e-4)
 
@@ -112,8 +119,8 @@ class TestFullResidual:
         assert rep.convexity_margin > 0
 
     def test_mismatched_kappa_detected(self, solution):
-        bad = SeparableSolution(phi=solution.phi.scaled(1.1), psi=solution.psi,
-                                kappa=solution.kappa * 1.1, theta=solution.theta,
+        bad = SeparableSolution(phi=solution.phi, psi=solution.psi,
+                                kappa=1.1 * solution.kappa, theta=solution.theta,
                                 R_inf=solution.R_inf)
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.uniform(0.5, 3, 20),
@@ -127,7 +134,7 @@ class TestFullResidual:
         for (x, y1, y2) in [(0.7, 0.9, 1.1), (-1.2, 0.4, 1.3), (2.0, 1.5, 0.5)]:
             p = np.array([x, y1, y2])
             rho = math.hypot(y1, y2)
-            w_phi = solution.phi.v_deriv_at(x, 1) ** (-solution.theta)
+            w_phi = (solution.kappa * solution.phi.v_deriv_at(x, 1)) ** (-solution.theta)
             v1 = solution.psi.v_at(rho)
             v2 = solution.psi.v_deriv_at(rho, 1)
             w_psi = (v2 * (v1 / rho)) ** (-solution.theta)

@@ -41,7 +41,7 @@ H_REL = 1e-3
 
 
 def ref_det_parts(sol, xq, rho):
-    return (sol.phi.v_deriv_at(xq, 1), sol.psi.v_at(rho),
+    return (sol.kappa * sol.phi.v_deriv_at(xq, 1), sol.psi.v_at(rho),
             sol.psi.v_deriv_at(rho, 1))
 
 
