@@ -22,7 +22,7 @@ from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
                    check_radii, decode_column, encode_column, read_columns,
                    upper_bound_claimed, write_columns)
 from .errors import AffmaxError, ParameterError
-from .negative_pair import growth_bounds_check, solve_negative
+from .negative_pair import growth_bounds_check, solve_negative, taylor_coeffs
 from .phase_plane import bernstein_radial_check
 from .positive_pair import PositivePairConfig, build_phi, phi_grid
 from .reconstruct import rebuild_profile
@@ -226,16 +226,16 @@ def _cmd_assemble(o) -> int:
 
 
 def _check_same_run(report, report_path, curve: PhaseCurve, curve_path):
-    """ParameterError unless the report records the eta0, eta range and
-    measured Taylor data of curve, as one solve-negative run writes them."""
-    recorded = {"eta0": _get(report, "eta0", report_path),
-                "scan_range": _get(_get(report, "bounds_detail", report_path),
-                                   "scan_range", f"{report_path}: bounds_detail"),
-                "taylor_measured": _get(report, "taylor_measured", report_path)}
-    measured = {"eta0": curve.params.eta0,
-                "scan_range": [float(curve.eta[0]), float(curve.eta[-1])],
-                "taylor_measured": {c: getattr(curve.taylor, c)
-                                    for c in ("alpha", "beta", "gamma")}}
+    """ParameterError unless the report records curve's eta0, eta range, measured
+    and closed-form Taylor data (of its n and theta), as one run writes them."""
+    p = curve.params
+    taylors = {"taylor": taylor_coeffs(p.n, p.theta), "taylor_measured": curve.taylor}
+    recorded = {key: _get(report, key, report_path) for key in ("eta0", *taylors)}
+    recorded["scan_range"] = _get(_get(report, "bounds_detail", report_path),
+                                  "scan_range", f"{report_path}: bounds_detail")
+    measured = {"eta0": p.eta0, "scan_range": [float(curve.eta[0]), float(curve.eta[-1])],
+                **{key: {c: getattr(t, c) for c in ("alpha", "beta", "gamma")}
+                   for key, t in taylors.items()}}
     differ = [key for key in measured if recorded[key] != measured[key]]
     if differ:
         raise ParameterError(f"{report_path} and {curve_path} are not from one "
@@ -574,7 +574,7 @@ def main(argv=None) -> int:
     try:
         opts = _merge(args, args.command)
         return _COMMANDS[args.command](opts)
-    except (FileNotFoundError, OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except AffmaxError as exc:

@@ -68,6 +68,7 @@ class Spline:
         if last is not None and last[0].shape == q.shape and np.array_equal(last[0], q):
             start, h = last[1], last[2]
         else:
+            last = self._last = None      # freed before the next basis is formed
             # ell with t[ell] <= x < t[ell+1]; x = t[n] takes the last interval
             ell = k + np.searchsorted(t[k + 1:n], q, side="right")
             h = _basis(t, k, q, ell)

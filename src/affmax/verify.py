@@ -111,9 +111,9 @@ def _det_parts(sol: SeparableSolution, x, rho):
             sol.psi.v_deriv_at(rs, 1)[ir])
 
 
-def _w(sol: SeparableSolution, x, rho) -> np.ndarray:
-    """w = (det D^2 u)^(-theta) at the points with coordinates x and |y| = rho."""
-    phi2, psi1, psi2 = _det_parts(sol, x, rho)
+def _w(sol: SeparableSolution, x, rho):
+    """(w, its _det_parts): w = (det D^2 u)^(-theta) at the points (x, |y| = rho)."""
+    parts = phi2, psi1, psi2 = _det_parts(sol, x, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         det = phi2 * psi2 * (psi1 / rho) ** (sol.psi.n - 1)
     bad = np.flatnonzero(~(det >= 1e-12))     # NaN (a stencil on rho = 0) included
@@ -121,7 +121,7 @@ def _w(sol: SeparableSolution, x, rho) -> np.ndarray:
         i = bad[0]
         raise NearSingular(f"det D^2 u = {det.flat[i]:.3e} at "
                            f"(x={x.flat[i]:.3g}, rho={rho.flat[i]:.3g})")
-    return det ** (-sol.theta)
+    return det ** (-sol.theta), parts
 
 
 def _stencil(n: int) -> np.ndarray:
@@ -157,19 +157,26 @@ def _hessian_from_stencil(f: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
-def _inverse_hessian(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
-    """(P, N, N) block-diagonal u^{ij}: 1/(kappa phi'') + radial inverse + identity."""
-    n, m = sol.psi.n, sol.m_cylinder
-    y = pts[:, 1:1 + n]
-    rho = np.linalg.norm(y, axis=1)
-    phi2, psi1, psi2 = _det_parts(sol, pts[:, 0], rho)
-    inv = np.zeros((len(pts), 1 + n + m, 1 + n + m))
+def _inverse_hessian(parts, rho, y, m: int) -> np.ndarray:
+    """(P, N, N) block-diagonal u^{ij} from the _det_parts at P points with
+    y coordinates y and rho = |y|: 1/(kappa phi'') + radial inverse + identity."""
+    phi2, psi1, psi2 = parts
+    n = y.shape[1]
+    inv = np.zeros((len(y), 1 + n + m, 1 + n + m))
     inv[:, 0, 0] = 1.0 / phi2
     c = ((rho * psi2 - psi1) / (rho**3 * psi2))[:, None, None]
     yy = y[:, :, None] * y[:, None, :]
     inv[:, 1:1 + n, 1:1 + n] = (rho / psi1)[:, None, None] * (np.eye(n) - c * yy)
     inv[:, 1 + n:, 1 + n:] = np.eye(m)
     return inv
+
+
+def _least_eigenvalue(parts, rho, m: int) -> np.ndarray:
+    """The least of the eigenvalues kappa phi'', psi'/rho (n >= 2), psi''
+    and, if m > 0, 1 of the block-diagonal D^2 u, from the _det_parts."""
+    phi2, psi1, psi2 = parts
+    least = np.minimum(np.minimum(phi2, psi1 / rho), psi2)
+    return np.minimum(least, 1.0) if m else least
 
 
 _H_REL = 1e-3   # relative step of the verify stencil
@@ -180,55 +187,46 @@ _H_REL = 1e-3   # relative step of the verify stencil
 _BLOCK_BYTES = 1 << 16
 
 
-def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL) -> np.ndarray:
-    """u^{ij} D_ij w at each of the (P, N) points, in one pass over blocks.
-
-    w is differentiated by central differences with steps h = h_rel *
-    max(|p_i|, 1) and h/2, combined by Richardson extrapolation as
-    (4 H(h/2) - H(h)) / 3.  Each block of _BLOCK_BYTES of w values
-    evaluates w once over both steps' stencil points and writes its
-    residuals, so no work array grows with P.  Every residual depends on
-    its own point alone; a NearSingular names the first bad stencil point
-    of the first block that has one, in (step, point, stencil) order.
-    """
-    n, P = sol.psi.n, len(pts)
-    h = h_rel * np.maximum(np.abs(pts), 1.0)
-    off = _stencil(n)
-    steps = np.array([1.0, 2.0])[:, None, None]      # h, then h/2
+def _residuals(sol: SeparableSolution, pts: np.ndarray, h_rel: float = _H_REL):
+    """(u^{ij} D_ij w, the least eigenvalue of D^2 u) at each of the (P, N)
+    points, by blocks of _BLOCK_BYTES of w values.  w is differentiated by
+    central differences with steps h = h_rel * max(|p_i|, 1) and h/2,
+    combined by Richardson extrapolation as (4 H(h/2) - H(h)) / 3.  Every
+    residual depends on its own point alone; a NearSingular names the first
+    bad stencil point of the first block that has one, in (step, point,
+    stencil) order."""
+    h = h_rel * np.maximum(np.abs(pts), 1.0) / np.array([1.0, 2.0])[:, None, None]
+    off = _stencil(sol.psi.n)
     block = max(1, _BLOCK_BYTES // (16 * len(off)))
-    res = np.empty(P)
-    for lo in range(0, P, block):
-        p, hk = pts[lo:lo + block], h[lo:lo + block] / steps
-        q = p[:, None, :1 + n] + off * hk[:, :, None, :1 + n]
-        H = _hessian_from_stencil(
-            _w(sol, q[..., 0], np.linalg.norm(q[..., 1:], axis=-1)), hk, n)
-        # over all (N, N) entries: a (1+n, 1+n) one rounds its sums differently
-        res[lo:lo + block] = np.einsum("pij,pij->p", _inverse_hessian(sol, p),
-                                       (4.0 * H[1] - H[0]) / 3.0)
-    return res
+    out = np.empty((2, len(pts)))
+    for lo in range(0, len(pts), block):
+        out[:, lo:lo + block] = _block(sol, pts[lo:lo + block], h[:, lo:lo + block], off)
+    return out[0], out[1]
 
 
-def _eigenvalues(sol: SeparableSolution, pts: np.ndarray) -> np.ndarray:
-    """(P, N) sorted eigenvalues of D^2 u, in closed form.
-
-    D^2 u is block diagonal: kappa phi'' on x; on y the radial block with
-    eigenvalues psi'/rho (multiplicity n-1, tangential) and psi''
-    (radial); 1 on each cylinder coordinate.
-    """
+def _block(sol: SeparableSolution, p: np.ndarray, hk: np.ndarray, off: np.ndarray):
+    """_residuals at the points p of one block, with steps hk (2, P, N): the
+    factors are evaluated once over both steps' stencil points off, whose row
+    0 is p itself, bit for bit.  The work arrays die on return."""
     n, m = sol.psi.n, sol.m_cylinder
-    rho = np.linalg.norm(pts[:, 1:1 + n], axis=1)
-    phi2, psi1, psi2 = _det_parts(sol, pts[:, 0], rho)
-    cols = [phi2] + [psi1 / rho] * (n - 1) + [psi2] + [np.ones(len(pts))] * m
-    return np.sort(np.stack(cols, axis=1), axis=1)
+    q = p[:, None, :1 + n] + off * hk[:, :, None, :1 + n]
+    rho = np.linalg.norm(q[..., 1:], axis=-1)
+    w, parts = _w(sol, q[..., 0], rho)
+    H = _hessian_from_stencil(w, hk, n)
+    c, r0 = [a[0, :, 0] for a in parts], rho[0, :, 0]      # the points p
+    # over all (N, N) entries: a (1+n, 1+n) one rounds its sums differently
+    return (np.einsum("pij,pij->p", _inverse_hessian(c, r0, p[:, 1:1 + n], m),
+                      (4.0 * H[1] - H[0]) / 3.0),
+            _least_eigenvalue(c, r0, m))
 
 
 def residual_at(sol: SeparableSolution, point: np.ndarray) -> float:
-    """u^{ij} D_ij w at one point, with w differentiated by nested FD;
-    ParameterError unless the point has N coordinates."""
+    """u^{ij} D_ij w at one point, by _residuals' Richardson-extrapolated
+    differences; ParameterError unless the point has N coordinates."""
     pts = np.asarray([point], dtype=float)
     if pts.shape != (1, sol.N):
         raise ParameterError(f"point must have {sol.N} coordinates")
-    return float(_residuals(sol, pts)[0])
+    return float(_residuals(sol, pts)[0][0])
 
 
 def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
@@ -257,14 +255,13 @@ def full_residual(sol: SeparableSolution, n_points: int,
                   seed: int) -> VerificationReport:
     """Residual statistics of the source equation at random interior points."""
     pts = _sample_points(sol, n_points, seed)
-    res = _residuals(sol, pts)
-    eigs = _eigenvalues(sol, pts)[:, 0]
+    res, least = _residuals(sol, pts)
     blow = {"T_inf": math.log(sol.R_inf) if np.isfinite(sol.R_inf) else None,
             "R_inf": sol.R_inf if np.isfinite(sol.R_inf) else None}
     return VerificationReport(
         residual_max=float(np.max(np.abs(res))),
         residual_mean=float(np.mean(np.abs(res))),
-        convexity_margin=float(np.min(eigs)),
+        convexity_margin=float(np.min(least)),
         blowup=blow,
         effective_lambda={"lambda_phi": sol.lambda_phi,
                           "lambda_psi": sol.lambda_psi, "kappa": sol.kappa},

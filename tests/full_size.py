@@ -3,16 +3,17 @@
 solve_banded is the collocation solve that copies the whole right-hand
 side, concatenates an identity row onto the band and right-hand side of
 an odd interior, and allocates every temporary at full size.  residuals
-is the verify residual from one stencil pass over every point and both
-steps, on a stencil over every coordinate and every pair of coordinates.
-The kernels in src must return the same bits as these, whatever their
-block sizes.
+gives the verify residuals and least Hessian eigenvalues: w from one
+stencil pass over every point and both steps, on a stencil over every
+coordinate and every pair of coordinates, and u^{ij} and the eigenvalues
+from the factors evaluated at the points themselves.  The kernels in src
+must return the same bits as these, whatever their block sizes.
 """
 
 import numpy as np
 
 from affmax.spline import _dot, _inv, _solve_columns
-from affmax.verify import _inverse_hessian, _w
+from affmax.verify import _det_parts, _inverse_hessian, _least_eigenvalue, _w
 
 
 def solve_banded(rows, start, Y):
@@ -130,7 +131,11 @@ def residuals(sol, pts, h_rel=1e-3):
     off = _stencil(pts.shape[1])
     q = np.stack([pts[:, None, :] + off * hk[:, None, :] for hk in steps])
     x, rho = q[..., 0], np.linalg.norm(q[..., 1:1 + n], axis=-1)
-    wv = _w(sol, x, rho)
+    wv = _w(sol, x, rho)[0]
     H = _hessian_from_stencil(wv[0], steps[0])
     H = (4.0 * _hessian_from_stencil(wv[1], steps[1]) - H) / 3.0
-    return np.einsum("pij,pij->p", _inverse_hessian(sol, pts), H)
+    y, m = pts[:, 1:1 + n], sol.m_cylinder
+    rho_p = np.linalg.norm(y, axis=1)
+    parts = _det_parts(sol, pts[:, 0], rho_p)
+    return (np.einsum("pij,pij->p", _inverse_hessian(parts, rho_p, y, m), H),
+            _least_eigenvalue(parts, rho_p, m))

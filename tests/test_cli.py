@@ -160,6 +160,22 @@ class TestPipeline:
             f"from one solve-negative run: {differ} differ\n")
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("n", 3), ("theta", 0.56)])
+    def test_hand_edited_report_is_one_line_usage_error(self, workdir, tmp_path,
+                                                        capsys, key, value):
+        # n 3 failed the construction (exit 2) and theta 0.56 blamed the phi
+        # columns; the report's closed-form Taylor data is that of the n and
+        # theta it was solved at
+        report = json.loads((workdir / "report.json").read_text())
+        report[key] = value
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(report))
+        assert run(assemble_argv(workdir, tmp_path / "solution.json", bad)) == 1
+        assert capsys.readouterr().err == (
+            f"error: ParameterError: {bad} and {workdir / 'curve.csv'} are not "
+            f"from one solve-negative run: taylor differ\n")
+        assert not (tmp_path / "solution.json").exists()
+
     @pytest.mark.parametrize("name", ["phi.csv", "psi.csv"])
     def test_unordered_profile_rows_are_one_line_usage_error(self, workdir, tmp_path,
                                                              capsys, name):
@@ -521,6 +537,17 @@ class TestConfigAndErrors:
 
     def test_missing_solution_is_usage_error(self, tmp_path):
         assert run(["verify", "--solution", str(tmp_path / "missing.json")]) == 1
+
+    def test_key_error_in_a_stage_is_not_a_usage_error(self, monkeypatch, capsys):
+        # every JSON lookup goes through _get, so a KeyError is a fault of
+        # the program and keeps its traceback
+        def body(o):
+            return o["no-such-option"]
+
+        monkeypatch.setitem(cli._COMMANDS, "bernstein-1d", body)
+        with pytest.raises(KeyError, match="no-such-option"):
+            run(["bernstein-1d"])
+        assert capsys.readouterr().err == ""
 
     def test_bad_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -8,9 +8,10 @@ import pytest
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
 from affmax.reconstruct import PROFILE_ROWS, _tables
-from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _eigenvalues, _sample_points,
-                           assemble, bernstein_1d_check, completeness_check,
-                           full_residual, residual_at, verify_solution)
+from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _det_parts, _least_eigenvalue,
+                           _residuals, _sample_points, assemble, bernstein_1d_check,
+                           completeness_check, full_residual, residual_at,
+                           verify_solution)
 
 from conftest import THETA
 from oracles import negative_pair_blowup_1d
@@ -194,13 +195,14 @@ class TestFullResidual:
 
 
 class TestConvexity:
-    def test_paraboloid_unit_eigenvalues(self):
-        sol = paraboloid_solution()
-        eigs = _eigenvalues(sol, np.array([[1.0, 0.5, 0.5]]))
-        assert np.allclose(eigs, 1.0)
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_paraboloid_unit_least_eigenvalue(self, m):
+        sol = paraboloid_solution(m)
+        least = _residuals(sol, np.array([[1.0, 0.5, 0.5, 0.3, -0.2][:3 + m]]))[1]
+        assert np.allclose(least, 1.0)
 
     def test_flagship_positive(self, solution):
-        assert _eigenvalues(solution, _sample_points(solution, 150, 2)).min() > 0
+        assert _residuals(solution, _sample_points(solution, 150, 2))[1].min() > 0
 
     def test_power_solution_degenerate_at_origin(self):
         p = 8
@@ -216,8 +218,9 @@ class TestConvexity:
         power = RadialProfile(r=r, v=mono(0)(r), u=r**p, n=2, evaluator=ev)
         sol = SeparableSolution(phi=quadratic_factor(1), psi=power, kappa=1.0,
                                 theta=5.0 / 6.0, R_inf=math.inf)
-        eigs = _eigenvalues(sol, np.array([[1.0, 1e-4, 1e-4]]))
-        assert eigs.min() < 1e-12  # convexity degenerates at the origin
+        x, rho = np.array([1.0]), np.array([math.hypot(1e-4, 1e-4)])
+        least = _least_eigenvalue(_det_parts(sol, x, rho), rho, 0)
+        assert least.min() < 1e-12  # convexity degenerates at the origin
 
 
 class TestCompleteness:

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from affmax import build_phi, positive_pair, reconstruct, rebuild_profile
-from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
+from affmax.core import (AnalyticEvaluator, ProfileEvaluator, RadialProfile,
+                         SeparableSolution)
 from affmax.errors import NearSingular
 from affmax import verify
-from affmax.verify import (_det_parts, _distinct, _eigenvalues, _inverse_hessian,
-                           _residuals, _sample_points, _stencil, _w, assemble,
+from affmax.verify import (_det_parts, _distinct, _inverse_hessian, _residuals,
+                           _sample_points, _stencil, _w, assemble, full_residual,
                            residual_at)
 
 import full_size
@@ -152,12 +153,13 @@ def scipy_solutions(phi_config, curve_1e3, psi_R_inf):
 def rounding_gaps(sol, ref, pts):
     """|residual - reference residual| / E_p at each point, E_p the bound
     of test_batched_residual_matches_scalar_loop."""
-    n = sol.psi.n
+    y = pts[:, 1:1 + sol.psi.n]
+    rho = np.linalg.norm(y, axis=1)
     h = H_REL * np.maximum(np.abs(pts), 1.0)
-    w_p = _w(ref, pts[:, 0], np.linalg.norm(pts[:, 1:1 + n], axis=1))
-    E_p = (EPS * np.abs(w_p) * np.abs(_inverse_hessian(ref, pts)).sum(axis=(1, 2))
-           / (h.min(axis=1) / 2.0) ** 2)
-    return np.abs(_residuals(sol, pts) - _residuals(ref, pts)) / E_p
+    w_p, parts = _w(ref, pts[:, 0], rho)
+    inv = _inverse_hessian(parts, rho, y, ref.m_cylinder)
+    E_p = EPS * np.abs(w_p) * np.abs(inv).sum(axis=(1, 2)) / (h.min(axis=1) / 2.0) ** 2
+    return np.abs(_residuals(sol, pts)[0] - _residuals(ref, pts)[0]) / E_p
 
 
 unit = st.floats(0.0, 1.0)
@@ -192,7 +194,7 @@ def test_batched_w_matches_scalar(solutions, m, raw):
     q = np.concatenate([pts] + [pts + s * h * e for e in np.eye(pts.shape[1])
                                 for s in (1.0, -1.0)])
     x, rho = q[:, 0], np.linalg.norm(q[:, 1:1 + sol.psi.n], axis=1)
-    got = _w(sol, x, rho)
+    got = _w(sol, x, rho)[0]
     want = np.array([ref_w_value(sol, float(a), float(b)) for a, b in zip(x, rho)])
     assert np.all(np.abs(got - want) <= 64 * EPS * np.abs(want))
 
@@ -239,7 +241,7 @@ def test_distinct_is_np_unique_bitwise(vals, shape):
 def test_batched_residual_matches_scalar_loop(solutions, m, raw):
     sol = solutions[m]
     pts = interior_points(sol, raw)
-    got = _residuals(sol, pts)
+    got = _residuals(sol, pts)[0]
     for p, r in zip(pts, got):
         want, inv, h = ref_residual(sol, p)
         n = sol.psi.n
@@ -268,11 +270,12 @@ def test_residuals_within_rounding_of_scipy_splines(solutions, scipy_solutions,
 @settings(max_examples=15)
 @given(raw=raw_points)
 def test_closed_form_eigenvalues_match_eigvalsh(solutions, m, raw):
+    # the least eigenvalue _residuals reads at each point's stencil centre
     sol = solutions[m]
     pts = interior_points(sol, raw)
-    got = _eigenvalues(sol, pts)
+    got = _residuals(sol, pts)[1]
     for p, g in zip(pts, got):
-        want = ref_eigenvalues(sol, p)
+        want = ref_eigenvalues(sol, p).min()
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=0.0)
 
 
@@ -298,7 +301,7 @@ def test_batched_path_raises_near_singular():
     pts = np.array([[0.5, 1.0, 0.5], [0.5, 1e-3, 1e-3], [1.0, 0.7, -0.3]])
     with pytest.raises(NearSingular):
         ref_residual(sol, pts[1])
-    assert np.isfinite(_residuals(sol, pts[[0, 2]])).all()
+    assert np.isfinite(_residuals(sol, pts[[0, 2]])[0]).all()
     with pytest.raises(NearSingular):
         _residuals(sol, pts)
 
@@ -325,8 +328,8 @@ def test_blocked_residuals_equal_full_size_pass(solutions, monkeypatch, m):
     for P, block in BLOCKINGS:
         if block is not None:
             monkeypatch.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
-        got = _residuals(sol, pts[:P])
-        assert got.tobytes() == full_size.residuals(sol, pts[:P]).tobytes()
+        got, want = _residuals(sol, pts[:P]), full_size.residuals(sol, pts[:P])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -340,7 +343,23 @@ def test_blocked_residuals_equal_full_size_pass_drawn(solutions, m, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_BLOCK_BYTES", block_bytes(sol, block))
         got = _residuals(sol, pts)
-    assert got.tobytes() == full_size.residuals(sol, pts).tobytes()
+    want = full_size.residuals(sol, pts)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_one_factor_evaluation_per_block(solution, monkeypatch):
+    # kappa phi'', psi' and psi'' once over each block's stencil points,
+    # which hold the points themselves: 3 blocks of 1000 points at n = 2
+    full_residual(solution, 2, 0)       # fits the factors' splines
+    calls = []
+    for name in ("v", "deriv"):
+        def count(self, *args, _call=getattr(ProfileEvaluator, name)):
+            calls.append(args)
+            return _call(self, *args)
+        monkeypatch.setattr(ProfileEvaluator, name, count)
+    full_residual(solution, 1000, 0)
+    block = verify._BLOCK_BYTES // (16 * len(_stencil(solution.psi.n)))
+    assert -(-1000 // block) == 3 and len(calls) == 9
 
 
 def test_near_singular_names_the_first_bad_point_of_the_first_bad_block(
