@@ -25,7 +25,7 @@ from .errors import AffmaxError, ParameterError
 from .negative_pair import growth_bounds_check, solve_negative, taylor_coeffs
 from .phase_plane import bernstein_radial_check
 from .positive_pair import PositivePairConfig, build_phi, phi_grid
-from .reconstruct import rebuild_profile
+from .reconstruct import rebuild_profile, written_curve
 from .verify import (assemble, bernstein_1d_check, check_assembly,
                      verify_solution)
 from .verify import full_residual  # noqa: F401  perfbench/selftest.py reads cli's binding
@@ -164,7 +164,7 @@ def _cmd_solve_positive(o) -> int:
 
 def _cmd_solve_negative(o) -> int:
     curve, report, failed = solve_negative(o["n"], o["theta"], o["eta0"], o["eta_max"])
-    curve.to_csv(o["out"])
+    written_curve(curve).to_csv(o["out"])
     _dump_json(report, o["report"])
     print(f"wrote {o['out']} and {o['report']}; lambda_cal = "
           f"{report['lambda_cal']:.6g}, T_inf = {report['T_inf']:.6g}")

@@ -32,10 +32,16 @@ from .core import (CumulativeSimpson, PhaseCurve, ProfileEvaluator,
 from .errors import ParameterError
 from .spline import interp_spline
 
-__all__ = ["t_of_eta", "rebuild_profile", "large_condition_check",
+__all__ = ["t_of_eta", "rebuild_profile", "written_curve", "large_condition_check",
            "PhaseProfileEvaluator"]
 
 U_CEILING = 1e6   # the value of u whose radius the completeness checks report
+# verify samples the radius of psi's factor up to this fraction of its last one
+BOX_FRACTION = 0.95
+# written_curve keeps every row until the radius passes the box edge by this
+# fraction of the last radius, then every FAR_STRIDE-th row
+WRITE_MARGIN = 0.02
+FAR_STRIDE = 8
 # rows a rebuilt profile keeps, as many as phi's at solve-positive's default
 # --nodes; only its first, last and anchor rows reach the certificate
 PROFILE_ROWS = 2001
@@ -197,6 +203,26 @@ def rebuild_profile(curve: PhaseCurve, v0: float) -> RadialProfile:
     idx = _kept_rows(len(r_all), tab["i0"])
     return RadialProfile(r=r_all[idx], v=np.exp(tab["logv"])[idx], u=tab["u"][idx],
                          n=curve.params.n, evaluator=ev)
+
+
+def written_curve(curve: PhaseCurve) -> PhaseCurve:
+    """The rows of curve that solve-negative writes.
+
+    Every row with eta <= eta0 (the local solve, whose rows near eta = 1
+    give the measured Taylor data) and every row until the radius
+    r = exp t_of_eta first reaches BOX_FRACTION + WRITE_MARGIN of its last
+    value, a margin past the edge of the box verify samples; beyond that,
+    every FAR_STRIDE-th row and the last.  The rows are taken as they are.
+    """
+    eta, t = t_of_eta(curve)
+    rows = len(eta)
+    # t, not exp(t), so a far radius that overflows still compares
+    cut = max(int(np.searchsorted(eta, curve.params.eta0, side="right")) - 1,
+              int(np.argmax(t >= t[-1] + math.log(BOX_FRACTION + WRITE_MARGIN))))
+    idx = np.concatenate([np.arange(min(cut + 1, rows - 1)),
+                          np.arange(cut + FAR_STRIDE, rows - 1, FAR_STRIDE), [rows - 1]])
+    return PhaseCurve(params=curve.params, taylor=curve.taylor, eta=eta[idx],
+                      zeta=curve.zeta[idx], I=curve.I[idx])
 
 
 def large_condition_check(profile: RadialProfile, R_inf: float) -> dict:

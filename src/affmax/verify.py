@@ -18,7 +18,7 @@ import numpy as np
 from .core import (RadialProfile, SeparableSolution, VerificationReport,
                    effective_lambda_fit, eigenvalue_from_lambda_prime)
 from .errors import NearSingular, ParameterError, SignError
-from .reconstruct import U_CEILING, large_condition_check
+from .reconstruct import BOX_FRACTION, U_CEILING, large_condition_check
 
 __all__ = [
     "assemble", "check_assembly", "full_residual", "completeness_check",
@@ -239,7 +239,7 @@ def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
     n, m = sol.psi.n, sol.m_cylinder
     x_max = 0.8 * float(sol.phi.r[-1])
     r_lo = max(10.0 * _H_REL, 20.0 * (sol.psi.r[0] + 1e-9))
-    r_hi = 0.95 * float(sol.psi.r[-1])
+    r_hi = BOX_FRACTION * float(sol.psi.r[-1])
     pts = np.empty((n_points, 1 + n + m))
     pts[:, 0] = rng.uniform(-x_max, x_max, n_points)
     rho = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n_points))

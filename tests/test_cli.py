@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import affmax
-from affmax import cli, verify
+from affmax import cli, reconstruct, verify
 from affmax.cli import main
 from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
                          read_columns, upper_bound_claimed, write_columns)
@@ -763,6 +763,41 @@ class TestVerdicts:
         rep = json.loads(out.read_text())
         assert rep["pass"] is False and rep["tolerance"] == residual_max / 2
         assert all(b["holds"] for b in rep["bounds"])
+
+
+class TestWrittenCurve:
+    """solve-negative writes a subset of the curve's rows; its report is
+    that of the full curve, and the later stages run on the subset."""
+
+    @pytest.mark.parametrize("eta_max", [1e3, 1e5], ids=["1e3", "1e5"])
+    def test_report_is_the_full_curves(self, workdir, tmp_path, eta_max):
+        curve, report, failed = solve_negative(2, 0.55, 1.05, eta_max)
+        assert run(["solve-negative", "--eta-max", repr(eta_max),
+                    "--out", str(tmp_path / "curve.csv"),
+                    "--report", str(tmp_path / "report.json")]) == (2 if failed else 0)
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written == json.loads(json.dumps(report))
+        eta = read_columns(tmp_path / "curve.csv", header=["eta", "zeta", "I"])[1][0]
+        assert len(eta) < len(curve.eta)
+        assert written["bounds_detail"]["scan_range"] == [eta[0], eta[-1]]
+        shutil.copy(workdir / "phi.csv", tmp_path / "phi.csv")
+        assert run(["reconstruct", "--curve", str(tmp_path / "curve.csv"),
+                    "--out", str(tmp_path / "psi.csv")]) == 0
+        assert run(assemble_argv(tmp_path, tmp_path / "solution.json")) == 0
+
+    def test_sweep_never_calls_the_rule(self, tmp_path, monkeypatch):
+        # sweep writes no curve, so its rows are made without the rule
+        def refuse(curve):
+            raise AssertionError("written_curve called")
+        for module in (cli, reconstruct):
+            monkeypatch.setattr(module, "written_curve", refuse)
+        with pytest.raises(AssertionError, match="written_curve called"):
+            run(["solve-negative", "--eta-max", "50", "--out", str(tmp_path / "c.csv"),
+                 "--report", str(tmp_path / "r.json")])
+        assert run(["sweep", "--steps", "1", "--theta-min", "0.55", "--theta-max", "0.55",
+                    "--eta-max", "50", "--outdir", str(tmp_path / "sw")]) == 0
+        (row,) = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+        assert row["status"] == "ok"
 
 
 def full_parser_main(argv):

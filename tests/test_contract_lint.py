@@ -37,8 +37,6 @@ CRITERION_PINNED = {
         "acceptance criterion 3 checks the phase equation along the fixed point",
     "phase_plane.power_solution_residual":
         "acceptance criterion 8 checks the power solutions with it",
-    "reconstruct.t_of_eta":
-        "acceptance criterion 9 places its round-trip radii with it",
     "reconstruct.PhaseProfileEvaluator.etabar":
         "acceptance criterion 9 checks that etabar is unchanged by v0 -> 2 v0",
     "verify.residual_at":

@@ -5,11 +5,12 @@ import pytest
 
 from affmax import extend_global, fixed_point_solve
 from affmax.core import (AnalyticEvaluator, ModelParams, PhaseCurve,
-                         RadialProfile, TaylorData, profile_to_phase)
+                         RadialProfile, TaylorData, profile_to_phase, radial_lhs)
 from affmax.errors import ParameterError, PositivityLoss
 from affmax.fd import one_sided_derivative
-from affmax.reconstruct import (PROFILE_ROWS, _tables, large_condition_check,
-                                rebuild_profile, t_of_eta)
+from affmax.reconstruct import (BOX_FRACTION, FAR_STRIDE, PROFILE_ROWS, WRITE_MARGIN,
+                                _tables, large_condition_check, rebuild_profile,
+                                t_of_eta, written_curve)
 
 from conftest import ETA0
 from oracles import origin_compatibility, paraboloid_profile
@@ -297,6 +298,75 @@ class TestProfileRows:
         theta = float(np.linspace(0.51, 0.65, 16)[i])
         p = rebuild_profile(extend_global(fixed_point_solve(2, theta, ETA0), 1e3), v0=1.0)
         assert p.r[0] == p.evaluator.r_min
+
+
+def in_box_meter(curve, theta, n):
+    """Largest relative deviation from its median of the rebuilt psi's
+    lambda' ratio L[u]/(u'')^2, on 20,000 radii geometric from 0.01 to
+    the edge BOX_FRACTION r_max of the box verify samples."""
+    psi = rebuild_profile(curve, v0=1.0)
+    r = np.geomspace(0.01, BOX_FRACTION * psi.r[-1], 20000)
+    u1, u2, u3, u4 = [psi.v_at(r)] + [psi.v_deriv_at(r, k) for k in (1, 2, 3)]
+    ratio = radial_lhs(r, u1, u2, u3, u4, theta, n) / (u2 * u2)
+    return float(np.max(np.abs(ratio / np.median(ratio) - 1.0)))
+
+
+@pytest.fixture(scope="module")
+def curves_by_theta(curve_1e5):
+    """The full flagship-range curves (eta_max 1e5) at two theta."""
+    return {0.55: curve_1e5,
+            0.60: extend_global(fixed_point_solve(2, 0.60, ETA0), eta_max=1e5)}
+
+
+def first_row_reaching(curve, fraction):
+    """Index of the first row whose radius reaches fraction of the last."""
+    _, t = t_of_eta(curve)
+    return int(np.argmax(t >= t[-1] + math.log(fraction)))
+
+
+class TestWrittenCurve:
+    """solve-negative writes the local solve and the rows to a margin past
+    verify's box edge whole, and every FAR_STRIDE-th row beyond."""
+
+    @pytest.mark.parametrize("theta", [0.55, 0.60])
+    def test_rows_readers_use_are_kept(self, curves_by_theta, theta):
+        full = curves_by_theta[theta]
+        out = written_curve(full)
+        idx = np.searchsorted(full.eta, out.eta)
+        # every written row is a row of the full curve, bit for bit
+        for col in ("eta", "zeta", "I"):
+            assert getattr(out, col).tobytes() == getattr(full, col)[idx].tobytes()
+        assert (out.params, out.taylor) == (full.params, full.taylor)
+        assert idx[0] == 0 and idx[-1] == len(full.eta) - 1
+        # every row to the margin past the box edge, the local solve's among them
+        margin = first_row_reaching(full, BOX_FRACTION + WRITE_MARGIN)
+        local = int(np.searchsorted(full.eta, full.params.eta0, side="right"))
+        assert local < margin
+        assert np.array_equal(idx[:margin + 1], np.arange(margin + 1))
+        assert np.all(np.diff(idx[margin:-1]) == FAR_STRIDE)
+        assert len(out.eta) < 0.6 * len(full.eta)
+        assert in_box_meter(out, theta, 2) < 1e-8
+
+    def test_box_edges_lie_at_different_eta(self, curves_by_theta):
+        # the rule finds the edge from each curve, not from a fixed eta
+        edges = [c.eta[first_row_reaching(c, BOX_FRACTION)]
+                 for c in curves_by_theta.values()]
+        assert edges[0] > edges[1] + 1.0
+
+    def test_local_rows_kept_when_the_box_edge_lies_below_eta0(self):
+        # zeta = 2 (eta - 1) gives r = ((eta - 1)/(eta0 - 1))^(1/2), so r_max
+        # = (1.55/1.5)^(1/2) and the margin lies at eta - 1 = 1.46 < eta0 - 1:
+        # every row to eta0 stays, and the rows beyond it thin out
+        eta0 = 2.5
+        eta = np.concatenate([np.geomspace(1e-6, eta0 - 1, 3000),
+                              np.geomspace(eta0 - 1, 1.55, 2000)[1:]]) + 1.0
+        curve = PhaseCurve(params=ModelParams(n=2, theta=0.55, eta0=eta0),
+                           taylor=TaylorData(2.0, 0.0, 0.0, 0.0),
+                           eta=eta, zeta=2.0 * (eta - 1.0), I=np.zeros(len(eta)))
+        out = written_curve(curve)
+        idx = np.searchsorted(curve.eta, out.eta)
+        assert np.array_equal(idx[:3000], np.arange(3000))
+        assert np.all(np.diff(idx[2999:-1]) == FAR_STRIDE) and idx[-1] == len(eta) - 1
 
 
 class TestOriginCompatibility:
