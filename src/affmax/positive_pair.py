@@ -18,21 +18,26 @@ contract.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CumulativeSimpson, ProfileEvaluator, RadialProfile,
-                   cumulative_simpson)
+from .core import ProfileEvaluator, RadialProfile
 from .errors import ParameterError
 from .spline import interp_spline
 
 __all__ = ["PositivePairConfig", "phi_grid", "build_phi"]
 
-# a phi grid resamples the 16,000-row curvature table
+# a phi grid resamples the 2,000-row curvature table
 MAX_NODES = 10**6
+# rows of each piece of the curvature table.  With 1,000, r and u' are
+# within 7e-13 of the closed form (measured for theta <= 1.3, table starts
+# t_first = 1e-8 and rmax sqrt(v0 a) up to 1e8); the error falls as rows^-6
+TABLE_ROWS = 1000
+# the 3-point Gauss-Legendre rule on [0, 1]
+_GL_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclass
@@ -69,30 +74,6 @@ class PositivePairConfig:
         return 1.5 * a * v * v - (th + 1) * a * v0 ** (1 - 2 * th) * v ** (2 * th + 1)
 
 
-def _math_map(fn, x, *scalars):
-    """[fn(xi, *scalars) for xi in x] as an array, for fn from math."""
-    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, scalars)),
-                       float, len(x))
-
-
-def _integrand_nodes(config: PositivePairConfig, t):
-    """Integrand of r(v) after the substitution s = v0 (1 - t^2), at each t >= 0.
-
-    h(t) = -expm1((2 theta - 1) log1p(-t^2)) / t^2 -> 2 theta - 1 as t -> 0
-    cancels the 1/sqrt endpoint singularity.  log1p, expm1 and pow come
-    from math, as in the scalar reference of the test suite, because
-    numpy's array kernels for them are picked by CPU and can differ from
-    libm by 1 ulp.
-    """
-    c = 2 * config.theta - 1.0
-    tt = t * t
-    h = np.full(len(t), c)                     # the limit at t = 0
-    pos = t != 0.0
-    h[pos] = -_math_map(math.expm1, c * _math_map(math.log1p, -tt[pos])) / tt[pos]
-    z15 = _math_map(math.pow, 1.0 - tt, 1.5)
-    return 2.0 / (math.sqrt(config.v0) * z15 * np.sqrt(h))
-
-
 class PositivePairEvaluator(ProfileEvaluator):
     """Spline-backed evaluator with the closed-form curvature chain.
 
@@ -123,15 +104,17 @@ class PositivePairEvaluator(ProfileEvaluator):
 
 
 def _table_range(config: PositivePairConfig, r_max: float) -> tuple:
-    """(t_first, v_min): the first nonzero t of the curvature table, whose
-    row lies near r = t_first sqrt(2/(v0 lambda)), and the last curvature.
+    """(t, y): the grids of the curvature table's two pieces.
 
-    v_min = min(v0/4, 1/(a (2/sqrt(v0 a) + r_max)^2)); the second term is
-    the curvature lower bound at r_max.  t_first is 1e-8, or less if that
-    row would lie beyond the finest phi grid spacing r_max / MAX_NODES.
-    ParameterError unless v0, a, v_min, t_first^2 and the products the
-    table forms, v^3 and a * radicand(v) (both increasing on [v_min,
-    v0/2]), are finite normal floats (float64 overflows to inf here).
+    t is 0, then geometric from t_first to sqrt(1/2); its row at t_first
+    lies near r = t_first sqrt(2/(v0 lambda)).  y = -log v is even from
+    -log(v0/2) to -log(v_min), v_min = min(v0/4, 1/(a (2/sqrt(v0 a) +
+    r_max)^2)); the second term is the curvature lower bound at r_max.
+    t_first is 1e-8, or less if that row would lie beyond the finest phi
+    grid spacing r_max / MAX_NODES.  ParameterError unless v0, a, v_min,
+    t_first^2 and the products the table forms, v^3 and a * radicand(v)
+    (both increasing on [v_min, v0/2]), are finite normal floats (float64
+    overflows to inf here).
     """
     v0, a = np.float64(config.v0), np.float64(config.a)
     with np.errstate(all="ignore"):
@@ -143,31 +126,57 @@ def _table_range(config: PositivePairConfig, r_max: float) -> tuple:
         raise ParameterError(
             f"the curvature table of v0 = {config.v0:g}, lambda = {config.lam:g}, "
             f"theta = {config.theta:g} to r_max = {r_max:g} leaves the float range")
-    return t_first, float(v_min)
+    t = np.concatenate([[0.0], np.geomspace(t_first, math.sqrt(0.5), TABLE_ROWS)])
+    y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), TABLE_ROWS)
+    return t, y
+
+
+def _gauss_piece(dr_dx, vpp_of, x, r0):
+    """r (from r0) and u'' on the grid x, and the increments of u' = int u'' dr
+    and of int r u'' dr over each [x[i], x[i+1]], by the 3-point
+    Gauss-Legendre rule in x.  r at each node comes from the same rule on
+    the part of its interval below that node.
+    """
+    dx = np.diff(x)
+    h = dx[:, None] * _GL_NODES                        # each node less x[i]
+    nodes = x[:-1, None] + h
+    f = dr_dx(nodes)
+    r = r0 + np.concatenate([[0.0], np.cumsum(dx * (f @ _GL_WEIGHTS))])
+    below = x[:-1, None, None] + h[..., None] * _GL_NODES
+    r_nodes = r[:-1, None] + h * (dr_dx(below) @ _GL_WEIGHTS)
+    g = dx[:, None] * _GL_WEIGHTS * vpp_of(nodes) * f
+    return r, vpp_of(x), g.sum(axis=1), (g * r_nodes).sum(axis=1)
 
 
 def _curvature_table(config: PositivePairConfig, r_max: float):
-    """Dense (r, v) table of the curvature by cumulative integration of dr/dv.
+    """The columns (r, u'', u', u) of the curvature quadrature dr/dv.
 
-    Two pieces: the endpoint-substituted variable t (s = v0 (1 - t^2))
-    down to v0/2, then log v down to the value reached at r_max.  Both
-    integrands are smooth, so cumulative Simpson reaches ~1e-12 without
-    any adaptive quadrature calls.
+    Two pieces: the endpoint-substituted variable t (v = v0 (1 - t^2))
+    down to v0/2, then y = -log v down to the value reached at r_max.
+    Both integrands are smooth, and the 3-point Gauss-Legendre rule on
+    each interval gives r, u' and int r u'' dr to about 1e-12 relative;
+    u = r u' - int r u'' dr, so u(0) = u'(0) = 0.
     """
-    v0, a = config.v0, config.a
-    t_first, v_min = _table_range(config, r_max)
-    # piece A: v from v0 down to v0/2
-    tA = np.concatenate([[0.0], np.geomspace(t_first, math.sqrt(0.5), 8000)])
-    rA = cumulative_simpson(_integrand_nodes(config, tA) / math.sqrt(a), tA)
-    vA = v0 * (1.0 - tA * tA)
-    # piece B: descend in y = -log v from v0/2 down to v_min
-    y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), 8000)
-    vB = np.exp(-y)
-    fB = vB / np.sqrt(a * config.radicand(vB))        # dr/dy > 0
-    rB = rA[-1] + cumulative_simpson(fB, y)
-    r = np.concatenate([rA, rB[1:]])
-    v = np.concatenate([vA, vB[1:]])
-    return r, v
+    v0, a, c = config.v0, config.a, 2 * config.theta - 1.0
+    t, y = _table_range(config, r_max)
+
+    def dr_dt(t):
+        # h = (1 - (1 - t^2)^c) / t^2 > 0 cancels the 1/sqrt singularity at v0
+        tt = t * t
+        h = -np.expm1(c * np.log1p(-tt)) / tt
+        return 2.0 / (math.sqrt(v0) * math.sqrt(a) * (1.0 - tt) ** 1.5 * np.sqrt(h))
+
+    def dr_dy(y):
+        v = np.exp(-y)
+        return v / np.sqrt(a * config.radicand(v))
+
+    rA, vA, dvA, dIA = _gauss_piece(dr_dt, lambda t: v0 * (1.0 - t * t), t, 0.0)
+    rB, vB, dvB, dIB = _gauss_piece(dr_dy, lambda y: np.exp(-y), y, rA[-1])
+    r, vpp = np.concatenate([rA, rB[1:]]), np.concatenate([vA, vB[1:]])
+    v_up = np.cumsum(np.concatenate([[0.0], dvA, dvB]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = r * v_up - np.cumsum(np.concatenate([[0.0], dIA, dIB]))
+    return r, vpp, v_up, u
 
 
 def phi_grid(r_max: float, nodes: int) -> np.ndarray:
@@ -183,33 +192,21 @@ def phi_grid(r_max: float, nodes: int) -> np.ndarray:
 def build_phi(config: PositivePairConfig, grid) -> RadialProfile:
     """Profile of the entire 1-D factor on the given radii (grid[0] = 0).
 
-    The curvature table comes from cumulative integration of the
-    quadrature (cross-checked against the adaptive quadrature oracle of
-    the test suite); u' and u follow by cumulative integration, so
-    u(0) = u'(0) = 0 and u is even.
+    The curvature table holds r, u'', u' and u from one quadrature rule
+    (cross-checked against the closed form and the adaptive quadrature
+    oracle of the test suite), with u(0) = u'(0) = 0 and u even.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         raise ParameterError("grid must start at r = 0")
     r_max = float(grid[-1])
-    r_q, v_q = _curvature_table(config, r_max)
-    if r_q[-1] < r_max:
+    table = _curvature_table(config, r_max)
+    if table[0][-1] < r_max:
         raise ParameterError("curvature table fell short of r_max")
-    # spline the quadrature table directly: any intermediate resampling
-    # would plant C^1 kinks that downstream Hessian differencing amplifies.
-    # Rows closer than 1e-11 of the radius scale 1/sqrt(v0 a), times
-    # t_first/1e-8 for a table that starts lower, are dropped.
-    scale = 1.0 / (math.sqrt(config.v0) * math.sqrt(config.a))
-    step = 1e-11 * scale * (_table_range(config, r_max)[0] / 1e-8)
-    keep = np.concatenate([[True], np.diff(r_q) > step])
-    r_tab, vpp = r_q[keep], v_q[keep]
-    simpson = CumulativeSimpson(r_tab)
-    v_up = simpson(vpp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = simpson(v_up)
-    del simpson                 # its weights would sit under the spline fit's peak
-    if not np.isfinite(u[-1]):
+    if not np.isfinite(table[3][-1]):
         raise ParameterError(f"u overflows before r_max = {r_max:g} at v0 = "
                              f"{config.v0:g}, lambda = {config.lam:g}")
-    ev = PositivePairEvaluator(config, r_tab, vpp, v_up, u)
+    # spline the quadrature table directly: any intermediate resampling
+    # would plant C^1 kinks that downstream Hessian differencing amplifies.
+    ev = PositivePairEvaluator(config, *table)
     return RadialProfile(r=grid, v=ev.v(grid), u=ev.u(grid), n=1, evaluator=ev)

@@ -4,9 +4,10 @@ The curvature v = u'' of the entire 1-D factor is computed three
 independent ways here, with scipy: adaptive quadrature of r(v) and its
 inversion by bisection (quadrature_r_of_v, v_of_r), and direct
 integration of the curvature ODE (integrate_direct).  _integrand_factory
-is the scalar integrand that positive_pair._integrand_nodes evaluates on
-arrays.  Note the convention of positive_pair: v here is u'', while
-RadialProfile.v stores u'.
+is the integrand of r(v) in the endpoint variable t, v = v0 (1 - t^2),
+written with math, apart from the package's Gauss-Legendre table.  Note
+the convention of positive_pair: v here is u'', while RadialProfile.v
+stores u'.
 
 The model factors are the 1-D factor with the opposite eigenvalue sign
 (negative_pair_blowup_1d), whose curvature blows up at a finite radius

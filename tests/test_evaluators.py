@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.integrate import cumulative_simpson
 
 from affmax import positive_pair, reconstruct
 from affmax.cli import main
@@ -28,8 +27,7 @@ from affmax.reconstruct import PhaseProfileEvaluator, _tables
 from affmax.spline import interp_spline
 
 from conftest import THETA
-from oracles import (_integrand_factory, negative_pair_blowup_1d,
-                     paraboloid_profile)
+from oracles import negative_pair_blowup_1d, paraboloid_profile
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +132,8 @@ class RefPositivePairEvaluator:
         return None
 
 
-def ref_curvature_table(config, r_max):
-    """_curvature_table with the node integrand built by a list comprehension."""
-    v0, a = config.v0, config.a
-    integrand = _integrand_factory(config)
-    tA = np.concatenate([[0.0], np.geomspace(1e-8, math.sqrt(0.5), 8000)])
-    fA = np.array([integrand(t) for t in tA]) / math.sqrt(a)
-    rA = cumulative_simpson(fA, x=tA, initial=0.0)
-    vA = v0 * (1.0 - tA * tA)
-    v_min = min(v0 / 4.0, 1.0 / (a * (2.0 / math.sqrt(v0 * a) + r_max) ** 2))
-    y = np.linspace(-math.log(v0 / 2.0), -math.log(v_min), 8000)
-    vB = np.exp(-y)
-    fB = vB / np.sqrt(a * config.radicand(vB))
-    rB = rA[-1] + cumulative_simpson(fB, x=y, initial=0.0)
-    return np.concatenate([rA, rB[1:]]), np.concatenate([vA, vB[1:]])
-
-
 # ---------------------------------------------------------------------------
 # the evaluators under test, each with its reference and its table range
-
-
-def phi_table(config, r_max):
-    """(r, u'', u', u) as build_phi tabulates them."""
-    r_q, v_q = _curvature_table(config, r_max)
-    keep = np.concatenate([[True], np.diff(r_q) > 1e-11])
-    r, vpp = r_q[keep], v_q[keep]
-    v_up = cumulative_simpson(vpp, x=r, initial=0.0)
-    return r, vpp, v_up, cumulative_simpson(v_up, x=r, initial=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +142,7 @@ def pairs(curve_1e3):
     tab = _tables(curve_1e3, v0=1.3)
     phase = PhaseProfileEvaluator(tab)
     config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
-    table = phi_table(config, 10.0)
+    table = _curvature_table(config, 10.0)
     out = {
         "phase": (phase, RefPhaseProfileEvaluator(tab), phase.r_min, phase.r_max),
         "positive": (PositivePairEvaluator(config, *table),
@@ -242,15 +215,6 @@ def test_joint_fit_coefficients_equal_per_column_fits(pairs):
     assert np.array_equal(ev._cols.t, ref._LX.t)
 
 
-@pytest.mark.parametrize("v0, lam, theta, r_max", [
-    (1.0, 1.0, THETA, 10.0), (0.3, 2.5, 0.62, 40.0), (4.0, 0.2, 1.3, 3.0)])
-def test_curvature_table_matches_list_loop(v0, lam, theta, r_max):
-    config = PositivePairConfig(v0=v0, lam=lam, theta=theta)
-    for got, want in zip(_curvature_table(config, r_max),
-                         ref_curvature_table(config, r_max)):
-        assert got.tobytes() == want.tobytes()
-
-
 def count_fits(monkeypatch):
     """The list every interp_spline call of the package appends to."""
     calls = []
@@ -265,7 +229,7 @@ def count_fits(monkeypatch):
 def test_one_fit_per_evaluator(monkeypatch, curve_1e3):
     calls = count_fits(monkeypatch)
     config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
-    table = phi_table(config, 10.0)
+    table = _curvature_table(config, 10.0)
     PositivePairEvaluator(config, *table)
     assert len(calls) == 1
     # the phase evaluator fits on its first evaluation, and only then

@@ -1,17 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affmax.core import effective_lambda_fit
 from affmax.errors import DomainError, NoConvergence, ParameterError
 from affmax.fd import one_sided_derivative
-from affmax.positive_pair import PositivePairConfig, build_phi, phi_grid
+from affmax.positive_pair import (PositivePairConfig, _curvature_table,
+                                  _table_range, build_phi, phi_grid)
 
 from oracles import (integrate_direct, negative_pair_blowup_1d,
                      quadrature_r_of_v, v_of_r)
 
 CFG = PositivePairConfig(v0=1.0, lam=0.05, theta=0.55)  # a = 1
+# (v0, lambda, theta, rmax) of the curvature table's fixed cases
+TABLE_CASES = [(1.0, 1.0, 0.55, 10.0), (0.3, 2.5, 0.62, 40.0), (4.0, 0.2, 1.3, 3.0)]
 
 
 def lower_bound_v(r, config: PositivePairConfig):
@@ -32,6 +38,31 @@ def midpoint_oracle_r_of_v(v, cfg, panels=10**6):
     h = -np.expm1((2 * cfg.theta - 1.0) * np.log1p(-t * t)) / (t * t)
     f = 2.0 / (math.sqrt(cfg.v0) * z**1.5 * np.sqrt(h))
     return float(np.sum(f)) * (t_up / panels) / math.sqrt(cfg.a)
+
+
+def closed_form(config, piece, x):
+    """(r, u') of phi at a row of its curvature table, from the closed form
+
+        r  = 2 sqrt(z) 2F1(1 + 1/(2p), 1/2; 3/2; z) / (p sqrt(a v0)),
+        u' = sqrt(v0/a) / p * B(z; 1/2, 1/(2p)),
+
+    with p = 2 theta - 1 and z = 1 - (v/v0)^p, in mpmath.  The row is
+    piece "t" at x = t, v = v0 (1 - t^2), or piece "y" at x = y = -log v.
+    z comes from x, not from v: at t = 1e-8 the rounding of v alone would
+    put an error of 17 % on r.
+    """
+    p = 2 * config.theta - 1.0
+    log_w = p * (math.log1p(-x * x) if piece == "t" else -x - math.log(config.v0))
+    # enough digits that (v/v0)^p = 1 - z keeps 25 of them
+    with mpmath.workdps(25 + int(-log_w / math.log(10))):
+        x, v0, p = mpmath.mpf(x), mpmath.mpf(config.v0), 2 * mpmath.mpf(config.theta) - 1
+        a = 2 * mpmath.mpf(config.lam) / p
+        z = -mpmath.expm1(p * (mpmath.log1p(-x * x) if piece == "t"
+                               else -x - mpmath.log(v0)))
+        r = 2 * mpmath.sqrt(z) * mpmath.hyp2f1(1 + 1 / (2 * p), 0.5, 1.5, z) / (
+            p * mpmath.sqrt(a * v0))
+        up = mpmath.sqrt(v0 / a) / p * mpmath.betainc(0.5, 1 / (2 * p), 0, z)
+        return float(r), float(up)
 
 
 class TestConfig:
@@ -156,6 +187,47 @@ class TestBuildPhi:
     def test_rmax_must_be_positive_and_finite(self, rmax):
         with pytest.raises(ParameterError, match="rmax"):
             phi_grid(rmax, 11)
+
+    @pytest.mark.parametrize("v0, lam, theta, r_max", TABLE_CASES)
+    def test_spline_columns_agree(self, v0, lam, theta, r_max):
+        # d(u')/dr = u'' and du/dr = u' between the evaluator's columns
+        # (log u'', u', u), which all come from the table's quadrature rule
+        ev = build_phi(PositivePairConfig(v0, lam, theta), phi_grid(r_max, 201)).evaluator
+        r = np.linspace(0.01, 0.8 * r_max, 200_001)
+        d_dr = ev._cols.derivative()(np.log1p(r)) / (1.0 + r)[:, None]
+        assert np.max(np.abs(d_dr[:, 1] / ev.deriv(r, 1) - 1.0)) < 5e-10
+        assert np.max(np.abs(d_dr[:, 2] / ev.v(r) - 1.0)) < 5e-10
+
+
+class TestCurvatureTable:
+    """The table's r and u' against phi's closed form."""
+
+    # v0 and lambda over four decades, rmax over three, theta over the
+    # paper's range (1/2, 1) and beyond.  The rule's error, measured at
+    # most 6.8e-13 here, grows as the 6th power of the step: in y with
+    # log(rmax sqrt(v0 a)) (2e-11 at rmax sqrt(v0 a) = 1e20), and in t as
+    # t_first falls below 1e-8 (rmax sqrt(v0 lambda / 2) < 1e-2).
+    @settings(max_examples=25, deadline=None)
+    @example(*TABLE_CASES[0])
+    @example(*TABLE_CASES[1])
+    @example(*TABLE_CASES[2])
+    @given(v0=st.floats(-2, 2).map(lambda e: 10.0 ** e),
+           lam=st.floats(-2, 2).map(lambda e: 10.0 ** e),
+           theta=st.floats(0.501, 1.3), r_max=st.floats(0, 3).map(lambda e: 10.0 ** e))
+    def test_matches_closed_form(self, v0, lam, theta, r_max):
+        config = PositivePairConfig(v0, lam, theta)
+        r, vpp, v_up, u = _curvature_table(config, r_max)
+        t, y = _table_range(config, r_max)
+        assert len(r) == len(t) + len(y) - 1 <= 4000
+        assert r[0] == v_up[0] == u[0] == 0.0 and r[-1] >= r_max
+        assert np.all(np.diff(np.log1p(r)) > 0)       # the spline's sites
+        assert np.array_equal(vpp, np.concatenate([v0 * (1 - t * t), np.exp(-y[1:])]))
+        for piece, x, first in (("t", t, 0), ("y", y, len(t) - 1)):
+            for i in np.unique(np.linspace(1, len(x) - 1, 120).astype(int)):
+                want = closed_form(config, piece, float(x[i]))
+                got = r[first + i], v_up[first + i]
+                assert abs(got[0] / want[0] - 1.0) <= 1e-12
+                assert abs(got[1] / want[1] - 1.0) <= 1e-12
 
 
 class TestNegativePair1D:

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline, make_interp_spline
 
 from affmax import spline
-from affmax.core import cumulative_simpson
 from affmax.errors import DomainError, ParameterError
 from affmax.positive_pair import PositivePairConfig, _curvature_table
 from affmax.reconstruct import _tables
@@ -151,11 +150,7 @@ def test_repeated_points_reuse_the_basis():
 
 def flagship_tables(curve):
     config = PositivePairConfig(v0=1.0, lam=1.0, theta=THETA)
-    r_q, v_q = _curvature_table(config, 10.0)
-    keep = np.concatenate([[True], np.diff(r_q) > 1e-11])
-    r, vpp = r_q[keep], v_q[keep]
-    v_up = cumulative_simpson(vpp, r)
-    u = cumulative_simpson(v_up, r)
+    r, vpp, v_up, u = _curvature_table(config, 10.0)
     tab = _tables(curve, v0=1.0)
     return {"phi": (np.log1p(r), np.stack([np.log(vpp), v_up, u], axis=-1)),
             "phase": (tab["t"], np.stack([np.log(tab["x"]), np.log(tab["zeta"]),
@@ -252,7 +247,7 @@ def assert_solve_and_fit_match_full_size(monkeypatch, x, y):
         assert same_bits(fit.c, interp_spline(x, y).c)
 
 
-@pytest.mark.parametrize("name, interior", [("phi", 15994), ("phase", 20929)])
+@pytest.mark.parametrize("name, interior", [("phi", 1994), ("phase", 20929)])
 def test_fit_equals_full_size_solve_on_flagship_tables(monkeypatch, curve_1e5,
                                                        name, interior):
     # one interior size of each parity: an odd one gets an identity row
