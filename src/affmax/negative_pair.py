@@ -307,8 +307,15 @@ _DAMPING_FLOOR = 1 / 64   # the smallest damping a restart tries
 
 
 def fixed_point_solve(n: int, theta: float, eta0: float,
-                      grid_points: int = 6000) -> LocalSolve:
+                      grid_points: int = 2000) -> LocalSolve:
     """Damped Picard iteration phi <- (1-d) phi + d T(phi) from the cubic seed.
+
+    phi lives on x = 0 and grid_points nodes geometric in x = eta - 1
+    from 1e-10 to eta0 - 1.  At n = 2, theta 0.505, 0.55, 0.6 and 0.655
+    and eta0 1.01, 1.02, 1.05 and 1.1, lambda_cal on the default grid is
+    within 9e-13 relative of a 24000-node solve, with the same sweep
+    count; TestFixedPoint.test_lambda_cal_converged_in_grid_points
+    bounds it by 1e-11 against 12000 nodes.
 
     d starts at 1/2 and halves, the iteration restarting from the seed,
     whenever the sup-norm change grows or an image after the first is not

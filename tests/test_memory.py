@@ -28,7 +28,7 @@ def test_psi_fit_peak(curve_1e5):
     tab = _tables(curve_1e5, v0=1.0)
     # the columns laid out as the profile's evaluator stacks them
     y = np.stack([np.log(tab["x"]), np.log(tab["zeta"]), tab["logv"], tab["u"]]).T
-    assert y.shape == (20935, 4)             # the flagship psi table
+    assert y.shape == (16935, 4)             # the flagship psi table
     _, peak = traced_peak_mb(spline.interp_spline, tab["t"], y)
     assert peak <= PSI_FIT_MB
 

@@ -11,6 +11,7 @@ operation is meant to be the same, so every comparison is bit for bit:
 no tolerance.
 """
 
+import inspect
 import math
 import warnings
 
@@ -33,6 +34,9 @@ from affmax.negative_pair import (LocalSolve, calibration_target, extend_global,
 from affmax.phase_plane import coef_linear, coef_q, coef_zero, phase_field
 
 from conftest import ETA0, N, THETA
+
+# the local solve's default node count, read from its signature
+GRID_POINTS = inspect.signature(fixed_point_solve).parameters["grid_points"].default
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def ref_map_once(x, eta, phi, taylor, n, theta, eta0):
 def test_map_once_matches_per_call_expression(theta, eta0):
     # the cubic seed, as in the first sweep, and the converged iterate
     local = fixed_point_solve(N, theta, eta0)
-    x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, 6000)])
+    x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, GRID_POINTS)])
     eta = 1.0 + x
     formula = taylor_coeffs(N, theta)
     seed = (formula.seed(x),
@@ -411,7 +415,7 @@ def test_taylor_meter_matches_measure_taylor_on_picard_iterates(monkeypatch):
     local = fixed_point_solve(N, THETA, ETA0)
     assert len(calls) == local.iterations > 1
     # the meter measures on 1.0 + x, the grid the solve passes to measure_taylor
-    x = np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1.0, 6000)])
+    x = np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1.0, GRID_POINTS)])
     for eta, eta0, zeta, got in calls:
         assert same_bits(eta, 1.0 + x) and eta0 == ETA0
         want = ref_measure_taylor(eta, zeta, eta0)

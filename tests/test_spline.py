@@ -247,7 +247,7 @@ def assert_solve_and_fit_match_full_size(monkeypatch, x, y):
         assert same_bits(fit.c, interp_spline(x, y).c)
 
 
-@pytest.mark.parametrize("name, interior", [("phi", 1994), ("phase", 20929)])
+@pytest.mark.parametrize("name, interior", [("phi", 1994), ("phase", 16929)])
 def test_fit_equals_full_size_solve_on_flagship_tables(monkeypatch, curve_1e5,
                                                        name, interior):
     # one interior size of each parity: an odd one gets an identity row

@@ -21,8 +21,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # module.qualname.parameter -> why it keeps its default unset
 ALLOWED = {
-    "negative_pair.fixed_point_solve.grid_points":
-        "ROADMAP item 5 varies it to measure the local solve's convergence order",
     "verify._residuals.h_rel":
         "ROADMAP item 5 varies it to measure the verify stencil's convergence order",
     "spline.Spline.__call__.columns":
