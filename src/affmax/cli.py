@@ -1,33 +1,34 @@
 """Command-line front end: solver pipelines, sweeps and plot-data emission.
 
-Exit codes: 0 on success, 1 on usage or configuration errors (bad
-arguments, parameters or input files), 2 when a construction or a
-verification fails.  Every flag has a key of the same name (dashes
-become underscores) in an INI config file, one section per subcommand;
-command-line flags override the file.  Outputs carry no timestamps, so
-identical configuration yields byte-identical artifacts.
+A stage reads its files, runs the checks only a file needs, makes one
+library call and writes its outputs; verify.py builds every factor and
+solution, and writes and reads solution.json.  Exit codes: 0 on
+success, 1 on usage or configuration errors (bad arguments, parameters
+or input files), 2 when a construction or a verification fails.  Every
+flag has a key of the same name (dashes become underscores) in an INI
+config file, one section per subcommand; command-line flags override
+the file.  Outputs carry no timestamps, so identical configuration
+yields byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
-                   check_radii, decode_column, encode_column, read_columns,
-                   upper_bound_claimed, write_columns)
+from .core import (ModelParams, PhaseCurve, RadialProfile, check_radii,
+                   read_columns, upper_bound_claimed, write_columns)
 from .errors import AffmaxError, ParameterError
 from .negative_pair import growth_bounds_check, solve_negative, taylor_coeffs
 from .phase_plane import bernstein_radial_check
-from .positive_pair import PositivePairConfig, build_phi, phi_grid
-from .reconstruct import rebuild_profile, written_curve
-from .verify import (assemble, bernstein_1d_check, check_assembly,
-                     verify_solution)
+from .reconstruct import written_curve
+from .verify import (assemble_constructors, bernstein_1d_check, build_factor,
+                     check_assembly, json_finite, json_get, json_number,
+                     solution_from_payload, solution_payload, verify_solution)
 from .verify import full_residual  # noqa: F401  perfbench/selftest.py reads cli's binding
 
 USAGE_ERROR, FAILURE = 1, 2
@@ -154,11 +155,10 @@ def _dump_json(obj, path):
 
 
 def _cmd_solve_positive(o) -> int:
-    cfg = PositivePairConfig(v0=o["v0"], lam=o["lambda"], theta=o["theta"])
-    grid = phi_grid(o["rmax"], int(o["nodes"]))
-    prof = build_phi(cfg, grid)
+    ctor = {"kind": "positive-pair", **{k: o[k] for k in ("v0", "lambda", "rmax", "nodes")}}
+    prof = build_factor(ctor, o["theta"], None, "solve-positive")
     prof.to_csv(o["out"])
-    print(f"wrote {o['out']} ({len(grid)} rows, r <= {o['rmax']})")
+    print(f"wrote {o['out']} ({len(prof.r)} rows, r <= {o['rmax']})")
     return 0
 
 
@@ -173,7 +173,8 @@ def _cmd_solve_negative(o) -> int:
 
 def _cmd_reconstruct(o) -> int:
     curve = PhaseCurve.from_csv(o["curve"])
-    prof = rebuild_profile(curve, v0=o["v0"])
+    prof = build_factor({"kind": "phase-reconstruction", "v0": o["v0"]},
+                        curve.params.theta, curve, "reconstruct")
     prof.to_csv(o["out"])
     print(f"wrote {o['out']} ({len(prof.r)} rows)")
     return 0
@@ -188,11 +189,10 @@ def _cmd_assemble(o) -> int:
     check_radii(psi_r)
     _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
     report = _load_json(o["report"])
-    R_inf = _number(report, "R_inf", o["report"], positive=True)
-    n = _number(report, "n", o["report"], integer=True)
-    theta = _number(report, "theta", o["report"])
+    R_inf = json_number(report, "R_inf", o["report"], positive=True)
+    n = json_number(report, "n", o["report"], integer=True)
+    theta = json_number(report, "theta", o["report"])
     # checked before the factors are built, whose fits would only fail on them
-    ModelParams(n=n, theta=theta).require_negative_pair()
     check_assembly(theta, n, int(o["m"]))
     # both factors are built as verify builds them from their constructors,
     # psi from the curve columns read here rather than decoded again; the
@@ -205,22 +205,11 @@ def _cmd_assemble(o) -> int:
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
                 "lambda": o["phi_lambda"], "rmax": float(phi_r[-1]),
                 "nodes": len(phi_r)}
-    psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"],
-                **{k: encode_column(c) for k, c in zip(("eta", "zeta", "I"), curve)}}
-    phi = _factor(phi_ctor, theta, 1, "phi.constructor")
-    _check_columns_match(phi_r, phi_v, phi_u, phi, "phi")
-    psi_v0 = _number(psi_ctor, "v0", "psi.constructor", positive=True)
-    psi = rebuild_profile(phase, v0=psi_v0)
-    _check_columns_match(psi_r, psi_v, psi_u, psi, "psi")
-    sol = assemble(phi, psi, m_cylinder=int(o["m"]), theta=theta, R_inf=R_inf)
-    payload = {
-        "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
-        "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
-        "R_inf": sol.R_inf,
-        "lambda_phi": sol.lambda_phi, "lambda_psi": sol.lambda_psi,
-        "phi": {"constructor": phi_ctor}, "psi": {"constructor": psi_ctor},
-    }
-    _dump_json(payload, o["out"])
+    psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"]}
+    sol = assemble_constructors(phi_ctor, psi_ctor, phase, int(o["m"]), R_inf)
+    _check_columns_match(phi_r, phi_v, phi_u, sol.phi, "phi")
+    _check_columns_match(psi_r, psi_v, psi_u, sol.psi, "psi")
+    _dump_json(solution_payload(sol, phi_ctor, psi_ctor, phase), o["out"])
     print(f"wrote {o['out']} (kappa = {sol.kappa:.6g}, N = {sol.N})")
     return 0
 
@@ -230,9 +219,9 @@ def _check_same_run(report, report_path, curve: PhaseCurve, curve_path):
     and closed-form Taylor data (of its n and theta), as one run writes them."""
     p = curve.params
     taylors = {"taylor": taylor_coeffs(p.n, p.theta), "taylor_measured": curve.taylor}
-    recorded = {key: _get(report, key, report_path) for key in ("eta0", *taylors)}
-    recorded["scan_range"] = _get(_get(report, "bounds_detail", report_path),
-                                  "scan_range", f"{report_path}: bounds_detail")
+    recorded = {key: json_get(report, key, report_path) for key in ("eta0", *taylors)}
+    recorded["scan_range"] = json_get(json_get(report, "bounds_detail", report_path),
+                                      "scan_range", f"{report_path}: bounds_detail")
     measured = {"eta0": p.eta0, "scan_range": [float(curve.eta[0]), float(curve.eta[-1])],
                 **{key: {c: getattr(t, c) for c in ("alpha", "beta", "gamma")}
                    for key, t in taylors.items()}}
@@ -253,25 +242,6 @@ def _check_columns_match(r, v, u, rebuilt: RadialProfile, name: str):
                 "wrong curve/v0/lambda for this CSV?")
 
 
-def _factor(ctor, theta, n, where):
-    """The factor a solution.json constructor block describes, as built.
-
-    verify builds both factors here, assemble phi.  A missing key or a
-    value of the wrong type or range raises a one-line ParameterError.
-    """
-    kind = _get(ctor, "kind", where)
-    if kind not in ("positive-pair", "phase-reconstruction"):
-        raise ParameterError(f"{where} has unknown kind {kind!r}")
-    v0 = _number(ctor, "v0", where, positive=True)
-    if kind == "positive-pair":
-        lam, rmax = (_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
-        grid = phi_grid(rmax, _number(ctor, "nodes", where, integer=True))
-        return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
-    cols = (decode_column(_get(ctor, k, where), f"{where}: {k}")
-            for k in ("eta", "zeta", "I"))
-    return rebuild_profile(PhaseCurve.from_columns(*cols, n=n, theta=theta), v0=v0)
-
-
 def _load_json(path):
     """The JSON document in the file at path; ParameterError if it is not JSON."""
     with open(path) as fh:
@@ -281,77 +251,9 @@ def _load_json(path):
             raise ParameterError(f"{path} is not valid JSON ({exc})") from None
 
 
-def _get(obj, key, where):
-    """obj[key], after checking that obj is a JSON object holding key."""
-    if not isinstance(obj, dict):
-        raise ParameterError(f"{where} is not a JSON object")
-    if key not in obj:
-        raise ParameterError(f"{where} lacks the key {key!r}")
-    return obj[key]
-
-
-def _finite(val) -> bool:
-    """Whether val is a finite JSON number: not a bool, NaN, an infinity
-    or an int beyond the float range."""
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
-
-
-def _number(obj, key, where, integer=False, positive=False):
-    """obj[key]: an integer if asked, else a finite JSON number, positive
-    if asked; else ParameterError."""
-    val = _get(obj, key, where)
-    if integer:
-        ok = isinstance(val, int) and not isinstance(val, bool)
-    else:
-        ok = _finite(val) and (val > 0 or not positive)
-    if not ok:
-        need = ("an integer" if integer else
-                f"a {'positive ' if positive else ''}finite number")
-        raise ParameterError(f"{where}: {key} must be {need}, got {repr(val)[:40]}")
-    return val if integer else float(val)
-
-
-def _solution_from_json(path):
-    """The SeparableSolution a schema-3 solution.json describes.
-
-    Invalid JSON, another schema, a missing key, a scalar or constructor
-    value of the wrong type or range, or a curve column that is not
-    base64 float64 data raise a one-line ParameterError.
-    """
-    data = _load_json(path)
-    if _get(data, "schema", path) != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{path} has solution schema {data['schema']!r}, this version reads "
-            f"schema {SCHEMA_VERSION}; rerun assemble to regenerate it")
-    n = _number(data, "n_psi", path, integer=True)
-    m = _number(data, "m_cylinder", path, integer=True)
-    theta = _number(data, "theta", path)
-    try:
-        # psi is rebuilt from a phase curve of the negative pair
-        ModelParams(n=n, theta=theta).require_negative_pair()
-        check_assembly(theta, n, m)
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-    if _number(data, "N", path, integer=True) != 1 + n + m:
-        raise ParameterError(f"{path}: N is not 1 + n_psi + m_cylinder = {1 + n + m}")
-    kappa, lam_phi, lam_psi = (_number(data, k, path)
-                               for k in ("kappa", "lambda_phi", "lambda_psi"))
-    if _get(data, "R_inf", path) is None:
-        raise ParameterError(f"{path}: R_inf is null; rerun assemble with --report")
-    R_inf = _number(data, "R_inf", path, positive=True)
-    phi, psi = (_factor(_get(_get(data, k, path), "constructor", f"{path}: {k}"),
-                        theta, dim, f"{path}: {k}.constructor")
-                for k, dim in (("phi", 1), ("psi", n)))
-    return SeparableSolution(
-        phi=phi, psi=psi, kappa=kappa, theta=theta,
-        R_inf=R_inf, m_cylinder=m,
-        lambda_phi=lam_phi, lambda_psi=lam_psi)
-
-
 def _cmd_verify(o) -> int:
-    rep = verify_solution(_solution_from_json(o["solution"]), int(o["points"]),
-                          int(o["seed"]))
+    sol = solution_from_payload(_load_json(o["solution"]), o["solution"])
+    rep = verify_solution(sol, int(o["points"]), int(o["seed"]))
     _dump_json(rep, o["report"])
     print(f"residual max {rep['residual_max']:.3e} (tol {rep['tolerance']:.1e}), "
           f"convexity margin {rep['convexity_margin']:.3e}, "
@@ -492,8 +394,8 @@ def _cmd_emit_plot_data(o) -> int:
         cols = [curve.eta, curve.zeta, rep["rho"] * (curve.eta - 1.0),
                 rep["eps0"] * curve.eta**2]
     elif kind == "residual-hist":
-        res = _get(_load_json(path), "residuals", path)
-        if not (isinstance(res, list) and all(map(_finite, res))):
+        res = json_get(_load_json(path), "residuals", path)
+        if not (isinstance(res, list) and all(map(json_finite, res))):
             raise ParameterError(f"{path}: residuals must be a list of finite numbers")
         res = np.abs(np.array(res, dtype=float))
         hist, edges = np.histogram(np.log10(np.maximum(res, 1e-300)), bins=40)

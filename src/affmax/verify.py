@@ -7,22 +7,30 @@ The scaling law behind the assembly: u -> kappa u sends the factor
 eigenvalue to lambda/kappa (w scales by kappa^(-n theta) and u^{ij} by
 kappa^(-1)), so kappa = lambda_phi / (-lambda_psi) makes the two factor
 eigenvalues exactly opposite and the sum solves the source equation.
+build_factor builds every stage's factors, and solution_payload and
+solution_from_payload write and read solution.json (schema 3).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core import (RadialProfile, SeparableSolution, VerificationReport,
-                   effective_lambda_fit, eigenvalue_from_lambda_prime)
+from . import SCHEMA_VERSION
+from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
+                   VerificationReport, decode_column, effective_lambda_fit,
+                   eigenvalue_from_lambda_prime, encode_column)
 from .errors import NearSingular, ParameterError, SignError
-from .reconstruct import BOX_FRACTION, U_CEILING, large_condition_check
+from .positive_pair import PositivePairConfig, build_phi, phi_grid
+from .reconstruct import (BOX_FRACTION, U_CEILING, large_condition_check,
+                          rebuild_profile)
 
 __all__ = [
     "assemble", "check_assembly", "full_residual", "completeness_check",
     "verify_solution", "RESIDUAL_TOL", "bernstein_1d_check", "residual_at",
+    "build_factor", "assemble_constructors", "solution_payload", "solution_from_payload",
 ]
 
 
@@ -40,8 +48,10 @@ MAX_CYLINDER = 8
 
 
 def check_assembly(theta: float, n: int, m_cylinder: int):
-    """ParameterError unless theta lies in (1/2, n/(n+1)) for the psi
-    dimension n and m_cylinder is an integer in [0, MAX_CYLINDER]."""
+    """ParameterError unless the psi dimension n is one the negative pair
+    is solved in, m_cylinder is an integer in [0, MAX_CYLINDER] and theta
+    lies in (1/2, n/(n+1))."""
+    ModelParams.require_negative_pair_n(n)
     if not (0 <= m_cylinder <= MAX_CYLINDER and int(m_cylinder) == m_cylinder):
         raise ParameterError(
             f"m_cylinder must be an integer in [0, {MAX_CYLINDER}], got {m_cylinder}")
@@ -76,6 +86,116 @@ def assemble(phi: RadialProfile, psi: RadialProfile, theta: float,
     return SeparableSolution(phi=phi, psi=psi, kappa=kappa,
                              theta=theta, R_inf=R_inf, m_cylinder=int(m_cylinder),
                              lambda_phi=lam_phi / kappa, lambda_psi=lam_psi)
+
+
+def build_factor(ctor, theta: float, curve: PhaseCurve | None,
+                 where: str) -> RadialProfile:
+    """The factor of a constructor block, as every stage builds it: phi of
+    a "positive-pair" block (v0, lambda, rmax, nodes) at theta when curve
+    is None, else the profile of a "phase-reconstruction" block (v0)
+    rebuilt from curve.  A bad block is a one-line ParameterError naming
+    where."""
+    kind = json_get(ctor, "kind", where)
+    if kind != ("positive-pair" if curve is None else "phase-reconstruction"):
+        raise ParameterError(f"{where} has unknown kind {kind!r}")
+    v0 = json_number(ctor, "v0", where, positive=True)
+    if curve is not None:
+        return rebuild_profile(curve, v0=v0)
+    lam, rmax = (json_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
+    grid = phi_grid(rmax, json_number(ctor, "nodes", where, integer=True))
+    return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
+
+
+def assemble_constructors(phi_ctor, psi_ctor, curve: PhaseCurve, m_cylinder: int,
+                          R_inf: float) -> SeparableSolution:
+    """assemble, at curve's theta, of build_factor's phi and psi."""
+    theta = curve.params.theta
+    return assemble(build_factor(phi_ctor, theta, None, "phi.constructor"),
+                    build_factor(psi_ctor, theta, curve, "psi.constructor"),
+                    theta=theta, m_cylinder=m_cylinder, R_inf=R_inf)
+
+
+def solution_payload(sol: SeparableSolution, phi_ctor, psi_ctor,
+                     curve: PhaseCurve) -> dict:
+    """The solution.json payload of sol, which assemble_constructors built:
+    its scalars and each factor's block, psi's with curve's columns."""
+    psi_ctor = {**psi_ctor, **{k: encode_column(getattr(curve, k))
+                               for k in ("eta", "zeta", "I")}}
+    return {
+        "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
+        "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
+        "R_inf": sol.R_inf,
+        "lambda_phi": sol.lambda_phi, "lambda_psi": sol.lambda_psi,
+        "phi": {"constructor": phi_ctor}, "psi": {"constructor": psi_ctor},
+    }
+
+
+def solution_from_payload(data, where: str) -> SeparableSolution:
+    """The SeparableSolution a solution.json payload describes, its factors
+    built by build_factor; where names the payload.
+
+    Another schema, a missing key, a scalar or constructor value of the
+    wrong type or range, or a curve column that is not base64 float64
+    data raise a one-line ParameterError.
+    """
+    if json_get(data, "schema", where) != SCHEMA_VERSION:
+        raise ParameterError(
+            f"{where} has solution schema {data['schema']!r}, this version reads "
+            f"schema {SCHEMA_VERSION}; rerun assemble to regenerate it")
+    n = json_number(data, "n_psi", where, integer=True)
+    m = json_number(data, "m_cylinder", where, integer=True)
+    theta = json_number(data, "theta", where)
+    try:
+        check_assembly(theta, n, m)
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+    if json_number(data, "N", where, integer=True) != 1 + n + m:
+        raise ParameterError(f"{where}: N is not 1 + n_psi + m_cylinder = {1 + n + m}")
+    kappa, lam_phi, lam_psi = (json_number(data, k, where)
+                               for k in ("kappa", "lambda_phi", "lambda_psi"))
+    if json_get(data, "R_inf", where) is None:
+        raise ParameterError(f"{where}: R_inf is null; rerun assemble with --report")
+    R_inf = json_number(data, "R_inf", where, positive=True)
+    phi, psi = (json_get(json_get(data, k, where), "constructor", f"{where}: {k}")
+                for k in ("phi", "psi"))
+    at = f"{where}: psi.constructor"
+    cols = (decode_column(json_get(psi, k, at), f"{at}: {k}") for k in ("eta", "zeta", "I"))
+    curve = PhaseCurve.from_columns(*cols, n=n, theta=theta)
+    return SeparableSolution(
+        phi=build_factor(phi, theta, None, f"{where}: phi.constructor"),
+        psi=build_factor(psi, theta, curve, at), kappa=kappa, theta=theta,
+        R_inf=R_inf, m_cylinder=m, lambda_phi=lam_phi, lambda_psi=lam_psi)
+
+
+def json_get(obj, key, where):
+    """obj[key], after checking that obj is a JSON object holding key."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ParameterError(f"{where} lacks the key {key!r}")
+    return obj[key]
+
+
+def json_finite(val) -> bool:
+    """Whether val is a finite JSON number: not a bool, NaN, an infinity
+    or an int beyond the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def json_number(obj, key, where, integer=False, positive=False):
+    """obj[key]: an integer if asked, else a finite JSON number, positive
+    if asked; else ParameterError."""
+    val = json_get(obj, key, where)
+    if integer:
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    else:
+        ok = json_finite(val) and (val > 0 or not positive)
+    if not ok:
+        need = ("an integer" if integer else
+                f"a {'positive ' if positive else ''}finite number")
+        raise ParameterError(f"{where}: {key} must be {need}, got {repr(val)[:40]}")
+    return val if integer else float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -234,16 +234,17 @@ class TestSchema3:
 
     def test_verify_builds_the_factors_assemble_fitted(self, workdir, tmp_path,
                                                         monkeypatch):
-        built = []
+        built, fitted = [], verify.assemble
 
         def recording_assemble(*args, **kwargs):
-            built.append(verify.assemble(*args, **kwargs))
+            built.append(fitted(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(cli, "assemble", recording_assemble)
+        monkeypatch.setattr(verify, "assemble", recording_assemble)
         assert run(assemble_argv(workdir, tmp_path / "solution.json")) == 0
         (sol,) = built
-        back = cli._solution_from_json(str(tmp_path / "solution.json"))
+        path = tmp_path / "solution.json"
+        back = verify.solution_from_payload(json.loads(path.read_text()), str(path))
         assert back.kappa == sol.kappa
         phi_csv_r = read_columns(str(workdir / "phi.csv"))[1][0]
         assert back.phi.r.tobytes() == sol.phi.r.tobytes() == phi_csv_r.tobytes()
@@ -294,6 +295,9 @@ _MALFORMED_SOLUTIONS = {
     "missing-constructor": {"psi.constructor": _DELETE},
     "block-not-object": {"phi": [1.0]},
     "unknown-kind": {"phi.constructor.kind": "spline"},
+    # each block takes its own factor's kind only
+    "phi-kind-of-psi": {"phi.constructor.kind": "phase-reconstruction"},
+    "psi-kind-of-phi": {"psi.constructor.kind": "positive-pair"},
     "non-alphabet": {"psi.constructor.eta": "AAAA*AAAAAA="},
     "odd-bytes": {"psi.constructor.zeta": base64.b64encode(bytes(12)).decode("ascii")},
     "unequal-columns": {"psi.constructor.zeta": encode_column(np.ones(3))},

@@ -1,4 +1,4 @@
-"""Five `ast` lints that keep the package's contracts in one place.
+"""Six `ast` lints that keep the package's contracts in one place.
 
 No subclass of ProfileEvaluator defines v, u or deriv: the base class
 alone checks the shape, the derivative order, the table edge and the
@@ -12,7 +12,11 @@ _holds, or upper_claimed): the library function of each stage decides
 its verdict, and cli.py only maps it to an exit code.  And no module
 calls np.unique, np.union1d or np.isin: each imports numpy.ma on some
 path (np.unique without return_inverse, np.isin on large inputs), about
-6 ms of a fresh process.
+6 ms of a fresh process.  And cli.py names none of build_phi,
+rebuild_profile, assemble, SeparableSolution, encode_column and
+decode_column: the stage functions of verify.py build every factor and
+solution and read and write solution.json, so cli.py only reads and
+writes files.
 """
 
 import ast
@@ -163,6 +167,25 @@ def ma_loaders(tree):
     return sorted(found)
 
 
+BUILDERS = {"build_phi", "rebuild_profile", "assemble", "SeparableSolution",
+            "encode_column", "decode_column"}
+
+
+def builder_names(tree):
+    """(line, name) of each name, attribute or imported name in the tree
+    that is in BUILDERS."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names = [getattr(node, "id", None) or node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in BUILDERS]
+    return sorted(found)
+
+
 def test_no_evaluator_subclass_redefines_the_contract():
     assert contract_overrides(trees(PACKAGE.glob("*.py"))) == []
 
@@ -178,6 +201,10 @@ def test_every_public_name_is_used_by_the_package_or_a_criterion():
 
 def test_cli_decides_no_verdict():
     assert verdict_keys(trees([PACKAGE / "cli.py"])["cli.py"]) == []
+
+
+def test_cli_builds_no_factor_or_solution():
+    assert builder_names(trees([PACKAGE / "cli.py"])["cli.py"]) == []
 
 
 def test_no_module_loads_numpy_ma():
@@ -220,6 +247,12 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "from numpy import isin, sort\n"
         "idx = np.unique(np.concatenate([np.arange(0, n, step), [i0, n - 1]]))\n"
         "both = numpy.union1d(a, b)\nnames = sorted(set(x).unique)\nnote = 'np.unique'\n")
+    # the factor builds cli.py made before the stage functions; a string,
+    # or a name that only starts with a builder's, is no use of it
+    (tmp_path / "f.py").write_text(
+        "from .positive_pair import build_phi\nsol = verify.assemble(phi, psi)\n"
+        "back = SeparableSolution(phi=phi)\nsol = assemble_constructors(a)\n"
+        "note = 'decode_column'\n")
     (tmp_path / "__init__.py").write_text("from .c import only_tested, used\n")
     modules = trees(sorted(tmp_path.glob("*.py")))
     assert contract_overrides(modules) == [("a.py", "Scaled", "deriv"),
@@ -229,5 +262,7 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
         "c.Curve.span", "c.P.extra", "c.only_tested", "c.recursive"]
     assert ma_loaders(modules["e.py"]) == [(1, "isin"), (2, "unique"), (3, "union1d")]
+    assert builder_names(modules["f.py"]) == [(1, "build_phi"), (2, "assemble"),
+                                              (3, "SeparableSolution")]
     assert verdict_keys(modules["d.py"]) == [(1, "rho_holds"), (1, "upper_claimed"),
                                              (1, "upper_holds"), (2, "upper_claimed")]

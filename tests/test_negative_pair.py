@@ -187,11 +187,16 @@ class TestFixedPoint:
     @pytest.mark.parametrize("theta", [0.505, 0.55, 0.6, 0.655])
     def test_lambda_cal_converged_in_grid_points(self, theta, eta0):
         # the default grid's lambda_cal against a six times finer solve:
-        # measured at most 9e-13 apart, in the same number of sweeps
+        # measured at most 9e-13 apart, in the same number of sweeps.  The
+        # measured Taylor data moves more: beta at most 5.9e-7 relative and
+        # gamma 1.95e-5 absolute, next to GammaSetSpec's band half-width 1
         default = fixed_point_solve(2, theta, eta0)
         fine = fixed_point_solve(2, theta, eta0, grid_points=12000)
         assert default.lambda_cal == pytest.approx(fine.lambda_cal, rel=1e-11, abs=0)
         assert default.iterations == fine.iterations
+        got, ref = default.taylor_measured, fine.taylor_measured
+        assert got.beta == pytest.approx(ref.beta, rel=5e-6, abs=0)
+        assert got.gamma == pytest.approx(ref.gamma, rel=0, abs=1e-4)
 
     def test_n3_fails_honestly(self):
         # with this calibration constant the slope at 1+ is 6 - 2n,

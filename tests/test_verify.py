@@ -10,8 +10,8 @@ from affmax.errors import NearSingular, ParameterError, SignError
 from affmax.reconstruct import PROFILE_ROWS, _tables
 from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _det_parts, _least_eigenvalue,
                            _residuals, _sample_points, assemble, bernstein_1d_check,
-                           completeness_check, full_residual, residual_at,
-                           verify_solution)
+                           check_assembly, completeness_check, full_residual,
+                           residual_at, verify_solution)
 
 from conftest import THETA
 from oracles import negative_pair_blowup_1d
@@ -87,8 +87,8 @@ class TestAssemble:
                                    u=phi_profile.u, n=1,
                                    evaluator=phi_profile.evaluator)
         with pytest.raises((SignError, ParameterError)):
-            # identical positive-eigenvalue factors cannot pair; the 1-D
-            # theta gate also rejects (theta must be < n/(n+1) = 1/2)
+            # identical positive-eigenvalue factors cannot pair; the
+            # dimension gate also rejects n = 1
             assemble(phi_profile, phi_as_psi, theta=THETA)
 
     def test_sign_error_without_opposite_pair(self, phi_profile):
@@ -99,6 +99,14 @@ class TestAssemble:
     def test_theta_gate(self, phi_profile, psi_profile):
         with pytest.raises(ParameterError):
             assemble(phi_profile, psi_profile, theta=0.7)  # >= n/(n+1)
+
+    @pytest.mark.parametrize("n", [-2, -1, 0, 1, 6])
+    def test_dimension_gate(self, phi_profile, psi_profile, n):
+        # n = -1 divided by zero in the theta range, and -2 and 6 passed it
+        with pytest.raises(ParameterError, match="2 <= n <= 5"):
+            check_assembly(0.6, n, 0)
+        with pytest.raises(ParameterError, match="2 <= n <= 5"):
+            assemble(phi_profile, dataclasses.replace(psi_profile, n=n), theta=0.6)
 
     @pytest.mark.parametrize("m", [-1, 1.5, MAX_CYLINDER + 1])
     def test_cylinder_gate(self, phi_profile, psi_profile, m):
