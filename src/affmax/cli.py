@@ -2,13 +2,14 @@
 
 A stage reads its files, runs the checks only a file needs, makes one
 library call and writes its outputs; verify.py builds every factor and
-solution, and writes and reads solution.json.  Exit codes: 0 on
-success, 1 on usage or configuration errors (bad arguments, parameters
-or input files), 2 when a construction or a verification fails.  Every
-flag has a key of the same name (dashes become underscores) in an INI
-config file, one section per subcommand; command-line flags override
-the file.  Outputs carry no timestamps, so identical configuration
-yields byte-identical artifacts.
+solution (assemble_solution gives a solution with its solution.json
+payload) and reads solution.json.  Exit codes: 0 on success, 1 on usage
+or configuration errors (bad arguments, parameters or input files), 2
+when a construction or a verification fails.  Every flag has a key of
+the same name (dashes become underscores) in an INI config file, one
+section per subcommand; command-line flags override the file.  Outputs
+carry no timestamps, so identical configuration yields byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .errors import AffmaxError, ParameterError
 from .negative_pair import growth_bounds_check, solve_negative, taylor_coeffs
 from .phase_plane import bernstein_radial_check
 from .reconstruct import written_curve
-from .verify import (assemble_constructors, bernstein_1d_check, build_factor,
+from .verify import (assemble_solution, bernstein_1d_check, build_factor,
                      check_assembly, json_finite, json_get, json_number,
-                     solution_from_payload, solution_payload, verify_solution)
+                     solution_from_payload, verify_solution)
 from .verify import full_residual  # noqa: F401  perfbench/selftest.py reads cli's binding
 
 USAGE_ERROR, FAILURE = 1, 2
@@ -195,21 +196,17 @@ def _cmd_assemble(o) -> int:
     # checked before the factors are built, whose fits would only fail on them
     check_assembly(theta, n, int(o["m"]))
     # both factors are built as verify builds them from their constructors,
-    # psi from the curve columns read here rather than decoded again; the
-    # CSV columns only cross-check them.  The columns are made contiguous,
-    # as decode_column gives them to verify: a reduction over a strided
-    # view of the same values may round differently
-    curve = [np.ascontiguousarray(c) for c in curve]
+    # psi from the curve columns read here; the CSV columns only cross-check them
     phase = PhaseCurve.from_columns(*curve, n=n, theta=theta)
     _check_same_run(report, o["report"], phase, o["curve"])
     phi_ctor = {"kind": "positive-pair", "v0": o["phi_v0"],
                 "lambda": o["phi_lambda"], "rmax": float(phi_r[-1]),
                 "nodes": len(phi_r)}
     psi_ctor = {"kind": "phase-reconstruction", "v0": o["psi_v0"]}
-    sol = assemble_constructors(phi_ctor, psi_ctor, phase, int(o["m"]), R_inf)
+    sol, payload = assemble_solution(phi_ctor, psi_ctor, phase, int(o["m"]), R_inf)
     _check_columns_match(phi_r, phi_v, phi_u, sol.phi, "phi")
     _check_columns_match(psi_r, psi_v, psi_u, sol.psi, "psi")
-    _dump_json(solution_payload(sol, phi_ctor, psi_ctor, phase), o["out"])
+    _dump_json(payload, o["out"])
     print(f"wrote {o['out']} (kappa = {sol.kappa:.6g}, N = {sol.N})")
     return 0
 
@@ -366,6 +363,9 @@ def _cmd_sweep(o) -> int:
     if not o["jobs"] >= 1:
         raise ParameterError(f"jobs must be at least 1, got {o['jobs']}")
     ModelParams.require_negative_pair_n(o["n"])
+    if not 1 < o["eta0"] < o["eta_max"] < np.inf:      # a bad theta fails only its row
+        raise ParameterError(f"sweep needs 1 < eta0 < eta_max < inf, got eta0 = "
+                             f"{o['eta0']}, eta_max = {o['eta_max']}")
     thetas = np.linspace(o["theta_min"], o["theta_max"], int(o["steps"]))
     tasks = [(int(o["n"]), float(t), o["eta0"], o["eta_max"]) for t in thetas]
     rows = _sweep_rows(tasks, min(int(o["jobs"]), len(tasks),

@@ -282,10 +282,13 @@ class PhaseCurve:
 
     @classmethod
     def from_columns(cls, eta, zeta, I, n: int = 2, theta: float = 0.55) -> "PhaseCurve":
-        """The curve of these columns: eta0 is where I vanishes, and the
-        Taylor data is measured from the samples."""
+        """The curve of these columns: eta0 is the eta of the one row where
+        I is 0, else ParameterError; the Taylor data is measured from them."""
         eta, zeta, I = cls._columns(eta, zeta, I)
-        eta0 = float(np.interp(0.0, I, eta))
+        anchor = np.flatnonzero(I == 0.0)
+        if len(anchor) != 1:
+            raise ParameterError(f"curve column I is 0 at {len(anchor)} rows, not at one eta0")
+        eta0 = float(eta[anchor[0]])
         return cls(params=ModelParams(n=n, theta=theta, eta0=eta0),
                    taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
 
@@ -587,7 +590,8 @@ def read_columns(path, header=None):
     ASCII text whose only line break is "\n" and that holds no other
     control character from \x0b to \x1f is parsed by numpy's C reader,
     which converts each field with the same strtod as float(); any other
-    text, and any text that reader refuses, is read row by row.  Empty,
+    text, and any text that reader refuses, is read row by row.  Each
+    column comes back C-contiguous, as decode_column gives it.  Empty,
     header-only, ragged or non-numeric input, undecodable text in the
     file at path, and a header other than the given list of names, raise
     ParameterError.
@@ -611,17 +615,15 @@ def read_columns(path, header=None):
                               dtype=float, ndmin=2) if lines else None
         except ValueError:
             pass
-    if data is not None and data.shape[1] == len(names):
-        cols = [data[:, j] for j in range(len(names))]
-    else:
-        names, cols = _read_rows(text)
+    if data is None or data.shape[1] != len(names):
+        names, data = _read_rows(text)
     if header is not None and names != header:
         raise ParameterError(f"expected header {','.join(header)}, got {names}")
-    return names, cols
+    return names, list(data.T.copy())
 
 
 def _read_rows(text):
-    """read_columns, one row at a time: the reference for every message."""
+    """read_columns' names and 2-D data, row by row: the reference for every message."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("CSV input is empty")
@@ -638,8 +640,7 @@ def _read_rows(text):
             rows.append([float(x) for x in fields])
         except ValueError:
             raise ParameterError(f"CSV data row {k} is not numeric: {ln[:60]!r}") from None
-    data = np.array(rows)
-    return names, [data[:, j] for j in range(len(names))]
+    return names, np.array(rows)
 
 
 def encode_column(col) -> str:

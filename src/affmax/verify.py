@@ -7,8 +7,8 @@ The scaling law behind the assembly: u -> kappa u sends the factor
 eigenvalue to lambda/kappa (w scales by kappa^(-n theta) and u^{ij} by
 kappa^(-1)), so kappa = lambda_phi / (-lambda_psi) makes the two factor
 eigenvalues exactly opposite and the sum solves the source equation.
-build_factor builds every stage's factors, and solution_payload and
-solution_from_payload write and read solution.json (schema 3).
+build_factor builds every stage's factors, assemble_solution a solution and
+its solution.json payload (schema 3), and solution_from_payload reads one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .reconstruct import (BOX_FRACTION, U_CEILING, large_condition_check,
 __all__ = [
     "assemble", "check_assembly", "full_residual", "completeness_check",
     "verify_solution", "RESIDUAL_TOL", "bernstein_1d_check", "residual_at",
-    "build_factor", "assemble_constructors", "solution_payload", "solution_from_payload",
+    "build_factor", "assemble_solution", "solution_from_payload",
 ]
 
 
@@ -106,22 +106,18 @@ def build_factor(ctor, theta: float, curve: PhaseCurve | None,
     return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
 
 
-def assemble_constructors(phi_ctor, psi_ctor, curve: PhaseCurve, m_cylinder: int,
-                          R_inf: float) -> SeparableSolution:
-    """assemble, at curve's theta, of build_factor's phi and psi."""
+def assemble_solution(phi_ctor, psi_ctor, curve: PhaseCurve, m_cylinder: int,
+                      R_inf: float) -> tuple[SeparableSolution, dict]:
+    """(assemble, at curve's theta, of build_factor's phi and psi, its
+    solution.json payload): the solution's scalars and each factor's
+    block, psi's with curve's columns."""
     theta = curve.params.theta
-    return assemble(build_factor(phi_ctor, theta, None, "phi.constructor"),
-                    build_factor(psi_ctor, theta, curve, "psi.constructor"),
-                    theta=theta, m_cylinder=m_cylinder, R_inf=R_inf)
-
-
-def solution_payload(sol: SeparableSolution, phi_ctor, psi_ctor,
-                     curve: PhaseCurve) -> dict:
-    """The solution.json payload of sol, which assemble_constructors built:
-    its scalars and each factor's block, psi's with curve's columns."""
+    sol = assemble(build_factor(phi_ctor, theta, None, "phi.constructor"),
+                   build_factor(psi_ctor, theta, curve, "psi.constructor"),
+                   theta=theta, m_cylinder=m_cylinder, R_inf=R_inf)
     psi_ctor = {**psi_ctor, **{k: encode_column(getattr(curve, k))
                                for k in ("eta", "zeta", "I")}}
-    return {
+    return sol, {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
         "R_inf": sol.R_inf,

@@ -207,6 +207,19 @@ class TestPipeline:
         assert err.count("\n") == 1
         assert not (tmp_path / "solution.json").exists()
 
+    def test_curve_cut_short_of_its_anchor_is_one_line_usage_error(self, workdir, tmp_path,
+                                                                   capsys):
+        # reconstruct anchored this curve at its last row, eta = 1.0397, where
+        # I = -0.225, instead of at eta0 = 1.05, and wrote psi.csv
+        cols = read_columns(workdir / "curve.csv", header=["eta", "zeta", "I"])[1]
+        keep = cols[0] <= 1.04
+        write_columns(tmp_path / "curve.csv", ["eta", "zeta", "I"], [c[keep] for c in cols])
+        assert run(["reconstruct", "--curve", str(tmp_path / "curve.csv"),
+                    "--out", str(tmp_path / "psi.csv")]) == 1
+        assert capsys.readouterr().err == ("error: ParameterError: curve column I is 0 "
+                                           "at 0 rows, not at one eta0\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "curve.csv"]
+
     def test_psi_rows_do_not_reach_the_solution(self, workdir, tmp_path):
         # a psi.csv of every reconstruction table row assembles to the same
         # bytes as reconstruct's PROFILE_ROWS-row file: the certificate is
@@ -523,7 +536,10 @@ class TestConfigAndErrors:
         ["solve-positive", "--rmax", "inf"], ["solve-positive", "--rmax", "-1"],
         # eta0 = inf exited 2 (GridTooCoarse) and eta_max = inf exited 2
         # (StepFailure), each after a numpy warning
-        ["solve-negative", "--eta0", "inf"], ["solve-negative", "--eta-max", "inf"]],
+        ["solve-negative", "--eta0", "inf"], ["solve-negative", "--eta-max", "inf"],
+        # each wrote sweep.json of failed rows and exited 2
+        ["sweep", "--eta0", "0.5"], ["sweep", "--eta0", "inf"],
+        ["sweep", "--eta-max", "1.0"], ["sweep", "--eta-max", "inf"]],
         ids=" ".join)
     def test_bad_count_or_tolerance_is_one_line_usage_error(
             self, workdir, tmp_path, monkeypatch, capsys, argv):
@@ -986,14 +1002,14 @@ class TestSweep:
                 assert row["theta"] == theta
                 assert row["upper_bound_claimed"] is claimed
 
-    def test_infinite_eta_max_fails_the_row(self, tmp_path):
-        assert run(["sweep", "--steps", "1", "--theta-min", "0.55",
-                    "--theta-max", "0.55", "--eta-max", "inf",
-                    "--outdir", str(tmp_path / "sw")]) == 2
+    def test_bad_theta_fails_only_its_row(self, tmp_path):
+        # eta0 and eta_max are checked before the first row, a theta at its row
+        assert run(["sweep", "--steps", "1", "--theta-min", "1e300",
+                    "--theta-max", "1e300", "--outdir", str(tmp_path / "sw")]) == 2
         (row,) = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
         assert row["status"] == "failed"
-        assert row["error"] == ("ParameterError: eta_max = inf must exceed "
-                                "eta0 = 1.05 and be finite")
+        assert row["error"] == ("ParameterError: negative-pair solve needs a finite "
+                                "theta <= 1e100, got 1e+300")
 
     @pytest.mark.parametrize("steps, jobs, cpus, children", [
         (2, 8, 8, 1), (3, 2, 8, 1), (1, 4, 8, 0), (4, 4, 1, 0)])
@@ -1019,15 +1035,15 @@ class TestSweep:
         assert (tmp_path / "sw" / "sweep.json").read_bytes() == \
             (tmp_path / "s1" / "sweep.json").read_bytes()
 
-    @pytest.mark.parametrize("steps, jobs, eta_max", [
-        (2, 2, "150"), (5, 3, "150"), (5, 3, "inf")])
+    @pytest.mark.parametrize("steps, jobs, theta_min, theta_max", [
+        (2, 2, "0.54", "0.58"), (5, 3, "0.54", "0.58"), (5, 3, "1e300", "2e300")])
     def test_sweep_parallel_matches_serial(self, tmp_path, monkeypatch,
-                                           steps, jobs, eta_max):
-        # 5 rows in 3 processes are shares of 2, 2 and 1 rows; at eta_max
-        # inf every row fails, and its error string crosses the pipe
+                                           steps, jobs, theta_min, theta_max):
+        # 5 rows in 3 processes are shares of 2, 2 and 1 rows; at theta
+        # 1e300 and up every row fails, and its error string crosses the pipe
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)))
-        args = ["sweep", "--n", "2", "--theta-min", "0.54", "--theta-max",
-                "0.58", "--steps", str(steps), "--eta-max", eta_max]
+        args = ["sweep", "--n", "2", "--theta-min", theta_min, "--theta-max",
+                theta_max, "--steps", str(steps), "--eta-max", "150"]
         rc = run(args + ["--jobs", "1", "--outdir", str(tmp_path / "s1")])
         assert run(args + ["--jobs", str(jobs), "--outdir", str(tmp_path / "s2")]) == rc
         assert (tmp_path / "s1" / "sweep.json").read_bytes() == \

@@ -251,7 +251,7 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     # or a name that only starts with a builder's, is no use of it
     (tmp_path / "f.py").write_text(
         "from .positive_pair import build_phi\nsol = verify.assemble(phi, psi)\n"
-        "back = SeparableSolution(phi=phi)\nsol = assemble_constructors(a)\n"
+        "back = SeparableSolution(phi=phi)\nsol = assemble_solution(a)\n"
         "note = 'decode_column'\n")
     (tmp_path / "__init__.py").write_text("from .c import only_tested, used\n")
     modules = trees(sorted(tmp_path.glob("*.py")))

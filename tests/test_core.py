@@ -229,6 +229,17 @@ class TestPhaseCurveType:
         with pytest.raises(ParameterError, match=message):
             PhaseCurve.from_columns(**cols, n=2, theta=0.55)
 
+    @pytest.mark.parametrize("keep", ["before", "after"])
+    def test_curve_without_its_anchor_row_is_refused(self, curve_1e3, keep):
+        # np.interp clamped eta0 to an end row of a curve cut short of it
+        from affmax.core import PhaseCurve
+        sel = curve_1e3.I < 0 if keep == "before" else curve_1e3.I > 0
+        cols = {k: getattr(curve_1e3, k)[sel] for k in ("eta", "zeta", "I")}
+        with pytest.raises(ParameterError, match="I is 0 at 0 rows, not at one eta0"):
+            PhaseCurve.from_columns(**cols, n=2, theta=0.55)
+        whole = PhaseCurve.from_columns(curve_1e3.eta, curve_1e3.zeta, curve_1e3.I)
+        assert whole.params.eta0 == 1.05
+
     def test_monotone_eta_required(self):
         with pytest.raises(ParameterError):
             from affmax.core import PhaseCurve

@@ -4,8 +4,8 @@ The reference writer formats one value per repr call and one row per
 write; the reference reader splits and parses one row at a time.  The
 writer must produce the same bytes, and the reader (numpy's C parser
 where the text allows it) must accept exactly the same text, raise the
-same messages and return bitwise-equal columns.  The base64 column
-helpers must round-trip every float64 bit pattern.
+same messages and return bitwise-equal, C-contiguous columns.  The
+base64 column helpers must round-trip every float64 bit pattern.
 """
 
 import base64
@@ -131,6 +131,7 @@ def test_writer_bytes_match_reference_and_read_back_bitwise(cols):
     got_names, got = read_columns(io.StringIO(text))
     assert got_names == names
     assert [bits(c) for c in got] == [bits(c) for c in cols]
+    assert all(c.flags.c_contiguous for c in got)
 
 
 @settings(max_examples=50)
@@ -155,6 +156,8 @@ def test_reader_accepts_exactly_what_reference_accepts(text):
     names, cols = read_columns(io.StringIO(text))
     assert names == ref[0]
     assert [bits(c) for c in cols] == [bits(c) for c in ref[1]]
+    # on numpy's reader and on the row walk alike, as decode_column gives them
+    assert all(c.flags.c_contiguous for c in cols)
 
 
 @pytest.mark.parametrize("text", [
