@@ -58,30 +58,37 @@ def _tau_integrand(split: SwitchSplit, zeta, taylor):
     return out
 
 
-def _tables(curve: PhaseCurve, v0: float):
-    """Cumulative t, log v, u on the curve grid, anchored at eta0 (r = 1)."""
+def _t_table(curve: PhaseCurve):
+    """t = log r on the curve grid, anchored at eta0 (t = 0), and the
+    parts of it _tables reuses: tau, the grid's Simpson rule and split."""
     eta, zeta = curve.eta, curve.zeta
     x = eta - 1.0
-    x0 = curve.params.eta0 - 1.0
     i0 = int(np.argmin(np.abs(eta - curve.params.eta0)))
     if abs(eta[i0] - curve.params.eta0) > 1e-9 * curve.params.eta0:
         raise ParameterError("curve grid must contain eta0 (the anchor)")
     tay = curve.taylor
-    d1 = tay.d1
     simpson, split = CumulativeSimpson(eta), SwitchSplit(x)
-    tau_i = _tau_integrand(split, zeta, tay)
-    ratio = split.x_over_zeta(zeta, tay)             # x/zeta, stable
-    ctau = simpson(tau_i)
+    ctau = simpson(_tau_integrand(split, zeta, tay))
     tau = ctau - ctau[i0]
+    t = tau + np.log(x / (curve.params.eta0 - 1.0)) / tay.d1
+    return {"eta": eta, "x": x, "zeta": zeta, "t": t, "tau": tau, "i0": i0,
+            "d1": tay.d1, "simpson": simpson, "split": split}
+
+
+def _tables(curve: PhaseCurve, v0: float):
+    """Cumulative t, log v, u on the curve grid, anchored at eta0 (r = 1)."""
+    tab = _t_table(curve)
+    x, tau, i0, d1, simpson = (tab[k] for k in ("x", "tau", "i0", "d1", "simpson"))
+    ratio = tab["split"].x_over_zeta(tab["zeta"], curve.taylor)   # x/zeta, stable
     cW = simpson(ratio)
     W = cW - cW[i0]
-    t = tau + np.log(x / x0) / d1
-    logv = math.log(v0) + W + t
+    x0 = curve.params.eta0 - 1.0
     u_int = np.exp(W + 2.0 * tau) * np.power(x / x0, 2.0 / d1) * ratio / x
     u = simpson(u_int) * v0
     u += v0 * u_int[0] * x[0] * (d1 / 2.0)           # analytic piece over (1, eta[0])
-    return {"eta": eta, "x": x, "zeta": zeta, "t": t,
-            "logv": logv, "u": u, "i0": i0, "d1": d1}
+    tab["logv"] = math.log(v0) + W + tab["t"]
+    tab["u"] = u
+    return tab
 
 
 def t_of_eta(curve: PhaseCurve):
@@ -90,7 +97,7 @@ def t_of_eta(curve: PhaseCurve):
     t(eta0) = 0; t -> -inf logarithmically at eta -> 1+ and increases
     toward the blow-up time as eta grows.
     """
-    tab = _tables(curve, v0=1.0)
+    tab = _t_table(curve)
     return tab["eta"], tab["t"]
 
 

@@ -14,6 +14,7 @@ its solution.json payload (schema 3), and solution_from_payload reads one.
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -155,8 +156,11 @@ def solution_from_payload(data, where: str) -> SeparableSolution:
     phi, psi = (json_get(json_get(data, k, where), "constructor", f"{where}: {k}")
                 for k in ("phi", "psi"))
     at = f"{where}: psi.constructor"
-    cols = (decode_column(json_get(psi, k, at), f"{at}: {k}") for k in ("eta", "zeta", "I"))
-    curve = PhaseCurve.from_columns(*cols, n=n, theta=theta)
+    cols = [decode_column(json_get(psi, k, at), f"{at}: {k}") for k in ("eta", "zeta", "I")]
+    try:
+        curve = PhaseCurve.from_columns(*cols, n=n, theta=theta)
+    except ParameterError as exc:
+        raise ParameterError(f"{at}: {exc}") from None
     return SeparableSolution(
         phi=build_factor(phi, theta, None, f"{where}: phi.constructor"),
         psi=build_factor(psi, theta, curve, at), kappa=kappa, theta=theta,
@@ -346,24 +350,34 @@ def residual_at(sol: SeparableSolution, point: np.ndarray) -> float:
 
 
 def _sample_points(sol: SeparableSolution, n_points: int, seed: int):
-    """n_points (>= 1) samples: |x| inside the phi table, rho away from 0 and R_inf."""
+    """n_points (>= 1) samples: |x| inside the phi table, rho away from 0 and R_inf.
+
+    One random.Random(seed) call gives every uniform, k * 2**-53 in [0, 1)
+    from the top 53 bits of a 64-bit word, one row of n_points per use: x,
+    log rho and the cylinder coordinates are uniform, and the directions
+    are Box-Muller normals, normalised.
+    """
     if not n_points >= 1:
         raise ParameterError(f"the sample count must be at least 1, got {n_points}")
     if not seed >= 0:
         raise ParameterError(f"the sampling seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
     n, m = sol.psi.n, sol.m_cylinder
+    pairs = (n + 1) // 2                    # Box-Muller gives two normals a pair
+    rows = 2 + 2 * pairs + m
+    words = np.frombuffer(random.Random(seed).randbytes(8 * rows * n_points), "<u8")
+    u = (words >> 11).reshape(rows, n_points) * 2.0**-53
     x_max = 0.8 * float(sol.phi.r[-1])
-    r_lo = max(10.0 * _H_REL, 20.0 * (sol.psi.r[0] + 1e-9))
-    r_hi = BOX_FRACTION * float(sol.psi.r[-1])
+    lo = math.log(max(10.0 * _H_REL, 20.0 * (sol.psi.r[0] + 1e-9)))
+    hi = math.log(BOX_FRACTION * float(sol.psi.r[-1]))
     pts = np.empty((n_points, 1 + n + m))
-    pts[:, 0] = rng.uniform(-x_max, x_max, n_points)
-    rho = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n_points))
-    dirs = rng.normal(size=(n_points, n))
+    pts[:, 0] = -x_max + 2.0 * x_max * u[0]
+    rho = np.exp(lo + (hi - lo) * u[1])
+    radius = np.sqrt(-2.0 * np.log1p(-u[2:2 + pairs]))     # log of 1 - u in (0, 1]
+    angle = 2.0 * math.pi * u[2 + pairs:2 + 2 * pairs]
+    dirs = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].T
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts[:, 1:1 + n] = rho[:, None] * dirs
-    if m:
-        pts[:, 1 + n:] = rng.uniform(-1.0, 1.0, (n_points, m))
+    pts[:, 1 + n:] = (-1.0 + 2.0 * u[2 + 2 * pairs:]).T
     return pts
 
 

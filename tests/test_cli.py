@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import affmax
 from affmax import cli, reconstruct, verify
 from affmax.cli import main
-from affmax.core import (ModelParams, PhaseCurve, TaylorData, encode_column,
-                         read_columns, upper_bound_claimed, write_columns)
+from affmax.core import (ModelParams, PhaseCurve, TaylorData, decode_column,
+                         encode_column, read_columns, upper_bound_claimed,
+                         write_columns)
 from affmax.negative_pair import growth_bounds_check, solve_negative
 from affmax.reconstruct import _tables
 
@@ -317,6 +318,9 @@ _MALFORMED_SOLUTIONS = {
     "short-I": {"psi.constructor.I": encode_column(np.zeros(3))},
     "empty-columns": {"psi.constructor.eta": "", "psi.constructor.zeta": "",
                       "psi.constructor.I": ""},
+    # columns that decode but describe no curve
+    "I-without-anchor": {"psi.constructor.I": lambda I: I + 1.0},
+    "eta-reversed": {"psi.constructor.eta": lambda eta: eta[::-1]},
     "theta-string": {"theta": "0.55"},
     "theta-outside-range": {"theta": 0.7},
     "theta-nan": {"theta": math.nan},
@@ -368,6 +372,8 @@ def _edit(data, edits):
             block = block[k]
         if value is _DELETE:
             del block[key]
+        elif callable(value):       # an edit of the decoded column
+            block[key] = encode_column(value(decode_column(block[key])))
         else:
             block[key] = value
 
@@ -659,6 +665,8 @@ class TestConfigAndErrors:
         bad = tmp_path / "solution.json"
         bad.write_text(json.dumps(data))
         err = self._assert_one_line_usage_error(bad, capsys)
+        if any(k.startswith("psi.constructor.") for k in edits):
+            assert f"error: ParameterError: {bad}: psi.constructor" in err
         if data.get("schema") in (1, 2):
             assert "rerun assemble" in err
         if data.get("R_inf", 1.0) is None:

@@ -1,4 +1,4 @@
-"""Six `ast` lints that keep the package's contracts in one place.
+"""Seven `ast` lints that keep the package's contracts in one place.
 
 No subclass of ProfileEvaluator defines v, u or deriv: the base class
 alone checks the shape, the derivative order, the table edge and the
@@ -12,7 +12,10 @@ _holds, or upper_claimed): the library function of each stage decides
 its verdict, and cli.py only maps it to an exit code.  And no module
 calls np.unique, np.union1d or np.isin: each imports numpy.ma on some
 path (np.unique without return_inverse, np.isin on large inputs), about
-6 ms of a fresh process.  And cli.py names none of build_phi,
+6 ms of a fresh process.  And no module names np.random or numpy.random
+or imports from them: seeding default_rng imports secrets, hmac and
+hashlib (OpenSSL), about 10 ms and 6 MB of a fresh verify, whose sample
+random.Random draws.  And cli.py names none of build_phi,
 rebuild_profile, assemble, SeparableSolution, encode_column and
 decode_column: the stage functions of verify.py build every factor and
 solution and read and write solution.json, so cli.py only reads and
@@ -153,17 +156,23 @@ def verdict_keys(tree):
 MA_LOADERS = {"unique", "union1d", "isin"}
 
 
-def ma_loaders(tree):
-    """(line, name) of each np.<name> or numpy.<name> in the tree, and each
-    name imported from numpy, that is in MA_LOADERS."""
+def numpy_uses(tree, names):
+    """(line, name) of each np.<name> or numpy.<name> in the tree, each
+    name imported from numpy, and each import of or from numpy.<name>,
+    for the given names."""
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in MA_LOADERS
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name in MA_LOADERS]
+                      if alias.name in names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else [node.module or ""])
+            found += [(node.lineno, parts[1]) for parts in (m.split(".") for m in modules)
+                      if parts[0] == "numpy" and len(parts) > 1 and parts[1] in names]
     return sorted(found)
 
 
@@ -208,8 +217,13 @@ def test_cli_builds_no_factor_or_solution():
 
 
 def test_no_module_loads_numpy_ma():
-    assert {module: ma_loaders(tree) for module, tree in
-            trees(PACKAGE.glob("*.py")).items() if ma_loaders(tree)} == {}
+    assert {module: found for module, tree in trees(PACKAGE.glob("*.py")).items()
+            if (found := numpy_uses(tree, MA_LOADERS))} == {}
+
+
+def test_no_module_uses_numpy_random():
+    assert {module: found for module, tree in trees(PACKAGE.glob("*.py")).items()
+            if (found := numpy_uses(tree, {"random"}))} == {}
 
 
 def test_the_lints_see_what_they_forbid(tmp_path):
@@ -242,11 +256,15 @@ def test_the_lints_see_what_they_forbid(tmp_path):
         "row = {'upper_bound_claimed': upper_claimed}\n"
         "def _scan(curve):\n    span = curve\n    return span\n")
     # the profile row rule of rebuild_profile before PROFILE_ROWS; the
-    # unique of a string or another module is no numpy call
+    # unique of a string or another module is no numpy call; the sampler
+    # verify had, and the standard library's random, which is allowed
     (tmp_path / "e.py").write_text(
         "from numpy import isin, sort\n"
         "idx = np.unique(np.concatenate([np.arange(0, n, step), [i0, n - 1]]))\n"
-        "both = numpy.union1d(a, b)\nnames = sorted(set(x).unique)\nnote = 'np.unique'\n")
+        "both = numpy.union1d(a, b)\nnames = sorted(set(x).unique)\nnote = 'np.unique'\n"
+        "rng = np.random.default_rng(seed)\nimport numpy.random as npr, random\n"
+        "from numpy.random import default_rng\nfrom numpy import random as r\n"
+        "pick = random.Random(seed).random()\n")
     # the factor builds cli.py made before the stage functions; a string,
     # or a name that only starts with a builder's, is no use of it
     (tmp_path / "f.py").write_text(
@@ -261,7 +279,10 @@ def test_the_lints_see_what_they_forbid(tmp_path):
     assert unused_public(modules) == [
         "a.Scaled", "a.Scaled.deriv", "a.Scaled.v", "b.Other", "b.Other.u",
         "c.Curve.span", "c.P.extra", "c.only_tested", "c.recursive"]
-    assert ma_loaders(modules["e.py"]) == [(1, "isin"), (2, "unique"), (3, "union1d")]
+    assert numpy_uses(modules["e.py"], MA_LOADERS) == [(1, "isin"), (2, "unique"),
+                                                       (3, "union1d")]
+    assert numpy_uses(modules["e.py"], {"random"}) == [(6, "random"), (7, "random"),
+                                                       (8, "random"), (9, "random")]
     assert builder_names(modules["f.py"]) == [(1, "build_phi"), (2, "assemble"),
                                               (3, "SeparableSolution")]
     assert verdict_keys(modules["d.py"]) == [(1, "rho_holds"), (1, "upper_claimed"),

@@ -3,7 +3,8 @@
 scipy serves only the test suite: its oracles (tests/oracles.py) and
 its references.  No module of the package imports it, at module level or
 in a function body.  The run-time checks use a fresh interpreter, since
-this one has imported scipy for the other tests.
+this one has imported scipy for the other tests; the README pipeline
+run there also loads neither numpy.random nor secrets and hashlib.
 """
 
 import ast
@@ -46,6 +47,9 @@ for command in commands:
     if rc != 0:
         raise SystemExit(f"{command.split()[0]} exited {rc}")
 assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+# verify draws its sample with the standard library's random.Random, so no
+# stage loads numpy.random or, through its seeding, secrets and OpenSSL
+assert not [m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules]
 """
 
 

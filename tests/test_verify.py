@@ -7,11 +7,11 @@ import pytest
 
 from affmax.core import AnalyticEvaluator, RadialProfile, SeparableSolution
 from affmax.errors import NearSingular, ParameterError, SignError
-from affmax.reconstruct import PROFILE_ROWS, _tables
-from affmax.verify import (MAX_CYLINDER, RESIDUAL_TOL, _det_parts, _least_eigenvalue,
-                           _residuals, _sample_points, assemble, bernstein_1d_check,
-                           check_assembly, completeness_check, full_residual,
-                           residual_at, verify_solution)
+from affmax.reconstruct import BOX_FRACTION, PROFILE_ROWS, _tables
+from affmax.verify import (_H_REL, MAX_CYLINDER, RESIDUAL_TOL, _det_parts,
+                           _least_eigenvalue, _residuals, _sample_points, assemble,
+                           bernstein_1d_check, check_assembly, completeness_check,
+                           full_residual, residual_at, verify_solution)
 
 from conftest import THETA
 from oracles import negative_pair_blowup_1d
@@ -52,8 +52,8 @@ def quadratic_factor(n, rmax=4.0, C=0.5):
     return RadialProfile(r=r, v=2 * C * r, u=C * r**2, n=n, evaluator=ev)
 
 
-def paraboloid_solution(m=0):
-    return SeparableSolution(phi=quadratic_factor(1), psi=quadratic_factor(2),
+def paraboloid_solution(m=0, n=2):
+    return SeparableSolution(phi=quadratic_factor(1), psi=quadratic_factor(n),
                              kappa=1.0, theta=0.75, R_inf=math.inf,
                              m_cylinder=m)
 
@@ -200,6 +200,31 @@ class TestFullResidual:
                             R_inf=psi_R_inf)
         assert (json.dumps(verify_solution(sol_full, 200, 3), sort_keys=True)
                 == json.dumps(verify_solution(solution, 200, 3), sort_keys=True))
+
+
+class TestSamplePoints:
+    def test_a_seed_gives_its_points_bit_for_bit(self):
+        sol = paraboloid_solution(m=2)
+        pts = _sample_points(sol, 100, 7)
+        assert pts.tobytes() == _sample_points(sol, 100, 7).tobytes()
+        assert not np.any(pts == _sample_points(sol, 100, 8))
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_points_lie_in_the_box_with_isotropic_directions(self, n, m):
+        sol = paraboloid_solution(m, n)            # phi and psi tables end at 4
+        pts = _sample_points(sol, 2000, n + m)
+        assert pts.shape == (2000, 1 + n + m) and np.isfinite(pts).all()
+        assert np.all(np.abs(pts[:, 0]) < 0.8 * 4.0)
+        rho = np.linalg.norm(pts[:, 1:1 + n], axis=1)
+        assert rho.min() >= 10.0 * _H_REL * (1 - 1e-15)
+        assert rho.max() < BOX_FRACTION * 4.0 * (1 + 1e-15)
+        assert np.all(np.abs(pts[:, 1 + n:]) <= 1.0)
+        # each direction coordinate has mean 0 and mean square 1/n, within
+        # four standard errors
+        dirs = pts[:, 1:1 + n] / rho[:, None]
+        assert np.abs(dirs.mean(axis=0)).max() < 0.07
+        assert np.abs((dirs**2).mean(axis=0) - 1.0 / n).max() < 0.03
 
 
 class TestConvexity:

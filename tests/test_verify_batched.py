@@ -252,7 +252,7 @@ def test_batched_residual_matches_scalar_loop(solutions, m, raw):
 
 
 def test_verify_points_within_rounding_of_scipy_splines(solutions, scipy_solutions):
-    # the 1000 points verify samples by default (max measured: 28 E_p)
+    # the 1000 points verify samples by default (max measured: 22 E_p)
     pts = _sample_points(solutions[0], 1000, 0)
     assert rounding_gaps(solutions[0], scipy_solutions[0], pts).max() <= 64
 
