@@ -14,7 +14,7 @@ calls np.unique, np.union1d or np.isin: each imports numpy.ma on some
 path (np.unique without return_inverse, np.isin on large inputs), about
 6 ms of a fresh process.  And no module names np.random or numpy.random
 or imports from them: seeding default_rng imports secrets, hmac and
-hashlib (OpenSSL), about 10 ms and 6 MB of a fresh verify, whose sample
+hashlib (OpenSSL), about 15 ms and 5.6 MB of a fresh verify, whose sample
 random.Random draws.  And cli.py names none of build_phi,
 rebuild_profile, assemble, SeparableSolution, encode_column and
 decode_column: the stage functions of verify.py build every factor and
