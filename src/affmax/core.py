@@ -91,7 +91,7 @@ class TaylorData:
     """Behaviour of zeta at the singular endpoint eta = 1.
 
     d1 = zeta'(1) (= 2 for admissible curves), alpha = zeta''(1),
-    beta = zeta'''(1), gamma = centre of the fourth-derivative band.
+    beta = zeta'''(1), gamma = zeta''''(1).
     """
 
     d1: float
@@ -99,9 +99,14 @@ class TaylorData:
     beta: float
     gamma: float
 
+    def remainder(self, x):
+        """R(x) = alpha/2 + beta x/6 + gamma x^2/24: zeta = x (d1 + x R(x))
+        to fourth order in x = eta - 1."""
+        return self.alpha / 2 + x * (self.beta / 6 + x * (self.gamma / 24))
+
     def seed(self, x: np.ndarray) -> np.ndarray:
-        """Cubic model d1*x + alpha/2 x^2 + beta/6 x^3 (x = eta - 1)."""
-        return x * (self.d1 + x * (self.alpha / 2 + x * self.beta / 6))
+        """The fourth-order expansion x (d1 + x R(x)) of zeta."""
+        return x * (self.d1 + x * self.remainder(x))
 
 
 X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
@@ -109,26 +114,17 @@ X_SWITCH = 1e-4   # below this eta-1, series forms replace ratio forms
 
 class SwitchSplit:
     """A non-decreasing x = eta - 1 split at X_SWITCH: the samples x[:k]
-    below it (xs) take series forms, the rest (xl) ratio forms.  The
-    powers of xs the series reads are formed once."""
+    below it (xs) take series forms, the rest (xl) ratio forms."""
 
     def __init__(self, x):
         self.x = x
         self.k = int(np.searchsorted(x, X_SWITCH))
         self.xs, self.xl = x[:self.k], x[self.k:]
-        self.xs2, self.xs3 = self.xs**2, self.xs**3
-
-    def series(self, taylor: TaylorData, d: float):
-        """1 + alpha x/(2d) + beta x^2/(6d) + gamma x^3/(24d) on xs;
-        zeta/(d1 x) at d = d1."""
-        return (1 + (taylor.alpha / (2 * d)) * self.xs
-                + (taylor.beta / (6 * d)) * self.xs2
-                + (taylor.gamma / (24 * d)) * self.xs3)
 
     def x_over_zeta(self, zeta, taylor: TaylorData):
-        """(eta-1)/zeta, from the Taylor series of zeta below X_SWITCH."""
+        """(eta-1)/zeta, 1/(d1 + x R(x)) below X_SWITCH."""
         out = np.empty_like(self.x)
-        out[:self.k] = 1.0 / (taylor.d1 * self.series(taylor, taylor.d1))
+        out[:self.k] = 1.0 / (taylor.d1 + self.xs * taylor.remainder(self.xs))
         np.divide(self.xl, zeta[self.k:], out=out[self.k:])
         return out
 
@@ -207,37 +203,24 @@ def cumulative_simpson(y, x) -> np.ndarray:
 # phase curves
 
 
-class TaylorMeter:
-    """measure_taylor on one fixed eta grid, with its fit design built once.
+def measure_taylor(eta, zeta, eta0: float) -> "TaylorData":
+    """Estimate (d1, alpha, beta, gamma) of a sampled curve at eta -> 1+.
 
     The fit is the least-squares zeta = sum c_k x^k / k! (k = 1..5,
     x = eta - 1) over the samples in (0, min(1e-2, (eta0-1)/2)], with
     each design column divided by its norm.
     """
-
-    N_TERMS = 5
-
-    def __init__(self, eta, eta0: float):
-        x = np.asarray(eta, dtype=float) - 1.0
-        self.sel = (x > 0) & (x <= min(1e-2, (eta0 - 1.0) / 2.0))
-        xs = x[self.sel]
-        if len(xs) < self.N_TERMS + 2:
-            raise GridTooCoarse("too few samples inside the Taylor-fit window")
-        cols = np.vstack([xs ** (k + 1) / math.factorial(k + 1)
-                          for k in range(self.N_TERMS)]).T
-        self.norm = np.linalg.norm(cols, axis=0)
-        self.design = cols / self.norm
-
-    def __call__(self, zeta) -> "TaylorData":
-        ys = np.asarray(zeta, dtype=float)[self.sel]
-        c = np.linalg.lstsq(self.design, ys, rcond=None)[0] / self.norm
-        return TaylorData(d1=float(c[0]), alpha=float(c[1]), beta=float(c[2]),
-                          gamma=float(c[3]))
-
-
-def measure_taylor(eta, zeta, eta0: float) -> "TaylorData":
-    """Estimate (d1, alpha, beta, gamma) of a sampled curve at eta -> 1+."""
-    return TaylorMeter(eta, eta0)(zeta)
+    x = np.asarray(eta, dtype=float) - 1.0
+    sel = (x > 0) & (x <= min(1e-2, (eta0 - 1.0) / 2.0))
+    xs = x[sel]
+    if len(xs) < 7:
+        raise GridTooCoarse("too few samples inside the Taylor-fit window")
+    cols = np.vstack([xs ** (k + 1) / math.factorial(k + 1) for k in range(5)]).T
+    norm = np.linalg.norm(cols, axis=0)
+    ys = np.asarray(zeta, dtype=float)[sel]
+    c = np.linalg.lstsq(cols / norm, ys, rcond=None)[0] / norm
+    return TaylorData(d1=float(c[0]), alpha=float(c[1]), beta=float(c[2]),
+                      gamma=float(c[3]))
 
 
 @dataclass

@@ -48,12 +48,11 @@ PROFILE_ROWS = 2001
 
 
 def _tau_integrand(split: SwitchSplit, zeta, taylor):
-    """1/zeta - 1/(d1 x), regular at x = 0."""
-    d, a, b, g = taylor.d1, taylor.alpha, taylor.beta, taylor.gamma
-    k, xs = split.k, split.xs
+    """1/zeta - 1/(d1 x), regular at x = 0: -R/(d1 (d1 + x R)) below X_SWITCH."""
+    d, k, xs = taylor.d1, split.k, split.xs
     out = np.empty_like(split.x)
-    out[:k] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
-        d * split.series(taylor, d))
+    R = taylor.remainder(xs)
+    out[:k] = -R / (d * (d + xs * R))
     out[k:] = 1.0 / zeta[k:] - 1.0 / (d * split.xl)
     return out
 

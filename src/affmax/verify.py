@@ -103,8 +103,12 @@ def build_factor(ctor, theta: float, curve: PhaseCurve | None,
     if curve is not None:
         return rebuild_profile(curve, v0=v0)
     lam, rmax = (json_number(ctor, k, where, positive=True) for k in ("lambda", "rmax"))
-    grid = phi_grid(rmax, json_number(ctor, "nodes", where, integer=True))
-    return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta), grid)
+    nodes = json_number(ctor, "nodes", where, integer=True)
+    try:
+        return build_phi(PositivePairConfig(v0=v0, lam=lam, theta=theta),
+                         phi_grid(rmax, nodes))
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 def assemble_solution(phi_ctor, psi_ctor, curve: PhaseCurve, m_cylinder: int,

@@ -597,17 +597,17 @@ class TestConfigAndErrors:
                     "--out", str(tmp_path / "c.csv"),
                     "--report", str(tmp_path / "r.json")]) == 2
 
-    # eta0 - 1 lies 2.4e-9 below the root of the cubic seed near 23.77, so
+    # eta0 - 1 lies 3.0e-8 below the root of the fourth-order seed near 7.795, so
     # exp(J) overflows on the first image, which no damping changes; a
     # later overflow only restarts the solve at a smaller damping
     def test_calibration_overflow_is_one_line_failure(self, tmp_path, capsys):
         assert run(["solve-negative", "--n", "3", "--theta", "0.6",
-                    "--eta0", "24.7683676", "--out", str(tmp_path / "c.csv"),
+                    "--eta0", "8.7952282", "--out", str(tmp_path / "c.csv"),
                     "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1
-        for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 24.7683676"):
+        for name in ("J = ", "n = 3", "theta = 0.6", "eta0 = 8.7952282"):
             assert name in err
 
     # the field overflows far out and the stages go non-finite until the
@@ -624,7 +624,7 @@ class TestConfigAndErrors:
 
     def test_calibration_overflow_fails_every_sweep_row(self, tmp_path, capsys):
         assert run(["sweep", "--n", "3", "--steps", "1", "--theta-min", "0.6",
-                    "--theta-max", "0.6", "--eta0", "24.7683676",
+                    "--theta-max", "0.6", "--eta0", "8.7952282",
                     "--outdir", str(tmp_path / "sw")]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err + captured.out
@@ -665,8 +665,9 @@ class TestConfigAndErrors:
         bad = tmp_path / "solution.json"
         bad.write_text(json.dumps(data))
         err = self._assert_one_line_usage_error(bad, capsys)
-        if any(k.startswith("psi.constructor.") for k in edits):
-            assert f"error: ParameterError: {bad}: psi.constructor" in err
+        for factor in ("phi", "psi"):
+            if any(k.startswith(f"{factor}.constructor.") for k in edits):
+                assert f"error: ParameterError: {bad}: {factor}.constructor" in err
         if data.get("schema") in (1, 2):
             assert "rerun assemble" in err
         if data.get("R_inf", 1.0) is None:

@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmax import negative_pair
 from affmax.core import ModelParams, PhaseCurve, TaylorData
@@ -55,6 +57,20 @@ class TestTaylorCoeffs:
             expected = 5.5 + 0.75 * td.alpha**2 - 4.5 * td.alpha
             assert td.beta == pytest.approx(expected, rel=1e-13)
         assert taylor_coeffs(2, 0.55).beta == pytest.approx(-0.2866666666, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(theta=st.floats(0.505, 0.655), eta0=st.sampled_from([1.02, 1.05]))
+    def test_exact_data_match_the_converged_curve(self, theta, eta0):
+        # the Taylor data measured from the converged iterate against the
+        # exact ones; at 61 theta the worst gaps are alpha 1.3e-10, beta
+        # 2.0e-7 and gamma 1.7e-4, the fit's own error
+        exact = taylor_coeffs(2, theta)
+        local = fixed_point_solve(2, theta, eta0)
+        got = local.taylor_measured
+        assert got.alpha == pytest.approx(exact.alpha, rel=0, abs=1e-9)
+        assert got.beta == pytest.approx(exact.beta, rel=0, abs=1e-6)
+        assert got.gamma == pytest.approx(exact.gamma, rel=0, abs=2e-3)
+        assert local.membership["gamma_formula_consistent"]
 
     def test_d1_is_two(self):
         assert taylor_coeffs(3, 1.0).d1 == 2.0
@@ -112,7 +128,7 @@ class TestApplyT:
         assert lam == pytest.approx(local_solve.lambda_cal, rel=1e-10)
 
     def test_image_slope_and_curvature(self):
-        # one sweep from the cubic seed already has the limit derivatives
+        # one sweep from the seed already has the limit derivatives
         td = taylor_coeffs(N, THETA)
         eta = 1.0 + np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1, 4000)])
         phi = td.seed(eta - 1.0)
@@ -155,11 +171,11 @@ class TestFixedPoint:
         m = local_solve.membership
         assert m["pass"]
         assert m["zeta_dd_positive"]
-        # the fourth-derivative closed form fails its own
-        # consistency check; the measured value is the band centre
-        assert not m["gamma_formula_consistent"]
-        assert abs(local_solve.taylor_measured.gamma) < 1.0
-        assert abs(local_solve.taylor_formula.gamma) > 10.0
+        # the exact gamma is the band centre, and the measured one is
+        # within the consistency bound of it
+        assert m["gamma_formula_consistent"]
+        gap = abs(local_solve.taylor_measured.gamma - local_solve.taylor_formula.gamma)
+        assert gap <= negative_pair._GAMMA_GAP
 
     def test_membership_bands_on_small_window(self):
         # eta0 - 1 small enough that the plain sigma bands are feasible
@@ -187,9 +203,9 @@ class TestFixedPoint:
     @pytest.mark.parametrize("theta", [0.505, 0.55, 0.6, 0.655])
     def test_lambda_cal_converged_in_grid_points(self, theta, eta0):
         # the default grid's lambda_cal against a six times finer solve:
-        # measured at most 9e-13 apart, in the same number of sweeps.  The
-        # measured Taylor data moves more: beta at most 5.9e-7 relative and
-        # gamma 1.95e-5 absolute, next to GammaSetSpec's band half-width 1
+        # measured at most 3e-13 apart, in the same number of sweeps.  The
+        # measured Taylor data moves more: beta at most 1.2e-6 relative and
+        # gamma 4.9e-5 absolute, next to GammaSetSpec's band half-width 1
         default = fixed_point_solve(2, theta, eta0)
         fine = fixed_point_solve(2, theta, eta0, grid_points=12000)
         assert default.lambda_cal == pytest.approx(fine.lambda_cal, rel=1e-11, abs=0)
@@ -233,19 +249,53 @@ class TestDampingRule:
             assert all(b < a for a, b in zip(hist, hist[1:])), theta
 
     def test_flagship_sweep_count(self, local_solve):
-        assert local_solve.iterations == len(local_solve.contraction_history) == 6
+        assert local_solve.iterations == len(local_solve.contraction_history) == 5
+
+    @staticmethod
+    def slope_consistent_solve(monkeypatch, n, theta, eta0):
+        """(local solve, images made, measure_taylor calls) with the limit
+        n(n+2)/2 that the slope 2 needs (ROADMAP item 1)."""
+        images, measured = [], []
+        real_map, real_measure = negative_pair._map_once, negative_pair.measure_taylor
+
+        def counted_map(*args):
+            images.append(args)
+            return real_map(*args)
+
+        def counted_measure(*args):
+            measured.append(args)
+            return real_measure(*args)
+
+        monkeypatch.setattr(negative_pair, "calibration_target",
+                            lambda n: n * (n + 2) / 2)
+        monkeypatch.setattr(negative_pair, "_map_once", counted_map)
+        monkeypatch.setattr(negative_pair, "measure_taylor", counted_measure)
+        local = fixed_point_solve(n, theta, eta0)
+        assert local.membership["pass"]
+        assert local.contraction_history[-1] < 1e-10
+        assert local.iterations == len(local.contraction_history) <= 200
+        return local, len(images), len(measured)
 
     @pytest.mark.parametrize("n, theta", [(3, 0.70), (5, 0.80)])
     def test_slope_consistent_limit_converges_with_no_setting(self, monkeypatch,
                                                               n, theta):
-        # with the limit n(n+2)/2 that the slope 2 needs (ROADMAP item 1),
-        # n >= 3 converges only after restarts at a smaller damping
-        monkeypatch.setattr(negative_pair, "calibration_target",
-                            lambda n: n * (n + 2) / 2)
-        local = fixed_point_solve(n, theta, 1.02)
-        assert local.membership["pass"]
-        assert local.contraction_history[-1] < 1e-10
-        assert 6 < local.iterations == len(local.contraction_history) <= 200
+        # n >= 3 converges from the exact Taylor data with no restart: one
+        # image a sweep.  Its measured Taylor data are the table's: alpha,
+        # beta and gamma 1.4e-10, 2.9e-7 and 2.4e-4 apart at n = 3, and
+        # 9.9e-10, 8.4e-7 and 1.6e-4 at n = 5
+        local, images, _ = self.slope_consistent_solve(monkeypatch, n, theta, 1.02)
+        assert images == local.iterations
+        got, exact = local.taylor_measured, local.taylor_formula
+        assert got.alpha == pytest.approx(exact.alpha, rel=0, abs=1e-8)
+        assert got.beta == pytest.approx(exact.beta, rel=0, abs=1e-5)
+        assert got.gamma == pytest.approx(exact.gamma, rel=0, abs=1e-3)
+
+    def test_slope_consistent_limit_converges_after_a_restart(self, monkeypatch):
+        # the change grows once at damping 1/2, and the solve restarts at 1/4
+        # opening with the first image; the Taylor data are measured once
+        local, images, measured = self.slope_consistent_solve(monkeypatch, 5, 0.80, 1.05)
+        assert images == local.iterations - 1
+        assert measured == 1
 
     @pytest.mark.parametrize("n, theta, eta0", [(3, 0.70, 1.02), (4, 0.55, 1.05)])
     def test_growth_at_every_damping_stops_at_the_floor(self, monkeypatch,
@@ -289,7 +339,7 @@ class TestDampingRule:
         with pytest.raises(NoConvergence) as info:
             fixed_point_solve(3, 0.6, 1.2)
         assert len(images) == 12
-        assert str(info.value) == ("sweep 17 grew the sup-norm change to 9.544e-02 "
+        assert str(info.value) == ("sweep 17 grew the sup-norm change to 8.434e-02 "
                                    "at damping 0.015625 (n = 3, theta = 0.6, eta0 = 1.2)")
 
 

@@ -1,5 +1,5 @@
 """The stepped DOP853 extension, the DOP853 port, the cumulative-Simpson
-port, the local solve's mapping and the Taylor meter against the scipy
+port, the local solve's mapping and its one Taylor fit against the scipy
 calls and formulas they replaced.
 
 extend_global steps affmax.dop853.DOP853, a port of scipy's class, and
@@ -26,8 +26,7 @@ from scipy.integrate._ivp import dop853_coefficients
 
 from affmax import dop853, negative_pair, reconstruct
 from affmax.core import (X_SWITCH, CumulativeSimpson, ModelParams, PhaseCurve,
-                         TaylorData, TaylorMeter, cumulative_simpson,
-                         measure_taylor)
+                         TaylorData, cumulative_simpson, measure_taylor)
 from affmax.errors import ParameterError, PositivityLoss, StepFailure
 from affmax.negative_pair import (LocalSolve, calibration_target, extend_global,
                                   fixed_point_solve, taylor_coeffs)
@@ -305,26 +304,26 @@ def test_one_grid_rejects_another_length():
 # per-call expression it replaced
 
 
-def ref_series(taylor, x, d):
-    return (1 + (taylor.alpha / (2 * d)) * x + (taylor.beta / (6 * d)) * x**2
-            + (taylor.gamma / (24 * d)) * x**3)
+def ref_remainder(taylor, x):
+    """R(x) with zeta = x (d1 + x R(x)) to fourth order."""
+    return taylor.alpha / 2 + x * (taylor.beta / 6 + x * (taylor.gamma / 24))
 
 
 def ref_x_over_zeta(x, zeta, taylor):
     out = np.empty_like(x)
     small = x < X_SWITCH
-    out[small] = 1.0 / (taylor.d1 * ref_series(taylor, x[small], taylor.d1))
+    xs = x[small]
+    out[small] = 1.0 / (taylor.d1 + xs * ref_remainder(taylor, xs))
     out[~small] = x[~small] / zeta[~small]
     return out
 
 
 def ref_g_integrand(x, eta, phi, taylor):
-    a, b, g = taylor.alpha, taylor.beta, taylor.gamma
     out = np.empty_like(x)
     small = x < X_SWITCH
     xs = x[small]
-    num = (1 - a / 2) - (b / 6) * xs - (g / 24) * xs * xs
-    out[small] = num / (2.0 * ref_series(taylor, xs, 2.0))
+    R = ref_remainder(taylor, xs)
+    out[small] = (1 - R) / (2.0 + xs * R)
     xl = x[~small]
     out[~small] = ((eta[~small] ** 2 - 1.0) - phi[~small]) / (phi[~small] * xl)
     return out
@@ -347,18 +346,18 @@ def ref_map_once(x, eta, phi, taylor, n, theta, eta0):
 @settings(max_examples=12)
 @given(theta=st.floats(0.51, 0.655), eta0=st.sampled_from([1.02, 1.05]))
 def test_map_once_matches_per_call_expression(theta, eta0):
-    # the cubic seed, as in the first sweep, and the converged iterate
+    # the seed, as in the first sweep, and the converged iterate, both
+    # mapped with the exact Taylor data as every sweep is
     local = fixed_point_solve(N, theta, eta0)
     x = np.concatenate([[0.0], np.geomspace(1e-10, eta0 - 1.0, GRID_POINTS)])
     eta = 1.0 + x
     formula = taylor_coeffs(N, theta)
-    seed = (formula.seed(x),
-            TaylorData(d1=2.0, alpha=formula.alpha, beta=formula.beta, gamma=0.0))
-    fixed = (np.concatenate([[0.0], local.curve.zeta]), local.taylor_measured)
+    seed = x * (2.0 + x * ref_remainder(formula, x))
+    assert same_bits(formula.seed(x), seed)
     grid = negative_pair._MapGrid(x, eta, eta0, N, theta)
-    for phi, taylor in (seed, fixed):
-        got = negative_pair._map_once(grid, phi, taylor)
-        want = ref_map_once(x, eta, phi, taylor, N, theta, eta0)
+    for phi in (seed, np.concatenate([[0.0], local.curve.zeta])):
+        got = negative_pair._map_once(grid, phi, formula)
+        want = ref_map_once(x, eta, phi, formula, N, theta, eta0)
         assert same_bits(got[0], want[0]) and same_bits(got[2], want[2])
         assert float.hex(got[1]) == float.hex(want[1])
 
@@ -369,12 +368,12 @@ def ref_tables(curve, v0):
     x = eta - 1.0
     x0 = curve.params.eta0 - 1.0
     i0 = int(np.argmin(np.abs(eta - curve.params.eta0)))
-    d, a, b, g = tay.d1, tay.alpha, tay.beta, tay.gamma
+    d = tay.d1
     tau_i = np.empty_like(x)
     small = x < X_SWITCH
     xs = x[small]
-    tau_i[small] = -(a / (2 * d) + b / (6 * d) * xs + g / (24 * d) * xs * xs) / (
-        d * ref_series(tay, xs, d))
+    R = ref_remainder(tay, xs)
+    tau_i[small] = -R / (d * (d + xs * R))
     tau_i[~small] = 1.0 / zeta[~small] - 1.0 / (d * x[~small])
     ratio = ref_x_over_zeta(x, zeta, tay)
     ctau = scipy_cumulative_simpson(tau_i, x=eta, initial=0.0)
@@ -395,30 +394,24 @@ def test_reconstruct_tables_match_per_call_expression(curve_1e3):
 
 
 # ---------------------------------------------------------------------------
-# the Taylor meter of the Picard loop
+# the one Taylor fit of the Picard loop
 
 
-def test_taylor_meter_matches_measure_taylor_on_picard_iterates(monkeypatch):
+def test_taylor_data_measured_once_on_the_final_iterate(monkeypatch):
     calls = []
 
-    class Recording(TaylorMeter):
-        def __init__(self, eta, eta0):
-            super().__init__(eta, eta0)
-            self.eta, self.eta0 = eta, eta0
+    def recording(eta, zeta, eta0):
+        out = measure_taylor(eta, zeta, eta0)
+        calls.append((eta, zeta.copy(), eta0, out))
+        return out
 
-        def __call__(self, zeta):
-            out = super().__call__(zeta)
-            calls.append((self.eta, self.eta0, zeta.copy(), out))
-            return out
-
-    monkeypatch.setattr(negative_pair, "TaylorMeter", Recording)
+    monkeypatch.setattr(negative_pair, "measure_taylor", recording)
     local = fixed_point_solve(N, THETA, ETA0)
-    assert len(calls) == local.iterations > 1
-    # the meter measures on 1.0 + x, the grid the solve passes to measure_taylor
+    assert len(calls) == 1 < local.iterations
+    # the fit reads 1.0 + x, the solve's grid, and the converged iterate
+    eta, zeta, eta0, got = calls[0]
     x = np.concatenate([[0.0], np.geomspace(1e-10, ETA0 - 1.0, GRID_POINTS)])
-    for eta, eta0, zeta, got in calls:
-        assert same_bits(eta, 1.0 + x) and eta0 == ETA0
-        want = ref_measure_taylor(eta, zeta, eta0)
-        assert taylor_bits(got) == taylor_bits(want)
-        assert taylor_bits(measure_taylor(eta, zeta, eta0)) == taylor_bits(want)
-    assert taylor_bits(local.taylor_measured) == taylor_bits(calls[-1][3])
+    assert same_bits(eta, 1.0 + x) and eta0 == ETA0
+    assert same_bits(zeta, np.concatenate([[0.0], local.curve.zeta]))
+    assert taylor_bits(got) == taylor_bits(ref_measure_taylor(eta, zeta, eta0))
+    assert taylor_bits(local.taylor_measured) == taylor_bits(got)
