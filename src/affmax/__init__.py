@@ -20,7 +20,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 from .core import (ModelParams, PhaseCurve, RadialProfile, SeparableSolution,
                    TaylorData, VerificationReport, effective_lambda_fit,

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .core import (ModelParams, PhaseCurve, RadialProfile, check_radii,
-                   read_columns, upper_bound_claimed, write_columns)
+                   read_columns, read_curve_columns, upper_bound_claimed,
+                   write_columns)
 from .errors import AffmaxError, ParameterError
 from .negative_pair import growth_bounds_check, solve_negative, taylor_coeffs
 from .phase_plane import bernstein_radial_check
@@ -188,7 +189,7 @@ def _cmd_assemble(o) -> int:
     check_radii(phi_r)
     psi_r, psi_v, psi_u = read_columns(o["psi"], header=["r", "v", "u"])[1]
     check_radii(psi_r)
-    _, curve = read_columns(o["curve"], header=["eta", "zeta", "I"])
+    curve = read_curve_columns(o["curve"])
     report = _load_json(o["report"])
     R_inf = json_number(report, "R_inf", o["report"], positive=True)
     n = json_number(report, "n", o["report"], integer=True)
@@ -383,8 +384,7 @@ def _cmd_emit_plot_data(o) -> int:
     if path is None:
         raise ParameterError("emit-plot-data needs an --artifact")
     if kind == "phase":
-        _, cols = read_columns(path, header=["eta", "zeta", "I"])
-        names, cols = ["eta", "zeta"], cols[:2]
+        names, cols = ["eta", "zeta"], read_curve_columns(path)[:2]
     elif kind == "profile":
         names, cols = read_columns(path, header=["r", "v", "u"])
     elif kind == "bounds":

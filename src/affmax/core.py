@@ -1,7 +1,8 @@
 """Domain types and the radial/phase transformation chain.
 
 The central objects are radial profiles (r, v = u', u) of rotationally
-symmetric convex functions and phase curves (eta, zeta(eta), I(eta)).
+symmetric convex functions and phase curves (eta, zeta(eta)) anchored at
+eta0.
 The fourth-order radial operator
 
     L[u] = -u'''' + (th+1) (u''')^2/u''
@@ -225,60 +226,90 @@ def measure_taylor(eta, zeta, eta0: float) -> "TaylorData":
 
 @dataclass
 class PhaseCurve:
-    """Sampled (eta, zeta, I) with eta > 1 strictly increasing.
+    """Sampled (eta, zeta) with eta > 1 strictly increasing, anchored at
+    eta0 = params.eta0.
 
-    I(eta) = int_{eta0}^{eta} (s+1)/zeta(s) ds, so I vanishes at eta0,
-    is negative below it and positive above.  The Taylor data describes
-    the eta -> 1+ limit, where zeta -> 0 linearly with slope d1.
+    A curve the solver builds also carries I(eta) = int_{eta0}^{eta}
+    (s+1)/zeta(s) ds, which vanishes at eta0, is negative below it and
+    positive above; a curve read from a file carries I = None.  The
+    Taylor data describes the eta -> 1+ limit, where zeta -> 0 linearly
+    with slope d1.
     """
 
     params: ModelParams
     taylor: TaylorData
     eta: np.ndarray
     zeta: np.ndarray
-    I: np.ndarray
+    I: np.ndarray | None = None
 
     def __post_init__(self):
-        self.eta, self.zeta, self.I = self._columns(self.eta, self.zeta, self.I)
+        self.eta, self.zeta = self._columns(self.eta, self.zeta)
+        if self.I is not None:
+            self.I = np.asarray(self.I, dtype=float)
+            if len(self.I) != len(self.eta):
+                raise ParameterError(f"curve columns eta, I hold {len(self.eta)}, "
+                                     f"{len(self.I)} values")
 
     @staticmethod
-    def _columns(eta, zeta, I):
-        """eta, zeta, I as float arrays, after checking they describe a curve."""
-        eta, zeta, I = (np.asarray(c, dtype=float) for c in (eta, zeta, I))
-        if not 0 < len(eta) == len(zeta) == len(I):
-            raise ParameterError(f"curve columns eta, zeta, I hold {len(eta)}, "
-                                 f"{len(zeta)}, {len(I)} values")
+    def _columns(eta, zeta):
+        """eta, zeta as float arrays, after checking they describe a curve."""
+        eta, zeta = (np.asarray(c, dtype=float) for c in (eta, zeta))
+        if not 0 < len(eta) == len(zeta):
+            raise ParameterError(f"curve columns eta, zeta hold {len(eta)}, "
+                                 f"{len(zeta)} values")
         if not np.all(np.diff(eta) > 0):
             raise ParameterError("eta samples must be strictly increasing")
         if eta[0] <= 1.0:
             raise ParameterError("curve samples start strictly above eta = 1")
         if not np.all(zeta > 0):
             raise ParameterError("zeta must be positive on the sampled range")
-        return eta, zeta, I
+        return eta, zeta
 
     @property
     def eta_max(self) -> float:
         return float(self.eta[-1])
 
     def to_csv(self, path):
-        write_columns(path, ["eta", "zeta", "I"], [self.eta, self.zeta, self.I])
+        """eta, zeta and anchor, 1 on the row at eta0 and 0 on every other."""
+        write_columns(path, CURVE_HEADER, [self.eta, self.zeta, self.eta == self.params.eta0])
 
     @classmethod
-    def from_columns(cls, eta, zeta, I, n: int = 2, theta: float = 0.55) -> "PhaseCurve":
-        """The curve of these columns: eta0 is the eta of the one row where
-        I is 0, else ParameterError; the Taylor data is measured from them."""
-        eta, zeta, I = cls._columns(eta, zeta, I)
-        anchor = np.flatnonzero(I == 0.0)
-        if len(anchor) != 1:
-            raise ParameterError(f"curve column I is 0 at {len(anchor)} rows, not at one eta0")
-        eta0 = float(eta[anchor[0]])
-        return cls(params=ModelParams(n=n, theta=theta, eta0=eta0),
-                   taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta, I=I)
+    def from_columns(cls, eta, zeta, eta0: float, n: int = 2,
+                     theta: float = 0.55) -> "PhaseCurve":
+        """The curve of these columns anchored at eta0, which must be one of
+        the eta samples, else ParameterError; the Taylor data is measured
+        from them."""
+        eta, zeta = cls._columns(eta, zeta)
+        if not np.any(eta == eta0):
+            raise ParameterError(f"eta0 = {eta0!r} is not one of the eta samples")
+        return cls(params=ModelParams(n=n, theta=theta, eta0=float(eta0)),
+                   taylor=measure_taylor(eta, zeta, eta0), eta=eta, zeta=zeta)
 
     @classmethod
     def from_csv(cls, path) -> "PhaseCurve":
-        _, cols = read_columns(path, header=["eta", "zeta", "I"])
-        return cls.from_columns(*cols)
+        """The curve of a CSV that to_csv wrote."""
+        return cls.from_columns(*read_curve_columns(path))
+
+
+CURVE_HEADER = ["eta", "zeta", "anchor"]
+
+
+def read_curve_columns(path):
+    """(eta, zeta, eta0) of a curve CSV with the header eta,zeta,anchor:
+    eta0 is the eta of the one row whose anchor is 1, every other anchor
+    being 0.  Any other header (eta,zeta,I, say, of an older version) or
+    anchor column raises a ParameterError naming the file."""
+    names, cols = read_columns(path)
+    where = "curve CSV" if hasattr(path, "read") else path
+    if names != CURVE_HEADER:
+        raise ParameterError(f"{where} has the header {','.join(names)}, not "
+                             "eta,zeta,anchor; rerun solve-negative to regenerate it")
+    eta, zeta, anchor = cols
+    rows = np.flatnonzero(anchor)       # a NaN is nonzero
+    if len(rows) != 1 or anchor[rows[0]] != 1.0:
+        raise ParameterError(f"{where}: the anchor column must be 1 on one row "
+                             "and 0 on every other")
+    return eta, zeta, float(eta[rows[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +578,15 @@ def profile_to_phase(profile: RadialProfile, r_floor: float = 1e-3,
 
 
 def write_columns(path, names, cols, sep=",", comment=""):
-    """Write float columns as text rows under a header of names.
+    """Write columns as text rows under a header of names.
 
-    Each value is its shortest round-tripping repr; fields are joined by
-    sep and the header line starts with comment.
+    Each value of a bool column is 0 or 1, each other value its shortest
+    round-tripping float repr; fields are joined by sep and the header
+    line starts with comment.
     """
+    fmts = ["%d" if np.asarray(c).dtype == bool else "%r" for c in cols]
     data = np.column_stack([np.asarray(c, dtype=float) for c in cols])
-    rows = (sep.join(["%r"] * data.shape[1]) + "\n") * len(data)
+    rows = (sep.join(fmts) + "\n") * len(data)
     text = comment + sep.join(names) + "\n" + rows % tuple(data.ravel().tolist())
     if hasattr(path, "write"):
         path.write(text)

@@ -218,7 +218,8 @@ def written_curve(curve: PhaseCurve) -> PhaseCurve:
     give the measured Taylor data) and every row until the radius
     r = exp t_of_eta first reaches BOX_FRACTION + WRITE_MARGIN of its last
     value, a margin past the edge of the box verify samples; beyond that,
-    every FAR_STRIDE-th row and the last.  The rows are taken as they are.
+    every FAR_STRIDE-th row and the last.  The rows are taken as they are;
+    I, which no later stage reads, is left out.
     """
     eta, t = t_of_eta(curve)
     rows = len(eta)
@@ -228,7 +229,7 @@ def written_curve(curve: PhaseCurve) -> PhaseCurve:
     idx = np.concatenate([np.arange(min(cut + 1, rows - 1)),
                           np.arange(cut + FAR_STRIDE, rows - 1, FAR_STRIDE), [rows - 1]])
     return PhaseCurve(params=curve.params, taylor=curve.taylor, eta=eta[idx],
-                      zeta=curve.zeta[idx], I=curve.I[idx])
+                      zeta=curve.zeta[idx])
 
 
 def large_condition_check(profile: RadialProfile, R_inf: float) -> dict:

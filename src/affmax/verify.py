@@ -8,7 +8,7 @@ eigenvalue to lambda/kappa (w scales by kappa^(-n theta) and u^{ij} by
 kappa^(-1)), so kappa = lambda_phi / (-lambda_psi) makes the two factor
 eigenvalues exactly opposite and the sum solves the source equation.
 build_factor builds every stage's factors, assemble_solution a solution and
-its solution.json payload (schema 3), and solution_from_payload reads one.
+its solution.json payload (schema 4), and solution_from_payload reads one.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def assemble_solution(phi_ctor, psi_ctor, curve: PhaseCurve, m_cylinder: int,
                       R_inf: float) -> tuple[SeparableSolution, dict]:
     """(assemble, at curve's theta, of build_factor's phi and psi, its
     solution.json payload): the solution's scalars and each factor's
-    block, psi's with curve's columns."""
+    block, psi's with curve's eta and zeta columns and its anchor eta0."""
     theta = curve.params.theta
     sol = assemble(build_factor(phi_ctor, theta, None, "phi.constructor"),
                    build_factor(psi_ctor, theta, curve, "psi.constructor"),
                    theta=theta, m_cylinder=m_cylinder, R_inf=R_inf)
-    psi_ctor = {**psi_ctor, **{k: encode_column(getattr(curve, k))
-                               for k in ("eta", "zeta", "I")}}
+    psi_ctor = {**psi_ctor, "eta": encode_column(curve.eta),
+                "zeta": encode_column(curve.zeta), "eta0": curve.params.eta0}
     return sol, {
         "schema": SCHEMA_VERSION, "theta": sol.theta, "kappa": sol.kappa,
         "m_cylinder": sol.m_cylinder, "n_psi": sol.psi.n, "N": sol.N,
@@ -136,8 +136,9 @@ def solution_from_payload(data, where: str) -> SeparableSolution:
     built by build_factor; where names the payload.
 
     Another schema, a missing key, a scalar or constructor value of the
-    wrong type or range, or a curve column that is not base64 float64
-    data raise a one-line ParameterError.
+    wrong type or range, a curve column that is not base64 float64 data,
+    or an eta0 that is not one of the eta samples raise a one-line
+    ParameterError.
     """
     if json_get(data, "schema", where) != SCHEMA_VERSION:
         raise ParameterError(
@@ -160,9 +161,10 @@ def solution_from_payload(data, where: str) -> SeparableSolution:
     phi, psi = (json_get(json_get(data, k, where), "constructor", f"{where}: {k}")
                 for k in ("phi", "psi"))
     at = f"{where}: psi.constructor"
-    cols = [decode_column(json_get(psi, k, at), f"{at}: {k}") for k in ("eta", "zeta", "I")]
+    eta, zeta = (decode_column(json_get(psi, k, at), f"{at}: {k}") for k in ("eta", "zeta"))
+    eta0 = json_number(psi, "eta0", at, positive=True)
     try:
-        curve = PhaseCurve.from_columns(*cols, n=n, theta=theta)
+        curve = PhaseCurve.from_columns(eta, zeta, eta0, n=n, theta=theta)
     except ParameterError as exc:
         raise ParameterError(f"{at}: {exc}") from None
     return SeparableSolution(

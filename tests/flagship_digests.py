@@ -4,7 +4,8 @@ Runs the five stages at their CLI defaults in a temporary directory
 (verify at 1000 points, seed 0), then verify at seed 3, and an
 ``assemble --m 2`` solution verified at 300 points, seed 1.  The
 stages' own output is dropped and each artifact is printed as
-``sha256  name``, so two checkouts are compared by diffing the output of
+``sha256  bytes  name``, so two checkouts are compared, digests and
+sizes, by diffing the output of
 
     python tests/flagship_digests.py [--src DIR]
 
@@ -61,8 +62,8 @@ def main(argv=None) -> int:
                     sys.stderr.write(f"affmax {' '.join(stage)} exited {rc}\n")
                     return rc
             for name in ARTIFACTS:
-                digest = hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                print(f"{digest}  {name}")
+                data = Path(name).read_bytes()
+                print(f"{hashlib.sha256(data).hexdigest()}  {len(data):>7}  {name}")
         finally:
             os.chdir(cwd)
     return 0

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import affmax
 from affmax import cli, reconstruct, verify
 from affmax.cli import main
-from affmax.core import (ModelParams, PhaseCurve, TaylorData, decode_column,
-                         encode_column, read_columns, upper_bound_claimed,
-                         write_columns)
+from affmax.core import (CURVE_HEADER, ModelParams, PhaseCurve, TaylorData,
+                         decode_column, encode_column, read_columns,
+                         upper_bound_claimed, write_columns)
 from affmax.negative_pair import growth_bounds_check, solve_negative
 from affmax.reconstruct import _tables
 
@@ -52,6 +52,18 @@ def workdir(tmp_path_factory):
     return d
 
 
+# curve.csv files whose anchor column names no one eta0: (header, columns)
+# from the flagship's eta, zeta and anchor columns
+_BAD_CURVES = {
+    "no-1": lambda eta, zeta, a: (CURVE_HEADER, [eta, zeta, 0.0 * a]),
+    "two-1s": lambda eta, zeta, a: (CURVE_HEADER, [eta, zeta, np.where(eta == eta[0], 1.0, a)]),
+    "half": lambda eta, zeta, a: (CURVE_HEADER, [eta, zeta, 0.5 * a]),
+    "nan": lambda eta, zeta, a: (CURVE_HEADER, [eta, zeta, np.where(a == 1.0, np.nan, a)]),
+    # as an older solve-negative wrote it
+    "old-header": lambda eta, zeta, a: (["eta", "zeta", "I"], [eta, zeta, np.log(eta / 1.05)]),
+}
+
+
 class TestPipeline:
     def test_report_schema(self, workdir):
         rep = json.loads((workdir / "report.json").read_text())
@@ -62,7 +74,10 @@ class TestPipeline:
         assert rep["taylor"]["alpha"] == pytest.approx(4.13333333, abs=1e-6)
 
     def test_curve_header(self, workdir):
-        assert (workdir / "curve.csv").read_text().splitlines()[0] == "eta,zeta,I"
+        lines = (workdir / "curve.csv").read_text().splitlines()
+        assert lines[0] == "eta,zeta,anchor"
+        # the anchor is 1 on the eta0 row alone
+        assert [ln for ln in lines[1:] if not ln.endswith(",0")] == ["1.05,0.10516060777712197,1"]
 
     def test_profile_header(self, workdir):
         assert (workdir / "phi.csv").read_text().splitlines()[0] == "r,v,u"
@@ -210,16 +225,40 @@ class TestPipeline:
 
     def test_curve_cut_short_of_its_anchor_is_one_line_usage_error(self, workdir, tmp_path,
                                                                    capsys):
-        # reconstruct anchored this curve at its last row, eta = 1.0397, where
-        # I = -0.225, instead of at eta0 = 1.05, and wrote psi.csv
-        cols = read_columns(workdir / "curve.csv", header=["eta", "zeta", "I"])[1]
+        # a reader that took the nearest row would anchor this curve at its
+        # last row, eta = 1.0397, instead of at eta0 = 1.05
+        cols = read_columns(workdir / "curve.csv", header=CURVE_HEADER)[1]
         keep = cols[0] <= 1.04
-        write_columns(tmp_path / "curve.csv", ["eta", "zeta", "I"], [c[keep] for c in cols])
+        write_columns(tmp_path / "curve.csv", CURVE_HEADER,
+                      [cols[0][keep], cols[1][keep], cols[2][keep] == 1.0])
         assert run(["reconstruct", "--curve", str(tmp_path / "curve.csv"),
                     "--out", str(tmp_path / "psi.csv")]) == 1
-        assert capsys.readouterr().err == ("error: ParameterError: curve column I is 0 "
-                                           "at 0 rows, not at one eta0\n")
+        assert capsys.readouterr().err == (
+            f"error: ParameterError: {tmp_path / 'curve.csv'}: the anchor column "
+            "must be 1 on one row and 0 on every other\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "curve.csv"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "assemble", "emit-plot-data"])
+    @pytest.mark.parametrize("case", _BAD_CURVES, ids=_BAD_CURVES.keys())
+    def test_bad_anchor_is_one_line_usage_error_naming_the_file(
+            self, workdir, tmp_path, capsys, case, command):
+        for f in ("phi.csv", "psi.csv", "report.json"):
+            shutil.copy(workdir / f, tmp_path / f)
+        eta, zeta, anchor = read_columns(workdir / "curve.csv", header=CURVE_HEADER)[1]
+        write_columns(tmp_path / "curve.csv", *_BAD_CURVES[case](eta, zeta, anchor))
+        before = sorted(tmp_path.iterdir())
+        argv = {"reconstruct": ["reconstruct", "--curve", str(tmp_path / "curve.csv"),
+                                "--out", str(tmp_path / "out.csv")],
+                "assemble": assemble_argv(tmp_path, tmp_path / "out.json"),
+                "emit-plot-data": ["emit-plot-data", "--artifact", str(tmp_path / "curve.csv"),
+                                   "--out", str(tmp_path / "out.dat")]}[command]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParameterError: {tmp_path / 'curve.csv'}")
+        assert err.count("\n") == 1
+        if case == "old-header":
+            assert "rerun solve-negative" in err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_psi_rows_do_not_reach_the_solution(self, workdir, tmp_path):
         # a psi.csv of every reconstruction table row assembles to the same
@@ -237,14 +276,17 @@ class TestPipeline:
                 == (workdir / "solution.json").read_bytes())
 
 
-class TestSchema3:
+class TestSchema4:
     def test_factor_blocks_hold_only_constructors(self, workdir):
         data = json.loads((workdir / "solution.json").read_text())
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert list(data["phi"]) == ["constructor"]
         assert list(data["psi"]) == ["constructor"]
         assert data["phi"]["constructor"]["nodes"] == 2001
         assert data["phi"]["constructor"]["rmax"] == 10.0
+        psi = data["psi"]["constructor"]
+        assert sorted(psi) == ["eta", "eta0", "kind", "v0", "zeta"]
+        assert psi["eta0"] == 1.05
 
     def test_verify_builds_the_factors_assemble_fitted(self, workdir, tmp_path,
                                                         monkeypatch):
@@ -315,11 +357,16 @@ _MALFORMED_SOLUTIONS = {
     "non-alphabet": {"psi.constructor.eta": "AAAA*AAAAAA="},
     "odd-bytes": {"psi.constructor.zeta": base64.b64encode(bytes(12)).decode("ascii")},
     "unequal-columns": {"psi.constructor.zeta": encode_column(np.ones(3))},
-    "short-I": {"psi.constructor.I": encode_column(np.zeros(3))},
-    "empty-columns": {"psi.constructor.eta": "", "psi.constructor.zeta": "",
-                      "psi.constructor.I": ""},
-    # columns that decode but describe no curve
-    "I-without-anchor": {"psi.constructor.I": lambda I: I + 1.0},
+    "empty-columns": {"psi.constructor.eta": "", "psi.constructor.zeta": ""},
+    # schema 3 held the curve's I column where psi's block now holds eta0
+    "schema-3": {"schema": 3},
+    "eta0-missing": {"psi.constructor.eta0": _DELETE},
+    "eta0-string": {"psi.constructor.eta0": "1.05"},
+    "eta0-zero": {"psi.constructor.eta0": 0.0},
+    "eta0-negative": {"psi.constructor.eta0": -1.05},
+    # columns and an anchor that decode but describe no curve
+    "eta0-off-the-samples": {"psi.constructor.eta0": 1.0500000000000003},
+    "eta0-below-the-samples": {"psi.constructor.eta0": 0.5},
     "eta-reversed": {"psi.constructor.eta": lambda eta: eta[::-1]},
     "theta-string": {"theta": "0.55"},
     "theta-outside-range": {"theta": 0.7},
@@ -356,7 +403,7 @@ _DRAWN_FIELDS = [
     "lambda_phi", "lambda_psi", "phi.constructor.kind", "phi.constructor.v0",
     "phi.constructor.lambda", "phi.constructor.rmax", "phi.constructor.nodes",
     "psi.constructor.kind", "psi.constructor.v0", "psi.constructor.eta",
-    "psi.constructor.zeta", "psi.constructor.I"]
+    "psi.constructor.zeta", "psi.constructor.eta0"]
 _JSON_VALUES = st.one_of(
     st.text(max_size=12), st.none(), st.booleans(),
     st.lists(st.integers(-3, 3), max_size=3),
@@ -668,7 +715,7 @@ class TestConfigAndErrors:
         for factor in ("phi", "psi"):
             if any(k.startswith(f"{factor}.constructor.") for k in edits):
                 assert f"error: ParameterError: {bad}: {factor}.constructor" in err
-        if data.get("schema") in (1, 2):
+        if data.get("schema") in (1, 2, 3):
             assert "rerun assemble" in err
         if data.get("R_inf", 1.0) is None:
             assert "rerun assemble with --report" in err
@@ -806,7 +853,7 @@ class TestWrittenCurve:
                     "--report", str(tmp_path / "report.json")]) == (2 if failed else 0)
         written = json.loads((tmp_path / "report.json").read_text())
         assert written == json.loads(json.dumps(report))
-        eta = read_columns(tmp_path / "curve.csv", header=["eta", "zeta", "I"])[1][0]
+        eta = read_columns(tmp_path / "curve.csv", header=CURVE_HEADER)[1][0]
         assert len(eta) < len(curve.eta)
         assert written["bounds_detail"]["scan_range"] == [eta[0], eta[-1]]
         shutil.copy(workdir / "phi.csv", tmp_path / "phi.csv")

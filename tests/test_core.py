@@ -199,11 +199,12 @@ class TestSerialization:
         buf = io.StringIO()
         curve_1e3.to_csv(buf)
         text = buf.getvalue()
-        assert text.splitlines()[0] == "eta,zeta,I"
+        assert text.splitlines()[0] == "eta,zeta,anchor"
         back = PhaseCurve.from_csv(io.StringIO(text))
         assert np.array_equal(back.eta, curve_1e3.eta)
         assert np.array_equal(back.zeta, curve_1e3.zeta)
-        assert back.params.eta0 == pytest.approx(1.05, abs=1e-12)
+        assert back.params.eta0 == 1.05
+        assert back.I is None
         assert back.taylor.d1 == pytest.approx(2.0, abs=1e-6)
 
     def test_report_rejects_negative_stats(self):
@@ -219,26 +220,27 @@ class TestPhaseCurveType:
 
     @pytest.mark.parametrize("cut", ["zeta", "I"])
     def test_unequal_columns_rejected(self, curve_1e3, cut):
+        # the solver's curves carry I; a curve read from columns has none
         from affmax.core import PhaseCurve
         cols = {"eta": curve_1e3.eta, "zeta": curve_1e3.zeta, "I": curve_1e3.I}
         cols[cut] = cols[cut][:-5]
-        lengths = [len(cols[k]) for k in ("eta", "zeta", "I")]
-        message = "hold {}, {}, {} values".format(*lengths)
+        message = f"eta, {cut} hold {len(cols['eta'])}, {len(cols[cut])} values"
         with pytest.raises(ParameterError, match=message):
             PhaseCurve(params=curve_1e3.params, taylor=curve_1e3.taylor, **cols)
-        with pytest.raises(ParameterError, match=message):
-            PhaseCurve.from_columns(**cols, n=2, theta=0.55)
+        if cut == "zeta":
+            with pytest.raises(ParameterError, match=message):
+                PhaseCurve.from_columns(cols["eta"], cols["zeta"], 1.05, n=2, theta=0.55)
 
     @pytest.mark.parametrize("keep", ["before", "after"])
     def test_curve_without_its_anchor_row_is_refused(self, curve_1e3, keep):
         # np.interp clamped eta0 to an end row of a curve cut short of it
         from affmax.core import PhaseCurve
-        sel = curve_1e3.I < 0 if keep == "before" else curve_1e3.I > 0
-        cols = {k: getattr(curve_1e3, k)[sel] for k in ("eta", "zeta", "I")}
-        with pytest.raises(ParameterError, match="I is 0 at 0 rows, not at one eta0"):
-            PhaseCurve.from_columns(**cols, n=2, theta=0.55)
-        whole = PhaseCurve.from_columns(curve_1e3.eta, curve_1e3.zeta, curve_1e3.I)
-        assert whole.params.eta0 == 1.05
+        sel = curve_1e3.eta < 1.05 if keep == "before" else curve_1e3.eta > 1.05
+        with pytest.raises(ParameterError, match="eta0 = 1.05 is not one of the eta samples"):
+            PhaseCurve.from_columns(curve_1e3.eta[sel], curve_1e3.zeta[sel], 1.05,
+                                    n=2, theta=0.55)
+        whole = PhaseCurve.from_columns(curve_1e3.eta, curve_1e3.zeta, 1.05)
+        assert whole.params.eta0 == 1.05 and whole.I is None
 
     def test_monotone_eta_required(self):
         with pytest.raises(ParameterError):

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmax import core
-from affmax.core import decode_column, encode_column, read_columns, write_columns
+from affmax.core import (decode_column, encode_column, read_columns,
+                         read_curve_columns, write_columns)
 from affmax.errors import ParameterError
+from affmax.reconstruct import written_curve
 
 MAX = np.finfo(float).max
 
@@ -27,20 +29,24 @@ MAX = np.finfo(float).max
 # row-loop reference
 
 
+def reference_field(x) -> str:
+    """A bool as 0 or 1, any other value as the repr of its float."""
+    return str(int(x)) if isinstance(x, (bool, np.bool_)) else repr(float(x))
+
+
 def reference_write_columns(names, cols):
-    cols = [np.asarray(c, dtype=float) for c in cols]
     buf = io.StringIO()
     buf.write(",".join(names) + "\n")
     for row in zip(*cols):
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
+        buf.write(",".join(map(reference_field, row)) + "\n")
     return buf.getvalue()
 
 
 def reference_plot_text(header, cols):
     buf = io.StringIO()
     buf.write(header + "\n")
-    for row in np.column_stack(cols):
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in zip(*cols):
+        buf.write(" ".join(map(reference_field, row)) + "\n")
     return buf.getvalue()
 
 
@@ -75,9 +81,11 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
 
 @st.composite
 def column_sets(draw):
+    """1 to 4 columns of one length, each of floats or, as an anchor column, of bools."""
     width = draw(st.integers(1, 4))
     rows = draw(st.integers(0, 12))
-    return [np.array(draw(st.lists(finite_floats, min_size=rows, max_size=rows)))
+    return [np.array(draw(st.lists(st.booleans() if draw(st.booleans()) else finite_floats,
+                                   min_size=rows, max_size=rows)))
             for _ in range(width)]
 
 
@@ -171,10 +179,14 @@ def test_reader_rejects_what_the_row_walk_rejects(text):
     assert str(err.value) == str(exc.value)
 
 
-def test_flagship_curve_reads_bitwise_without_the_row_walk(monkeypatch, curve_1e5):
+def flagship_curve_text(curve_1e5) -> str:
     buf = io.StringIO()
-    curve_1e5.to_csv(buf)
-    text = buf.getvalue()
+    written_curve(curve_1e5).to_csv(buf)
+    return buf.getvalue()
+
+
+def test_flagship_curve_reads_bitwise_without_the_row_walk(monkeypatch, curve_1e5):
+    text = flagship_curve_text(curve_1e5)
 
     def row_walk(text):
         raise AssertionError("curve.csv text fell back to the row walk")
@@ -182,10 +194,25 @@ def test_flagship_curve_reads_bitwise_without_the_row_walk(monkeypatch, curve_1e
     monkeypatch.setattr(core, "_read_rows", row_walk)
     names, cols = read_columns(io.StringIO(text))
     ref_names, ref_cols = reference_read_columns(text)
-    assert names == ref_names == ["eta", "zeta", "I"]
+    assert names == ref_names == ["eta", "zeta", "anchor"]
     assert [bits(c) for c in cols] == [bits(c) for c in ref_cols]
+    curve = written_curve(curve_1e5)
     assert [bits(c) for c in cols] == [bits(c) for c in
-                                       (curve_1e5.eta, curve_1e5.zeta, curve_1e5.I)]
+                                       (curve.eta, curve.zeta, curve.eta == 1.05)]
+
+
+def test_flagship_curve_reads_alike_on_both_paths(monkeypatch, curve_1e5):
+    # "\r\n" line ends send the text to the row walk; numpy's reader takes
+    # the original, and both give the same columns and eta0, bit for bit
+    text = flagship_curve_text(curve_1e5)
+    fast = read_curve_columns(io.StringIO(text))
+    walked = []
+    monkeypatch.setattr(core, "_read_rows",
+                        lambda text, walk=core._read_rows: walked.append(1) or walk(text))
+    slow = read_curve_columns(io.StringIO(text.replace("\n", "\r\n")))
+    assert walked == [1]
+    assert [bits(c) for c in slow[:2]] == [bits(c) for c in fast[:2]]
+    assert slow[2] == fast[2] == 1.05
 
 
 # ---------------------------------------------------------------------------

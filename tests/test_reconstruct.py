@@ -1,9 +1,11 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from affmax import extend_global, fixed_point_solve
+from affmax import blowup_time, extend_global, fixed_point_solve
 from affmax.core import (AnalyticEvaluator, ModelParams, PhaseCurve,
                          RadialProfile, TaylorData, profile_to_phase, radial_lhs)
 from affmax.errors import ParameterError, PositivityLoss
@@ -11,6 +13,7 @@ from affmax.fd import one_sided_derivative
 from affmax.reconstruct import (BOX_FRACTION, FAR_STRIDE, PROFILE_ROWS, WRITE_MARGIN,
                                 _tables, large_condition_check, rebuild_profile,
                                 t_of_eta, written_curve)
+from affmax.verify import assemble_solution, solution_from_payload, verify_solution
 
 from conftest import ETA0
 from oracles import origin_compatibility, paraboloid_profile
@@ -333,9 +336,10 @@ class TestWrittenCurve:
         full = curves_by_theta[theta]
         out = written_curve(full)
         idx = np.searchsorted(full.eta, out.eta)
-        # every written row is a row of the full curve, bit for bit
-        for col in ("eta", "zeta", "I"):
+        # every written row is a row of the full curve, bit for bit; I is not written
+        for col in ("eta", "zeta"):
             assert getattr(out, col).tobytes() == getattr(full, col)[idx].tobytes()
+        assert out.I is None
         assert (out.params, out.taylor) == (full.params, full.taylor)
         assert idx[0] == 0 and idx[-1] == len(full.eta) - 1
         # every row to the margin past the box edge, the local solve's among them
@@ -346,6 +350,30 @@ class TestWrittenCurve:
         assert np.all(np.diff(idx[margin:-1]) == FAR_STRIDE)
         assert len(out.eta) < 0.6 * len(full.eta)
         assert in_box_meter(out, theta, 2) < 1e-8
+
+    def test_written_file_holds_what_the_rebuild_reads(self, curve_1e5):
+        # psi, and the solution verify builds, are the same bits whether the
+        # written curve is used in memory or read back from its CSV and JSON
+        mem = written_curve(curve_1e5)
+        buf = io.StringIO()
+        mem.to_csv(buf)
+        back = PhaseCurve.from_csv(io.StringIO(buf.getvalue()))
+        assert back.I is None and back.params.eta0 == mem.params.eta0
+        a, b = rebuild_profile(mem, v0=1.0), rebuild_profile(back, v0=1.0)
+        for col in ("r", "v", "u"):
+            assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+        r = np.linspace(0.0, a.evaluator.r_max, 202)[1:-1]
+        assert a.evaluator.v(r).tobytes() == b.evaluator.v(r).tobytes()
+        for k in (1, 2, 3):
+            assert a.evaluator.deriv(r, k).tobytes() == b.evaluator.deriv(r, k).tobytes()
+        phi_ctor = {"kind": "positive-pair", "v0": 1.0, "lambda": 1.0, "rmax": 10.0,
+                    "nodes": 2001}
+        psi_ctor = {"kind": "phase-reconstruction", "v0": 1.0}
+        R_inf = math.exp(blowup_time(curve_1e5)[0])
+        sol, _ = assemble_solution(phi_ctor, psi_ctor, mem, 0, R_inf)
+        _, payload = assemble_solution(phi_ctor, psi_ctor, back, 0, R_inf)
+        read = solution_from_payload(json.loads(json.dumps(payload)), "solution.json")
+        assert verify_solution(read, 200, 0) == verify_solution(sol, 200, 0)
 
     def test_box_edges_lie_at_different_eta(self, curves_by_theta):
         # the rule finds the edge from each curve, not from a fixed eta
