@@ -51,7 +51,9 @@ _OPTIONS = [
     ("solve-positive", "theta", float, 0.55, "exponent"),
     ("solve-positive", "lambda", float, 1.0, "eigenvalue"),
     ("solve-positive", "rmax", float, 10.0, "largest radius"),
-    ("solve-positive", "nodes", int, 2001, "grid size"),
+    ("solve-positive", "nodes", int, 201,
+     "rows of the profile CSV and the phi constructor's nodes; "
+     "phi's evaluator is its curvature table's, whatever the rows"),
     ("solve-positive", "out", str, "profile.csv", "profile CSV"),
     ("solve-negative", "n", int, 2, "factor dimension"),
     ("solve-negative", "theta", float, 0.55, "exponent"),

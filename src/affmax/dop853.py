@@ -18,6 +18,11 @@ error norm and the step-size factors.  Each of those is one correctly
 rounded IEEE operation per component, the same on a Python float as on
 a numpy array entry, so it is done on the two components as Python
 floats, which costs a fraction of a numpy call on a 2-element array.
+For the same reason the floats cross into and out of the arrays through
+memoryviews: each stage's derivative pair is stored into K through a
+flat view of it, and each product of K is taken as
+``np.dot(..., out=)`` into one reused 2-vector and read back through
+its view (the same BLAS call on the same operands as without ``out``).
 The squares of the error norm stay ``** 2``: numpy's scalar power and
 Python's both call the C library's ``pow``, which differs from
 ``x * x`` in the last bit for some inputs (337 of 400,000 random square
@@ -187,22 +192,27 @@ class DOP853:
         self.rtol, self.atol = rtol, atol
         self.status = "running"
         self._sq = np.empty(2)          # the vector whose BLAS x.dot(x) _norm takes
+        self._sqv = memoryview(self._sq)
         self.f = fun(t0, *self.y)
         self.h_abs = self._initial_step()
         self.K_extended = K = np.empty((N_STAGES_EXTENDED, 2))
         self.K = K[:N_STAGES + 1]
-        # stage s reads K[:s].T @ A[s, :s], the new y K[:-1].T @ B and the
-        # error estimates K.T @ E5 and K.T @ E3; the views are made once
-        self._stages = [(s, K[:s].T, _A[s, :s], float(_C[s]))
-                        for s in range(1, N_STAGES_EXTENDED)]
+        self._Kf = memoryview(K.reshape(-1))   # K flat: stage s at 2s and 2s + 1
+        self._dot = np.empty(2)                # every stage product lands here,
+        self._dotv = memoryview(self._dot)     # and is read back as floats here
+        # stage s reads K[:s].T @ A[s, :s], the new y K[:-1].T @ B (stage 12:
+        # B is A[12, :12]) and the error estimates K.T @ E5 and K.T @ E3;
+        # the views and the step's and dense output's lists are made once
+        stages = [(2 * s, K[:s].T, _A[s, :s], float(_C[s]))
+                  for s in range(N_STAGES_EXTENDED)]
+        self._step_stages, self._dense_stages = stages[1:N_STAGES], stages[N_STAGES + 1:]
         self._KB, self._KE = K[:N_STAGES].T, self.K.T
 
     def _norm(self, a, b):
         """The 2-norm of (a, b) as np.linalg.norm forms it: the square
         root of BLAS's x.dot(x)."""
-        x = self._sq
-        x[0] = a
-        x[1] = b
+        x, xv = self._sq, self._sqv
+        xv[0], xv[1] = a, b
         return math.sqrt(x.dot(x))
 
     def _initial_step(self):
@@ -230,21 +240,25 @@ class DOP853:
 
     def _rk_step(self, t, z, I, h):
         """The new (zeta, I) and its f after a step h, with the stages in K."""
-        K, fun = self.K, self.fun
-        K[0] = self.f
-        for s, Ks, a, c in self._stages[:N_STAGES - 1]:
-            dz, dI = np.dot(Ks, a).tolist()
-            K[s] = fun(t + c * h, z + dz * h, I + dI * h)
-        dz, dI = np.dot(self._KB, _B).tolist()
+        Kf, d, dv, fun = self._Kf, self._dot, self._dotv, self.fun
+        Kf[0], Kf[1] = self.f
+        for i, Ks, a, c in self._step_stages:
+            np.dot(Ks, a, out=d)
+            dz, dI = dv
+            Kf[i], Kf[i + 1] = fun(t + c * h, z + dz * h, I + dI * h)
+        np.dot(self._KB, _B, out=d)
+        dz, dI = dv
         z_new, I_new = z + h * dz, I + h * dI
-        f_new = K[-1] = fun(t + h, z_new, I_new)
+        f_new = Kf[2 * N_STAGES], Kf[2 * N_STAGES + 1] = fun(t + h, z_new, I_new)
         return z_new, I_new, f_new
 
     def _error_norm(self, h, sz, sI):
-        KE = self._KE
-        ez, eI = np.dot(KE, _E5).tolist()
+        KE, d, dv = self._KE, self._dot, self._dotv
+        np.dot(KE, _E5, out=d)
+        ez, eI = dv
         err5_norm_2 = self._norm(ez / sz, eI / sI) ** 2
-        ez, eI = np.dot(KE, _E3).tolist()
+        np.dot(KE, _E3, out=d)
+        ez, eI = dv
         err3_norm_2 = self._norm(ez / sz, eI / sI) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
@@ -292,13 +306,14 @@ class DOP853:
 
     def dense_output(self) -> DenseStep:
         """The interpolant of the last accepted step (three more stages)."""
-        K, fun = self.K_extended, self.fun
+        K, Kf, d, dv, fun = self.K_extended, self._Kf, self._dot, self._dotv, self.fun
         t_old, (z_old, I_old) = self.t_old, self.y_old
         h = self.t - t_old
-        for s, Ks, a, c in self._stages[N_STAGES:]:
-            dz, dI = np.dot(Ks, a).tolist()
-            K[s] = fun(t_old + c * h, z_old + dz * h, I_old + dI * h)
-        (fz_old, fI_old), (fz, fI) = K[0].tolist(), self.f
+        for i, Ks, a, c in self._dense_stages:
+            np.dot(Ks, a, out=d)
+            dz, dI = dv
+            Kf[i], Kf[i + 1] = fun(t_old + c * h, z_old + dz * h, I_old + dI * h)
+        (fz_old, fI_old), (fz, fI) = (Kf[0], Kf[1]), self.f
         z, I = self.y
         dz, dI = z - z_old, I - I_old
         F = np.empty((INTERPOLATOR_POWER, 2))

@@ -44,7 +44,7 @@ WRITE_MARGIN = 0.02
 FAR_STRIDE = 8
 # rows a rebuilt profile keeps, as many as phi's at solve-positive's default
 # --nodes; only its first, last and anchor rows reach the certificate
-PROFILE_ROWS = 2001
+PROFILE_ROWS = 201
 
 
 def _tau_integrand(split: SwitchSplit, zeta, taylor):

@@ -4,8 +4,10 @@ Runs the five stages at their CLI defaults in a temporary directory
 (verify at 1000 points, seed 0), then verify at seed 3, and an
 ``assemble --m 2`` solution verified at 300 points, seed 1.  The
 stages' own output is dropped and each artifact is printed as
-``sha256  bytes  name``, so two checkouts are compared, digests and
-sizes, by diffing the output of
+``sha256  bytes  name``.  A last line gives the byte total of the six
+artifacts one perfbench flagship iteration writes (ITERATION), the
+figure its ``artifact_mb`` reports.  Two checkouts are compared,
+digests and sizes, by diffing the output of
 
     python tests/flagship_digests.py [--src DIR]
 
@@ -41,6 +43,9 @@ STAGES = [
 
 ARTIFACTS = ["phi.csv", "curve.csv", "report.json", "psi.csv", "solution.json",
              "verify.json", "verify_seed3.json", "solution_m2.json", "verify_m2.json"]
+# what one flagship iteration of perfbench writes (verify at its seed only)
+ITERATION = ["phi.csv", "curve.csv", "report.json", "psi.csv", "solution.json",
+             "verify.json"]
 
 
 def main(argv=None) -> int:
@@ -64,6 +69,8 @@ def main(argv=None) -> int:
             for name in ARTIFACTS:
                 data = Path(name).read_bytes()
                 print(f"{hashlib.sha256(data).hexdigest()}  {len(data):>7}  {name}")
+            total = sum(Path(name).stat().st_size for name in ITERATION)
+            print(f"{'':64}  {total:>7}  total of {', '.join(ITERATION)}")
         finally:
             os.chdir(cwd)
     return 0

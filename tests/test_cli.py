@@ -275,6 +275,28 @@ class TestPipeline:
         assert ((tmp_path / "solution.json").read_bytes()
                 == (workdir / "solution.json").read_bytes())
 
+    def test_phi_rows_do_not_reach_the_certificate(self, workdir, tmp_path):
+        # phi on 2001 nodes verifies to the same bytes as on the default
+        # 201: its evaluator is splined on the curvature table, and the
+        # grid sets only phi.csv's rows and the constructor's nodes
+        assert len(read_columns(workdir / "phi.csv")[1][0]) == 201
+        assert run(["solve-positive", "--nodes", "2001",
+                    "--out", str(tmp_path / "phi.csv")]) == 0
+        for f in ("curve.csv", "report.json", "psi.csv"):
+            shutil.copy(workdir / f, tmp_path / f)
+        assert run(assemble_argv(tmp_path, tmp_path / "solution.json")) == 0
+        reports = []
+        for d, tag in ((workdir, "201"), (tmp_path, "2001")):
+            reports.append(tmp_path / f"verify_{tag}.json")
+            assert run(["verify", "--solution", str(d / "solution.json"), "--points", "200",
+                        "--seed", "2", "--report", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        default, fine = (json.loads((d / "solution.json").read_text())
+                         for d in (workdir, tmp_path))
+        assert fine["phi"]["constructor"].pop("nodes") == 2001
+        assert default["phi"]["constructor"].pop("nodes") == 201
+        assert fine == default
+
 
 class TestSchema4:
     def test_factor_blocks_hold_only_constructors(self, workdir):
@@ -282,7 +304,7 @@ class TestSchema4:
         assert data["schema"] == 4
         assert list(data["phi"]) == ["constructor"]
         assert list(data["psi"]) == ["constructor"]
-        assert data["phi"]["constructor"]["nodes"] == 2001
+        assert data["phi"]["constructor"]["nodes"] == 201
         assert data["phi"]["constructor"]["rmax"] == 10.0
         psi = data["psi"]["constructor"]
         assert sorted(psi) == ["eta", "eta0", "kind", "v0", "zeta"]
